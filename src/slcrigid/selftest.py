@@ -16,7 +16,6 @@ All randomness is derived from one seed; output lines are deterministic.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,16 +142,11 @@ def run_selftest(
         certified = certified_group(group)
         good = 0
 
-        def job(i: int):
+        for i in range(samples):
             sample_seed = seed * 1000003 + i
             steps = random.Random(sample_seed).randint(1, max_steps)
             graph = generate_random(group, steps=steps, seed=sample_seed).graph
-            return graph, _check_sample(graph, sample_seed, certified)
-
-        # samples are independent; dumps and lines stay in index order
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(job, range(samples)))
-        for i, (graph, bad) in enumerate(results):
+            bad = _check_sample(graph, sample_seed, certified)
             checks += 1
             if bad:
                 failures += 1

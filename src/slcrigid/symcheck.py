@@ -38,7 +38,8 @@ from .symgraph import (
     SymmetricGraph,
     element_tables,
     fixed_counts,
-    loop_mirror_sign,
+    mirror_sign,
+    stabilizers,
     validate_action,
 )
 
@@ -80,6 +81,11 @@ def character_vectors(graph: SymmetricGraph) -> CharacterReport:
     """
     group = graph.group
     tables = element_tables(graph)
+    lstab = (
+        dict(zip(graph.loop_ids, stabilizers(graph, tables, "loop")))
+        if group.has_reflection
+        else {}
+    )
     labels, rows, cols, equal, deltas = [], [], [], [], []
     for elem in group.elements():
         vperm, lmap = tables[elem]
@@ -95,7 +101,7 @@ def character_vectors(graph: SymmetricGraph) -> CharacterReport:
             if elem == GroupElement(0, False):
                 sign_sum += 1
             elif elem.ref:
-                sign_sum += loop_mirror_sign(graph, loop.id, elem)
+                sign_sum += mirror_sign(group, loop, lstab[loop.id], elem)
             elif group.element_order(elem) == 2:
                 sign_sum -= 1
             else:

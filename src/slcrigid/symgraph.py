@@ -524,23 +524,34 @@ def vertex_orbit(graph: SymmetricGraph, v: int) -> tuple[int, ...]:
     return tuple(sorted({vp[v] for vp, _ in element_tables(graph).values()}))
 
 
+def stabilizers(graph: SymmetricGraph, tables, kind: str) -> tuple[tuple[GroupElement, ...], ...]:
+    """Nonidentity elements fixing each vertex or loop, in canonical order.
+
+    ``tables`` is ``element_tables(graph)``.  ``kind`` is ``"vertex"``
+    (one entry per vertex index) or ``"loop"`` (aligned with ``graph.loops``).
+    """
+    if kind == "vertex":
+        perm, items = 0, range(graph.num_vertices)
+    elif kind == "loop":
+        perm, items = 1, graph.loop_ids
+    else:
+        raise RangeError(f"unknown stabilizer kind {kind!r}")
+    group = graph.group
+    nonid = [e for e in group.elements() if e != group.identity()]
+    return tuple(tuple(e for e in nonid if tables[e][perm][x] == x) for x in items)
+
+
 def vertex_stabilizer(graph: SymmetricGraph, v: int) -> tuple[GroupElement, ...]:
     """Nonidentity elements fixing the vertex, in canonical order."""
-    tables = element_tables(graph)
-    return tuple(
-        e
-        for e in graph.group.elements()
-        if e != graph.group.identity() and tables[e][0][v] == v
-    )
+    if not 0 <= v < graph.num_vertices:
+        raise RangeError(f"vertex {v} out of range")
+    return stabilizers(graph, element_tables(graph), "vertex")[v]
 
 
 def loop_stabilizer(graph: SymmetricGraph, loop_id: int) -> tuple[GroupElement, ...]:
-    tables = element_tables(graph)
-    return tuple(
-        e
-        for e in graph.group.elements()
-        if e != graph.group.identity() and tables[e][1][loop_id] == loop_id
-    )
+    graph.loop_by_id(loop_id)
+    index = graph.loop_ids.index(loop_id)
+    return stabilizers(graph, element_tables(graph), "loop")[index]
 
 
 # -- fixed counts ----------------------------------------------------------
@@ -570,21 +581,32 @@ class FixedCounts:
         raise KeyError(label)
 
 
-def loop_mirror_sign(graph: SymmetricGraph, loop_id: int, mirror: GroupElement) -> int:
-    """Effective +-1 sign of a mirror-fixed loop under a specific mirror.
+def mirror_sign(
+    group: GroupSpec,
+    loop: Loop,
+    stabilizer: Sequence[GroupElement],
+    mirror: GroupElement,
+) -> int:
+    """Effective +-1 sign of a mirror-fixed loop under one fixing mirror.
 
-    The stored label belongs to the first fixing reflection in canonical
-    order; the only other possible fixing mirror differs by the half-turn,
-    which negates the normal.
+    ``stabilizer`` is the loop's stabilizer in canonical order (an entry of
+    ``stabilizers(graph, tables, "loop")``).  The stored label belongs to
+    the first fixing reflection; the only other possible fixing mirror
+    differs by the half-turn, which negates the normal.
     """
-    loop = graph.loop_by_id(loop_id)
     if loop.sigma_label is None:
-        raise ActionError(f"loop {loop_id} has no sigma_label")
-    fixing = [e for e in loop_stabilizer(graph, loop_id) if e.ref]
+        raise ActionError(f"loop {loop.id} has no sigma_label")
+    fixing = [e for e in stabilizer if e.ref]
     if mirror not in fixing:
-        raise ActionError(f"{graph.group.element_label(mirror)} does not fix loop {loop_id}")
+        raise ActionError(f"{group.element_label(mirror)} does not fix loop {loop.id}")
     sign = 1 if loop.sigma_label == "+" else -1
     return sign if mirror == fixing[0] else -sign
+
+
+def loop_mirror_sign(graph: SymmetricGraph, loop_id: int, mirror: GroupElement) -> int:
+    """``mirror_sign`` of the loop with this id, from a fresh action table."""
+    loop = graph.loop_by_id(loop_id)
+    return mirror_sign(graph.group, loop, loop_stabilizer(graph, loop_id), mirror)
 
 
 def fixed_counts(graph: SymmetricGraph) -> FixedCounts:
@@ -596,6 +618,8 @@ def fixed_counts(graph: SymmetricGraph) -> FixedCounts:
     """
     group = graph.group
     tables = element_tables(graph)
+    # the loop signs need stabilizers, which only mirror elements read
+    lstab = stabilizers(graph, tables, "loop") if group.has_reflection else ()
     out = []
     for elem in group.elements():
         vp, lp = tables[elem]
@@ -609,8 +633,10 @@ def fixed_counts(graph: SymmetricGraph) -> FixedCounts:
         plus = minus = None
         if elem.ref:
             plus = minus = 0
-            for l in fixed_loops:
-                if loop_mirror_sign(graph, l.id, elem) > 0:
+            for l, stab in zip(graph.loops, lstab):
+                if lp[l.id] != l.id:
+                    continue
+                if mirror_sign(group, l, stab, elem) > 0:
                     plus += 1
                 else:
                     minus += 1
@@ -768,8 +794,10 @@ __all__ = [
     "validate_action",
     "orbits",
     "vertex_orbit",
+    "stabilizers",
     "vertex_stabilizer",
     "loop_stabilizer",
+    "mirror_sign",
     "loop_mirror_sign",
     "fixed_counts",
     "symmetric_components",

@@ -122,3 +122,42 @@ def random_rows_graph(rng: random.Random, n: int, rows: int):
     edges = tuple(sorted(rng.sample(all_pairs, num_edges)))
     loops = tuple(rng.randrange(n) for _ in range(rows - num_edges))
     return n, edges, loops
+
+
+def d3_flower() -> SymmetricGraph:
+    """A d3 graph with a free orbit and a mirror-fixed orbit.
+
+    Free vertex r + 3m sits at the image of vertex 0 under c^r s^m; vertex
+    6 + r lies on a mirror line and carries a mirror-fixed loop.  The free
+    orbit is a ring with a loop at each vertex and spokes to the mirror
+    orbit.  Exercises complex character blocks next to mirror-pinned
+    points and normals.
+    """
+    rot = tuple((r + 1) % 3 + 3 * m for m in range(2) for r in range(3))
+    ref = tuple((-r) % 3 + 3 * (1 - m) for m in range(2) for r in range(3))
+    rot += tuple(6 + (r + 1) % 3 for r in range(3))
+    ref += tuple(6 + (-r) % 3 for r in range(3))
+    edges = set()
+    todo = [(0, 1), (0, 6), (0, 3)]
+    while todo:
+        u, v = todo.pop()
+        e = (min(u, v), max(u, v))
+        if e not in edges:
+            edges.add(e)
+            todo += [(rot[u], rot[v]), (ref[u], ref[v])]
+    # loop id = vertex for the free ring, 6 + r at mirror vertex 6 + r
+    loops = tuple(Loop(v, v) for v in range(6)) + tuple(
+        Loop(v, v, sigma_label="+") for v in range(6, 9)
+    )
+    g = SymmetricGraph(
+        GroupSpec("dihedral", 3),
+        9,
+        tuple(sorted(edges)),
+        loops,
+        rotation_vertex_perm=rot,
+        rotation_loop_perm=dict(enumerate(rot)),
+        reflection_vertex_perm=ref,
+        reflection_loop_perm=dict(enumerate(ref)),
+    )
+    assert validate_action(g).ok, validate_action(g).violations
+    return g

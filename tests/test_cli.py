@@ -120,6 +120,21 @@ def test_rank_exact_flag(tmp_path):
     assert out["classification"] == "isostatic"
 
 
+def test_rank_of_a_given_placement_off_symmetry(tmp_path):
+    # vertex 2 is not at -p1, so the triangle is not collinear: rank 6
+    from slcrigid import Framework
+
+    fw = Framework(c2_fixed_edge(), ((0, 0), (5, 1), (-4, -2)), ((1, 0), (2, 3), (-2, -3)))
+    path = tmp_path / "moved.json"
+    path.write_text(document.serialize_graph(fw.graph, framework=fw))
+    r = run_cli(["rank", str(path)])
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["placement"] == "given"
+    assert out["rank"] == 6
+    assert out["classification"] == "isostatic"
+
+
 def test_rank_dependent_graph_exits_one(loose_file):
     r = run_cli(["rank", loose_file])
     assert r.returncode == 1
