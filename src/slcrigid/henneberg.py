@@ -48,7 +48,6 @@ from .symgraph import (
     GroupSpec,
     Loop,
     SymmetricGraph,
-    element_tables,
     induced_subgraph,
     orbits,
     relabel,
@@ -110,13 +109,11 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
     """
     group = graph.group
     elements = group.elements()
-    idx = {e: i for i, e in enumerate(elements)}
     t = len(elements)
     n = graph.num_vertices
-    tables = element_tables(graph)
 
     def images(v: int) -> list[int]:
-        return [tables[e][0][v] for e in elements]
+        return [vp[v] for vp, _ in graph.action]
 
     edges = list(graph.edges)
     loops = list(graph.loops)
@@ -143,11 +140,10 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
             raise InvalidMoveError(f"({move.x0}, {move.y0}) is not an edge")
         if move.z0 in (move.x0, move.y0):
             raise InvalidMoveError("z0 must differ from the split edge's ends")
-        orbit = set()
-        for e in elements:
-            vp = tables[e][0]
-            a, b = vp[move.x0], vp[move.y0]
-            orbit.add((a, b) if a < b else (b, a))
+        orbit = {
+            (a, b) if a < b else (b, a)
+            for a, b in zip(images(move.x0), images(move.y0))
+        }
         if len(orbit) != t:
             raise InvalidMoveError(
                 "the split edge's orbit must have one edge per group element"
@@ -164,7 +160,8 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
         x0 = graph.loop_by_id(move.loop_id).vertex
         if move.y0 == x0:
             raise InvalidMoveError("y0 must differ from the loop's vertex")
-        loop_orbit = {tables[e][1][move.loop_id] for e in elements}
+        k = graph.loop_ids.index(move.loop_id)
+        loop_orbit = {lp[k] for _, lp in graph.action}
         if len(loop_orbit) != t:
             raise InvalidMoveError(
                 "the split loop's orbit must have one loop per group element"
@@ -181,15 +178,17 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
     for ref, gen in _gen_elements(group):
         vp_name = "reflection_vertex_perm" if ref else "rotation_vertex_perm"
         lp_name = "reflection_loop_perm" if ref else "rotation_loop_perm"
-        old_vp = getattr(graph, vp_name)
-        kwargs[vp_name] = tuple(old_vp) + tuple(
-            n + idx[group.compose(gen, elements[k])] for k in range(t)
+        kwargs[vp_name] = getattr(graph, vp_name) + tuple(
+            n + group.index(group.compose(gen, elements[k])) for k in range(t)
         )
-        _, old_lmap = graph.generator_perms(ref)
-        lmap = {i: img for i, img in old_lmap.items() if i in surviving}
+        lmap = {
+            l.id: img
+            for l, img in zip(graph.loops, getattr(graph, lp_name))
+            if l.id in surviving
+        }
         for k in range(t):
             if new_loops:
-                lmap[base_id + k] = base_id + idx[group.compose(gen, elements[k])]
+                lmap[base_id + k] = base_id + group.index(group.compose(gen, elements[k]))
         kwargs[lp_name] = lmap
 
     return SymmetricGraph(
@@ -313,8 +312,7 @@ def is_base_graph(graph: SymmetricGraph) -> str | None:
     if nv == 1 and not graph.edges and len(graph.loops) == 2:
         if n == 1:
             return "pinned1"
-        _, lmap = graph.generator_perms(ref=False)
-        fixed = all(lmap[l.id] == l.id for l in graph.loops)
+        fixed = graph.rotation_loop_perm == graph.loop_ids
         if n == 2 and fixed:
             return "p1_fixed"
         if n == 4 and not fixed:
@@ -401,10 +399,8 @@ def _delete_orbit(
 
 
 def _add_edge_orbit(graph: SymmetricGraph, x1: int, x2: int) -> SymmetricGraph:
-    tables = element_tables(graph)
     new = set(graph.edges)
-    for e in graph.group.elements():
-        vp = tables[e][0]
+    for vp, _ in graph.action:
         a, b = vp[x1], vp[x2]
         new.add((a, b) if a < b else (b, a))
     return replace(graph, edges=tuple(sorted(new)))
@@ -416,19 +412,16 @@ def _add_loop_orbit(
     """Add a free loop orbit rooted at x; returns the identity element's id."""
     group = graph.group
     elements = group.elements()
-    idx = {e: i for i, e in enumerate(elements)}
-    tables = element_tables(graph)
     base = _fresh_loop_base(graph)
     new_loops = tuple(
-        Loop(base + k, tables[e][0][x]) for k, e in enumerate(elements)
+        Loop(base + k, vp[x]) for k, (vp, _) in enumerate(graph.action)
     )
     kwargs = {}
     for ref, gen in _gen_elements(group):
         lp_name = "reflection_loop_perm" if ref else "rotation_loop_perm"
-        _, lmap = graph.generator_perms(ref)
-        lmap = dict(lmap)
+        lmap = dict(zip(graph.loop_ids, getattr(graph, lp_name)))
         for k in range(len(elements)):
-            lmap[base + k] = base + idx[group.compose(gen, elements[k])]
+            lmap[base + k] = base + group.index(group.compose(gen, elements[k]))
         kwargs[lp_name] = lmap
     return replace(graph, loops=graph.loops + new_loops, **kwargs), base
 
@@ -439,19 +432,16 @@ def _reduction_candidates(graph: SymmetricGraph) -> Iterator[Reduction]:
     Only free orbits whose neighborhood lies outside the orbit are offered;
     those are exactly the orbits an extension can have created.
     """
-    group = graph.group
-    elements = group.elements()
-    t = len(elements)
-    tables = element_tables(graph)
+    t = graph.group.size
     edge_set = set(graph.edges)
 
     nbrs: list[list[int]] = [[] for _ in range(graph.num_vertices)]
     for (u, v) in graph.edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    loops_at: list[list[Loop]] = [[] for _ in range(graph.num_vertices)]
-    for l in graph.loops:
-        loops_at[l.vertex].append(l)
+    loops_at: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    for k, l in enumerate(graph.loops):
+        loops_at[l.vertex].append(k)
 
     seen: set[int] = set()
     for v in range(graph.num_vertices):
@@ -465,15 +455,15 @@ def _reduction_candidates(graph: SymmetricGraph) -> Iterator[Reduction]:
         if any(u in orb for u in out):
             continue
         profile = (len(out), len(loops_at[v]))
-        orbit_vertices = tuple(tables[e][0][v] for e in elements)
+        orbit_vertices = tuple(vp[v] for vp, _ in graph.action)
 
         if profile == (2, 0):
             red, vmap = _delete_orbit(graph, orb)
             a, b = sorted((vmap[out[0]], vmap[out[1]]))
             yield Reduction(Zero2Edges(a, b), red, orbit_vertices, (), vmap)
         elif profile == (1, 1):
-            lid = loops_at[v][0].id
-            orbit_loops = tuple(tables[e][1][lid] for e in elements)
+            k = loops_at[v][0]
+            orbit_loops = tuple(lp[k] for _, lp in graph.action)
             red, vmap = _delete_orbit(graph, orb)
             yield Reduction(
                 ZeroEdgeLoop(vmap[out[0]]), red, orbit_vertices, orbit_loops, vmap
@@ -495,8 +485,8 @@ def _reduction_candidates(graph: SymmetricGraph) -> Iterator[Reduction]:
                         vmap,
                     )
         elif profile == (2, 1):
-            lid = loops_at[v][0].id
-            orbit_loops = tuple(tables[e][1][lid] for e in elements)
+            k = loops_at[v][0]
+            orbit_loops = tuple(lp[k] for _, lp in graph.action)
             for x, y in ((out[0], out[1]), (out[1], out[0])):
                 red, vmap = _delete_orbit(graph, orb)
                 red, new_id = _add_loop_orbit(red, vmap[x])
@@ -658,8 +648,7 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     if not check_tight(graph, method).tight:
         raise NotTightError("decompose needs a tight graph")
     group = graph.group
-    elements = group.elements()
-    t = len(elements)
+    t = group.size
     traces = []
     for comp in symmetric_components(graph):
         sub, vmap = induced_subgraph(graph, comp)
@@ -689,8 +678,8 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
             fresh = _fresh_loop_base(x)
             deleted_ids: set[int] = set()
             if isinstance(translated, OneLoopSplit):
-                tb = element_tables(x)
-                deleted_ids = {tb[e][1][translated.loop_id] for e in elements}
+                k = x.loop_ids.index(translated.loop_id)
+                deleted_ids = {lp[k] for _, lp in x.action}
             x = apply_extension(x, translated)
             inv_red = {
                 new: old

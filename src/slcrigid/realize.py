@@ -57,7 +57,6 @@ from .errors import (
 from .symgraph import (
     GroupElement,
     SymmetricGraph,
-    element_tables,
     mirror_sign,
     stabilizers,
     validate_action,
@@ -188,10 +187,9 @@ def sample_symmetric_placement(
     group = graph.group
     rng = random.Random(seed)
     exact = group.exact_supported
-    tables = element_tables(graph)
     taus = _tau_rows(graph, exact)
-    elements = group.elements()
-    vstab = stabilizers(graph, tables, "vertex")
+    acting = list(zip(group.elements(), graph.action))
+    vstab = stabilizers(graph, "vertex")
 
     rot_fixed = [
         v for v in range(graph.num_vertices) if any(not e.ref for e in vstab[v])
@@ -232,8 +230,8 @@ def sample_symmetric_placement(
             else:
                 cand = (draw_nonzero(), draw_nonzero())
             orbit_pts: dict[int, Pair] = {}
-            for elem in elements:
-                w = tables[elem][0][rep]
+            for elem, (vp, _) in acting:
+                w = vp[rep]
                 if w not in orbit_pts:
                     orbit_pts[w] = _apply(taus[elem], cand)
             # the orbit's points must be apart from each other and from
@@ -260,7 +258,7 @@ def sample_symmetric_placement(
             )
 
     q_by_id: dict[int, Pair] = {}
-    for loop, stab in zip(graph.loops, stabilizers(graph, tables, "loop")):
+    for k, (loop, stab) in enumerate(zip(graph.loops, stabilizers(graph, "loop"))):
         if loop.id in q_by_id:
             continue
         mirrors = [e for e in stab if e.ref]
@@ -276,8 +274,8 @@ def sample_symmetric_placement(
             cand = (base[0] * t, base[1] * t)
         else:
             cand = (draw_nonzero(), draw_nonzero())
-        for elem in elements:
-            lid = tables[elem][1][loop.id]
+        for elem, (_, lp) in acting:
+            lid = lp[k]
             if lid not in q_by_id:
                 q_by_id[lid] = _apply(taus[elem], cand)
 
@@ -299,7 +297,6 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
         [1.0] + [abs(float(c)) for pt in fw.p + fw.q for c in pt]
     )
     eps = 0.0 if exact else tol * span
-    tables = element_tables(graph)
     taus = _tau_rows(graph, exact)
     q_by_id = dict(zip(graph.loop_ids, fw.q))
     bad: list[str] = []
@@ -318,18 +315,15 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
         if max(abs(vec[0]), abs(vec[1])) <= eps:
             bad.append(f"loop {loop.id} has zero normal")
 
-    for elem in group.elements():
-        if elem == group.identity():
-            continue
-        vp, lp = tables[elem]
+    for elem, (vp, lp) in list(zip(group.elements(), graph.action))[1:]:
         for v in range(graph.num_vertices):
             if not near(_apply(taus[elem], fw.p[v]), fw.p[vp[v]]):
                 bad.append(
                     f"{group.element_label(elem)} moves vertex {v} off its image"
                 )
-        for loop, vec in zip(graph.loops, fw.q):
+        for loop, vec, img_id in zip(graph.loops, fw.q, lp):
             img = _apply(taus[elem], vec)
-            target = q_by_id[lp[loop.id]]
+            target = q_by_id[img_id]
             neg = (-target[0], -target[1])
             if not (near(img, target) or near(img, neg)):
                 bad.append(
@@ -337,7 +331,7 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
                     " off its image line"
                 )
 
-    lstab = stabilizers(graph, tables, "loop")
+    lstab = stabilizers(graph, "loop")
     for loop, vec, stab in zip(graph.loops, fw.q, lstab):
         for elem in (e for e in stab if e.ref):
             sign = mirror_sign(group, loop, stab, elem)
@@ -509,10 +503,7 @@ def _orbits_under(matrix: RigidityMatrix, h: GroupElement, tol: float):
     group = graph.group
     n = graph.num_vertices
     k = group.element_order(h)
-    if k == 1:
-        vperm, lperm = tuple(range(n)), {l.id: l.id for l in graph.loops}
-    else:
-        vperm, lperm = graph.generator_perms(ref=h.ref)
+    vperm, lperm = graph.action[group.index(h)]
     taus = [np.eye(2)]
     for _ in range(k - 1):
         taus.append(group.tau(h) @ taus[-1])
@@ -554,7 +545,7 @@ def _orbits_under(matrix: RigidityMatrix, h: GroupElement, tol: float):
                 if j is None:
                     return None
             else:
-                j = loop_row[lperm[graph.loops[j - num_edges].id]]
+                j = loop_row[lperm[j - num_edges]]
                 if graph.loops[j - num_edges].vertex != verts[0]:
                     return None
         if j != i:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .realize import Framework
-from .symgraph import element_tables
+from .symgraph import stabilizers
 
 _EDGE_COLOR = "#444444"
 _FIXED_COLOR = "#d62728"
@@ -55,24 +55,9 @@ def render_svg(fw: Framework, size: int = 480) -> str:
             f' stroke-linecap="{cap}"{d} />'
         )
 
-    tables = element_tables(graph)
-    nonid = [e for e in group.elements() if e != group.identity()]
-    fixed_vertices = {
-        v
-        for v in range(graph.num_vertices)
-        for e in nonid
-        if tables[e][0][v] == v
-    }
-    fixed_edges = set()
-    for (u, v) in graph.edges:
-        for e in nonid:
-            vp = tables[e][0]
-            if {vp[u], vp[v]} == {u, v}:
-                fixed_edges.add((u, v))
-                break
-    fixed_loops = {
-        l.id for l in graph.loops for e in nonid if tables[e][1][l.id] == l.id
-    }
+    fixed_vertices = {v for v, stab in enumerate(stabilizers(graph, "vertex")) if stab}
+    fixed_edges = {e for e, stab in zip(graph.edges, stabilizers(graph, "edge")) if stab}
+    fixed_loops = {l.id for l, stab in zip(graph.loops, stabilizers(graph, "loop")) if stab}
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -15,11 +15,11 @@ must satisfy, per element:
   by the sign of the loop direction under the mirror.
 
 Characters.  The row and column representations of the rigidity matrix must
-have equal characters.  Per element the row trace is integral: edges fixed
-count +1, loops fixed count -1 under the half-turn and their stored sign
-under a mirror.  The column trace is 2 cos(angle) per fixed vertex, which is
-rational only for rotation orders 1, 2, 3, 4, 6; for other orders equality
-holds exactly iff both sides vanish.
+have equal characters.  Per element the row trace is integral and a function
+of the same fixed counts: edges fixed count +1, loops fixed count -1 under
+the half-turn and their stored sign under a mirror.  The column trace is
+2 cos(angle) per fixed vertex, which is rational only for rotation orders 1,
+2, 3, 4, 6; for other orders equality holds exactly iff both sides vanish.
 
 ``check_tight`` bundles sparsity, fixed counts and characters; the character
 identity is implied by the first two and reported as a cross-check.
@@ -36,9 +36,7 @@ from .sparsity import SparsityReport, pebble_check, subset_audit
 from .symgraph import (
     GroupElement,
     SymmetricGraph,
-    element_tables,
     fixed_counts,
-    mirror_sign,
     stabilizers,
     validate_action,
 )
@@ -75,56 +73,47 @@ class CharacterReport:
 def character_vectors(graph: SymmetricGraph) -> CharacterReport:
     """Exact row/column characters with per-element equality flags.
 
-    Row traces are computed over the integers.  Column equality is decided
-    exactly: reflections trace to 0, rational rotation angles compare as
-    integers, irrational ones force both sides to vanish.
+    Both come from ``fixed_counts``.  The row trace is e + l for the
+    identity, e - l for the half-turn and e + l+ - l- for a mirror; a loop
+    fixed by any other rotation has no fixed direction and raises.  Column
+    equality is decided exactly: reflections trace to 0, rational rotation
+    angles compare as integers, irrational ones force both sides to vanish.
     """
     group = graph.group
-    tables = element_tables(graph)
-    lstab = (
-        dict(zip(graph.loop_ids, stabilizers(graph, tables, "loop")))
-        if group.has_reflection
-        else {}
-    )
     labels, rows, cols, equal, deltas = [], [], [], [], []
-    for elem in group.elements():
-        vperm, lmap = tables[elem]
-        e_fix = sum(
-            1
-            for (u, v) in graph.edges
-            if {vperm[u], vperm[v]} == {u, v}
-        )
-        sign_sum = 0
-        for loop in graph.loops:
-            if lmap[loop.id] != loop.id:
-                continue
-            if elem == GroupElement(0, False):
-                sign_sum += 1
-            elif elem.ref:
-                sign_sum += mirror_sign(group, loop, lstab[loop.id], elem)
-            elif group.element_order(elem) == 2:
-                sign_sum -= 1
-            else:
-                raise ActionError(
-                    f"loop {loop.id} fixed by {group.element_label(elem)},"
-                    " which has no fixed direction"
-                )
-        chi_r = e_fix + sign_sum
+    for c in fixed_counts(graph).per_element:
+        elem = c.element
+        if elem.ref:
+            chi_r = c.edges + c.loops_plus - c.loops_minus
+        elif elem.rot == 0:
+            chi_r = c.edges + c.loops
+        elif group.element_order(elem) == 2:
+            chi_r = c.edges - c.loops
+        elif c.loops:
+            loop = next(
+                l
+                for l, stab in zip(graph.loops, stabilizers(graph, "loop"))
+                if elem in stab
+            )
+            raise ActionError(
+                f"loop {loop.id} fixed by {c.label}, which has no fixed direction"
+            )
+        else:
+            chi_r = c.edges
 
         if elem.ref:
             chi_c = 0.0
             ok = chi_r == 0
         else:
-            v_fix = sum(1 for v in range(graph.num_vertices) if vperm[v] == v)
             angle = 2.0 * math.pi * elem.rot / group.rotation_order
-            chi_c = 2.0 * math.cos(angle) * v_fix
+            chi_c = 2.0 * math.cos(angle) * c.vertices
             tc = _two_cos_exact(elem.rot, group.rotation_order)
             if tc is None:
-                ok = chi_r == 0 and v_fix == 0
+                ok = chi_r == 0 and c.vertices == 0
             else:
-                ok = chi_r == tc * v_fix
+                ok = chi_r == tc * c.vertices
 
-        labels.append(group.element_label(elem))
+        labels.append(c.label)
         rows.append(chi_r)
         cols.append(chi_c)
         equal.append(ok)

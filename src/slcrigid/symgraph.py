@@ -16,6 +16,14 @@ label refers to the first reflection element, in canonical element order,
 that fixes the loop; a second mirror fixing the same loop differs by the
 half-turn and flips the sign.
 
+A graph's action on its vertices and loops is built once, on first use, by
+``element_tables`` and kept on the graph as ``SymmetricGraph.action``: per
+group element in canonical order, the vertex permutation and the loop
+permutation, both tuples, the loop one aligned with ``loops`` like the
+stored generators.  Every helper here, and the modules above, read that
+one value.  It is not a field, so ``==``, ``hash``, ``repr`` and
+``dataclasses.replace`` ignore it, and a replaced graph builds its own.
+
 All types are immutable; functions return new values.
 """
 
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -102,6 +110,12 @@ class GroupSpec:
         if self.has_reflection:
             out += [GroupElement(r, True) for r in range(n)]
         return tuple(out)
+
+    def index(self, a: GroupElement) -> int:
+        """Position of the element in ``elements()``."""
+        if not (0 <= a.rot < self.rotation_order) or (a.ref and not self.has_reflection):
+            raise ActionError(f"element {a} is not in group {self.name}")
+        return a.rot + (self.rotation_order if a.ref else 0)
 
     def identity(self) -> GroupElement:
         return GroupElement(0, False)
@@ -304,16 +318,10 @@ class SymmetricGraph:
                 return l
         raise RangeError(f"no loop with id {loop_id}")
 
-    def generator_perms(self, ref: bool) -> tuple[tuple[int, ...], dict[int, int]]:
-        """(vertex perm, loop perm as id map) for one generator; identity if absent."""
-        vp = self.reflection_vertex_perm if ref else self.rotation_vertex_perm
-        lp = self.reflection_loop_perm if ref else self.rotation_loop_perm
-        if vp is None:
-            vp = tuple(range(self.num_vertices))
-            lmap = {l.id: l.id for l in self.loops}
-        else:
-            lmap = {l.id: img for l, img in zip(self.loops, lp or ())}
-        return vp, lmap
+    @cached_property
+    def action(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """``element_tables(self)``, built on first use and kept."""
+        return element_tables(self)
 
 
 @dataclass(frozen=True)
@@ -326,50 +334,37 @@ class ElementAction:
     edge: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
 
 
-def _compose_vperm(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(f[x] for x in g)
-
-
-def _compose_lperm(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-    return {k: f[v] for k, v in g.items()}
+def _compose(f, g, loop_index: dict[int, int]):
+    """The action pair f after g; loop perms hold image ids."""
+    (fv, fl), (gv, gl) = f, g
+    return tuple(fv[x] for x in gv), tuple(fl[loop_index[i]] for i in gl)
 
 
 def element_tables(graph: SymmetricGraph):
-    """Vertex/loop permutations for every group element, in canonical order.
+    """Vertex and loop permutation of every group element, in canonical order.
 
-    Returns ``{element: (vertex_perm, loop_id_map)}``.  Requires a valid
-    action; with invalid data the composites are still well defined but may
-    not respect the graph.
+    Returns one ``(vertex_perm, loop_perm)`` pair per element of
+    ``graph.group.elements()``; entry k of a loop perm is the image id of
+    ``graph.loops[k]``.  This is what ``graph.action`` holds: read that, it
+    is built once per graph.  With an invalid action the composites are
+    still well defined but may not respect the graph.
     """
     group = graph.group
-    n_rot = group.rotation_order
-    rot_v, rot_l = graph.generator_perms(ref=False)
-    tables: dict[GroupElement, tuple[tuple[int, ...], dict[int, int]]] = {}
-    vp = tuple(range(graph.num_vertices))
-    lp = {l.id: l.id for l in graph.loops}
-    for r in range(n_rot):
-        tables[GroupElement(r, False)] = (vp, lp)
-        if r + 1 < n_rot:
-            vp, lp = _compose_vperm(rot_v, vp), _compose_lperm(rot_l, lp)
-    if group.has_reflection:
-        ref_v, ref_l = graph.generator_perms(ref=True)
-        for r in range(n_rot):
-            vp, lp = tables[GroupElement(r, False)]
-            tables[GroupElement(r, True)] = (
-                _compose_vperm(vp, ref_v),
-                _compose_lperm(lp, ref_l),
-            )
-    return tables
+    loop_index = {l.id: k for k, l in enumerate(graph.loops)}
+    identity = (tuple(range(graph.num_vertices)), graph.loop_ids)
+    rotation = (graph.rotation_vertex_perm, graph.rotation_loop_perm)
+    powers = [identity]
+    for _ in range(group.rotation_order - 1):
+        powers.append(_compose(rotation, powers[-1], loop_index))
+    if not group.has_reflection:
+        return tuple(powers)
+    reflection = (graph.reflection_vertex_perm, graph.reflection_loop_perm)
+    return tuple(powers) + tuple(_compose(p, reflection, loop_index) for p in powers)
 
 
 def element_action(graph: SymmetricGraph, element: GroupElement) -> ElementAction:
     """Vertex, loop, and induced edge permutation of one element."""
-    group = graph.group
-    if not (0 <= element.rot < group.rotation_order) or (
-        element.ref and not group.has_reflection
-    ):
-        raise ActionError(f"element {element} is not in group {group.name}")
-    vp, lp = element_tables(graph)[element]
+    vp, lp = graph.action[graph.group.index(element)]
     edge_map: dict[tuple[int, int], tuple[int, int]] = {}
     edge_set = set(graph.edges)
     for (u, v) in graph.edges:
@@ -378,7 +373,7 @@ def element_action(graph: SymmetricGraph, element: GroupElement) -> ElementActio
         if img not in edge_set:
             raise ActionError(f"edge {(u, v)} maps outside the edge set")
         edge_map[(u, v)] = img
-    return ElementAction(element, vp, lp, edge_map)
+    return ElementAction(element, vp, dict(zip(graph.loop_ids, lp)), edge_map)
 
 
 @dataclass(frozen=True)
@@ -397,43 +392,34 @@ def validate_action(graph: SymmetricGraph) -> ValidationReport:
     raised here.
     """
     group = graph.group
-    n = graph.num_vertices
+    n_rot = group.rotation_order
+    action = graph.action
+    loop_index = {l.id: k for k, l in enumerate(graph.loops)}
     bad: list[str] = []
-    idv = tuple(range(n))
-    idl = {l.id: l.id for l in graph.loops}
-    by_id = {l.id: l for l in graph.loops}
 
-    rot_v, rot_l = graph.generator_perms(ref=False)
-    vp, lp = idv, idl
-    for _ in range(group.rotation_order):
-        vp, lp = _compose_vperm(rot_v, vp), _compose_lperm(rot_l, lp)
-    if vp != idv or lp != idl:
+    def is_identity(f, g) -> bool:
+        return _compose(f, g, loop_index) == action[0]
+
+    # c^n = c after c^(n-1); s s = 1; s c s = c^-1 iff (c s)(c s) = 1
+    if n_rot > 1 and not is_identity(action[1], action[n_rot - 1]):
         bad.append("rotation generator order does not divide the group order")
-
     if group.has_reflection:
-        ref_v, ref_l = graph.generator_perms(ref=True)
-        if _compose_vperm(ref_v, ref_v) != idv or _compose_lperm(ref_l, ref_l) != idl:
+        if not is_identity(action[n_rot], action[n_rot]):
             bad.append("reflection generator is not an involution")
-        if group.rotation_order > 1:
-            # s c s = c^-1
-            lhs_v = _compose_vperm(ref_v, _compose_vperm(rot_v, ref_v))
-            lhs_l = _compose_lperm(ref_l, _compose_lperm(rot_l, ref_l))
-            inv_v = tuple(rot_v.index(i) for i in range(n))
-            inv_l = {v: k for k, v in rot_l.items()}
-            if lhs_v != inv_v or lhs_l != inv_l:
-                bad.append("generators do not satisfy the dihedral relation")
+        if n_rot > 1 and not is_identity(action[n_rot + 1], action[n_rot + 1]):
+            bad.append("generators do not satisfy the dihedral relation")
 
     edge_set = set(graph.edges)
-    gens = [(rot_v, rot_l, "rotation")] if group.rotation_order > 1 else []
+    gens = [(action[1], "rotation")] if n_rot > 1 else []
     if group.has_reflection:
-        gens.append((*graph.generator_perms(ref=True), "reflection"))
-    for gv, gl, name in gens:
+        gens.append((action[n_rot], "reflection"))
+    for (gv, gl), name in gens:
         for (u, v) in graph.edges:
             a, b = gv[u], gv[v]
             if ((a, b) if a < b else (b, a)) not in edge_set:
                 bad.append(f"{name} does not preserve edge ({u}, {v})")
-        for l in graph.loops:
-            img = by_id[gl[l.id]]
+        for l, img_id in zip(graph.loops, gl):
+            img = graph.loops[loop_index[img_id]]
             if img.vertex != gv[l.vertex]:
                 bad.append(
                     f"{name} sends loop {l.id} at {l.vertex} to loop {img.id}"
@@ -443,15 +429,11 @@ def validate_action(graph: SymmetricGraph) -> ValidationReport:
     if bad:
         return ValidationReport(False, tuple(bad))
 
-    tables = element_tables(graph)
     mirror_fixed: set[int] = set()
-    for elem in group.elements():
-        if elem == group.identity():
-            continue
-        evp, elp = tables[elem]
+    for elem, (evp, elp) in list(zip(group.elements(), action))[1:]:
         order = group.element_order(elem)
-        for l in graph.loops:
-            if elp[l.id] != l.id:
+        for l, img_id in zip(graph.loops, elp):
+            if img_id != l.id:
                 continue
             if order != 2:
                 bad.append(
@@ -483,15 +465,14 @@ class Orbits:
 
 def orbits(graph: SymmetricGraph) -> Orbits:
     """Vertex, edge, and loop orbits, each sorted and ordered by minimum."""
-    tables = element_tables(graph)
-    perms = list(tables.values())
+    action = graph.action
 
     vseen: set[int] = set()
     vorbs = []
     for v in range(graph.num_vertices):
         if v in vseen:
             continue
-        orb = sorted({vp[v] for vp, _ in perms})
+        orb = sorted({vp[v] for vp, _ in action})
         vseen.update(orb)
         vorbs.append(tuple(orb))
 
@@ -501,7 +482,7 @@ def orbits(graph: SymmetricGraph) -> Orbits:
         if e in eseen:
             continue
         orb = set()
-        for vp, _ in perms:
+        for vp, _ in action:
             a, b = vp[e[0]], vp[e[1]]
             orb.add((a, b) if a < b else (b, a))
         orb = sorted(orb)
@@ -510,10 +491,10 @@ def orbits(graph: SymmetricGraph) -> Orbits:
 
     lseen: set[int] = set()
     lorbs = []
-    for l in graph.loops:
+    for k, l in enumerate(graph.loops):
         if l.id in lseen:
             continue
-        orb = sorted({lp[l.id] for _, lp in perms})
+        orb = sorted({lp[k] for _, lp in action})
         lseen.update(orb)
         lorbs.append(tuple(orb))
 
@@ -521,37 +502,68 @@ def orbits(graph: SymmetricGraph) -> Orbits:
 
 
 def vertex_orbit(graph: SymmetricGraph, v: int) -> tuple[int, ...]:
-    return tuple(sorted({vp[v] for vp, _ in element_tables(graph).values()}))
+    if not 0 <= v < graph.num_vertices:
+        raise RangeError(f"vertex {v} out of range")
+    return tuple(sorted({vp[v] for vp, _ in graph.action}))
 
 
-def stabilizers(graph: SymmetricGraph, tables, kind: str) -> tuple[tuple[GroupElement, ...], ...]:
-    """Nonidentity elements fixing each vertex or loop, in canonical order.
+def _fixed(graph: SymmetricGraph, kind: str):
+    """The number of vertices, edges or loops, and per nonidentity element in
+    canonical order the element and the indices of those it fixes.
 
-    ``tables`` is ``element_tables(graph)``.  ``kind`` is ``"vertex"``
-    (one entry per vertex index) or ``"loop"`` (aligned with ``graph.loops``).
+    An edge is fixed when its ends are fixed or swapped.
     """
+    nonid = list(zip(graph.group.elements(), graph.action))[1:]
     if kind == "vertex":
-        perm, items = 0, range(graph.num_vertices)
-    elif kind == "loop":
-        perm, items = 1, graph.loop_ids
-    else:
-        raise RangeError(f"unknown stabilizer kind {kind!r}")
-    group = graph.group
-    nonid = [e for e in group.elements() if e != group.identity()]
-    return tuple(tuple(e for e in nonid if tables[e][perm][x] == x) for x in items)
+        count = graph.num_vertices
+        return count, [
+            (e, [v for v in range(count) if vp[v] == v]) for e, (vp, _) in nonid
+        ]
+    if kind == "edge":
+        return len(graph.edges), [
+            (
+                e,
+                [
+                    i
+                    for i, (u, v) in enumerate(graph.edges)
+                    if (vp[u], vp[v]) in ((u, v), (v, u))
+                ],
+            )
+            for e, (vp, _) in nonid
+        ]
+    if kind == "loop":
+        return len(graph.loops), [
+            (e, [k for k, l in enumerate(graph.loops) if lp[k] == l.id])
+            for e, (_, lp) in nonid
+        ]
+    raise RangeError(f"unknown stabilizer kind {kind!r}")
+
+
+def stabilizers(graph: SymmetricGraph, kind: str) -> tuple[tuple[GroupElement, ...], ...]:
+    """Nonidentity elements fixing each vertex, edge or loop, in canonical order.
+
+    ``kind`` is ``"vertex"`` (one entry per vertex index), ``"edge"``
+    (aligned with ``graph.edges``) or ``"loop"`` (aligned with
+    ``graph.loops``).
+    """
+    count, fixed = _fixed(graph, kind)
+    out: list[list[GroupElement]] = [[] for _ in range(count)]
+    for elem, items in fixed:
+        for i in items:
+            out[i].append(elem)
+    return tuple(map(tuple, out))
 
 
 def vertex_stabilizer(graph: SymmetricGraph, v: int) -> tuple[GroupElement, ...]:
     """Nonidentity elements fixing the vertex, in canonical order."""
     if not 0 <= v < graph.num_vertices:
         raise RangeError(f"vertex {v} out of range")
-    return stabilizers(graph, element_tables(graph), "vertex")[v]
+    return stabilizers(graph, "vertex")[v]
 
 
 def loop_stabilizer(graph: SymmetricGraph, loop_id: int) -> tuple[GroupElement, ...]:
     graph.loop_by_id(loop_id)
-    index = graph.loop_ids.index(loop_id)
-    return stabilizers(graph, element_tables(graph), "loop")[index]
+    return stabilizers(graph, "loop")[graph.loop_ids.index(loop_id)]
 
 
 # -- fixed counts ----------------------------------------------------------
@@ -590,9 +602,9 @@ def mirror_sign(
     """Effective +-1 sign of a mirror-fixed loop under one fixing mirror.
 
     ``stabilizer`` is the loop's stabilizer in canonical order (an entry of
-    ``stabilizers(graph, tables, "loop")``).  The stored label belongs to
-    the first fixing reflection; the only other possible fixing mirror
-    differs by the half-turn, which negates the normal.
+    ``stabilizers(graph, "loop")``).  The stored label belongs to the first
+    fixing reflection; the only other possible fixing mirror differs by the
+    half-turn, which negates the normal.
     """
     if loop.sigma_label is None:
         raise ActionError(f"loop {loop.id} has no sigma_label")
@@ -604,7 +616,7 @@ def mirror_sign(
 
 
 def loop_mirror_sign(graph: SymmetricGraph, loop_id: int, mirror: GroupElement) -> int:
-    """``mirror_sign`` of the loop with this id, from a fresh action table."""
+    """``mirror_sign`` of the loop with this id."""
     loop = graph.loop_by_id(loop_id)
     return mirror_sign(graph.group, loop, loop_stabilizer(graph, loop_id), mirror)
 
@@ -617,38 +629,20 @@ def fixed_counts(graph: SymmetricGraph) -> FixedCounts:
     valid action (mirror-fixed loops must carry labels).
     """
     group = graph.group
-    tables = element_tables(graph)
-    # the loop signs need stabilizers, which only mirror elements read
-    lstab = stabilizers(graph, tables, "loop") if group.has_reflection else ()
-    out = []
-    for elem in group.elements():
-        vp, lp = tables[elem]
-        v_fix = sum(1 for i in range(graph.num_vertices) if vp[i] == i)
-        e_fix = 0
-        for (u, v) in graph.edges:
-            a, b = vp[u], vp[v]
-            if ((a, b) if a < b else (b, a)) == (u, v):
-                e_fix += 1
-        fixed_loops = [l for l in graph.loops if lp[l.id] == l.id]
+    (nv, vfix), (ne, efix), (nl, lfix) = (
+        _fixed(graph, kind) for kind in ("vertex", "edge", "loop")
+    )
+    lstab = stabilizers(graph, "loop") if group.has_reflection else ()
+    identity = group.identity()
+    out = [ElementCounts(identity, group.element_label(identity), nv, ne, nl)]
+    for (elem, vs), (_, es), (_, ls) in zip(vfix, efix, lfix):
         plus = minus = None
         if elem.ref:
-            plus = minus = 0
-            for l, stab in zip(graph.loops, lstab):
-                if lp[l.id] != l.id:
-                    continue
-                if mirror_sign(group, l, stab, elem) > 0:
-                    plus += 1
-                else:
-                    minus += 1
+            signs = [mirror_sign(group, graph.loops[k], lstab[k], elem) for k in ls]
+            plus, minus = signs.count(1), signs.count(-1)
         out.append(
             ElementCounts(
-                elem,
-                group.element_label(elem),
-                v_fix,
-                e_fix,
-                len(fixed_loops),
-                plus,
-                minus,
+                elem, group.element_label(elem), len(vs), len(es), len(ls), plus, minus
             )
         )
     return FixedCounts(tuple(out))
@@ -679,7 +673,7 @@ def symmetric_components(graph: SymmetricGraph) -> tuple[tuple[int, ...], ...]:
 
     for (u, v) in graph.edges:
         union(u, v)
-    for vp, _ in element_tables(graph).values():
+    for vp, _ in graph.action:
         for v in range(graph.num_vertices):
             union(v, vp[v])
 

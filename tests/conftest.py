@@ -110,6 +110,26 @@ def mirror_fixed_vertex() -> SymmetricGraph:
     return g
 
 
+def d2_loop_fixed_by_both_mirrors() -> SymmetricGraph:
+    """One d2-fixed vertex whose single loop every element fixes.
+
+    The two mirrors differ by the half-turn, so the loop's normal has
+    opposite signs under them: l+ = 1 under s and l- = 1 under c2*s.
+    """
+    g = SymmetricGraph(
+        GroupSpec("dihedral", 2),
+        1,
+        (),
+        (Loop(0, 0, sigma_label="+"),),
+        rotation_vertex_perm=(0,),
+        rotation_loop_perm={0: 0},
+        reflection_vertex_perm=(0,),
+        reflection_loop_perm={0: 0},
+    )
+    assert validate_action(g).ok
+    return g
+
+
 def random_rows_graph(rng: random.Random, n: int, rows: int):
     """Plain looped graph with the requested number of rows.
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from conftest import (
     c2_fixed_edge,
     c3_wheel,
+    d2_loop_fixed_by_both_mirrors,
     d3_flower,
     mirror_fixed_vertex,
     mirror_pair,
@@ -25,15 +27,19 @@ from slcrigid import (
     base_graph,
     build_rigidity_matrix,
     check_framework,
+    check_tight,
     classify,
+    decompose,
     default_bases,
     element_action,
+    fixed_counts,
     generate_random,
     motions,
+    orbits,
     rank,
-    realize,
     sample_symmetric_placement,
     symgraph,
+    vertex_stabilizer,
 )
 from slcrigid.realize import DEFAULT_TOL, _block_spectrum, _float_rank, _orbits_under
 from slcrigid.selftest import negative_control
@@ -239,22 +245,12 @@ def test_check_framework_scales_and_still_flags_coincidence():
     )
 
     # a loop fixed by both mirrors of d2 has opposite signs under them
-    both = SymmetricGraph(
-        GroupSpec("dihedral", 2),
-        1,
-        (),
-        (Loop(0, 0, sigma_label="+"),),
-        rotation_vertex_perm=(0,),
-        rotation_loop_perm={0: 0},
-        reflection_vertex_perm=(0,),
-        reflection_loop_perm={0: 0},
-    )
-    for graph in (both, d3_flower()):
+    for graph in (d2_loop_fixed_by_both_mirrors(), d3_flower()):
         assert check_framework(sample_symmetric_placement(graph, seed=0)) == ()
 
 
-def test_sampling_builds_the_action_table_once(monkeypatch):
-    graph = c5_605()
+def _count_table_builds(monkeypatch) -> list:
+    """The graphs ``element_tables`` is called on from now on, in order."""
     calls = []
     original = symgraph.element_tables
 
@@ -263,9 +259,31 @@ def test_sampling_builds_the_action_table_once(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(symgraph, "element_tables", counted)
-    monkeypatch.setattr(realize, "element_tables", counted)
+    return calls
+
+
+def test_sampling_builds_the_action_table_once(monkeypatch):
+    graph = replace(c5_605())  # a fresh object: nothing is kept on it yet
+    calls = _count_table_builds(monkeypatch)
     sample_symmetric_placement(graph, seed=0)
-    assert len(calls) <= 2
+    assert len(calls) == 1 and calls[0] is graph
+    # every later reader shares the table kept on the graph
+    check_tight(graph)
+    classify(graph, trials=3)
+    orbits(graph)
+    fixed_counts(graph)
+    for v in range(graph.num_vertices):
+        vertex_stabilizer(graph, v)
+    assert len(calls) == 1
+
+
+def test_decompose_builds_each_graph_table_at_most_once(monkeypatch):
+    graph = generate_random("c3", steps=20, seed=0).graph
+    calls = _count_table_builds(monkeypatch)
+    dec = decompose(graph)
+    assert dec.total_moves == 20
+    # calls holds every graph, so no id is reused by a later object
+    assert calls and len({id(g) for g in calls}) == len(calls)
 
 
 def _equivalence_graphs():

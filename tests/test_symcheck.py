@@ -2,7 +2,14 @@
 
 import pytest
 
-from conftest import c2_fixed_edge, c3_wheel, mirror_fixed_vertex, mirror_pair
+from conftest import (
+    c2_fixed_edge,
+    c3_wheel,
+    d2_loop_fixed_by_both_mirrors,
+    d3_flower,
+    mirror_fixed_vertex,
+    mirror_pair,
+)
 from slcrigid import (
     ActionError,
     GroupSpec,
@@ -13,6 +20,7 @@ from slcrigid import (
     check_tight,
     default_bases,
     fixed_count_check,
+    fixed_counts,
     is_gamma_tight,
     is_tight,
 )
@@ -147,3 +155,56 @@ def test_trivial_group_has_no_extra_conditions():
     assert fc.passed
     assert fc.first_failure is None
     assert is_tight(g)
+
+
+def _counts(graph, label):
+    c = fixed_counts(graph).by_label(label)
+    return (c.vertices, c.edges, c.loops, c.loops_plus, c.loops_minus)
+
+
+def test_mirror_pair_characters():
+    g = mirror_pair()
+    ch = character_vectors(g)
+    assert ch.labels == ("id", "s")
+    assert ch.chi_rows == (5, 1)
+    assert ch.equal_per_element == (False, False)
+    assert _counts(g, "id") == (2, 1, 4, None, None)
+    assert _counts(g, "s") == (0, 1, 0, 0, 0)
+
+
+def test_mirror_fixed_vertex_characters():
+    ch = character_vectors(mirror_fixed_vertex())
+    assert ch.chi_rows == (2, 0)
+    assert ch.equal_per_element == (True, True)
+
+
+def test_d3_flower_characters():
+    g = d3_flower()
+    ch = character_vectors(g)
+    assert ch.labels == ("id", "c3", "c3^2", "s", "c3^1*s", "c3^2*s")
+    assert ch.chi_rows == (24, 0, 0, 2, 2, 2)
+    assert ch.equal_per_element == (False, True, True, False, False, False)
+    for label in ch.labels[3:]:
+        assert _counts(g, label) == (1, 1, 1, 1, 0)
+
+
+def test_loop_fixed_by_both_d2_mirrors_has_opposite_signs():
+    g = d2_loop_fixed_by_both_mirrors()
+    ch = character_vectors(g)
+    assert ch.labels == ("id", "c2", "s", "c2^1*s")
+    assert ch.chi_rows == (1, -1, 1, -1)
+    assert _counts(g, "s") == (1, 0, 1, 1, 0)
+    assert _counts(g, "c2^1*s") == (1, 0, 1, 0, 1)
+
+
+def test_loop_fixed_by_a_threefold_rotation_has_no_row_character():
+    g = SymmetricGraph(
+        GroupSpec("cyclic", 3),
+        1,
+        (),
+        (Loop(0, 0),),
+        rotation_vertex_perm=(0,),
+        rotation_loop_perm={0: 0},
+    )
+    with pytest.raises(ActionError, match="loop 0 fixed by c3, which has no fixed direction"):
+        character_vectors(g)

@@ -1,10 +1,11 @@
 """Group algebra, action validation, orbits, and fixed-element counts."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import c2_fixed_edge, mirror_fixed_vertex, mirror_pair
+from conftest import c2_fixed_edge, c3_wheel, d3_flower, mirror_fixed_vertex, mirror_pair
 from slcrigid import (
     ActionError,
     GroupElement,
@@ -15,6 +16,7 @@ from slcrigid import (
     SymmetricGraph,
     base_graph,
     element_action,
+    element_tables,
     fixed_counts,
     induced_subgraph,
     loop_mirror_sign,
@@ -232,6 +234,13 @@ def test_orbits_of_looped_cycle():
     assert vertex_orbit(g, 3) == (0, 1, 2, 3, 4)
 
 
+def test_vertex_orbit_rejects_a_vertex_out_of_range():
+    g = c3_wheel()
+    for v in (-1, g.num_vertices):
+        with pytest.raises(RangeError):
+            vertex_orbit(g, v)
+
+
 def test_stabilizer_of_fixed_vertex():
     # nonidentity stabilizer of the half-turn-fixed vertex is the half-turn
     g = base_graph("p1_fixed")
@@ -342,3 +351,41 @@ def test_action_error_message_collects_all_violations():
     report = validate_action(g)
     assert not report.ok
     assert len(report.violations) >= 1
+
+
+def test_kept_action_is_invisible_to_equality_hash_and_repr():
+    g = d3_flower()
+    fixed_counts(g)
+    assert g.action == element_tables(g)
+    fresh = d3_flower()
+    assert g == fresh
+    assert hash(g) == hash(fresh)
+    assert repr(g) == repr(fresh)
+
+
+def test_replaced_graph_builds_its_own_action():
+    g = base_graph("lc5")
+    assert g.action[1][0] == (1, 2, 3, 4, 0)
+    # the pentagon's edges are also closed under the rotation by two
+    h = replace(
+        g,
+        rotation_vertex_perm=(2, 3, 4, 0, 1),
+        rotation_loop_perm={i: (i + 2) % 5 for i in range(5)},
+    )
+    assert validate_action(h).ok
+    assert h != g
+    assert h.action[1] == ((2, 3, 4, 0, 1), (2, 3, 4, 0, 1))
+    assert g.action[1][0] == (1, 2, 3, 4, 0)
+
+
+def test_returned_action_values_do_not_alias_the_kept_one():
+    g = mirror_fixed_vertex()
+    before = fixed_counts(g)
+    act = element_action(g, GroupElement(0, True))
+    act.loop[0] = 1
+    act.edge[(0, 1)] = (0, 1)
+    tables = element_tables(g)
+    assert tables is not g.action
+    with pytest.raises(TypeError):
+        tables[1][1][0] = 1
+    assert fixed_counts(g) == before
