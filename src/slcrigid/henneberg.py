@@ -12,10 +12,13 @@ group element in canonical order, each carrying two new rows.
 
 Moves preserve symmetry-compatible tightness, so iterating them from a
 tight base graph generates tight graphs.  ``decompose`` runs the moves
-backwards: it strips one free orbit at a time (try-and-check: a candidate
-is kept only when the reduced graph is still tight) until only a disjoint
-union of recognized base graphs remains, then replays the moves forward to
-certify the trace by exact relabeling.  The base graphs:
+backwards: it strips one free orbit at a time until only a disjoint union
+of recognized base graphs remains, then replays the moves forward to
+certify the trace by exact relabeling.  Candidate reductions are ranked
+before any is built, by the number of symmetric components the reduced
+graph would have; the search then builds and checks them one at a time
+(try-and-check: a candidate is kept only when the reduced graph is still
+tight) and descends into the first tight one.  The base graphs:
 
 * ``p1_fixed``: one half-turn-fixed vertex with two fixed loops (order 2);
 * ``p1_swap``: one fixed vertex with a swapped loop pair (order 4);
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Union
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterator, Union
 
 from .errors import (
     InvalidMoveError,
@@ -48,11 +53,11 @@ from .symgraph import (
     GroupSpec,
     Loop,
     SymmetricGraph,
+    _union_find,
     induced_subgraph,
     orbits,
     relabel,
     symmetric_components,
-    vertex_orbit,
 )
 
 
@@ -160,7 +165,7 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
         x0 = graph.loop_by_id(move.loop_id).vertex
         if move.y0 == x0:
             raise InvalidMoveError("y0 must differ from the loop's vertex")
-        k = graph.loop_ids.index(move.loop_id)
+        k = graph.loop_index(move.loop_id)
         loop_orbit = {lp[k] for _, lp in graph.action}
         if len(loop_orbit) != t:
             raise InvalidMoveError(
@@ -426,48 +431,87 @@ def _add_loop_orbit(
     return replace(graph, loops=graph.loops + new_loops, **kwargs), base
 
 
-def _reduction_candidates(graph: SymmetricGraph) -> Iterator[Reduction]:
-    """Structurally valid orbit deletions, deterministic order, unchecked.
+def _reduce(
+    graph: SymmetricGraph,
+    v: int,
+    loop: int | None,
+    kind: type,
+    ends: tuple[int, ...],
+) -> Reduction:
+    """Delete v's orbit, and the orbit of ``graph.loops[loop]`` when given,
+    then state the ``kind`` move that restores it from ``ends``, v's
+    neighbours in ``graph`` labels (a split's new edge or loop orbit is
+    added first)."""
+    orbit_vertices = tuple(vp[v] for vp, _ in graph.action)
+    orbit_loops = () if loop is None else tuple(lp[loop] for _, lp in graph.action)
+    red, vmap = _delete_orbit(graph, set(orbit_vertices))
+    a = [vmap[u] for u in ends]
+    move: Move
+    if kind is Zero2Edges:
+        move = Zero2Edges(*sorted(a))
+    elif kind is ZeroEdgeLoop:
+        move = ZeroEdgeLoop(a[0])
+    elif kind is OneEdgeSplit:
+        red = _add_edge_orbit(red, a[0], a[1])
+        move = OneEdgeSplit(*a)
+    else:
+        red, new_id = _add_loop_orbit(red, a[0])
+        move = OneLoopSplit(new_id, a[1])
+    return Reduction(move, red, orbit_vertices, orbit_loops, vmap)
+
+
+def _reduction_candidates(
+    graph: SymmetricGraph,
+) -> Iterator[tuple[int, Callable[[], Reduction]]]:
+    """Structurally valid orbit deletions, deterministic order, unbuilt.
 
     Only free orbits whose neighborhood lies outside the orbit are offered;
-    those are exactly the orbits an extension can have created.
+    those are exactly the orbits an extension can have created.  Each comes
+    as ``(components, build)``: ``build()`` makes the unchecked
+    ``Reduction``, and ``components`` is the number of symmetric components
+    of its graph, counted without building it.  Every candidate of an orbit
+    O starts from G - O and adds an edge orbit x1-x2 (a (3,0) split), a
+    loop orbit (a (2,1) split) or nothing.  Components are action-closed,
+    so the edge orbit joins two of them exactly when x1 and x2 lie apart in
+    G - O, and a loop joins none.
     """
     t = graph.group.size
+    n = graph.num_vertices
     edge_set = set(graph.edges)
 
-    nbrs: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for (u, v) in graph.edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    loops_at: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    loops_at: list[list[int]] = [[] for _ in range(n)]
     for k, l in enumerate(graph.loops):
         loops_at[l.vertex].append(k)
+    # orbit representative (its smallest vertex); components of G - O are
+    # unions of orbits, so the union-find below joins representatives
+    rep = [min(vp[v] for vp, _ in graph.action) for v in range(n)]
+    reps = set(rep)
+    links = {(rep[a], rep[b]) for a, b in graph.edges if rep[a] != rep[b]}
 
-    seen: set[int] = set()
-    for v in range(graph.num_vertices):
-        if v in seen:
+    for v in range(n):
+        if rep[v] != v:
             continue
-        orb = set(vertex_orbit(graph, v))
-        seen.update(orb)
+        orb = {vp[v] for vp, _ in graph.action}
         if len(orb) != t:
             continue
         out = sorted(nbrs[v])
         if any(u in orb for u in out):
             continue
         profile = (len(out), len(loops_at[v]))
-        orbit_vertices = tuple(vp[v] for vp, _ in graph.action)
+        if profile not in ((2, 0), (1, 1), (3, 0), (2, 1)):
+            continue
+        root = _union_find(n, (link for link in links if v not in link))
+        comps = len({root[r] for r in reps if r != v})
 
         if profile == (2, 0):
-            red, vmap = _delete_orbit(graph, orb)
-            a, b = sorted((vmap[out[0]], vmap[out[1]]))
-            yield Reduction(Zero2Edges(a, b), red, orbit_vertices, (), vmap)
+            yield comps, partial(_reduce, graph, v, None, Zero2Edges, tuple(out))
         elif profile == (1, 1):
-            k = loops_at[v][0]
-            orbit_loops = tuple(lp[k] for _, lp in graph.action)
-            red, vmap = _delete_orbit(graph, orb)
-            yield Reduction(
-                ZeroEdgeLoop(vmap[out[0]]), red, orbit_vertices, orbit_loops, vmap
-            )
+            loop = loops_at[v][0]
+            yield comps, partial(_reduce, graph, v, loop, ZeroEdgeLoop, tuple(out))
         elif profile == (3, 0):
             for i in range(3):
                 for j in range(i + 1, 3):
@@ -475,28 +519,14 @@ def _reduction_candidates(graph: SymmetricGraph) -> Iterator[Reduction]:
                     if ((x1, x2) if x1 < x2 else (x2, x1)) in edge_set:
                         continue
                     z = out[3 - i - j]
-                    red, vmap = _delete_orbit(graph, orb)
-                    red = _add_edge_orbit(red, vmap[x1], vmap[x2])
-                    yield Reduction(
-                        OneEdgeSplit(vmap[x1], vmap[x2], vmap[z]),
-                        red,
-                        orbit_vertices,
-                        (),
-                        vmap,
+                    joined = root[rep[x1]] != root[rep[x2]]
+                    yield comps - joined, partial(
+                        _reduce, graph, v, None, OneEdgeSplit, (x1, x2, z)
                     )
-        elif profile == (2, 1):
-            k = loops_at[v][0]
-            orbit_loops = tuple(lp[k] for _, lp in graph.action)
+        else:
+            loop = loops_at[v][0]
             for x, y in ((out[0], out[1]), (out[1], out[0])):
-                red, vmap = _delete_orbit(graph, orb)
-                red, new_id = _add_loop_orbit(red, vmap[x])
-                yield Reduction(
-                    OneLoopSplit(new_id, vmap[y]),
-                    red,
-                    orbit_vertices,
-                    orbit_loops,
-                    vmap,
-                )
+                yield comps, partial(_reduce, graph, v, loop, OneLoopSplit, (x, y))
 
 
 def enumerate_reductions(
@@ -505,9 +535,8 @@ def enumerate_reductions(
     """All reductions whose result is still tight (try-and-check)."""
     if not check_tight(graph, method).tight:
         raise NotTightError("reductions are only defined on tight graphs")
-    return tuple(
-        r for r in _reduction_candidates(graph) if check_tight(r.graph, method).tight
-    )
+    reds = (build() for _, build in _reduction_candidates(graph))
+    return tuple(r for r in reds if check_tight(r.graph, method).tight)
 
 
 # -- decomposition -----------------------------------------------------------
@@ -533,9 +562,16 @@ class ComponentTrace:
 
 
 def base_union_labels(graph: SymmetricGraph) -> tuple[str, ...] | None:
-    """Labels when every symmetric component is a base graph, else None."""
+    """Labels when every symmetric component is a base graph, else None.
+
+    A base graph has 1 or ``group.order`` vertices, so a component larger
+    than the group rules the graph out before any subgraph is built.
+    """
+    comps = symmetric_components(graph)
+    if any(len(comp) > graph.group.size for comp in comps):
+        return None
     labels = []
-    for comp in symmetric_components(graph):
+    for comp in comps:
         sub, _ = induced_subgraph(graph, comp)
         label = is_base_graph(sub)
         if label is None:
@@ -574,6 +610,20 @@ def replay(trace: ComponentTrace) -> SymmetricGraph:
     return g
 
 
+def _tight_reductions(graph: SymmetricGraph, method: str) -> Iterator[Reduction]:
+    """Tight reductions of ``graph``, fewest symmetric components first.
+
+    The candidates are stable-sorted by their component count, which needs
+    no reduced graph; each is built and checked only when the caller asks
+    for the next one.  Filtering commutes with a stable sort, so this is
+    the order of sorting the tight reductions themselves.
+    """
+    for _, build in sorted(_reduction_candidates(graph), key=itemgetter(0)):
+        red = build()
+        if check_tight(red.graph, method).tight:
+            yield red
+
+
 def _search_reductions(
     start: SymmetricGraph, method: str
 ) -> tuple[tuple[Reduction, ...], tuple[str, ...]] | SymmetricGraph:
@@ -585,51 +635,51 @@ def _search_reductions(
     disconnection may bottom out on a disjoint union of bases; such a
     terminal is kept only as a fallback (fewest pieces, then longest path)
     when no single-base terminal exists.  Returns the first stuck graph
-    (no terminal reachable at all) as the failure witness.
+    (no tight reduction at all) as the failure witness.
+
+    The walk is iterative: ``frames`` holds, for each graph on the current
+    path that is being expanded, the lazy iterator of its tight reductions
+    (see ``_tight_reductions``), so a graph's later candidates are built
+    and checked only after the search has come back from its earlier ones.
+    Its depth is the number of moves and is not bounded by Python's
+    recursion limit.  Graphs already expanded are not expanded again.
     """
     best: tuple[tuple[Reduction, ...], tuple[str, ...]] | None = None
     stuck: SymmetricGraph | None = None
     seen: set[SymmetricGraph] = set()
-
-    def visit(
-        g: SymmetricGraph, path: list[Reduction]
-    ) -> tuple[tuple[Reduction, ...], tuple[str, ...]] | None:
-        nonlocal best, stuck
+    path: list[Reduction] = []  # from start to g
+    frames: list[Iterator[Reduction]] = []  # frames[i] expands the graph after path[:i]
+    g = start
+    while True:
+        nxt: Reduction | None = None
         labels = base_union_labels(g)
         if labels is not None:
-            found = (tuple(path), labels)
             if len(labels) == 1:
-                return found
+                return tuple(path), labels
             if best is None or (len(labels), -len(path)) < (
                 len(best[1]),
                 -len(best[0]),
             ):
-                best = found
-            return None
-        if g in seen:
-            return None
-        seen.add(g)
-        cands = [
-            c
-            for c in _reduction_candidates(g)
-            if check_tight(c.graph, method).tight
-        ]
-        if not cands:
-            if stuck is None:
-                stuck = g
-            return None
-        cands.sort(key=lambda c: len(symmetric_components(c.graph)))
-        for cand in cands:
-            path.append(cand)
-            hit = visit(cand.graph, path)
-            path.pop()
-            if hit is not None:
-                return hit
-        return None
+                best = (tuple(path), labels)
+        elif g not in seen:
+            seen.add(g)
+            reds = _tight_reductions(g, method)
+            nxt = next(reds, None)
+            if nxt is None:
+                if stuck is None:
+                    stuck = g
+            else:
+                frames.append(reds)
+        while nxt is None and frames:
+            nxt = next(frames[-1], None)
+            if nxt is None:
+                frames.pop()
+        if nxt is None:
+            break
+        del path[len(frames) - 1 :]
+        path.append(nxt)
+        g = nxt.graph
 
-    hit = visit(start, [])
-    if hit is not None:
-        return hit
     if best is not None:
         return best
     return stuck if stuck is not None else start
@@ -678,7 +728,7 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
             fresh = _fresh_loop_base(x)
             deleted_ids: set[int] = set()
             if isinstance(translated, OneLoopSplit):
-                k = x.loop_ids.index(translated.loop_id)
+                k = x.loop_index(translated.loop_id)
                 deleted_ids = {lp[k] for _, lp in x.action}
             x = apply_extension(x, translated)
             inv_red = {

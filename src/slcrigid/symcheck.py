@@ -34,6 +34,7 @@ from math import gcd
 from .errors import ActionError
 from .sparsity import SparsityReport, pebble_check, subset_audit
 from .symgraph import (
+    FixedCounts,
     GroupElement,
     SymmetricGraph,
     fixed_counts,
@@ -70,10 +71,13 @@ class CharacterReport:
         return self.chi_rows[i], self.chi_cols[i], self.equal_per_element[i]
 
 
-def character_vectors(graph: SymmetricGraph) -> CharacterReport:
+def character_vectors(
+    graph: SymmetricGraph, counts: FixedCounts | None = None
+) -> CharacterReport:
     """Exact row/column characters with per-element equality flags.
 
-    Both come from ``fixed_counts``.  The row trace is e + l for the
+    Both come from ``counts``, which is ``fixed_counts(graph)`` and is
+    computed here when not given.  The row trace is e + l for the
     identity, e - l for the half-turn and e + l+ - l- for a mirror; a loop
     fixed by any other rotation has no fixed direction and raises.  Column
     equality is decided exactly: reflections trace to 0, rational rotation
@@ -81,7 +85,9 @@ def character_vectors(graph: SymmetricGraph) -> CharacterReport:
     """
     group = graph.group
     labels, rows, cols, equal, deltas = [], [], [], [], []
-    for c in fixed_counts(graph).per_element:
+    if counts is None:
+        counts = fixed_counts(graph)
+    for c in counts.per_element:
         elem = c.element
         if elem.ref:
             chi_r = c.edges + c.loops_plus - c.loops_minus
@@ -146,11 +152,17 @@ class FixedCountReport:
         return None
 
 
-def fixed_count_check(graph: SymmetricGraph) -> FixedCountReport:
-    """Evaluate every per-element fixed-count condition for tightness."""
+def fixed_count_check(
+    graph: SymmetricGraph, counts: FixedCounts | None = None
+) -> FixedCountReport:
+    """Evaluate every per-element fixed-count condition for tightness.
+
+    ``counts`` is ``fixed_counts(graph)``, computed here when not given.
+    """
     group = graph.group
-    fc = fixed_counts(graph)
-    by_elem = {c.element: c for c in fc.per_element}
+    if counts is None:
+        counts = fixed_counts(graph)
+    by_elem = {c.element: c for c in counts.per_element}
     conditions: list[Condition] = []
 
     n_rot = group.rotation_order
@@ -231,7 +243,8 @@ def check_tight(graph: SymmetricGraph, method: str = "pebble") -> TightReport:
 
     Validates the group action, runs the requested sparsity decider, the
     fixed-count conditions and the character comparison.  The overall
-    verdict is sparsity tight plus all fixed-count conditions.
+    verdict is sparsity tight plus all fixed-count conditions.  The fixed
+    counts are computed once and serve both of the latter.
     """
     report = validate_action(graph)
     if not report.ok:
@@ -243,7 +256,10 @@ def check_tight(graph: SymmetricGraph, method: str = "pebble") -> TightReport:
         sp = subset_audit(graph.num_vertices, graph.edges, loops)
     else:
         raise ActionError(f"unknown sparsity method {method!r}")
-    return TightReport(sp, fixed_count_check(graph), character_vectors(graph))
+    counts = fixed_counts(graph)
+    return TightReport(
+        sp, fixed_count_check(graph, counts), character_vectors(graph, counts)
+    )
 
 
 def is_tight(graph: SymmetricGraph, method: str = "pebble") -> bool:

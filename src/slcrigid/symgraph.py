@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -312,11 +314,15 @@ class SymmetricGraph:
     def loop_vertices(self) -> tuple[int, ...]:
         return tuple(l.vertex for l in self.loops)
 
+    def loop_index(self, loop_id: int) -> int:
+        """Position of the loop with this id in ``loops``, which is sorted by id."""
+        k = bisect_left(self.loops, loop_id, key=lambda l: l.id)
+        if k == len(self.loops) or self.loops[k].id != loop_id:
+            raise RangeError(f"no loop with id {loop_id}")
+        return k
+
     def loop_by_id(self, loop_id: int) -> Loop:
-        for l in self.loops:
-            if l.id == loop_id:
-                return l
-        raise RangeError(f"no loop with id {loop_id}")
+        return self.loops[self.loop_index(loop_id)]
 
     @cached_property
     def action(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -555,15 +561,22 @@ def stabilizers(graph: SymmetricGraph, kind: str) -> tuple[tuple[GroupElement, .
 
 
 def vertex_stabilizer(graph: SymmetricGraph, v: int) -> tuple[GroupElement, ...]:
-    """Nonidentity elements fixing the vertex, in canonical order."""
+    """Nonidentity elements fixing the vertex, in canonical order.
+
+    One entry of ``stabilizers(graph, "vertex")``, read off the action of
+    each element alone.
+    """
     if not 0 <= v < graph.num_vertices:
         raise RangeError(f"vertex {v} out of range")
-    return stabilizers(graph, "vertex")[v]
+    nonid = zip(graph.group.elements()[1:], graph.action[1:])
+    return tuple(e for e, (vp, _) in nonid if vp[v] == v)
 
 
 def loop_stabilizer(graph: SymmetricGraph, loop_id: int) -> tuple[GroupElement, ...]:
-    graph.loop_by_id(loop_id)
-    return stabilizers(graph, "loop")[graph.loop_ids.index(loop_id)]
+    """Nonidentity elements fixing the loop, in canonical order."""
+    k = graph.loop_index(loop_id)
+    nonid = zip(graph.group.elements()[1:], graph.action[1:])
+    return tuple(e for e, (_, lp) in nonid if lp[k] == loop_id)
 
 
 # -- fixed counts ----------------------------------------------------------
@@ -651,14 +664,9 @@ def fixed_counts(graph: SymmetricGraph) -> FixedCounts:
 # -- symmetric connectivity ------------------------------------------------
 
 
-def symmetric_components(graph: SymmetricGraph) -> tuple[tuple[int, ...], ...]:
-    """Partition of the vertices into symmetrically connected components.
-
-    Two vertices lie together when they are joined by a path after also
-    identifying every vertex with its whole orbit; each part is closed under
-    both adjacency and the group action.
-    """
-    parent = list(range(graph.num_vertices))
+def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Root of each of 0..n-1 once every pair has been joined."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -666,21 +674,35 @@ def symmetric_components(graph: SymmetricGraph) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
+    return [find(x) for x in range(n)]
 
-    for (u, v) in graph.edges:
-        union(u, v)
-    for vp, _ in graph.action:
-        for v in range(graph.num_vertices):
-            union(v, vp[v])
 
+def symmetric_components(graph: SymmetricGraph) -> tuple[tuple[int, ...], ...]:
+    """Partition of the vertices into symmetrically connected components.
+
+    Two vertices lie together when they are joined by a path after also
+    identifying every vertex with its whole orbit; each part is closed under
+    both adjacency and the group action.
+    """
+    n = graph.num_vertices
+    # every element's permutation is a product of the generators', so
+    # joining each vertex to its generator images joins its whole orbit
+    gens = [
+        p
+        for p in (graph.rotation_vertex_perm, graph.reflection_vertex_perm)
+        if p is not None
+    ]
+    roots = _union_find(
+        n, chain(graph.edges, ((v, p[v]) for p in gens for v in range(n)))
+    )
     groups: dict[int, list[int]] = {}
-    for v in range(graph.num_vertices):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+    for v in range(n):
+        groups.setdefault(roots[v], []).append(v)
+    return tuple(tuple(g) for g in sorted(groups.values()))
 
 
 # -- relabeling and restriction ---------------------------------------------

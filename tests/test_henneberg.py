@@ -1,5 +1,10 @@
 """Extension moves, base recognition, decomposition, and round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import c2_fixed_edge, ring_with_spokes
@@ -25,8 +30,12 @@ from slcrigid import (
     is_base_graph,
     is_tight,
     replay,
+    symmetric_components,
     verify_decomposition,
 )
+from slcrigid import henneberg
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 BASE_LABELS = [
@@ -266,3 +275,123 @@ def test_split_cycle_bases_decompose_trivially():
         dec = decompose(base_graph(label))
         assert dec.total_moves == 0
         assert dec.components[0].base_label == label
+
+
+def test_candidate_component_counts_match_the_built_graphs():
+    # the sort key is counted on G - O without building the reduced graph;
+    # the candidates' own candidates include graphs already split apart
+    splits_that_join = 0
+    for case in [
+        *((name, 9, seed) for name in ["c1", "c2", "c3", "c4", "c5"] for seed in range(2)),
+        ("c1", 9, 4),  # a split at the top joins two components of G - O
+        ("c2", 6, 0),
+    ]:
+        g = generate_random(*case).graph
+        for h in [g, *(build().graph for _, build in henneberg._reduction_candidates(g))]:
+            for comps, build in henneberg._reduction_candidates(h):
+                red = build()
+                assert comps == len(symmetric_components(red.graph)), (case, red.move)
+                if isinstance(red.move, OneEdgeSplit):
+                    apart, _ = henneberg._delete_orbit(h, set(red.orbit_vertices))
+                    splits_that_join += comps < len(symmetric_components(apart))
+    assert splits_that_join > 0
+
+
+def _eager_search(start, method):
+    """Reference for ``henneberg._search_reductions``, eager and recursive:
+    every tight reduction of a graph is built, checked and sorted by its
+    number of symmetric components before the first one is entered."""
+    best = None
+    stuck = None
+    seen = set()
+
+    def visit(g, path):
+        nonlocal best, stuck
+        labels = base_union_labels(g)
+        if labels is not None:
+            found = (tuple(path), labels)
+            if len(labels) == 1:
+                return found
+            if best is None or (len(labels), -len(path)) < (len(best[1]), -len(best[0])):
+                best = found
+            return None
+        if g in seen:
+            return None
+        seen.add(g)
+        cands = sorted(
+            enumerate_reductions(g, method),
+            key=lambda r: len(symmetric_components(r.graph)),
+        )
+        if not cands:
+            if stuck is None:
+                stuck = g
+            return None
+        for red in cands:
+            path.append(red)
+            hit = visit(red.graph, path)
+            path.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    hit = visit(start, [])
+    if hit is not None:
+        return hit
+    if best is not None:
+        return best
+    return stuck if stuck is not None else start
+
+
+def test_lazy_search_gives_the_eager_search_traces(monkeypatch):
+    cases = [
+        (name, steps, seed)
+        for name in ["c1", "c2", "c3", "c4", "c5"]
+        for steps in (4, 9)
+        for seed in range(4)
+    ]
+    cases.append(("c5", 12, 1))  # backtracks
+    graphs = [generate_random(*case).graph for case in cases]
+    lazy = [decompose(g) for g in graphs]
+    # a dead end whose search passes other stuck graphs before it gives up
+    dead = ring_with_spokes(3)
+    for move in (ZeroEdgeLoop(0), ZeroEdgeLoop(7), Zero2Edges(7, 10)):
+        dead = apply_extension(dead, move)
+    with pytest.raises(ReductionDeadEnd) as lazy_dead:
+        decompose(dead)
+    monkeypatch.setattr(henneberg, "_search_reductions", _eager_search)
+    for case, g, dec in zip(cases, graphs, lazy):
+        assert decompose(g) == dec, case
+    with pytest.raises(ReductionDeadEnd) as eager_dead:
+        decompose(dead)
+    assert lazy_dead.value.graph == eager_dead.value.graph
+
+
+def test_decompose_checks_only_the_candidates_it_reaches(monkeypatch):
+    calls = 0
+    original = henneberg.check_tight
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(henneberg, "check_tight", counting)
+    dec = decompose(generate_random("c3", steps=40, seed=1).graph)
+    assert dec.total_moves == 40
+    # building and checking every candidate at every level took 695
+    assert calls <= 60
+
+
+def test_decompose_is_not_bounded_by_the_recursion_limit():
+    code = (
+        "import sys; from slcrigid import decompose, generate_random;"
+        " g = generate_random('c2', 120, 0).graph; sys.setrecursionlimit(100);"
+        " print(decompose(g).total_moves)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["120"]

@@ -24,6 +24,7 @@ from slcrigid import (
     is_gamma_tight,
     is_tight,
 )
+from slcrigid import symcheck
 from slcrigid.selftest import negative_control
 
 
@@ -120,6 +121,23 @@ def test_every_default_base_is_tight():
             g = base_graph(label)
             assert is_tight(g), (name, label)
             assert character_vectors(g).equal, (name, label)
+
+
+def test_check_tight_counts_fixed_elements_once(monkeypatch):
+    calls = []
+    original = symcheck.fixed_counts
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(symcheck, "fixed_counts", counting)
+    graphs = [c2_fixed_edge(), mirror_fixed_vertex(), d3_flower(), base_graph("lc5")]
+    reports = [check_tight(g) for g in graphs]
+    assert calls == graphs
+    for g, report in zip(graphs, reports):
+        assert report.fixed_count == fixed_count_check(g)
+        assert report.character == character_vectors(g)
 
 
 def test_check_tight_subset_method_agrees():

@@ -5,7 +5,15 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import c2_fixed_edge, c3_wheel, d3_flower, mirror_fixed_vertex, mirror_pair
+from conftest import (
+    c2_fixed_edge,
+    c3_wheel,
+    d2_loop_fixed_by_both_mirrors,
+    d3_flower,
+    mirror_fixed_vertex,
+    mirror_pair,
+    ring_with_spokes,
+)
 from slcrigid import (
     ActionError,
     GroupElement,
@@ -20,6 +28,7 @@ from slcrigid import (
     fixed_counts,
     induced_subgraph,
     loop_mirror_sign,
+    loop_stabilizer,
     orbits,
     relabel,
     symmetric_components,
@@ -27,6 +36,7 @@ from slcrigid import (
     vertex_orbit,
     vertex_stabilizer,
 )
+from slcrigid.symgraph import mirror_sign, stabilizers
 
 
 def test_group_names_round_trip():
@@ -248,6 +258,35 @@ def test_stabilizer_of_fixed_vertex():
     assert stab == (GroupElement(1, False),)
     free = base_graph("lc3")
     assert vertex_stabilizer(free, 0) == ()
+
+
+def test_one_item_stabilizers_match_the_table_of_all():
+    # vertex_stabilizer and loop_stabilizer read one item off the action;
+    # stabilizers() reads every item at once, and mirror signs follow it
+    for g in (
+        c3_wheel(),
+        c2_fixed_edge(),
+        ring_with_spokes(5),
+        mirror_pair(),
+        mirror_fixed_vertex(),
+        d2_loop_fixed_by_both_mirrors(),
+        d3_flower(),
+        base_graph("p1_fixed"),
+        base_graph("p1_swap"),
+    ):
+        vstab = stabilizers(g, "vertex")
+        assert [vertex_stabilizer(g, v) for v in range(g.num_vertices)] == list(vstab)
+        lstab = stabilizers(g, "loop")
+        assert [loop_stabilizer(g, l.id) for l in g.loops] == list(lstab)
+        for l, stab in zip(g.loops, lstab):
+            for mirror in (e for e in stab if e.ref):
+                assert loop_mirror_sign(g, l.id, mirror) == mirror_sign(
+                    g.group, l, stab, mirror
+                )
+        with pytest.raises(RangeError):
+            loop_stabilizer(g, max(g.loop_ids, default=0) + 1)
+        with pytest.raises(RangeError):
+            vertex_stabilizer(g, g.num_vertices)
 
 
 def test_fixed_counts_of_fixed_edge_triangle():
