@@ -73,13 +73,15 @@ def cmd_rank(args) -> int:
     graph, framework = document.parse_graph(_read_text(args.file))
     backend = "exact" if args.exact else args.backend
     if framework is not None:
-        report = rank(build_rigidity_matrix(framework), backend=backend, tol=args.tol)
+        report = rank(
+            build_rigidity_matrix(framework), backend=backend or "float", tol=args.tol
+        )
     else:
         report = classify(
             graph,
             trials=args.trials,
             seed=_seed(args),
-            backend=backend,
+            backend=backend or "exact",
             tol=args.tol,
             scale=args.scale,
         )
@@ -206,7 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rigidity matrix rank of a placement")
     p.add_argument("file")
-    p.add_argument("--backend", choices=("float", "exact"), default="float")
+    p.add_argument(
+        "--backend",
+        choices=("float", "exact"),
+        default=None,
+        help="default: exact for a sampled placement, float for a given one",
+    )
     p.add_argument("--exact", action="store_true", help="shorthand for --backend exact")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verdict", help="combinatorial + numeric verdict")
     p.add_argument("file")
     p.add_argument("--method", choices=("pebble", "subset"), default="pebble")
-    p.add_argument("--backend", choices=("float", "exact"), default="float")
+    p.add_argument("--backend", choices=("float", "exact"), default="exact")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--trace", action="store_true", help="attach a construction trace")

@@ -14,28 +14,45 @@ Placements are sampled symmetrically: rotation-fixed vertices go to the
 origin, mirror-fixed vertices onto their mirror line, one random point per
 remaining orbit, propagated by the group matrices.  Loop normals follow the
 same propagation; a mirror-fixed loop is pinned into the eigenspace its
-sign label selects.  For groups whose matrices are integral (rotation order
-1, 2 or 4) the sample has integer coordinates and an exact rank over the
-rationals is available.  A sampled rank is a lower bound on the generic
-rank, so ``classify`` takes the best of several trials.
+sign label selects.  Coordinates come in one of three arithmetics:
+integers for groups whose matrices are integral (rotation order 1, 2 or
+4), floats for the others, and residues modulo a prime p for every group
+(``modular=True``).  p is below 2**31, so a product of two residues fits in
+an int64, and p = 1 (mod lcm(4, 2N)) for rotation order N, so that i, the
+rotations and the mirror directions have images in F_p
+(``GroupSpec.prime_field``).  A residue sample is then the image of a
+generic symmetric placement under a ring map, and its rank modulo p is at
+most the generic rank: a full rank proves generic full rank, and a deficit
+is a lower bound.  ``classify`` therefore ranks residue samples by default
+(backend ``"exact"``), and any sampled rank bounds the generic rank from
+below, so it keeps the best trial and stops at the first that reaches
+min(rows, 2|V|).
 
-The float rank splits the matrix by the characters of one cyclic subgroup
+Both ranks split the matrix by the characters of one cyclic subgroup
 H = <h> of order k: h is the rotation generator when the group has one, else
 the mirror, else the identity (one block, the whole matrix).  A symmetric
 framework's matrix commutes with H's action on rows and columns, so in a
 basis of H-eigenvectors it is block diagonal, with block j on the vectors
 that h multiplies by w^j, w = exp(2 pi i / k).  Block j has one row per
-H-orbit of rows and, per vertex orbit of size d, an orthonormal basis of
-{x : tau_h^d x = w^(jd) x} scaled by 1/sqrt(d) as its columns; a row at
-vertex h^s.rep contributes sqrt(|row orbit|) * w^(-js) * r^T tau_h^s B.
-Blocks j and k - j are complex conjugates, so only j <= k/2 is decomposed.
-The union of the blocks' singular values is the dense matrix's spectrum,
-and one cut, ``tol * s_max * max(rows, 2|V|)``, is applied to it as a
-whole (Schulze and Tanigawa, SIAM J. Discrete Math. 2015, split the matrix
+H-orbit of rows and, per vertex orbit of size d, a basis of
+{x : tau_h^d x = w^(jd) x} as its columns; a row at vertex h^s.rep
+contributes w^(-js) * r^T tau_h^s B.  The rank is the sum of the blocks'
+ranks (Schulze and Tanigawa, SIAM J. Discrete Math. 2015, split the matrix
 the same way into orbit matrices).  The split is only taken when the rows
-are symmetric under H, within ``tol`` times the largest entry; any other
-matrix (a given placement off symmetry, an invalid stored action) is split
-under the trivial group, one block that is the whole matrix.
+are symmetric under H; any other matrix (a given placement off symmetry,
+an invalid stored action) is split under the trivial group, one block that
+is the whole matrix.
+
+The float rank takes orthonormal bases scaled by 1/sqrt(d), and rows
+scaled by sqrt(|row orbit|), so the union of the blocks' singular values is
+the dense matrix's spectrum.  Blocks j and k - j are complex conjugates, so
+only j <= k/2 is decomposed, and one cut, ``tol * s_max * max(rows,
+2|V|)``, is applied to the spectrum as a whole; symmetric there means
+within ``tol`` times the largest entry.  The exact rank of residues takes
+w's image in F_p (k divides p - 1, so the eigenvectors form a basis of
+F_p^2|V|), checks symmetry exactly, and eliminates every block j < k
+modulo p.  The exact rank of a given integer or rational placement
+eliminates the dense matrix over the rationals.
 """
 
 from __future__ import annotations
@@ -56,6 +73,7 @@ from .errors import (
 )
 from .symgraph import (
     GroupElement,
+    GroupSpec,
     SymmetricGraph,
     mirror_sign,
     stabilizers,
@@ -78,12 +96,15 @@ def _is_exact(x) -> bool:
 class Framework:
     """A symmetric graph together with vertex points and loop normals.
 
-    ``q`` is aligned with ``graph.loops`` (ascending loop id).
+    ``q`` is aligned with ``graph.loops`` (ascending loop id).  With
+    ``prime`` set, every coordinate is a residue in [0, prime), and the
+    prime is the one of ``graph.group.prime_field``.
     """
 
     graph: SymmetricGraph
     p: tuple[Pair, ...]
     q: tuple[Pair, ...]
+    prime: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.p) != self.graph.num_vertices:
@@ -95,6 +116,18 @@ class Framework:
         for pt in self.p + self.q:
             if len(pt) != 2:
                 raise RangeError("points and normals must be coordinate pairs")
+        if self.prime is not None:
+            if self.prime != self.graph.group.prime_field.prime:
+                raise RangeError(
+                    f"{self.graph.group.name} coordinates are residues modulo"
+                    f" {self.graph.group.prime_field.prime}, not {self.prime}"
+                )
+            if not all(
+                isinstance(c, int) and 0 <= c < self.prime
+                for pt in self.p + self.q
+                for c in pt
+            ):
+                raise RangeError(f"coordinates must be residues modulo {self.prime}")
 
     @property
     def exact(self) -> bool:
@@ -107,12 +140,14 @@ class Framework:
         raise RangeError(f"no loop with id {loop_id}")
 
 
-def _tau_rows(graph: SymmetricGraph, exact: bool):
-    """Symmetry matrix per element, as row tuples of plain numbers."""
-    group = graph.group
+def _tau_rows(group: GroupSpec, exact: bool, prime: int | None = None):
+    """Symmetry matrix per element, as row tuples of plain numbers: residues
+    modulo ``prime`` when it is set, else integers or floats."""
     mats = {}
     for elem in group.elements():
-        if exact:
+        if prime is not None:
+            mats[elem] = group.tau_mod(elem)
+        elif exact:
             mats[elem] = group.tau_exact(elem)
         else:
             m = group.tau(elem)
@@ -120,10 +155,15 @@ def _tau_rows(graph: SymmetricGraph, exact: bool):
     return mats
 
 
-def _apply(mat, vec: Pair) -> Pair:
+def _reduce(vec: Pair, prime: int | None) -> Pair:
+    """The vector's residues modulo ``prime``, or the vector when it is None."""
+    return vec if prime is None else (vec[0] % prime, vec[1] % prime)
+
+
+def _apply(mat, vec: Pair, prime: int | None = None) -> Pair:
     (a, b), (c, d) = mat
     x, y = vec
-    return (a * x + b * y, c * x + d * y)
+    return _reduce((a * x + b * y, c * x + d * y), prime)
 
 
 def _perp(vec: Pair) -> Pair:
@@ -172,22 +212,36 @@ class _Cells:
 
 
 def sample_symmetric_placement(
-    graph: SymmetricGraph, seed: int = 0, scale: int = DEFAULT_SCALE
+    graph: SymmetricGraph,
+    seed: int = 0,
+    scale: int = DEFAULT_SCALE,
+    modular: bool = False,
 ) -> Framework:
     """Random symmetric framework on the graph; deterministic in the seed.
 
     Coordinates are drawn as integers in [-scale, scale], so frameworks for
-    groups with integral matrices are exact.  Raises DegenerateInputError
-    when no injective symmetric placement exists (e.g. two rotation-fixed
-    vertices) or when resampling cannot separate the points.
+    groups with integral matrices are exact.  With ``modular`` they are
+    drawn in [1, p) instead, for the prime p of ``graph.group.prime_field``,
+    and the symmetry matrices are their images there, so the framework is
+    exact for every group; ``scale`` is then unused.  Raises
+    DegenerateInputError when no injective symmetric placement exists (e.g.
+    two rotation-fixed vertices) or when resampling cannot separate the
+    points.
     """
     report = validate_action(graph)
     if not report.ok:
         raise ActionError("; ".join(report.violations))
     group = graph.group
     rng = random.Random(seed)
-    exact = group.exact_supported
-    taus = _tau_rows(graph, exact)
+    prime = group.prime_field.prime if modular else None
+    exact = modular or group.exact_supported
+    taus = _tau_rows(group, exact, prime)
+    if modular:
+        direction = group.mirror_direction_mod
+    elif exact:
+        direction = group.mirror_direction_exact
+    else:
+        direction = group.mirror_direction
     acting = list(zip(group.elements(), graph.action))
     vstab = stabilizers(graph, "vertex")
 
@@ -201,13 +255,15 @@ def sample_symmetric_placement(
         )
 
     def draw_nonzero() -> int:
+        if modular:
+            return rng.randrange(1, prime)
         while True:
             t = rng.randint(-scale, scale)
             if t != 0:
                 return t
 
     span = float(scale)
-    eps = 1e-7 * max(1.0, span)
+    eps = 0.0 if modular else 1e-7 * max(1.0, span)
     placed = _Cells(eps)
     p: list[Pair | None] = [None] * graph.num_vertices
     for rep in range(graph.num_vertices):
@@ -220,11 +276,7 @@ def sample_symmetric_placement(
             if rotation_fixed:
                 cand: Pair = (0, 0) if exact else (0.0, 0.0)
             elif mirrors:
-                d = (
-                    group.mirror_direction_exact(mirrors[0])
-                    if exact
-                    else group.mirror_direction(mirrors[0])
-                )
+                d = direction(mirrors[0])
                 t = draw_nonzero()
                 cand = (d[0] * t, d[1] * t)
             else:
@@ -233,7 +285,7 @@ def sample_symmetric_placement(
             for elem, (vp, _) in acting:
                 w = vp[rep]
                 if w not in orbit_pts:
-                    orbit_pts[w] = _apply(taus[elem], cand)
+                    orbit_pts[w] = _apply(taus[elem], cand, prime)
             # the orbit's points must be apart from each other and from
             # every point placed before
             own = _Cells(eps)
@@ -263,11 +315,7 @@ def sample_symmetric_placement(
             continue
         mirrors = [e for e in stab if e.ref]
         if mirrors:
-            d = (
-                group.mirror_direction_exact(mirrors[0])
-                if exact
-                else group.mirror_direction(mirrors[0])
-            )
+            d = direction(mirrors[0])
             positive = mirror_sign(group, loop, stab, mirrors[0]) > 0
             base = d if positive else _perp(d)
             t = draw_nonzero()
@@ -277,10 +325,10 @@ def sample_symmetric_placement(
         for elem, (_, lp) in acting:
             lid = lp[k]
             if lid not in q_by_id:
-                q_by_id[lid] = _apply(taus[elem], cand)
+                q_by_id[lid] = _apply(taus[elem], cand, prime)
 
     return Framework(
-        graph, tuple(p), tuple(q_by_id[l.id] for l in graph.loops)
+        graph, tuple(p), tuple(q_by_id[l.id] for l in graph.loops), prime
     )
 
 
@@ -289,15 +337,16 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
 
     Checks injectivity, nonzero loop normals, equivariance of the points,
     equivariance of the normals up to sign, and the pinned sign of every
-    mirror-fixed loop.  Exact frameworks are compared exactly.
+    mirror-fixed loop.  Exact frameworks are compared exactly, residues
+    modulo their prime.
     """
     graph, group = fw.graph, fw.graph.group
-    exact = fw.exact
+    exact, prime = fw.exact, fw.prime
     span = max(
         [1.0] + [abs(float(c)) for pt in fw.p + fw.q for c in pt]
     )
     eps = 0.0 if exact else tol * span
-    taus = _tau_rows(graph, exact)
+    taus = _tau_rows(group, exact, prime)
     q_by_id = dict(zip(graph.loop_ids, fw.q))
     bad: list[str] = []
 
@@ -317,14 +366,14 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
 
     for elem, (vp, lp) in list(zip(group.elements(), graph.action))[1:]:
         for v in range(graph.num_vertices):
-            if not near(_apply(taus[elem], fw.p[v]), fw.p[vp[v]]):
+            if not near(_apply(taus[elem], fw.p[v], prime), fw.p[vp[v]]):
                 bad.append(
                     f"{group.element_label(elem)} moves vertex {v} off its image"
                 )
         for loop, vec, img_id in zip(graph.loops, fw.q, lp):
-            img = _apply(taus[elem], vec)
+            img = _apply(taus[elem], vec, prime)
             target = q_by_id[img_id]
-            neg = (-target[0], -target[1])
+            neg = _reduce((-target[0], -target[1]), prime)
             if not (near(img, target) or near(img, neg)):
                 bad.append(
                     f"{group.element_label(elem)} moves loop {loop.id} normal"
@@ -335,8 +384,8 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     for loop, vec, stab in zip(graph.loops, fw.q, lstab):
         for elem in (e for e in stab if e.ref):
             sign = mirror_sign(group, loop, stab, elem)
-            img = _apply(taus[elem], vec)
-            want = (sign * vec[0], sign * vec[1])
+            img = _apply(taus[elem], vec, prime)
+            want = _reduce((sign * vec[0], sign * vec[1]), prime)
             if not near(img, want):
                 bad.append(
                     f"loop {loop.id} normal is not in the"
@@ -352,8 +401,8 @@ class RigidityMatrix:
 
     ``rows`` holds each row sparsely as its (vertex, 2-vector) pairs:
     (u, p_u - p_v) and (v, p_v - p_u) for edge u-v, (v, q) for a loop at v.
-    ``framework`` is the framework the rows were built from; the float rank
-    reads its group action.
+    ``framework`` is the framework the rows were built from; the ranks read
+    its group action, and its prime, when the entries are residues.
     """
 
     framework: Framework
@@ -396,10 +445,10 @@ def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     rows: list[tuple] = []
     labels: list[str] = []
     for (u, v) in graph.edges:
-        du = (fw.p[u][0] - fw.p[v][0], fw.p[u][1] - fw.p[v][1])
+        du = _reduce((fw.p[u][0] - fw.p[v][0], fw.p[u][1] - fw.p[v][1]), fw.prime)
         if du == (0, 0):
             raise DegenerateInputError(f"edge ({u}, {v}) has coincident endpoints")
-        rows.append(((u, du), (v, (-du[0], -du[1]))))
+        rows.append(((u, du), (v, _reduce((-du[0], -du[1]), fw.prime))))
         labels.append(f"edge {u}-{v}")
     for loop, vec in zip(graph.loops, fw.q):
         if vec == (0, 0):
@@ -485,28 +534,55 @@ def _eigenbasis(tau_d: np.ndarray, lam: complex, m: int) -> np.ndarray:
     return (col / np.linalg.norm(col))[:, None]
 
 
+def _eigenbasis_mod(tau_d: np.ndarray, lam: int, m: int, prime: int) -> np.ndarray:
+    """Basis (as int64 columns of residues) of {x : tau_d x = lam x} modulo
+    ``prime``, where (tau_d / lam)^m = I: columns of the projector
+    (1/m) sum_t (tau_d / lam)^t onto it."""
+    step = tau_d * pow(lam, -1, prime) % prime
+    proj = np.zeros((2, 2), dtype=np.int64)
+    power = np.eye(2, dtype=np.int64)
+    for _ in range(m):
+        proj = (proj + power) % prime
+        power = power @ step % prime
+    proj = proj * pow(m, -1, prime) % prime
+    dim = int(np.trace(proj)) % prime  # a projector's trace is its rank
+    if dim == 2:
+        return np.eye(2, dtype=np.int64)
+    if dim == 0:
+        return np.zeros((2, 0), dtype=np.int64)
+    return proj[:, [0 if proj[:, 0].any() else 1]]
+
+
 def _orbits_under(matrix: RigidityMatrix, h: GroupElement, tol: float):
     """Vertex and row orbits under H = <h>, or None if the matrix is not
     symmetric under H.
 
     Symmetric means: every vertex orbit's size divides k = |H|, every row's
     image under h is a row at the image vertices, and the row t steps along
-    each row orbit is +-(r^T tau_h^t) for its first row r, within ``tol``
-    times the largest entry (t = orbit size included, so the orbit closes).
-    An edge row's second pair is minus its first, so comparing first pairs
-    compares rows.  Returns (k, taus, sizes, orbit, step, reps): vertex
-    v = h^step[v] . (first vertex of orbit number orbit[v]), sizes[o] is the
-    size of vertex orbit o, and reps lists (first row, orbit size) per row
-    orbit.
+    each row orbit is +-(r^T tau_h^t) for its first row r (t = orbit size
+    included, so the orbit closes): within ``tol`` times the largest entry
+    for real entries, exactly for residues, with tau_h's image modulo the
+    prime.  An edge row's second pair is minus its first, so comparing first
+    pairs compares rows.  Returns (k, taus, sizes, orbit, step, reps): taus
+    holds tau_h^t for t < k, vertex v = h^step[v] . (first vertex of orbit
+    number orbit[v]), sizes[o] is the size of vertex orbit o, and reps lists
+    (first row, orbit size) per row orbit.
     """
     graph = matrix.framework.graph
+    prime = matrix.framework.prime
     group = graph.group
     n = graph.num_vertices
     k = group.element_order(h)
     vperm, lperm = graph.action[group.index(h)]
-    taus = [np.eye(2)]
-    for _ in range(k - 1):
-        taus.append(group.tau(h) @ taus[-1])
+    if prime is None:
+        taus = [np.eye(2)]
+        for _ in range(k - 1):
+            taus.append(group.tau(h) @ taus[-1])
+    else:
+        tau_h = np.array(group.tau_mod(h), dtype=np.int64)
+        taus = [np.eye(2, dtype=np.int64)]
+        for _ in range(k - 1):
+            taus.append(tau_h @ taus[-1] % prime)
 
     orbit = [-1] * n
     step = [0] * n
@@ -553,29 +629,46 @@ def _orbits_under(matrix: RigidityMatrix, h: GroupElement, tol: float):
         visits.append((i, i, t))
         reps.append((i, t))
 
-    first = np.array(
-        [[float(c) for c in row[0][1]] for row in matrix.rows], dtype=float
-    ).reshape(-1, 2)
+    if prime is None:
+        first = np.array(
+            [[float(c) for c in row[0][1]] for row in matrix.rows], dtype=float
+        ).reshape(-1, 2)
+    else:
+        first = np.array([row[0][1] for row in matrix.rows], dtype=np.int64).reshape(-1, 2)
     if visits:
         at, frm, steps = np.array(visits, dtype=int).T
         want = np.einsum("nab,nb->na", np.array(taus)[steps % k], first[frm])
-        off = np.minimum(
-            np.abs(first[at] - want).max(axis=1), np.abs(first[at] + want).max(axis=1)
-        )
-        if off.max() > tol * max(1.0, float(np.abs(first).max())):
-            return None
+        if prime is None:
+            off = np.minimum(
+                np.abs(first[at] - want).max(axis=1),
+                np.abs(first[at] + want).max(axis=1),
+            )
+            if off.max() > tol * max(1.0, float(np.abs(first).max())):
+                return None
+        else:
+            want %= prime
+            same = (first[at] == want).all(axis=1)
+            opposite = (first[at] == -want % prime).all(axis=1)
+            if not (same | opposite).all():
+                return None
     return k, taus, sizes, orbit, step, reps
 
 
-def _block_spectrum(matrix: RigidityMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Singular values of the matrix, descending, min(rows, cols) of them,
-    from its character blocks under H = <h> (see the module docstring).
+def _character_blocks(matrix: RigidityMatrix, tol: float):
+    """The matrix's character blocks under H = <h> (see the module
+    docstring), as (block, copies) pairs: the matrix's rank, or spectrum, is
+    that of the blocks, each taken ``copies`` times.
 
-    A matrix that is not symmetric under H, within ``tol`` times its largest
-    entry, is split under the trivial group instead: one block, the whole
-    matrix.
+    Real entries give complex blocks for j <= k/2, real ones for j = 0 and
+    j = k/2, and block j stands for block k - j too.  Residues modulo a
+    prime give one int64 block of residues for every j, with w the image of
+    exp(2 pi i / k) in the group's prime field; there no norm is kept, so
+    the bases and rows are not scaled.  A matrix that is not symmetric
+    under H (within ``tol`` times its largest entry, for real entries) is
+    split under the trivial group instead: one block, the whole matrix.
     """
     group = matrix.framework.graph.group
+    prime = matrix.framework.prime
     if group.rotation_order > 1:
         h = GroupElement(1, False)
     elif group.has_reflection:
@@ -586,36 +679,59 @@ def _block_spectrum(matrix: RigidityMatrix, tol: float = DEFAULT_TOL) -> np.ndar
     if split is None:
         split = _orbits_under(matrix, group.identity(), tol)
     k, taus, sizes, orbit, step, reps = split
-    phase = np.exp(-2j * np.pi * np.arange(k) / k)  # phase[s] = w^-s
+    if prime is None:
+        phase = np.exp(-2j * np.pi * np.arange(k) / k)  # phase[s] = w^-s
+        js = range(k // 2 + 1)
+    else:
+        w_inv = pow(group.prime_field.root_of_unity(k), -1, prime)
+        phase = np.array([pow(w_inv, s, prime) for s in range(k)], dtype=np.int64)
+        js = range(k)
 
-    # one row per H-orbit of rows, from its first row, scaled by
-    # sqrt(orbit size); each stored pair contributes r^T tau_h^s there
+    # one row per H-orbit of rows, from its first row (scaled by sqrt(orbit
+    # size) over the reals); each stored pair contributes r^T tau_h^s there
     num_orbits = len(reps)
-    e_row, e_orbit, e_step, e_vec = [], [], [], []
+    e_row, e_orbit, e_step, e_size, e_pair = [], [], [], [], []
     for o, (i, size) in enumerate(reps):
         for v, vec in matrix.rows[i]:
             e_row.append(o)
             e_orbit.append(orbit[v])
             e_step.append(step[v])
-            e_vec.append(math.sqrt(size) * np.array(vec, dtype=float) @ taus[step[v]])
+            e_size.append(size)
+            e_pair.append(vec)
+    if prime is None:
+        # one product per entry, as einsum's summation would change the
+        # spectrum's last bits
+        e_vec = np.array(
+            [
+                math.sqrt(size) * np.array(vec, dtype=float) @ taus[s]
+                for vec, s, size in zip(e_pair, e_step, e_size)
+            ],
+            dtype=float,
+        ).reshape(-1, 2)
+    else:
+        pairs = np.array(e_pair, dtype=np.int64).reshape(-1, 2)
+        e_vec = np.einsum("ei,eic->ec", pairs, np.array(taus)[e_step]) % prime
     e_row = np.array(e_row, dtype=int)
     e_orbit = np.array(e_orbit, dtype=int)
     e_step = np.array(e_step, dtype=int)
-    e_vec = np.array(e_vec, dtype=float).reshape(-1, 2)
 
-    svals = []
-    for j in range(k // 2 + 1):
-        real = j == 0 or 2 * j == k
+    dtype = complex if prime is None else np.int64
+    for j in js:
         # per vertex orbit: basis padded to two columns, padding sent to a
         # spare last column of the block
-        bases = np.zeros((len(sizes), 2, 2), dtype=complex)
+        bases = np.zeros((len(sizes), 2, 2), dtype=dtype)
         cols = np.zeros((len(sizes), 2), dtype=int)
         width = 0
         basis_cache: dict[int, np.ndarray] = {}
         for o, d in enumerate(sizes):
             if d not in basis_cache:
-                lam = np.exp(2j * np.pi * j * d / k)
-                basis_cache[d] = _eigenbasis(taus[d % k], lam, k // d) / math.sqrt(d)
+                if prime is None:
+                    lam = np.exp(2j * np.pi * j * d / k)
+                    basis = _eigenbasis(taus[d % k], lam, k // d) / math.sqrt(d)
+                else:
+                    lam = int(phase[(-j * d) % k])  # w^(jd)
+                    basis = _eigenbasis_mod(taus[d % k], lam, k // d, prime)
+                basis_cache[d] = basis
             basis = basis_cache[d]
             c = basis.shape[1]
             bases[o, :, :c] = basis
@@ -623,21 +739,62 @@ def _block_spectrum(matrix: RigidityMatrix, tol: float = DEFAULT_TOL) -> np.ndar
             cols[o, c:] = -1
             width += c
         cols[cols < 0] = width
-        vals = phase[(j * e_step) % k][:, None] * np.einsum(
-            "ei,eic->ec", e_vec, bases[e_orbit]
-        )
-        block = np.zeros((num_orbits, width + 1), dtype=complex)
+        vals = np.einsum("ei,eic->ec", e_vec, bases[e_orbit])
+        if prime is None:
+            vals = phase[(j * e_step) % k][:, None] * vals
+        else:
+            vals = phase[(j * e_step) % k][:, None] * (vals % prime) % prime
+        block = np.zeros((num_orbits, width + 1), dtype=dtype)
         np.add.at(block, (e_row[:, None], cols[e_orbit]), vals)
         block = block[:, :width]
         if block.size == 0:
             continue
-        sv = np.linalg.svd(block.real if real else block, compute_uv=False)
-        svals += [sv] if real else [sv, sv]
+        if prime is not None:
+            yield block % prime, 1
+        elif j == 0 or 2 * j == k:
+            yield block.real, 1
+        else:
+            yield block, 2
+
+
+def _block_spectrum(matrix: RigidityMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Singular values of a matrix with real entries, descending, min(rows,
+    cols) of them, from its character blocks."""
+    svals = []
+    for block, copies in _character_blocks(matrix, tol):
+        svals += [np.linalg.svd(block, compute_uv=False)] * copies
 
     # the dense SVD's count; any surplus is the noise of zero rows
     count = min(matrix.num_rows, matrix.num_cols)
     out = np.sort(np.concatenate(svals))[::-1] if svals else np.zeros(0)
     return np.concatenate([out[:count], np.zeros(max(0, count - out.size))])
+
+
+def _rank_mod(block: np.ndarray, prime: int) -> int:
+    """Rank of an int64 matrix of residues modulo a prime below 2**31.
+
+    Gaussian elimination by rank-1 updates: each pivot row updates only the
+    rows below it that are nonzero in its column, and only on its own
+    nonzero columns.  A product of two residues stays below 2**62.
+    """
+    a = block.copy()
+    nrows, ncols = a.shape
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        below = (r + nz[1:])[:, None]
+        if below.size:
+            cols = c + a[r, c:].nonzero()[0]
+            factor = a[below, c] * pow(int(a[r, c]), -1, prime) % prime
+            a[below, cols] = (a[below, cols] - factor * a[r, cols]) % prime
+        r += 1
+    return r
 
 
 def _rows_as_integers(entries: Iterable[Sequence]) -> list[list[int]]:
@@ -677,8 +834,18 @@ def _int_rank(rows: list[list[int]]) -> int:
 def rank(
     matrix: RigidityMatrix, backend: str = "float", tol: float = DEFAULT_TOL
 ) -> RankReport:
-    """Rank of one rigidity matrix with the requested backend."""
+    """Rank of one rigidity matrix with the requested backend.
+
+    ``"float"`` cuts the block spectrum of real entries.  ``"exact"``
+    eliminates the character blocks of residues modulo their prime, and the
+    dense matrix of integer or rational entries over the rationals.
+    """
+    prime = matrix.framework.prime
     if backend == "float":
+        if prime is not None:
+            raise UnsupportedBackendError(
+                f"float rank needs real entries, not residues modulo {prime}"
+            )
         r, small, large = _float_rank(
             _block_spectrum(matrix, tol), tol, (matrix.num_rows, matrix.num_cols)
         )
@@ -694,12 +861,14 @@ def rank(
             trial_ranks=(r,),
         )
     if backend == "exact":
-        if not matrix.exact:
+        if prime is not None:
+            r = sum(_rank_mod(block, prime) for block, _ in _character_blocks(matrix, tol))
+        elif matrix.exact:
+            r = _int_rank(_rows_as_integers(matrix.entries))
+        else:
             raise UnsupportedBackendError(
-                "exact rank needs integer or rational entries; the group's"
-                " symmetry matrices must be integral (rotation order 1, 2 or 4)"
+                "exact rank needs integer, rational or residue entries, not floats"
             )
-        r = _int_rank(_rows_as_integers(matrix.entries))
         return RankReport(
             r,
             matrix.num_rows,
@@ -715,25 +884,33 @@ def classify(
     graph: SymmetricGraph,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    backend: str = "float",
+    backend: str = "exact",
     tol: float = DEFAULT_TOL,
     scale: int = DEFAULT_SCALE,
 ) -> RankReport:
-    """Best rank over several sampled placements.
+    """Best rank over up to ``trials`` sampled placements.
 
     Every sampled rank bounds the generic rank from below, so the maximum
-    over trials is reported and drives the classification.
+    over trials is reported and drives the classification.  A trial whose
+    rank reaches min(rows, 2|V|) ends the search, as no rank is higher.
+    ``"exact"`` samples over the group's prime field (see the module
+    docstring); ``"float"`` samples integer or float coordinates in
+    [-scale, scale].  ``trial_ranks`` lists the trials that were run.
     """
     if trials < 1:
         raise RangeError("trials must be positive")
     best: RankReport | None = None
     trial_ranks = []
     for t in range(trials):
-        fw = sample_symmetric_placement(graph, seed=seed + t, scale=scale)
+        fw = sample_symmetric_placement(
+            graph, seed=seed + t, scale=scale, modular=backend == "exact"
+        )
         rep = rank(build_rigidity_matrix(fw), backend=backend, tol=tol)
         trial_ranks.append(rep.rank)
         if best is None or rep.rank > best.rank:
             best = rep
+        if rep.rank == min(rep.num_rows, rep.num_cols):
+            break
     return replace(best, trials=trials, trial_ranks=tuple(trial_ranks), seed=seed)
 
 
@@ -782,6 +959,10 @@ def motions(
     fw: Framework, backend: str = "float", tol: float = DEFAULT_TOL
 ) -> MotionReport:
     """Nullspace of the rigidity matrix as per-vertex velocities."""
+    if fw.prime is not None:
+        raise UnsupportedBackendError(
+            f"motions need real coordinates, not residues modulo {fw.prime}"
+        )
     matrix = build_rigidity_matrix(fw)
     n = fw.graph.num_vertices
     if backend == "exact":

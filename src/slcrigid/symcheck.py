@@ -82,6 +82,8 @@ def character_vectors(
     fixed by any other rotation has no fixed direction and raises.  Column
     equality is decided exactly: reflections trace to 0, rational rotation
     angles compare as integers, irrational ones force both sides to vanish.
+    The column trace is reported exactly where it is rational, and as 0.0
+    when no vertex is fixed.
     """
     group = graph.group
     labels, rows, cols, equal, deltas = [], [], [], [], []
@@ -111,13 +113,14 @@ def character_vectors(
             chi_c = 0.0
             ok = chi_r == 0
         else:
-            angle = 2.0 * math.pi * elem.rot / group.rotation_order
-            chi_c = 2.0 * math.cos(angle) * c.vertices
             tc = _two_cos_exact(elem.rot, group.rotation_order)
-            if tc is None:
-                ok = chi_r == 0 and c.vertices == 0
-            else:
+            if tc is not None:
+                chi_c = float(tc * c.vertices)
                 ok = chi_r == tc * c.vertices
+            else:
+                angle = 2.0 * math.pi * elem.rot / group.rotation_order
+                chi_c = 2.0 * math.cos(angle) * c.vertices if c.vertices else 0.0
+                ok = chi_r == 0 and c.vertices == 0
 
         labels.append(c.label)
         rows.append(chi_r)

@@ -33,7 +33,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -45,6 +45,79 @@ GROUP_KINDS = ("cyclic", "reflection", "dihedral")
 
 _QUARTER_COS_SIN = ((1, 0), (0, 1), (-1, 0), (0, -1))
 _EIGHTH_MIRROR_DIR = ((1, 0), (1, 1), (0, 1), (-1, 1))
+
+# Residues stay below 2**31, so a product of two fits in an int64.
+_PRIME_BOUND = 2**31
+# benchmark/oracle.py ranks modulo this prime; skipping it keeps that check
+# of the package's ranks in a field of its own.
+_ORACLE_PRIME = 2_147_483_629
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5 and 7: deterministic below 3,215,031,751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class PrimeField:
+    """F_p together with a primitive m-th root of unity ``root``.
+
+    ``root`` stands for exp(2 pi i / m), so every value of Z[1/2,
+    exp(2 pi i / m)] has an image in F_p, and the images keep every
+    polynomial identity between the values.
+    """
+
+    prime: int
+    order: int  # m
+    root: int
+
+    def root_of_unity(self, k: int) -> int:
+        """The image of exp(2 pi i / k), for k dividing ``order``."""
+        return pow(self.root, self.order // k, self.prime)
+
+    def cos_sin(self, num: int, den: int) -> tuple[int, int]:
+        """The images of cos and sin of 2 pi num / den, for den dividing
+        ``order`` (and 4 dividing it, for i)."""
+        p = self.prime
+        z = pow(self.root_of_unity(den), num, p)
+        z_inv = pow(z, -1, p)
+        two_i = 2 * self.root_of_unity(4)
+        return (z + z_inv) * pow(2, -1, p) % p, (z - z_inv) * pow(two_i, -1, p) % p
+
+
+@cache
+def _prime_field(rotation_order: int) -> PrimeField:
+    """The largest prime p < 2**31 with p = 1 (mod m), m = lcm(4, 2N), other
+    than _ORACLE_PRIME, with a primitive m-th root of unity in it."""
+    m = math.lcm(4, 2 * rotation_order)
+    p = (_PRIME_BOUND - 2) // m * m + 1
+    while p == _ORACLE_PRIME or not _is_prime(p):
+        p -= m
+        if p <= m:
+            raise RangeError(f"no prime below 2**31 is 1 modulo {m}")
+    factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    # a^((p-1)/m) has order m unless its power m/q is 1 for a prime q | m
+    roots = (pow(a, (p - 1) // m, p) for a in range(2, p))
+    root = next(x for x in roots if all(pow(x, m // q, p) != 1 for q in factors))
+    return PrimeField(p, m, root)
 
 
 @dataclass(frozen=True, order=True)
@@ -171,6 +244,21 @@ class GroupSpec:
             return ((c, s), (s, -c))
         return ((c, -s), (s, c))
 
+    @property
+    def prime_field(self) -> PrimeField:
+        """The field modulo a prime that the group's matrices and mirror
+        directions have images in: p = 1 (mod lcm(4, 2N)) for rotation
+        order N.  Found on first use, once per rotation order."""
+        return _prime_field(self.rotation_order)
+
+    def tau_mod(self, a: GroupElement) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The symmetry matrix's image in ``prime_field``, as residues."""
+        p = self.prime_field.prime
+        c, s = self.prime_field.cos_sin(a.rot, self.rotation_order)
+        if a.ref:
+            return ((c, s), (s, -c % p))
+        return ((c, -s % p), (s, c))
+
     def mirror_direction(self, a: GroupElement) -> tuple[float, float]:
         """Unit direction of the mirror line of a reflection element."""
         if not a.ref:
@@ -185,6 +273,12 @@ class GroupSpec:
         if not self.exact_supported:
             return None
         return _EIGHTH_MIRROR_DIR[(a.rot * 4 // self.rotation_order) % 4]
+
+    def mirror_direction_mod(self, a: GroupElement) -> tuple[int, int]:
+        """``mirror_direction``'s image in ``prime_field``, as residues."""
+        if not a.ref:
+            raise ActionError("mirror_direction_mod needs a reflection element")
+        return self.prime_field.cos_sin(a.rot, 2 * self.rotation_order)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,31 @@ def test_rank_exact_flag(tmp_path):
     assert out["classification"] == "isostatic"
 
 
+def test_sampled_placements_are_ranked_exactly_by_default(tmp_path):
+    # the README's c3 document; --exact used to refuse non-integral groups
+    gen = run_cli(["generate", "--group", "c3", "--base", "lc", "--steps", "4", "--seed", "7"])
+    path = tmp_path / "g.json"
+    path.write_text(gen.stdout)
+    for args in (["rank", str(path)], ["rank", str(path), "--exact"]):
+        r = run_cli(args)
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert out["backend"] == "exact"
+        assert out["classification"] == "isostatic"
+        assert out["trial_ranks"] == [30]
+    r = run_cli(["verdict", str(path)])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["rank"]["backend"] == "exact"
+    r = run_cli(["verdict", str(path), "--backend", "float"])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["rank"]["backend"] == "float"
+
+    # a given placement keeps the float rank unless asked
+    gen = run_cli(["generate", "--group", "c3", "--steps", "4", "--seed", "7", "--placement"])
+    path.write_text(gen.stdout)
+    assert json.loads(run_cli(["rank", str(path)]).stdout)["backend"] == "float"
+
+
 def test_rank_of_a_given_placement_off_symmetry(tmp_path):
     # vertex 2 is not at -p1, so the triangle is not collinear: rank 6
     from slcrigid import Framework

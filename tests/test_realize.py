@@ -1,5 +1,6 @@
 """Symmetric placements, rigidity matrices, rank backends, and motions."""
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -34,6 +35,8 @@ from slcrigid import (
     element_action,
     fixed_counts,
     generate_random,
+    loop_mirror_sign,
+    loop_stabilizer,
     motions,
     orbits,
     rank,
@@ -41,7 +44,14 @@ from slcrigid import (
     symgraph,
     vertex_stabilizer,
 )
-from slcrigid.realize import DEFAULT_TOL, _block_spectrum, _float_rank, _orbits_under
+from slcrigid.realize import (
+    DEFAULT_TOL,
+    _block_spectrum,
+    _character_blocks,
+    _eigenbasis_mod,
+    _float_rank,
+    _orbits_under,
+)
 from slcrigid.selftest import negative_control
 
 
@@ -185,10 +195,16 @@ def test_classify_ring_with_spokes_isostatic():
 
 
 def test_classify_records_trials():
-    r = classify(base_graph("lc3"), trials=4, seed=2)
-    assert r.trials == 4
-    assert len(r.trial_ranks) == 4
-    assert r.rank == max(r.trial_ranks)
+    # a rank never exceeds min(rows, cols), so a full-rank trial ends the
+    # search, for both backends; trials stays the requested maximum
+    for backend in ("exact", "float"):
+        r = classify(base_graph("lc3"), trials=4, seed=2, backend=backend)
+        assert r.trials == 4
+        assert r.trial_ranks == (6,), backend
+        r = classify(c2_fixed_edge(), trials=3, seed=0, backend=backend)
+        assert r.trials == 3
+        assert len(r.trial_ranks) == 3, backend
+        assert r.rank == max(r.trial_ranks) == 5
 
 
 def test_motion_space_of_flexible_framework():
@@ -297,6 +313,7 @@ def _equivalence_graphs():
             yield label, base_graph(label)
     yield "negative_control", negative_control()
     yield "d3_flower", d3_flower()
+    yield "d2_loop_fixed_by_both_mirrors", d2_loop_fixed_by_both_mirrors()
     # the float cut is known to lose rank here; only agreement is checked
     yield "c2 steps=150 seed=2", generate_random("c2", steps=150, seed=2).graph
 
@@ -398,3 +415,155 @@ def test_block_rank_of_a_graph_with_an_invalid_action():
     m = build_rigidity_matrix(Framework(g, ((0, 0), (4, 1), (1, 3)), ((1, 0),) * 3))
     assert rank(m).rank == 3
     _assert_block_rank_is_dense(m, "generator of the wrong order")
+
+
+def _split_element(group):
+    if group.rotation_order > 1:
+        return GroupElement(1, False)
+    return GroupElement(0, group.has_reflection)
+
+
+def _dense_rank_mod(entries, prime):
+    """Rank modulo a prime by Gauss-Jordan steps on whole rows."""
+    a = np.array(entries, dtype=np.int64).reshape(len(entries), -1) % prime
+    r = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, prime) % prime
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        a[others] = (a[others] - a[others, c : c + 1] * a[r]) % prime
+        r += 1
+        if r == a.shape[0]:
+            break
+    return r
+
+
+def test_block_rank_mod_p_matches_dense_rank_mod_p():
+    for label, graph in _equivalence_graphs():
+        for seed in range(3):
+            fw = sample_symmetric_placement(graph, seed=seed, modular=True)
+            m = build_rigidity_matrix(fw)
+            # a sampled placement is symmetric, so it is split under <h>
+            assert _orbits_under(m, _split_element(graph.group), 0.0) is not None, label
+            want = _dense_rank_mod(m.entries, fw.prime)
+            assert rank(m, backend="exact").rank == want, (label, seed)
+
+
+def _residue_blocks_in_python_ints(m):
+    """Every residue block, entry by entry in Python integers: row orbit o,
+    pair (v, vec) of its first row, v = h^s . rep, basis column b of v's
+    orbit adds w^(-js) * vec^T tau_h^s b."""
+    group, p = m.framework.graph.group, m.framework.prime
+    k, taus, sizes, orbit, step, reps = _orbits_under(m, _split_element(group), 0.0)
+    w = group.prime_field.root_of_unity(k)
+    tau = [[[int(x) for x in row] for row in t] for t in taus]
+    out = []
+    for j in range(k):
+        bases = {
+            d: _eigenbasis_mod(taus[d % k], pow(w, j * d, p), k // d, p).tolist()
+            for d in set(sizes)
+        }
+        first_col, width = [], 0
+        for d in sizes:
+            first_col.append(width)
+            width += len(bases[d][0])
+        block = [[0] * width for _ in reps]
+        for o, (i, _) in enumerate(reps):
+            for v, vec in m.rows[i]:
+                t, basis = tau[step[v]], bases[sizes[orbit[v]]]
+                row_tau = [vec[0] * t[0][c] + vec[1] * t[1][c] for c in range(2)]
+                for b in range(len(basis[0])):
+                    val = sum(row_tau[a] * basis[a][b] for a in range(2))
+                    col = first_col[orbit[v]] + b
+                    block[o][col] = (block[o][col] + val * pow(w, -j * step[v], p)) % p
+        if reps and width:
+            out.append(block)
+    return out
+
+
+def test_residue_blocks_match_the_formula_in_python_ints():
+    # int64 products of two residues are exact, but not a product of three
+    for label, graph in _equivalence_graphs():
+        for seed in range(2):
+            m = build_rigidity_matrix(sample_symmetric_placement(graph, seed=seed, modular=True))
+            got = [b.tolist() for b, copies in _character_blocks(m, DEFAULT_TOL)]
+            assert got == _residue_blocks_in_python_ints(m), (label, seed)
+
+
+def _mod_apply(mat, vec, prime):
+    (a, b), (c, d) = mat
+    return ((a * vec[0] + b * vec[1]) % prime, (c * vec[0] + d * vec[1]) % prime)
+
+
+def test_modular_sample_is_equivariant():
+    for label, graph in _equivalence_graphs():
+        group = graph.group
+        for seed in range(3):
+            fw = sample_symmetric_placement(graph, seed=seed, modular=True)
+            p = fw.prime
+            assert p == group.prime_field.prime and fw.exact, label
+            assert len(set(fw.p)) == graph.num_vertices, (label, "coincident points")
+            assert all(0 < max(vec) for vec in fw.q), (label, "zero normal")
+            q_by_id = dict(zip(graph.loop_ids, fw.q))
+            for elem in group.elements():
+                tau = group.tau_mod(elem)
+                act = element_action(graph, elem)
+                for v in range(graph.num_vertices):
+                    assert _mod_apply(tau, fw.p[v], p) == fw.p[act.vertex[v]], label
+                for loop, vec in zip(graph.loops, fw.q):
+                    img, target = _mod_apply(tau, vec, p), q_by_id[act.loop[loop.id]]
+                    assert img in (target, (-target[0] % p, -target[1] % p)), label
+            for loop, vec in zip(graph.loops, fw.q):
+                for mirror in (e for e in loop_stabilizer(graph, loop.id) if e.ref):
+                    sign = loop_mirror_sign(graph, loop.id, mirror)
+                    want = (sign * vec[0] % p, sign * vec[1] % p)
+                    assert _mod_apply(group.tau_mod(mirror), vec, p) == want, label
+            assert check_framework(fw) == (), label
+
+
+def test_modular_framework_states_its_prime():
+    graph = base_graph("lc3")
+    fw = sample_symmetric_placement(graph, seed=0, modular=True)
+    with pytest.raises(Exception):
+        Framework(graph, fw.p, fw.q, fw.prime + 2)
+    with pytest.raises(Exception):
+        Framework(graph, ((fw.prime, 0),) + fw.p[1:], fw.q, fw.prime)
+    with pytest.raises(Exception):
+        rank(build_rigidity_matrix(fw), backend="float")
+    # a residue framework moved off symmetry is split under the trivial group
+    moved = Framework(graph, ((fw.p[0][0] + 1, fw.p[0][1]),) + fw.p[1:], fw.q, fw.prime)
+    m = build_rigidity_matrix(moved)
+    assert _orbits_under(m, GroupElement(1, False), 0.0) is None
+    assert rank(m, backend="exact").rank == _dense_rank_mod(m.entries, fw.prime)
+
+
+def test_integer_samples_are_unchanged():
+    # the seed-2 frameworks of the integral groups, as before the sampler
+    # learned residues; generated placements and benchmark expectations
+    # rely on them
+    for graph, digest in (
+        (c2_fixed_edge(), "65b6f879e49edec7"),
+        (d2_loop_fixed_by_both_mirrors(), "a10d0b1e4ee14d7a"),
+        (mirror_fixed_vertex(), "09431c66d8733fcd"),
+        (mirror_pair(), "5fc74e805d8d6322"),
+        (generate_random("c4", steps=20, seed=3).graph, "a04741005788f17a"),
+    ):
+        fw = sample_symmetric_placement(graph, seed=2)
+        assert hashlib.sha256(repr((fw.p, fw.q)).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "group, steps, seed",
+    [("c2", 250, 2), ("c2", 150, 2), ("c5", 120, 0), ("c4", 100, 0)],
+)
+def test_classify_is_isostatic_in_one_trial_where_the_float_cut_failed(group, steps, seed):
+    # n = 501, 301, 605 and 404: the float cut lost rank here (c2: 1000 of
+    # 1002 and 600 of 602 on every trial; c5: 1205 of 1210 on trial 1)
+    graph = c5_605() if group == "c5" else generate_random(group, steps=steps, seed=seed).graph
+    r = classify(graph)
+    assert r.classification == "isostatic"
+    assert r.trial_ranks == (2 * graph.num_vertices,)

@@ -21,10 +21,11 @@ from slcrigid import (
     default_bases,
     fixed_count_check,
     fixed_counts,
+    generate_random,
     is_gamma_tight,
     is_tight,
 )
-from slcrigid import symcheck
+from slcrigid import document, symcheck
 from slcrigid.selftest import negative_control
 
 
@@ -112,6 +113,19 @@ def test_looped_cycle_characters_are_all_zero_off_identity():
     assert ch.chi_rows == (10, 0, 0, 0, 0)
     assert all(abs(c) < 1e-9 for c in ch.chi_cols[1:])
     assert ch.equal
+
+
+def test_column_characters_carry_no_float_noise():
+    ch = character_vectors(generate_random("c4", 5, 1).graph)
+    assert ch.equal
+    assert ch.chi_cols == (42.0, 0.0, -2.0, 0.0)
+    assert ch.deltas == (0.0,) * 4
+    # irrational angles with no fixed vertex report 0.0, not -0.0
+    for name in ("c3", "c5", "c6"):
+        for seed in range(3):
+            graph = generate_random(name, 6, seed).graph
+            text = document.dumps(document.tight_report_to_dict(check_tight(graph)))
+            assert "-0.0" not in text, (name, seed)
 
 
 def test_every_default_base_is_tight():

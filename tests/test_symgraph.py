@@ -1,7 +1,13 @@
 """Group algebra, action validation, orbits, and fixed-element counts."""
 
+import importlib.util
+import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +102,60 @@ def test_tau_matrices_match_exact_forms():
         for i in range(2):
             for j in range(2):
                 assert abs(approx[i][j] - float(exact[i][j])) < 1e-12
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PRIME_GROUPS = [f"c{n}" for n in range(1, 9)] + ["cs"] + [f"d{n}" for n in range(2, 7)]
+
+
+def _oracle_prime() -> int:
+    spec = importlib.util.spec_from_file_location("oracle", ROOT / "benchmark" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PRIME
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_prime_field_holds_every_group_matrix():
+    oracle_prime = _oracle_prime()
+    for name in PRIME_GROUPS:
+        group = GroupSpec.from_name(name)
+        p = group.prime_field.prime
+        assert p < 2**31 and _is_prime_by_trial_division(p), name
+        assert p % math.lcm(4, 2 * group.rotation_order) == 1, name
+        assert p != oracle_prime, name
+        taus = {e: group.tau_mod(e) for e in group.elements()}
+        identity = ((1, 0), (0, 1))
+        for a in group.elements():
+            for b in group.elements():
+                prod = tuple(
+                    tuple(sum(taus[a][i][t] * taus[b][t][j] for t in range(2)) % p for j in range(2))
+                    for i in range(2)
+                )
+                assert prod == taus[group.compose(a, b)], (name, a, b)
+            assert (taus[a] == identity) == (a == group.identity()), (name, a)
+            if group.exact_supported:
+                exact = group.tau_exact(a)
+                assert all((x - y) % p == 0 for r, s in zip(exact, taus[a]) for x, y in zip(r, s))
+            if a.ref:
+                (c, s), (t, u) = taus[a]
+                d = group.mirror_direction_mod(a)
+                assert d != (0, 0) and ((c * d[0] + s * d[1]) % p, (t * d[0] + u * d[1]) % p) == d
+
+
+def test_prime_is_found_on_first_use_only():
+    code = (
+        "import slcrigid, slcrigid.cli; from slcrigid.symgraph import _prime_field;"
+        " print(_prime_field.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.stdout.strip() == "0", done.stderr
 
 
 def test_exact_support_is_integral_rotations_only():
