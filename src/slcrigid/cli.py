@@ -208,13 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rigidity matrix rank of a placement")
     p.add_argument("file")
-    p.add_argument(
+    backends = p.add_mutually_exclusive_group()
+    backends.add_argument(
         "--backend",
         choices=("float", "exact"),
         default=None,
         help="default: exact for a sampled placement, float for a given one",
     )
-    p.add_argument("--exact", action="store_true", help="shorthand for --backend exact")
+    backends.add_argument(
+        "--exact", action="store_true", help="shorthand for --backend exact"
+    )
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--scale", type=int, default=DEFAULT_SCALE)

@@ -50,9 +50,14 @@ only j <= k/2 is decomposed, and one cut, ``tol * s_max * max(rows,
 2|V|)``, is applied to the spectrum as a whole; symmetric there means
 within ``tol`` times the largest entry.  The exact rank of residues takes
 w's image in F_p (k divides p - 1, so the eigenvectors form a basis of
-F_p^2|V|), checks symmetry exactly, and eliminates every block j < k
-modulo p.  The exact rank of a given integer or rational placement
-eliminates the dense matrix over the rationals.
+F_p^2|V|), checks symmetry exactly, and eliminates the blocks j < k modulo
+p as one sparse block-diagonal system: rounds of Markowitz-cheap pivots,
+at most one per row and column, each round's Schur complement formed at
+once, and a dense finish once the rest has filled in.  No dense block is
+built.  The exact rank of a given integer or rational placement first
+ranks the integer rows modulo the group's prime the same way; full rank
+there is full rank over the rationals, and only a deficit is eliminated
+again over the rationals.
 """
 
 from __future__ import annotations
@@ -84,6 +89,9 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SCALE = 10 ** 6
 DEFAULT_TRIALS = 3
 _MAX_RESAMPLES = 200
+# share of nonzeros in the live rows x columns at which _rank_mod finishes
+# with dense elimination
+_DENSE_SHARE = 0.1
 
 Pair = tuple  # (x, y) of int | Fraction | float
 
@@ -656,12 +664,13 @@ def _orbits_under(matrix: RigidityMatrix, h: GroupElement, tol: float):
 
 def _character_blocks(matrix: RigidityMatrix, tol: float):
     """The matrix's character blocks under H = <h> (see the module
-    docstring), as (block, copies) pairs: the matrix's rank, or spectrum, is
-    that of the blocks, each taken ``copies`` times.
+    docstring), as ((rows, cols, vals), shape, copies): the block of that
+    shape sums vals at (rows, cols), and the matrix's rank, or spectrum, is
+    that of the nonempty blocks, each taken ``copies`` times.
 
-    Real entries give complex blocks for j <= k/2, real ones for j = 0 and
-    j = k/2, and block j stands for block k - j too.  Residues modulo a
-    prime give one int64 block of residues for every j, with w the image of
+    Real entries give complex values for j <= k/2, where blocks j = 0 and
+    j = k/2 are real and block j stands for block k - j too.  Residues
+    modulo a prime give int64 residues for every j, with w the image of
     exp(2 pi i / k) in the group's prime field; there no norm is kept, so
     the bases and rows are not scaled.  A matrix that is not symmetric
     under H (within ``tol`` times its largest entry, for real entries) is
@@ -717,8 +726,8 @@ def _character_blocks(matrix: RigidityMatrix, tol: float):
 
     dtype = complex if prime is None else np.int64
     for j in js:
-        # per vertex orbit: basis padded to two columns, padding sent to a
-        # spare last column of the block
+        # per vertex orbit: basis padded to two columns, padding marked -1
+        # and dropped with its entries
         bases = np.zeros((len(sizes), 2, 2), dtype=dtype)
         cols = np.zeros((len(sizes), 2), dtype=int)
         width = 0
@@ -738,30 +747,29 @@ def _character_blocks(matrix: RigidityMatrix, tol: float):
             cols[o] = [width, width + 1]
             cols[o, c:] = -1
             width += c
-        cols[cols < 0] = width
+        if not (num_orbits and width):
+            continue
         vals = np.einsum("ei,eic->ec", e_vec, bases[e_orbit])
         if prime is None:
             vals = phase[(j * e_step) % k][:, None] * vals
         else:
             vals = phase[(j * e_step) % k][:, None] * (vals % prime) % prime
-        block = np.zeros((num_orbits, width + 1), dtype=dtype)
-        np.add.at(block, (e_row[:, None], cols[e_orbit]), vals)
-        block = block[:, :width]
-        if block.size == 0:
-            continue
-        if prime is not None:
-            yield block % prime, 1
-        elif j == 0 or 2 * j == k:
-            yield block.real, 1
-        else:
-            yield block, 2
+        e_cols = cols[e_orbit]
+        keep = e_cols >= 0
+        rows = np.broadcast_to(e_row[:, None], keep.shape)[keep]
+        copies = 2 if prime is None and 0 < 2 * j < k else 1
+        yield (rows, e_cols[keep], vals[keep]), (num_orbits, width), copies
 
 
 def _block_spectrum(matrix: RigidityMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Singular values of a matrix with real entries, descending, min(rows,
     cols) of them, from its character blocks."""
     svals = []
-    for block, copies in _character_blocks(matrix, tol):
+    for (rows, cols, vals), shape, copies in _character_blocks(matrix, tol):
+        block = np.zeros(shape, dtype=complex)
+        np.add.at(block, (rows, cols), vals)
+        if copies == 1:
+            block = block.real
         svals += [np.linalg.svd(block, compute_uv=False)] * copies
 
     # the dense SVD's count; any surplus is the noise of zero rows
@@ -770,14 +778,14 @@ def _block_spectrum(matrix: RigidityMatrix, tol: float = DEFAULT_TOL) -> np.ndar
     return np.concatenate([out[:count], np.zeros(max(0, count - out.size))])
 
 
-def _rank_mod(block: np.ndarray, prime: int) -> int:
-    """Rank of an int64 matrix of residues modulo a prime below 2**31.
+def _rank_mod_dense(a: np.ndarray, prime: int) -> int:
+    """Rank of a dense int64 matrix of residues modulo a prime below 2**31.
 
     Gaussian elimination by rank-1 updates: each pivot row updates only the
     rows below it that are nonzero in its column, and only on its own
-    nonzero columns.  A product of two residues stays below 2**62.
+    nonzero columns.  A product of two residues stays below 2**62.  ``a`` is
+    overwritten.
     """
-    a = block.copy()
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
@@ -795,6 +803,136 @@ def _rank_mod(block: np.ndarray, prime: int) -> int:
             a[below, cols] = (a[below, cols] - factor * a[r, cols]) % prime
         r += 1
     return r
+
+
+def _inverse_mod(x: np.ndarray, prime: int) -> np.ndarray:
+    """Inverses of nonzero residues, elementwise: x^(p - 2) modulo p."""
+    out = np.ones_like(x)
+    e = prime - 2
+    while True:
+        if e & 1:
+            out = out * x % prime
+        e >>= 1
+        if not e:
+            return out
+        x = x * x % prime
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values begins in a sorted array."""
+    change = np.empty(keys.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def _merge_mod(rows, cols, vals, ncols: int, prime: int):
+    """Entries sorted by (row, col), those at one key summed modulo the
+    prime, zeros dropped.  ``vals`` must be residues."""
+    key = rows * ncols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = _run_starts(key)
+    if first.size == key.size:
+        vals = vals[order]
+    else:
+        vals = np.add.reduceat(vals[order], first) % prime
+        key = key[first]
+    nz = vals != 0
+    key, vals = key[nz], vals[nz]
+    return key // ncols, key % ncols, vals
+
+
+def _pivot_owners(rows, cols, piv, shape: tuple[int, int]):
+    """Per entry, the number of the pivot in its row and of the pivot in its
+    column, -1 where there is none; ``piv`` holds entry indices, at most one
+    per row and per column."""
+    owner_r = np.full(shape[0], -1)
+    owner_c = np.full(shape[1], -1)
+    owner_r[rows[piv]] = owner_c[cols[piv]] = np.arange(piv.size)
+    return owner_r[rows], owner_c[cols]
+
+
+def _rank_mod(rows, cols, vals, shape: tuple[int, int], prime: int) -> int:
+    """Rank modulo a prime below 2**31 of the sparse matrix with entries
+    vals at (rows, cols); entries at one position are summed.
+
+    Batched sparse elimination: each round scores every entry by its
+    Markowitz cost (row count - 1) * (column count - 1), takes the cheapest
+    entry of every row, then the cheapest of those in every column, and
+    drops pivots until the pivot submatrix is diagonal, the costlier
+    (ties: later) of two clashing pivots going, so the cheapest entry of
+    all is always a pivot.  The pivots add to the rank, and the Schur
+    complement, each pivot's column entries times its row entries over
+    the pivot, is formed in one pass.  Once more than ``_DENSE_SHARE`` of
+    the live rows x columns is nonzero, the rest is eliminated densely.
+    Products of two residues stay below 2**62.
+    """
+    nrows, ncols = shape
+    rows, cols, vals = _merge_mod(
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(cols, dtype=np.int64),
+        np.asarray(vals, dtype=np.int64) % prime,
+        ncols,
+        prime,
+    )
+    rank = 0
+    while vals.size:
+        nnz = vals.size
+        starts = _run_starts(rows)
+        row_count = np.append(starts[1:], nnz) - starts
+        col_count = np.bincount(cols, minlength=ncols)
+        live_cols = np.count_nonzero(col_count)
+        if nnz > _DENSE_SHARE * starts.size * live_cols:
+            core = np.zeros((starts.size, live_cols), dtype=np.int64)
+            col_at = np.cumsum(col_count > 0) - 1
+            core[np.repeat(np.arange(starts.size), row_count), col_at[cols]] = vals
+            return rank + _rank_mod_dense(core, prime)
+
+        # cost, made unique by the position: (score, position) in one int
+        score = np.repeat(row_count - 1, row_count) * (col_count[cols] - 1)
+        cost = score * nnz + np.arange(nnz)
+        best = np.sort(np.minimum.reduceat(cost, starts)) % nnz  # per row
+        _, first = np.unique(cols[best], return_index=True)
+        piv = np.sort(best[first])  # entry indices, in row order
+        a, b = _pivot_owners(rows, cols, piv, shape)
+        clash = (a >= 0) & (b >= 0) & (a != b)
+        if clash.any():
+            a, b = a[clash], b[clash]
+            worse = cost[piv]
+            keep = np.ones(piv.size, dtype=bool)
+            keep[np.where(worse[a] > worse[b], a, b)] = False
+            piv = piv[keep]
+            a, b = _pivot_owners(rows, cols, piv, shape)
+        rank += piv.size
+
+        in_r, in_c = a >= 0, b >= 0
+        rest = ~(in_r | in_c)
+        right = in_r & ~in_c  # pivot rows, sorted by pivot
+        below = in_c & ~in_r
+        u_count = np.bincount(a[right], minlength=piv.size)
+        u_start = np.cumsum(u_count) - u_count
+        u_cols, u_vals = cols[right], vals[right]
+        l_piv = b[below]
+        used = np.zeros(piv.size, dtype=bool)
+        used[l_piv] = True
+        used &= u_count > 0
+        inv = np.zeros(piv.size, dtype=np.int64)
+        inv[used] = _inverse_mod(vals[piv[used]], prime)
+        l_row = rows[below]
+        l_val = (prime - vals[below]) * inv[l_piv] % prime  # -(entry / pivot)
+        # one product per entry below a pivot and entry right of it
+        reps = u_count[l_piv]
+        each = np.repeat(np.arange(l_piv.size), reps)
+        u_at = (u_start[l_piv] - np.cumsum(reps) + reps)[each] + np.arange(each.size)
+        rows, cols, vals = _merge_mod(
+            np.concatenate([rows[rest], l_row[each]]),
+            np.concatenate([cols[rest], u_cols[u_at]]),
+            np.concatenate([vals[rest], l_val[each] * u_vals[u_at] % prime]),
+            ncols,
+            prime,
+        )
+    return rank
 
 
 def _rows_as_integers(entries: Iterable[Sequence]) -> list[list[int]]:
@@ -831,14 +969,46 @@ def _int_rank(rows: list[list[int]]) -> int:
     return r
 
 
+def _block_diagonal(blocks):
+    """One sparse system from (triple, shape, copies) blocks: each block's
+    rows and columns offset past the previous blocks'."""
+    parts, nrows, ncols = [], 0, 0
+    for (rows, cols, vals), (height, width), _ in blocks:
+        parts.append((rows + nrows, cols + ncols, vals))
+        nrows, ncols = nrows + height, ncols + width
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, vals = (np.concatenate([empty] + [p[i] for p in parts]) for i in range(3))
+    return rows, cols, vals, (nrows, ncols)
+
+
+def _given_rank(matrix: RigidityMatrix) -> int:
+    """Rank over the rationals of integer or rational entries.
+
+    The integer rows are first ranked modulo the group's prime: full rank
+    there is full rank over the rationals, and only a deficit falls through
+    to fraction-free elimination.
+    """
+    ints = _rows_as_integers(matrix.entries)
+    prime = matrix.framework.graph.group.prime_field.prime
+    shape = (matrix.num_rows, matrix.num_cols)
+    residues = np.array(
+        [[x % prime for x in row] for row in ints], dtype=np.int64
+    ).reshape(shape)
+    rows, cols = residues.nonzero()
+    if _rank_mod(rows, cols, residues[rows, cols], shape, prime) == min(shape):
+        return min(shape)
+    return _int_rank(ints)
+
+
 def rank(
     matrix: RigidityMatrix, backend: str = "float", tol: float = DEFAULT_TOL
 ) -> RankReport:
     """Rank of one rigidity matrix with the requested backend.
 
     ``"float"`` cuts the block spectrum of real entries.  ``"exact"``
-    eliminates the character blocks of residues modulo their prime, and the
-    dense matrix of integer or rational entries over the rationals.
+    eliminates the character blocks of residues modulo their prime, and
+    integer or rational entries modulo the group's prime, then, unless that
+    rank is full, over the rationals.
     """
     prime = matrix.framework.prime
     if backend == "float":
@@ -862,9 +1032,9 @@ def rank(
         )
     if backend == "exact":
         if prime is not None:
-            r = sum(_rank_mod(block, prime) for block, _ in _character_blocks(matrix, tol))
+            r = _rank_mod(*_block_diagonal(_character_blocks(matrix, tol)), prime)
         elif matrix.exact:
-            r = _int_rank(_rows_as_integers(matrix.entries))
+            r = _given_rank(matrix)
         else:
             raise UnsupportedBackendError(
                 "exact rank needs integer, rational or residue entries, not floats"

@@ -120,6 +120,15 @@ def test_rank_exact_flag(tmp_path):
     assert out["classification"] == "isostatic"
 
 
+def test_rank_rejects_exact_with_a_backend(lc3_file):
+    # --exact used to win silently over --backend float
+    for backend in ("float", "exact"):
+        r = run_cli(["rank", lc3_file, "--exact", "--backend", backend])
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "not allowed with argument" in r.stderr
+
+
 def test_sampled_placements_are_ranked_exactly_by_default(tmp_path):
     # the README's c3 document; --exact used to refuse non-integral groups
     gen = run_cli(["generate", "--group", "c3", "--base", "lc", "--steps", "4", "--seed", "7"])

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -44,13 +45,18 @@ from slcrigid import (
     symgraph,
     vertex_stabilizer,
 )
+from slcrigid import realize
 from slcrigid.realize import (
     DEFAULT_TOL,
+    _block_diagonal,
     _block_spectrum,
     _character_blocks,
     _eigenbasis_mod,
     _float_rank,
+    _int_rank,
     _orbits_under,
+    _rank_mod,
+    _rows_as_integers,
 )
 from slcrigid.selftest import negative_control
 
@@ -453,6 +459,179 @@ def test_block_rank_mod_p_matches_dense_rank_mod_p():
             assert rank(m, backend="exact").rank == want, (label, seed)
 
 
+PRIME = GroupSpec("cyclic", 3).prime_field.prime
+
+
+def _triples(a):
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+def _random_residues(rng, shape, density):
+    """A seeded random sparse matrix of residues, some rows combinations
+    of others."""
+    a = np.where(rng.random(shape) < density, rng.integers(1, PRIME, shape), 0)
+    for i in range(0, shape[0], 5):
+        if shape[0] > 2:
+            j, k = rng.choice(shape[0], 2, replace=False)
+            c, d = rng.integers(1, PRIME, 2)
+            a[i] = (c * a[j] % PRIME + d * a[k] % PRIME) % PRIME
+    return a
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_rank_mod_matches_dense_rank_mod(seed):
+    rng = np.random.default_rng(seed)
+    for shape in ((40, 25), (25, 40), (60, 60), (1, 30), (30, 1)):
+        for density in (0.01, 0.04, 0.1, 0.5):
+            a = _random_residues(rng, shape, density)
+            want = _dense_rank_mod(a, PRIME)
+            assert _rank_mod(*_triples(a), shape, PRIME) == want, (shape, density)
+
+
+def test_sparse_rank_mod_of_empty_and_zero_matrices():
+    empty = np.zeros(0, dtype=np.int64)
+    for shape in ((0, 5), (5, 0), (0, 0), (4, 6)):
+        assert _rank_mod(empty, empty, empty, shape, PRIME) == 0
+    # explicit zeros, multiples of p and cancelling duplicates
+    rows, cols = np.array([0, 1, 2, 2, 3]), np.array([0, 1, 2, 2, 5])
+    vals = np.array([0, PRIME, 7, -7, -3 * PRIME])
+    assert _rank_mod(rows, cols, vals, (4, 6), PRIME) == 0
+    assert _rank_mod(*_block_diagonal([]), PRIME) == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_rank_mod_sums_duplicates_of_any_residue(seed):
+    # each entry split into two parts, negative or >= p, and cancelling
+    # pairs added where the matrix is zero
+    rng = np.random.default_rng(seed)
+    a = _random_residues(rng, (30, 36), 0.08)
+    rows, cols, vals = _triples(a)
+    part = rng.integers(-3 * PRIME, 3 * PRIME, vals.size)
+    zr, zc = np.nonzero(a == 0)
+    pick = rng.choice(zr.size, 40, replace=False)
+    noise = rng.integers(-3 * PRIME, 3 * PRIME, pick.size)
+    got = _rank_mod(
+        np.concatenate([rows, rows, zr[pick], zr[pick]]),
+        np.concatenate([cols, cols, zc[pick], zc[pick]]),
+        np.concatenate([part, vals - part, noise, -noise + PRIME * rng.integers(-2, 3, pick.size)]),
+        a.shape,
+        PRIME,
+    )
+    assert got == _dense_rank_mod(a, PRIME)
+    # each entry once, shifted by a multiple of p
+    shifted = vals + PRIME * rng.integers(-3, 4, vals.size)
+    assert _rank_mod(rows, cols, shifted, a.shape, PRIME) == got
+
+
+def test_sparse_rank_mod_of_a_block_diagonal_system():
+    rng = np.random.default_rng(7)
+    blocks = [_random_residues(rng, shape, 0.1) for shape in ((20, 20), (15, 25), (30, 12))]
+    deficient = _random_residues(rng, (18, 18), 0.2)
+    deficient[3] = (2 * deficient[5] + 3 * deficient[9]) % PRIME
+    blocks.append(deficient)
+    want = sum(_dense_rank_mod(b, PRIME) for b in blocks)
+    assert _dense_rank_mod(deficient, PRIME) < 18
+    system = _block_diagonal((_triples(b), b.shape, 1) for b in blocks)
+    assert system[3] == (83, 75)
+    assert _rank_mod(*system, PRIME) == want
+
+
+def test_sparse_rank_mod_of_entries_p_minus_one():
+    # products (p-1)^2 are the largest the kernel forms
+    assert _rank_mod(*_triples(np.full((9, 7), PRIME - 1)), (9, 7), PRIME) == 1
+    rng = np.random.default_rng(3)
+    for shape in ((20, 20), (30, 18)):
+        a = (rng.random(shape) < 0.2) * (PRIME - 1)
+        assert _rank_mod(*_triples(a), shape, PRIME) == _dense_rank_mod(a, PRIME)
+
+
+def test_sparse_rank_mod_finishes_densely_only_when_fill_is_high(monkeypatch):
+    calls = []
+    dense = realize._rank_mod_dense
+    monkeypatch.setattr(
+        realize, "_rank_mod_dense", lambda a, p: calls.append(a.shape) or dense(a, p)
+    )
+    # a scaled permutation, tall: one round, no fill, never dense
+    rng = np.random.default_rng(0)
+    rows, cols = rng.permutation(200)[:150], rng.permutation(150)
+    assert _rank_mod(rows, cols, rng.integers(1, PRIME, 150), (200, 150), PRIME) == 150
+    assert calls == []
+    # sparse at first, dense after fill
+    a = _random_residues(rng, (80, 80), 0.04)
+    assert _rank_mod(*_triples(a), a.shape, PRIME) == _dense_rank_mod(a, PRIME)
+    assert len(calls) == 1 and calls[0][0] < 80
+
+
+def test_sparse_rank_mod_needs_few_rounds_at_n_501(monkeypatch):
+    # a count, not a time: each round after the first merge is one batch
+    # of pivots
+    merges = []
+    merge = realize._merge_mod
+    monkeypatch.setattr(realize, "_merge_mod", lambda *a: merges.append(1) or merge(*a))
+    graph = generate_random("c2", steps=250, seed=2).graph
+    m = build_rigidity_matrix(sample_symmetric_placement(graph, seed=0, modular=True))
+    assert rank(m, backend="exact").rank == 1002
+    assert len(merges) - 1 <= 20
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_is_isostatic_in_one_trial_at_c3_n_303(seed):
+    graph = generate_random("c3", steps=100, seed=seed).graph
+    assert graph.num_vertices == 303
+    r = classify(graph)
+    assert r.classification == "isostatic"
+    assert r.trial_ranks == (606,)
+    if seed == 0:
+        fw = sample_symmetric_placement(graph, seed=0, modular=True)
+        assert _dense_rank_mod(build_rigidity_matrix(fw).entries, fw.prime) == 606
+
+
+def _mirror_doubled(graph):
+    """cs graph: two copies of a plain graph, swapped by the mirror."""
+    n, loops = graph.num_vertices, graph.loops
+    return SymmetricGraph(
+        GroupSpec("reflection", 2),
+        2 * n,
+        graph.edges + tuple((u + n, v + n) for u, v in graph.edges),
+        tuple(Loop(i, l.vertex) for i, l in enumerate(loops))
+        + tuple(Loop(i + len(loops), l.vertex + n) for i, l in enumerate(loops)),
+        reflection_vertex_perm=tuple(range(n, 2 * n)) + tuple(range(n)),
+        reflection_loop_perm={
+            **{i: i + len(loops) for i in range(len(loops))},
+            **{i + len(loops): i for i in range(len(loops))},
+        },
+    )
+
+
+def test_exact_rank_of_a_given_placement_tries_modulo_p_first(monkeypatch):
+    bareiss = []
+    monkeypatch.setattr(realize, "_int_rank", lambda rows: bareiss.append(1) or _int_rank(rows))
+    graphs = [
+        generate_random("c1", steps=10, seed=1).graph,
+        generate_random("c2", steps=10, seed=1).graph,
+        generate_random("c4", steps=5, seed=1).graph,
+        _mirror_doubled(generate_random("c1", steps=6, seed=2).graph),
+        mirror_pair(),
+        c2_fixed_edge(),
+    ]
+    deficient = 0
+    for graph in graphs:
+        label = graph.group.name
+        fw = sample_symmetric_placement(graph, seed=3)
+        frac = Framework(graph, [(Fraction(x, 3), Fraction(y, 5)) for x, y in fw.p], fw.q)
+        line = Framework(graph, [(v + 1, 3 * v + 3) for v in range(graph.num_vertices)], fw.q)
+        for placed in (fw, frac, line):
+            m = build_rigidity_matrix(placed)
+            want = _int_rank(_rows_as_integers(m.entries))
+            full = want == min(m.num_rows, m.num_cols)
+            bareiss.clear()
+            assert rank(m, backend="exact").rank == want, label
+            assert bareiss == ([] if full else [1]), label
+            deficient += not full
+    assert deficient >= 4
+
+
 def _residue_blocks_in_python_ints(m):
     """Every residue block, entry by entry in Python integers: row orbit o,
     pair (v, vec) of its first row, v = h^s . rep, basis column b of v's
@@ -490,7 +669,13 @@ def test_residue_blocks_match_the_formula_in_python_ints():
     for label, graph in _equivalence_graphs():
         for seed in range(2):
             m = build_rigidity_matrix(sample_symmetric_placement(graph, seed=seed, modular=True))
-            got = [b.tolist() for b, copies in _character_blocks(m, DEFAULT_TOL)]
+            got = []
+            for (rows, cols, vals), (height, width), copies in _character_blocks(m, DEFAULT_TOL):
+                assert copies == 1, label
+                block = [[0] * width for _ in range(height)]
+                for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+                    block[r][c] = (block[r][c] + v) % m.framework.prime
+                got.append(block)
             assert got == _residue_blocks_in_python_ints(m), (label, seed)
 
 
