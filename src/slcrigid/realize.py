@@ -57,7 +57,9 @@ once, and a dense finish once the rest has filled in.  No dense block is
 built.  The exact rank of a given integer or rational placement first
 ranks the integer rows modulo the group's prime the same way; full rank
 there is full rank over the rationals, and only a deficit is eliminated
-again over the rationals.
+again over the rationals, by a fraction-free (Bareiss) echelon of the
+sparse integer rows.  Exact motions ask the same question first, and solve
+that echelon for a deficit.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -94,10 +95,6 @@ _MAX_RESAMPLES = 200
 _DENSE_SHARE = 0.1
 
 Pair = tuple  # (x, y) of int | Fraction | float
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -139,13 +136,7 @@ class Framework:
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact(c) for pt in self.p + self.q for c in pt)
-
-    def q_of(self, loop_id: int) -> Pair:
-        for loop, vec in zip(self.graph.loops, self.q):
-            if loop.id == loop_id:
-                return vec
-        raise RangeError(f"no loop with id {loop_id}")
+        return all(isinstance(c, (int, Fraction)) for pt in self.p + self.q for c in pt)
 
 
 def _tau_rows(group: GroupSpec, exact: bool, prime: int | None = None):
@@ -231,11 +222,13 @@ def sample_symmetric_placement(
     groups with integral matrices are exact.  With ``modular`` they are
     drawn in [1, p) instead, for the prime p of ``graph.group.prime_field``,
     and the symmetry matrices are their images there, so the framework is
-    exact for every group; ``scale`` is then unused.  Raises
-    DegenerateInputError when no injective symmetric placement exists (e.g.
-    two rotation-fixed vertices) or when resampling cannot separate the
-    points.
+    exact for every group; ``scale`` is then unused.  Raises RangeError when
+    a used scale is below 1, and DegenerateInputError when no injective
+    symmetric placement exists (e.g. two rotation-fixed vertices) or when
+    resampling cannot separate the points.
     """
+    if not modular and scale < 1:
+        raise RangeError(f"scale must be positive, not {scale}")
     report = validate_action(graph)
     if not report.ok:
         raise ActionError("; ".join(report.violations))
@@ -935,38 +928,53 @@ def _rank_mod(rows, cols, vals, shape: tuple[int, int], prime: int) -> int:
     return rank
 
 
-def _rows_as_integers(entries: Iterable[Sequence]) -> list[list[int]]:
+def _integer_rows(matrix: RigidityMatrix) -> list[dict[int, int]]:
+    """Rows of integer or rational entries as {column: integer}, each row
+    scaled by the lcm of its own denominators, zeros dropped."""
     out = []
-    for row in entries:
-        fracs = [Fraction(x) for x in row]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        out.append([int(f * den) for f in fracs])
+    for row in matrix.rows:
+        items = [(2 * v + i, x) for v, pair in row for i, x in enumerate(pair) if x]
+        den = math.lcm(*(x.denominator for _, x in items))
+        out.append({c: x.numerator * (den // x.denominator) for c, x in items})
     return out
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    r = 0
+def _residue_rank(matrix: RigidityMatrix, ints: list[dict[int, int]]) -> int:
+    """Rank of the integer rows modulo the group's prime; a full rank there
+    is full rank over the rationals."""
+    prime = matrix.framework.graph.group.prime_field.prime
+    triples = [(i, c, x % prime) for i, row in enumerate(ints) for c, x in row.items()]
+    rows, cols, vals = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return _rank_mod(rows, cols, vals, (matrix.num_rows, matrix.num_cols), prime)
+
+
+def _echelon(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
+    """Echelon form over the rationals of integer rows {column: integer} by
+    fraction-free (Bareiss) elimination: the nonzero echelon rows and their
+    pivot columns, ascending.  Column c is a pivot exactly when it is not
+    spanned by the columns before it, and the rank is the number of pivots.
+    """
+    live = [row for row in rows if row]
+    echelon, pivots = [], []
     prev = 1
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
+    for c in range(ncols):
+        at = next((i for i, row in enumerate(live) if c in row), None)
+        if at is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-    return r
+        top = live.pop(at)
+        a = top[c]
+        for i, row in enumerate(live):
+            new = {j: a * x for j, x in row.items()}
+            f = row.get(c)
+            if f:
+                for j, x in top.items():
+                    new[j] = new.get(j, 0) - f * x
+            live[i] = {j: x // prev for j, x in new.items() if x}
+        live = [row for row in live if row]
+        echelon.append(top)
+        pivots.append(c)
+        prev = a
+    return echelon, pivots
 
 
 def _block_diagonal(blocks):
@@ -982,22 +990,14 @@ def _block_diagonal(blocks):
 
 
 def _given_rank(matrix: RigidityMatrix) -> int:
-    """Rank over the rationals of integer or rational entries.
-
-    The integer rows are first ranked modulo the group's prime: full rank
-    there is full rank over the rationals, and only a deficit falls through
-    to fraction-free elimination.
-    """
-    ints = _rows_as_integers(matrix.entries)
-    prime = matrix.framework.graph.group.prime_field.prime
-    shape = (matrix.num_rows, matrix.num_cols)
-    residues = np.array(
-        [[x % prime for x in row] for row in ints], dtype=np.int64
-    ).reshape(shape)
-    rows, cols = residues.nonzero()
-    if _rank_mod(rows, cols, residues[rows, cols], shape, prime) == min(shape):
-        return min(shape)
-    return _int_rank(ints)
+    """Rank over the rationals of integer or rational entries: modulo the
+    group's prime first, and only a deficit there by fraction-free
+    elimination."""
+    ints = _integer_rows(matrix)
+    full = min(matrix.num_rows, matrix.num_cols)
+    if _residue_rank(matrix, ints) == full:
+        return full
+    return len(_echelon(ints, matrix.num_cols)[1])
 
 
 def rank(
@@ -1094,34 +1094,18 @@ class MotionReport:
     residual: float
 
 
-def _exact_nullspace(entries, ncols: int) -> list[list[Fraction]]:
-    m = [[Fraction(x) for x in row] for row in entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+def _nullspace(echelon: list[dict], pivots: list[int], ncols: int) -> list[list]:
+    """Per free column f, the null vector with x_f = 1 and 0 at the other
+    free columns, solved from the echelon rows upwards in Fractions."""
     basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -m[i][free]
-        basis.append(vec)
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, c in zip(reversed(echelon), reversed(pivots)):
+            # a Fraction start: an empty int sum would make -0 / a a float
+            total = sum((v * x[j] for j, v in row.items() if x[j]), Fraction(0))
+            x[c] = -total / row[c]
+        basis.append(x)
     return basis
 
 
@@ -1140,7 +1124,10 @@ def motions(
             raise UnsupportedBackendError(
                 "exact motions need integer or rational entries"
             )
-        vecs = _exact_nullspace(matrix.entries, matrix.num_cols)
+        ints = _integer_rows(matrix)
+        vecs = []
+        if _residue_rank(matrix, ints) < matrix.num_cols:
+            vecs = _nullspace(*_echelon(ints, matrix.num_cols), matrix.num_cols)
         basis = tuple(
             tuple((v[2 * i], v[2 * i + 1]) for i in range(n)) for v in vecs
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .document import serialize_graph
-from .errors import ReductionDeadEnd, SlcrigidError
+from .errors import RangeError, ReductionDeadEnd, SlcrigidError
 from .henneberg import (
     certified_group,
     decompose,
@@ -130,6 +130,10 @@ def run_selftest(
     seed: int = 0,
     dump_dir: str | Path = "failures",
 ) -> SelftestResult:
+    if max_steps < 1:
+        raise RangeError(f"max_steps must be positive, not {max_steps}")
+    if samples < 0:
+        raise RangeError(f"samples must be nonnegative, not {samples}")
     lines: list[str] = []
     checks = failures = 0
     dump_root = Path(dump_dir)

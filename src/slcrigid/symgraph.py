@@ -40,6 +40,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ActionError, RangeError, SchemaError
+from .sparsity import _normalize
 
 GROUP_KINDS = ("cyclic", "reflection", "dihedral")
 
@@ -325,8 +326,8 @@ class SymmetricGraph:
 
     def __post_init__(self) -> None:
         n = self.num_vertices
-        if not isinstance(n, int) or n < 0:
-            raise RangeError("num_vertices must be a nonnegative integer")
+        edges, _ = _normalize(n, self.edges, ())
+        object.__setattr__(self, "edges", tuple(edges))
 
         loops = tuple(sorted((_as_loop(l) for l in self.loops), key=lambda l: l.id))
         ids = [l.id for l in loops]
@@ -338,21 +339,6 @@ class SymmetricGraph:
             if l.sigma_label not in (None, "+", "-"):
                 raise RangeError(f"loop {l.id} sigma_label must be '+' or '-'")
         object.__setattr__(self, "loops", loops)
-
-        seen = set()
-        norm = []
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise RangeError("self-edge must be a loop entry")
-            if not (0 <= u < n and 0 <= v < n):
-                raise RangeError(f"edge {e} out of range")
-            uv = (u, v) if u < v else (v, u)
-            if uv in seen:
-                raise RangeError(f"duplicate edge {uv}")
-            seen.add(uv)
-            norm.append(uv)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
 
         has_rot = self.group.rotation_order > 1
         has_ref = self.group.has_reflection

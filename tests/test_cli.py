@@ -294,3 +294,32 @@ def test_selftest_quick_run(tmp_path):
     )
     assert r.returncode == 0
     assert "ok" in r.stdout.lower() or "pass" in r.stdout.lower()
+
+
+def _exits_with_index_error(r):
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error[index]" in r.stderr
+
+
+def test_nonpositive_scale_is_refused_where_it_is_used(tmp_path, lc3_file):
+    # --scale 0 used to hang drawing nonzero coordinates from [0, 0], and a
+    # negative scale escaped as a ValueError traceback
+    pic = str(tmp_path / "pic.svg")
+    for scale in ("0", "-3"):
+        for args in (
+            ["generate", "--group", "c2", "--steps", "2", "--placement"],
+            ["rank", lc3_file, "--backend", "float"],
+            ["svg", lc3_file, "--auto", "-o", pic],
+        ):
+            _exits_with_index_error(run_cli(args + ["--scale", scale]))
+    # residue samples draw no coordinate from the scale
+    r = run_cli(["rank", lc3_file, "--scale", "0"])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["classification"] == "isostatic"
+
+
+def test_selftest_refuses_bad_sizes(tmp_path):
+    for args in (["--max-steps", "0"], ["--samples", "-1"]):
+        r = run_cli(["selftest", "--groups", "c2", "--dump-dir", str(tmp_path)] + args)
+        _exits_with_index_error(r)

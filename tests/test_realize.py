@@ -45,7 +45,7 @@ from slcrigid import (
     symgraph,
     vertex_stabilizer,
 )
-from slcrigid import realize
+from slcrigid import document, realize
 from slcrigid.realize import (
     DEFAULT_TOL,
     _block_diagonal,
@@ -53,10 +53,9 @@ from slcrigid.realize import (
     _character_blocks,
     _eigenbasis_mod,
     _float_rank,
-    _int_rank,
+    _echelon,
     _orbits_under,
     _rank_mod,
-    _rows_as_integers,
 )
 from slcrigid.selftest import negative_control
 
@@ -604,9 +603,28 @@ def _mirror_doubled(graph):
     )
 
 
+def _rational_rank(entries):
+    """Rank over the rationals by Gaussian elimination in Fractions."""
+    m = [[Fraction(x) for x in row] for row in entries]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] / m[r][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
 def test_exact_rank_of_a_given_placement_tries_modulo_p_first(monkeypatch):
     bareiss = []
-    monkeypatch.setattr(realize, "_int_rank", lambda rows: bareiss.append(1) or _int_rank(rows))
+    monkeypatch.setattr(
+        realize, "_echelon", lambda rows, ncols: bareiss.append(1) or _echelon(rows, ncols)
+    )
     graphs = [
         generate_random("c1", steps=10, seed=1).graph,
         generate_random("c2", steps=10, seed=1).graph,
@@ -623,13 +641,43 @@ def test_exact_rank_of_a_given_placement_tries_modulo_p_first(monkeypatch):
         line = Framework(graph, [(v + 1, 3 * v + 3) for v in range(graph.num_vertices)], fw.q)
         for placed in (fw, frac, line):
             m = build_rigidity_matrix(placed)
-            want = _int_rank(_rows_as_integers(m.entries))
+            want = _rational_rank(m.entries)
             full = want == min(m.num_rows, m.num_cols)
             bareiss.clear()
             assert rank(m, backend="exact").rank == want, label
             assert bareiss == ([] if full else [1]), label
             deficient += not full
     assert deficient >= 4
+
+
+def test_exact_motions_are_the_nullspace_basis_reduced_on_the_free_columns():
+    graph = generate_random("c2", steps=50, seed=1).graph
+    fw = sample_symmetric_placement(graph, seed=1)
+    line = Framework(graph, [(v + 1, 3 * v + 3) for v in range(graph.num_vertices)], fw.q)
+    # sha256 of the motion documents, as the Gauss-Jordan nullspace wrote them
+    digests = {
+        "sampled": "a1094471706fa152cee88ba627e3511f08f549feee71c4693eef146fb36f6863",
+        "collinear": "371e276f9b2b09b8d5cefd003cc4dbed91d13b893e2eaf18cbd1b7a8677e0ca8",
+    }
+    for label, placed in (("sampled", fw), ("collinear", line)):
+        m = build_rigidity_matrix(placed)
+        rep = motions(placed, backend="exact")
+        vecs = [[x for pair in motion for x in pair] for motion in rep.basis]
+        for row in m.entries:
+            nz = [(c, a) for c, a in enumerate(row) if a]
+            assert all(sum(a * vec[c] for c, a in nz) == 0 for vec in vecs), label
+        # rank modulo p bounds the rank over Q from below, so these many
+        # independent null vectors span the nullspace
+        rank_p = _dense_rank_mod(m.entries, PRIME)
+        assert rep.dimension == len(vecs) == m.num_cols - rank_p, label
+        # each vector's last nonzero column is free (spanned by the columns
+        # before it); the vectors are the identity there
+        free = [max(c for c, x in enumerate(vec) if x) for vec in vecs]
+        for i, vec in enumerate(vecs):
+            assert [vec[f] for f in free] == [int(i == k) for k in range(len(free))]
+        text = document.dumps(document.motion_report_to_dict(rep))
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[label], label
+    assert rep.dimension == 76
 
 
 def _residue_blocks_in_python_ints(m):
