@@ -16,9 +16,22 @@ backwards: it strips one free orbit at a time until only a disjoint union
 of recognized base graphs remains, then replays the moves forward to
 certify the trace by exact relabeling.  Candidate reductions are ranked
 before any is built, by the number of symmetric components the reduced
-graph would have; the search then builds and checks them one at a time
-(try-and-check: a candidate is kept only when the reduced graph is still
-tight) and descends into the first tight one.  The base graphs:
+graph would have; the search then decides them one at a time and
+descends into the first tight one.  Every candidate of a tight graph G is
+G - O + A, for a free vertex orbit O and A empty, one edge orbit or one
+loop orbit, and:
+
+* G - O is sparse, because it is a subgraph of a sparse graph;
+* deleting a free orbit and its rows changes no fixed count;
+* so a ``Zero2Edges`` or ``ZeroEdgeLoop`` candidate is always tight, and a
+  split candidate is tight exactly when A has |group| members and is
+  independent over G - O.
+
+The search therefore keeps, for each graph on its path, the two pebble
+games of ``sparsity.pebble_games`` and derives a candidate's games from
+its parent's: delete O, then insert A.  ``check_tight`` runs once, on the
+input; ``enumerate_reductions`` stays as the try-and-check reference.  The
+base graphs:
 
 * ``p1_fixed``: one half-turn-fixed vertex with two fixed loops (order 2);
 * ``p1_swap``: one fixed vertex with a swapped loop pair (order 4);
@@ -34,8 +47,8 @@ dead end raises ``ReductionDeadEnd`` with the stuck graph attached.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterator, Union
 
@@ -47,13 +60,13 @@ from .errors import (
     SchemaError,
     UnsupportedBackendError,
 )
-from .symcheck import check_tight
+from .sparsity import _PebbleGame, pebble_games
+from .symcheck import check_tight, require_valid_action
 from .symgraph import (
     GroupElement,
     GroupSpec,
     Loop,
     SymmetricGraph,
-    _union_find,
     induced_subgraph,
     orbits,
     relabel,
@@ -460,20 +473,83 @@ def _reduce(
     return Reduction(move, red, orbit_vertices, orbit_loops, vmap)
 
 
+def _cut_pieces(
+    adj: dict[int, set[int]],
+) -> tuple[int, Callable[[int], int], Callable[[int, int], int]]:
+    """Connectivity of a simple graph after deleting any one node.
+
+    One iterative low-point DFS (Hopcroft-Tarjan) over the adjacency sets.
+    Returns the number of connected components, ``pieces(r)``, the number
+    of components that r's own component falls into without r, and
+    ``piece(r, w)``, a label of the piece a neighbour w of r lies in: the
+    DFS child of r whose subtree holds w and is cut off by r, or -1 for
+    the piece that keeps r's parent.
+    """
+    # low[x] also counts x's tree edge to its parent; r still cuts off its
+    # child c exactly when low[c] >= disc[r]
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    fin: dict[int, int] = {}
+    children: dict[int, list[int]] = {}
+    roots: set[int] = set()
+    for root in adj:
+        if root in disc:
+            continue
+        roots.add(root)
+        disc[root] = low[root] = len(disc)
+        children[root] = []
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            x, it = stack[-1]
+            for y in it:
+                if y not in disc:
+                    children[x].append(y)
+                    children[y] = []
+                    disc[y] = low[y] = len(disc)
+                    stack.append((y, iter(adj[y])))
+                    break
+                if disc[y] < low[x]:
+                    low[x] = disc[y]
+            else:
+                stack.pop()
+                fin[x] = len(disc)
+                if stack and low[x] < low[stack[-1][0]]:
+                    low[stack[-1][0]] = low[x]
+
+    def pieces(r: int) -> int:
+        cut_off = sum(1 for c in children[r] if low[c] >= disc[r])
+        return cut_off + (r not in roots)
+
+    def piece(r: int, w: int) -> int:
+        if not disc[r] < disc[w] < fin[r]:
+            return -1  # not below r: on the parent's side
+        kids = children[r]
+        c = kids[bisect_right(kids, disc[w], key=disc.__getitem__) - 1]
+        return c if low[c] >= disc[r] else -1
+
+    return len(roots), pieces, piece
+
+
+Candidate = tuple[int, int | None, type, tuple[int, ...]]
+
+
 def _reduction_candidates(
     graph: SymmetricGraph,
-) -> Iterator[tuple[int, Callable[[], Reduction]]]:
+) -> Iterator[tuple[int, Candidate]]:
     """Structurally valid orbit deletions, deterministic order, unbuilt.
 
     Only free orbits whose neighborhood lies outside the orbit are offered;
     those are exactly the orbits an extension can have created.  Each comes
-    as ``(components, build)``: ``build()`` makes the unchecked
-    ``Reduction``, and ``components`` is the number of symmetric components
+    as ``(components, (v, loop, kind, ends))``, the arguments of
+    ``_reduce(graph, v, loop, kind, ends)``, which builds the unchecked
+    ``Reduction``; ``components`` is the number of symmetric components
     of its graph, counted without building it.  Every candidate of an orbit
     O starts from G - O and adds an edge orbit x1-x2 (a (3,0) split), a
     loop orbit (a (2,1) split) or nothing.  Components are action-closed,
-    so the edge orbit joins two of them exactly when x1 and x2 lie apart in
-    G - O, and a loop joins none.
+    so they are the components of the orbit-quotient graph (one node per
+    vertex orbit), and one DFS over it counts them in G - O for every O
+    (``_cut_pieces``): the edge orbit joins two of them exactly when x1
+    and x2 lie apart in G - O, and a loop joins none.
     """
     t = graph.group.size
     n = graph.num_vertices
@@ -486,11 +562,14 @@ def _reduction_candidates(
     loops_at: list[list[int]] = [[] for _ in range(n)]
     for k, l in enumerate(graph.loops):
         loops_at[l.vertex].append(k)
-    # orbit representative (its smallest vertex); components of G - O are
-    # unions of orbits, so the union-find below joins representatives
+    # each orbit is named by its representative, its smallest vertex
     rep = [min(vp[v] for vp, _ in graph.action) for v in range(n)]
-    reps = set(rep)
-    links = {(rep[a], rep[b]) for a, b in graph.edges if rep[a] != rep[b]}
+    quotient: dict[int, set[int]] = {r: set() for r in rep}
+    for a, b in graph.edges:
+        if rep[a] != rep[b]:
+            quotient[rep[a]].add(rep[b])
+            quotient[rep[b]].add(rep[a])
+    total, pieces, piece = _cut_pieces(quotient)
 
     for v in range(n):
         if rep[v] != v:
@@ -504,14 +583,12 @@ def _reduction_candidates(
         profile = (len(out), len(loops_at[v]))
         if profile not in ((2, 0), (1, 1), (3, 0), (2, 1)):
             continue
-        root = _union_find(n, (link for link in links if v not in link))
-        comps = len({root[r] for r in reps if r != v})
+        comps = total - 1 + pieces(v)
 
         if profile == (2, 0):
-            yield comps, partial(_reduce, graph, v, None, Zero2Edges, tuple(out))
+            yield comps, (v, None, Zero2Edges, tuple(out))
         elif profile == (1, 1):
-            loop = loops_at[v][0]
-            yield comps, partial(_reduce, graph, v, loop, ZeroEdgeLoop, tuple(out))
+            yield comps, (v, loops_at[v][0], ZeroEdgeLoop, tuple(out))
         elif profile == (3, 0):
             for i in range(3):
                 for j in range(i + 1, 3):
@@ -519,23 +596,26 @@ def _reduction_candidates(
                     if ((x1, x2) if x1 < x2 else (x2, x1)) in edge_set:
                         continue
                     z = out[3 - i - j]
-                    joined = root[rep[x1]] != root[rep[x2]]
-                    yield comps - joined, partial(
-                        _reduce, graph, v, None, OneEdgeSplit, (x1, x2, z)
-                    )
+                    joined = piece(v, rep[x1]) != piece(v, rep[x2])
+                    yield comps - joined, (v, None, OneEdgeSplit, (x1, x2, z))
         else:
             loop = loops_at[v][0]
             for x, y in ((out[0], out[1]), (out[1], out[0])):
-                yield comps, partial(_reduce, graph, v, loop, OneLoopSplit, (x, y))
+                yield comps, (v, loop, OneLoopSplit, (x, y))
 
 
 def enumerate_reductions(
     graph: SymmetricGraph, method: str = "pebble"
 ) -> tuple[Reduction, ...]:
-    """All reductions whose result is still tight (try-and-check)."""
+    """All reductions whose result is still tight (try-and-check).
+
+    Every candidate is built and checked by ``check_tight`` from scratch;
+    this is the reference that ``decompose``'s incremental search is tested
+    against.
+    """
     if not check_tight(graph, method).tight:
         raise NotTightError("reductions are only defined on tight graphs")
-    reds = (build() for _, build in _reduction_candidates(graph))
+    reds = (_reduce(graph, *cand) for _, cand in _reduction_candidates(graph))
     return tuple(r for r in reds if check_tight(r.graph, method).tight)
 
 
@@ -610,24 +690,81 @@ def replay(trace: ComponentTrace) -> SymmetricGraph:
     return g
 
 
-def _tight_reductions(graph: SymmetricGraph, method: str) -> Iterator[Reduction]:
-    """Tight reductions of ``graph``, fewest symmetric components first.
+Games = tuple[_PebbleGame, _PebbleGame]
 
-    The candidates are stable-sorted by their component count, which needs
-    no reduced graph; each is built and checked only when the caller asks
-    for the next one.  Filtering commutes with a stable sort, so this is
-    the order of sorting the tight reductions themselves.
+
+def _child_games(
+    graph: SymmetricGraph, games: Games, cand: Candidate
+) -> Games | None:
+    """The pebble games of a candidate's graph G - O + A, or None when that
+    graph is not tight (see ``_tight_reductions`` for why this decides it).
+
+    ``games`` are the ``pebble_games`` of ``graph``.  The games of G - O
+    come from restricting them.  An edge orbit A is inserted with 4
+    pebbles per edge in the (2,3) game and 1 in the (2,0) game, a loop
+    orbit with 1 per loop in the (2,0) game.  An edge orbit of fewer than
+    |group| members is refused unplayed: some element fixes one of its
+    edges, and it has fewer rows than O took.
     """
-    for _, build in sorted(_reduction_candidates(graph), key=itemgetter(0)):
-        red = build()
-        if check_tight(red.graph, method).tight:
-            yield red
+    v, _, kind, ends = cand
+    orbit = {vp[v] for vp, _ in graph.action}
+    vmap: list[int | None] = [None] * graph.num_vertices
+    kept = 0
+    for u in range(graph.num_vertices):
+        if u not in orbit:
+            vmap[u] = kept
+            kept += 1
+    edge_game, row_game = (game.restrict(vmap) for game in games)
+    if kind is OneEdgeSplit:
+        x1, x2 = ends[0], ends[1]
+        added = {tuple(sorted((vmap[vp[x1]], vmap[vp[x2]]))) for vp, _ in graph.action}
+        if len(added) != graph.group.size or not all(
+            edge_game.insert_edge(a, b, 4) and row_game.insert_edge(a, b, 1)
+            for a, b in sorted(added)
+        ):
+            return None
+    elif kind is OneLoopSplit:
+        if not all(row_game.insert_loop(vmap[vp[ends[0]]]) for vp, _ in graph.action):
+            return None
+    return edge_game, row_game
+
+
+def _tight_reductions(
+    graph: SymmetricGraph, games: Games
+) -> Iterator[tuple[Reduction, Games]]:
+    """Tight reductions of ``graph``, fewest symmetric components first,
+    each with the pebble games of its graph.
+
+    ``graph`` is tight and ``games`` are its ``pebble_games``.  Every
+    candidate is G - O + A (see ``_reduction_candidates``), and:
+
+    * G - O is sparse, because it is a subgraph of the sparse graph G;
+    * deleting the free orbit O, with its rows, changes no fixed count;
+    * so a ``Zero2Edges`` or ``ZeroEdgeLoop`` candidate (A empty) is always
+      tight, and a split is tight exactly when its orbit A has |group|
+      members and A is independent over G - O.
+
+    So each candidate is decided from the parent's games
+    (``_child_games``), not by ``check_tight``, and built only when it is
+    tight; every built graph still passes ``validate_action``.  The
+    candidates are stable-sorted by their component count, which needs no
+    reduced graph, and each is decided only when the caller asks for the
+    next one.  Filtering commutes with a stable sort, so this is the order
+    of sorting the tight reductions themselves.
+    """
+    for _, cand in sorted(_reduction_candidates(graph), key=itemgetter(0)):
+        child = _child_games(graph, games, cand)
+        if child is not None:
+            red = _reduce(graph, *cand)
+            require_valid_action(red.graph)
+            yield red, child
 
 
 def _search_reductions(
-    start: SymmetricGraph, method: str
+    start: SymmetricGraph,
 ) -> tuple[tuple[Reduction, ...], tuple[str, ...]] | SymmetricGraph:
-    """Reduction path from ``start`` down to a union of base graphs.
+    """Reduction path from ``start``, a tight graph, down to a union of
+    base graphs.
 
     Depth-first with backtracking: branches that keep the graph in one
     piece are tried first, and the first terminal that is a single base
@@ -639,19 +776,23 @@ def _search_reductions(
 
     The walk is iterative: ``frames`` holds, for each graph on the current
     path that is being expanded, the lazy iterator of its tight reductions
-    (see ``_tight_reductions``), so a graph's later candidates are built
-    and checked only after the search has come back from its earlier ones.
-    Its depth is the number of moves and is not bounded by Python's
-    recursion limit.  Graphs already expanded are not expanded again.
+    (see ``_tight_reductions``), so a graph's later candidates are decided
+    and built only after the search has come back from its earlier ones.
+    Each iterator keeps its graph's pebble games, so games are held only
+    for the graphs on the path.  The depth is the number of moves and is
+    not bounded by Python's recursion limit.  Graphs already expanded are
+    not expanded again.
     """
     best: tuple[tuple[Reduction, ...], tuple[str, ...]] | None = None
     stuck: SymmetricGraph | None = None
     seen: set[SymmetricGraph] = set()
     path: list[Reduction] = []  # from start to g
-    frames: list[Iterator[Reduction]] = []  # frames[i] expands the graph after path[:i]
+    # frames[i] expands the graph after path[:i]
+    frames: list[Iterator[tuple[Reduction, Games]]] = []
     g = start
+    games = pebble_games(start.num_vertices, start.edges, start.loop_vertices)
     while True:
-        nxt: Reduction | None = None
+        nxt: tuple[Reduction, Games] | None = None
         labels = base_union_labels(g)
         if labels is not None:
             if len(labels) == 1:
@@ -663,7 +804,7 @@ def _search_reductions(
                 best = (tuple(path), labels)
         elif g not in seen:
             seen.add(g)
-            reds = _tight_reductions(g, method)
+            reds = _tight_reductions(g, games)
             nxt = next(reds, None)
             if nxt is None:
                 if stuck is None:
@@ -677,8 +818,9 @@ def _search_reductions(
         if nxt is None:
             break
         del path[len(frames) - 1 :]
-        path.append(nxt)
-        g = nxt.graph
+        red, games = nxt
+        path.append(red)
+        g = red.graph
 
     if best is not None:
         return best
@@ -688,8 +830,11 @@ def _search_reductions(
 def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     """Reduce every symmetric component to a base graph and certify replay.
 
-    Backtracking search per component, preferring a single-base terminal;
-    see _search_reductions.  The returned traces are verified internally:
+    The input is checked once, by ``check_tight`` with the given sparsity
+    ``method``; the search then decides every reduction from the pebble
+    games of the graph it reduces (see ``_tight_reductions``).  Backtracking
+    search per component, preferring a single-base terminal; see
+    _search_reductions.  The returned traces are verified internally:
     replaying each one and relabeling through its embedding must reproduce
     the component exactly.  Raises NotTightError on non-tight input and
     ReductionDeadEnd, carrying the stuck graph, when some component cannot
@@ -704,7 +849,7 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
         sub, vmap = induced_subgraph(graph, comp)
         inv_vmap = {new: old for old, new in vmap.items()}
 
-        found = _search_reductions(sub, method)
+        found = _search_reductions(sub)
         if isinstance(found, SymmetricGraph):
             raise ReductionDeadEnd(
                 f"tight component on {found.num_vertices} vertices"

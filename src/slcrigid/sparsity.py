@@ -12,8 +12,12 @@ bitmask and is the authoritative oracle (exponential, bounded vertex count).
 vertex, every simple edge needs four pebbles on its ends, every loop needs
 one on its vertex, edges inserted before loops.  The edge pass is the plain
 (2,3) game on the simple subgraph; the loop pass rejects a loop exactly when
-its reachable set already spans twice its size.  Equivalence of the two
-deciders is asserted empirically by the test suite rather than assumed.
+its reachable set already spans twice its size.  A rejected row's
+reachable set is the least tight set the row closes, whatever the
+orientation, and is the witness.  Equivalence of the two deciders is
+asserted empirically by the test suite rather than assumed.
+``pebble_games`` keeps the game's two states for rows added later, and
+``_PebbleGame.restrict`` deletes vertices from a state without a search.
 
 Graphs are passed structurally: a vertex count, edge pairs, and a sequence
 of loop vertices (one entry per loop).
@@ -150,12 +154,34 @@ def subset_audit(
 
 
 class _PebbleGame:
-    """Shared pool of two pebbles per vertex over a directed row orientation."""
+    """Shared pool of two pebbles per vertex over a directed row orientation.
+
+    An arc u -> w is an edge whose pebble u spent; a loop spends a pebble of
+    its vertex and needs no arc.  Every vertex holds 2 minus its out-degree
+    minus its loops.  Deleting vertices keeps that balance and keeps the
+    rows sparse, so ``restrict`` gives a state the game can go on from.
+    """
 
     def __init__(self, n: int) -> None:
         self.pebbles = [2] * n
         self.out: list[set[int]] = [set() for _ in range(n)]
-        self.self_arcs = [0] * n
+
+    def restrict(self, vmap: Sequence[int | None]) -> "_PebbleGame":
+        """The game on the vertices that ``vmap`` keeps, renumbered by it.
+
+        ``vmap[u]`` is u's new number, or None when u is deleted.  Rows at a
+        deleted vertex go with it, and an arc into one returns its pebble
+        to its tail; no search is needed.
+        """
+        game = _PebbleGame(sum(1 for w in vmap if w is not None))
+        for u, new in enumerate(vmap):
+            if new is None:
+                continue
+            heads = {vmap[w] for w in self.out[u]}
+            heads.discard(None)
+            game.out[new] = heads
+            game.pebbles[new] = self.pebbles[u] + len(self.out[u]) - len(heads)
+        return game
 
     def _find_pebble(self, root: int, forbidden: set[int]) -> bool:
         # DFS along arcs; pull the first free pebble back to the root by
@@ -164,7 +190,7 @@ class _PebbleGame:
         stack = [root]
         while stack:
             x = stack.pop()
-            for y in sorted(self.out[x], reverse=True):
+            for y in self.out[x]:
                 if y in prev:
                     continue
                 prev[y] = x
@@ -192,9 +218,11 @@ class _PebbleGame:
                     stack.append(y)
         return seen
 
-    def insert_edge(self, u: int, v: int) -> bool:
+    def insert_edge(self, u: int, v: int, need: int = 4) -> bool:
+        """Insert u-v when ``need`` pebbles gather on its ends: 4 in the
+        (2,3) game on simple edges, 1 in the (2,0) game on all rows."""
         ends = {u, v}
-        while self.pebbles[u] + self.pebbles[v] < 4:
+        while self.pebbles[u] + self.pebbles[v] < need:
             if not (self._find_pebble(u, ends) or self._find_pebble(v, ends)):
                 return False
         tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
@@ -207,7 +235,6 @@ class _PebbleGame:
             if not self._find_pebble(v, {v}):
                 return False
         self.pebbles[v] -= 1
-        self.self_arcs[v] += 1
         return True
 
 
@@ -239,6 +266,30 @@ def pebble_check(
             witness = Witness(tuple(sorted(verts)), ie + il, ie, "rows")
             return SparsityReport("not-sparse", "pebble", n, len(edges), len(loops), witness)
     return SparsityReport(_verdict(n, len(edges), len(loops)), "pebble", n, len(edges), len(loops))
+
+
+def pebble_games(
+    num_vertices: int,
+    edges: Iterable[Sequence[int]],
+    loops: Iterable[int],
+) -> tuple[_PebbleGame, _PebbleGame]:
+    """The two pebble states of a sparse graph, to decide rows added later.
+
+    The first is the (2,3) game on the simple edges, the state
+    ``pebble_check`` reaches after its edge pass; the second is the (2,0)
+    game on all rows, its final state.  A simple edge is independent of a
+    sparse graph exactly when ``insert_edge`` accepts it in both (with 4
+    and 1 pebbles), a loop exactly when ``insert_loop`` accepts it in the
+    second.  Raises ``RangeError`` when the graph is not sparse.
+    """
+    edges, loops = _normalize(num_vertices, edges, loops)
+    edge_game = _PebbleGame(num_vertices)
+    if not all(edge_game.insert_edge(u, v) for u, v in edges):
+        raise RangeError("the simple edges are not (2,3)-sparse")
+    row_game = edge_game.restrict(range(num_vertices))
+    if not all(row_game.insert_loop(v) for v in loops):
+        raise RangeError("the rows are not (2,0)-sparse")
+    return edge_game, row_game
 
 
 @dataclass(frozen=True)
@@ -294,6 +345,7 @@ __all__ = [
     "Criticality",
     "subset_audit",
     "pebble_check",
+    "pebble_games",
     "criticality",
     "cross_edge_count",
 ]

@@ -241,6 +241,13 @@ class TightReport:
         return self.sparsity.tight and self.fixed_count.passed
 
 
+def require_valid_action(graph: SymmetricGraph) -> None:
+    """Raise ``ActionError`` naming every violation of ``validate_action``."""
+    report = validate_action(graph)
+    if not report.ok:
+        raise ActionError("; ".join(report.violations))
+
+
 def check_tight(graph: SymmetricGraph, method: str = "pebble") -> TightReport:
     """Full symmetry-compatible tightness check.
 
@@ -249,9 +256,7 @@ def check_tight(graph: SymmetricGraph, method: str = "pebble") -> TightReport:
     verdict is sparsity tight plus all fixed-count conditions.  The fixed
     counts are computed once and serve both of the latter.
     """
-    report = validate_action(graph)
-    if not report.ok:
-        raise ActionError("; ".join(report.violations))
+    require_valid_action(graph)
     loops = [lp.vertex for lp in graph.loops]
     if method == "pebble":
         sp = pebble_check(graph.num_vertices, graph.edges, loops)
@@ -281,6 +286,7 @@ __all__ = [
     "character_vectors",
     "fixed_count_check",
     "check_tight",
+    "require_valid_action",
     "is_tight",
     "is_gamma_tight",
 ]

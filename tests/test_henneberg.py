@@ -1,6 +1,8 @@
 """Extension moves, base recognition, decomposition, and round trips."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +35,9 @@ from slcrigid import (
     symmetric_components,
     verify_decomposition,
 )
-from slcrigid import henneberg
+from slcrigid import document, henneberg, symcheck
+from slcrigid.sparsity import pebble_games
+from slcrigid.symgraph import _union_find
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -287,9 +291,10 @@ def test_candidate_component_counts_match_the_built_graphs():
         ("c2", 6, 0),
     ]:
         g = generate_random(*case).graph
-        for h in [g, *(build().graph for _, build in henneberg._reduction_candidates(g))]:
-            for comps, build in henneberg._reduction_candidates(h):
-                red = build()
+        reduced = [henneberg._reduce(g, *c).graph for _, c in henneberg._reduction_candidates(g)]
+        for h in [g, *reduced]:
+            for comps, cand in henneberg._reduction_candidates(h):
+                red = henneberg._reduce(h, *cand)
                 assert comps == len(symmetric_components(red.graph)), (case, red.move)
                 if isinstance(red.move, OneEdgeSplit):
                     apart, _ = henneberg._delete_orbit(h, set(red.orbit_vertices))
@@ -297,7 +302,7 @@ def test_candidate_component_counts_match_the_built_graphs():
     assert splits_that_join > 0
 
 
-def _eager_search(start, method):
+def _eager_search(start, method="pebble"):
     """Reference for ``henneberg._search_reductions``, eager and recursive:
     every tight reduction of a graph is built, checked and sorted by its
     number of symmetric components before the first one is entered."""
@@ -395,3 +400,168 @@ def test_decompose_is_not_bounded_by_the_recursion_limit():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["120"]
+
+
+# -- the incremental search against try-and-check ------------------------------
+
+
+def _search_list(g, games):
+    """What the search sees at g: its tight reductions, in order, each with
+    the pebble games carried from ``games``."""
+    return list(henneberg._tight_reductions(g, games))
+
+
+def _reference_list(g, method="pebble"):
+    """Every candidate built and checked from scratch, stable-sorted by the
+    number of symmetric components as the search orders them."""
+    return sorted(
+        enumerate_reductions(g, method), key=lambda r: len(symmetric_components(r.graph))
+    )
+
+
+def _games(g):
+    return pebble_games(g.num_vertices, g.edges, g.loop_vertices)
+
+
+def test_search_agrees_with_try_and_check_three_levels_deep():
+    # the carried games, not fresh ones, decide the levels below the top
+    graphs = 0
+    for name in ["c1", "c2", "c3", "c4", "c5", "c6"]:
+        for steps in (4, 11, 18, 25):
+            for seed in range(4):
+                g = generate_random(name, steps, seed).graph
+                games = _games(g)
+                for level in range(3):
+                    found = _search_list(g, games)
+                    reference = _reference_list(g)
+                    assert [r.move for r, _ in found] == [r.move for r in reference], (
+                        name, steps, seed, level,
+                    )
+                    assert [r for r, _ in found] == reference
+                    graphs += 1
+                    if not found:
+                        break
+                    # go down the last branch, which the search reaches last
+                    red, games = found[-1]
+                    g = red.graph
+    assert graphs > 250
+
+
+@pytest.mark.parametrize(
+    "case, move, why",
+    [
+        # the half-turn swaps x1 and x2: the edge orbit has 1 member, not 2
+        (("c2", 2, 1), OneEdgeSplit(1, 2, 0), "half"),
+        # full-size edge orbits, dependent in the (2,3) and the (2,0) game
+        (("c5", 2, 0), OneEdgeSplit(0, 2, 9), "edges"),
+        (("c3", 2, 3), OneEdgeSplit(0, 2, 5), "rows"),
+        # a loop orbit dependent over G - O
+        (("c2", 2, 0), OneLoopSplit(8, 3), "rows"),
+    ],
+)
+def test_search_rejects_what_try_and_check_rejects(case, move, why):
+    g = generate_random(*case).graph
+    games = _games(g)
+    cands = [c for _, c in henneberg._reduction_candidates(g)]
+    [cand] = [c for c in cands if henneberg._reduce(g, *c).move == move]
+    report = henneberg.check_tight(henneberg._reduce(g, *cand).graph)
+    assert not report.tight
+    if why == "half":
+        assert report.sparsity.verdict == "sparse-not-tight"
+        assert not report.fixed_count.passed
+        v1, v2 = cand[3][:2]
+        assert {tuple(sorted((vp[v1], vp[v2]))) for vp, _ in g.action} == {(v1, v2)}
+    else:
+        assert report.sparsity.witness.rule == why
+    assert henneberg._child_games(g, games, cand) is None
+    assert move not in [r.move for r, _ in _search_list(g, games)]
+    assert move not in [r.move for r in enumerate_reductions(g)]
+
+
+def test_search_agrees_with_the_subset_audit():
+    for name in ["c1", "c2", "c3"]:
+        for seed in range(4):
+            g = generate_random(name, {"c1": 16, "c2": 7, "c3": 5}[name], seed).graph
+            assert g.num_vertices <= 24
+            found = [r.move for r, _ in _search_list(g, _games(g))]
+            assert found == [r.move for r in _reference_list(g, "subset")], (name, seed)
+            assert decompose(g, method="subset") == decompose(g)
+
+
+def _components_without(adj, r):
+    """Component count after deleting node r (None: delete nothing), and
+    the component root of every neighbour of r."""
+    keep = [x for x in adj if x != r]
+    index = {x: i for i, x in enumerate(keep)}
+    pairs = [(index[a], index[b]) for a in keep for b in adj[a] if b != r]
+    roots = _union_find(len(keep), pairs)
+    return len(set(roots)), {w: roots[index[w]] for w in adj.get(r, ())}
+
+
+def test_cut_pieces_match_deleting_each_node():
+    rng = random.Random(7)
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        adj = {x: set() for x in rng.sample(range(40), n)}
+        nodes = list(adj)
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.sample(nodes, 2) if n > 1 else (nodes[0], nodes[0])
+            if a != b:
+                adj[a].add(b)
+                adj[b].add(a)
+        total, pieces, piece = henneberg._cut_pieces(adj)
+        assert total == _components_without(adj, None)[0]
+        for r in nodes:
+            comps, root_of = _components_without(adj, r)
+            assert total - 1 + pieces(r) == comps, (adj, r)
+            for a in adj[r]:
+                for b in adj[r]:
+                    assert (piece(r, a) == piece(r, b)) == (root_of[a] == root_of[b])
+
+
+# outputs pinned on the commit before the incremental search: sha256 over
+# document.dumps of each decomposition, in case order
+DECOMPOSE_MID = (
+    ("c1", 20, 0), ("c1", 35, 3), ("c2", 25, 1), ("c2", 30, 0),
+    ("c3", 20, 0), ("c3", 40, 1), ("c5", 12, 1), ("c5", 18, 1),
+)
+GENERATED = tuple(
+    (name, steps, seed)
+    for name in ["c1", "c2", "c3", "c4", "c5", "c6"]
+    for steps in (4, 9)
+    for seed in range(4)
+)
+PINNED = {
+    DECOMPOSE_MID: "4ddaf7e345b5a7aaff5d1a47da9bd68a5f438585e65ea829ee368a0339493c0e",
+    GENERATED: "f7ec1b8ac1eddda2f7912b54e5c835b899fb71cf6cc53daea6e644ec1278f918",
+}
+
+
+def _recording(log, fn):
+    def recorded(*args):
+        result = fn(*args)
+        log.append((args, result))
+        return result
+
+    return recorded
+
+
+def test_decompose_outputs_are_unchanged_and_checked_once(monkeypatch):
+    checks, validated, built = [], [], []
+    monkeypatch.setattr(henneberg, "check_tight", _recording(checks, henneberg.check_tight))
+    monkeypatch.setattr(symcheck, "validate_action", _recording(validated, symcheck.validate_action))
+    monkeypatch.setattr(henneberg, "_reduce", _recording(built, henneberg._reduce))
+    for cases, digest in PINNED.items():
+        h = hashlib.sha256()
+        for case in cases:
+            g = generate_random(*case).graph
+            for log in (checks, validated, built):
+                log.clear()
+            dec = decompose(g)
+            h.update(document.dumps(document.decomposition_to_dict(dec)).encode())
+            assert [args[0] for args, _ in checks] == [g], case
+            assert built, case
+            # every built reduction passes validate_action, the input first
+            reduced = [red.graph for _, red in built]
+            assert [args[0] for args, _ in validated] == [g, *reduced], case
+        assert h.hexdigest() == digest

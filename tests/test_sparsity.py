@@ -1,8 +1,10 @@
 """Counting oracle, pebble game, and the helper counts they share."""
 
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_rows_graph
@@ -10,9 +12,11 @@ from slcrigid import (
     RangeError,
     criticality,
     cross_edge_count,
+    generate_random,
     pebble_check,
     subset_audit,
 )
+from slcrigid.sparsity import pebble_games
 
 
 def _induced_rows(edges, loop_vertices, subset):
@@ -171,3 +175,122 @@ def test_subset_audit_matches_brute_force_definition():
                 if ec > 0 and ec > 2 * size - 3:
                     ok = False
         assert subset_audit(n, edges, loop_vertices).sparse == ok
+
+
+def _pebble_cases():
+    """Seeded inputs for the pinned reports: small random looped graphs,
+    and generated tight graphs with one extra edge or one extra loop."""
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        rows = rng.randint(max(0, 2 * n - 4), 2 * n + 2)
+        yield random_rows_graph(rng, n, rows)
+    for group in ("c1", "c2", "c3", "c4", "c5"):
+        for steps in range(2, 9):
+            for seed in range(4):
+                g = generate_random(group, steps=steps, seed=seed).graph
+                n = g.num_vertices
+                edge_set = set(g.edges)
+                pairs = [
+                    (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edge_set
+                ]
+                loops = list(g.loop_vertices)
+                if pairs:
+                    yield n, g.edges + (rng.choice(pairs),), loops
+                yield n, g.edges, loops + [rng.randrange(n)]
+
+
+def test_pebble_reports_are_unchanged():
+    # sha256 of the reports' reprs, taken before the pebble search stopped
+    # sorting each vertex's arcs: the witness does not depend on the order
+    h = hashlib.sha256()
+    for n, edges, loops in _pebble_cases():
+        h.update(repr(pebble_check(n, edges, loops)).encode())
+    assert h.hexdigest() == "360058dd0ddcc2deed5b1499b22fba2b9ec2fa43ccb4c24051d5693d1e351863"
+
+
+def _first_dependent_row(n, edges, loops):
+    """Brute force over all vertex subsets: the first row, in the order
+    ``pebble_check`` inserts them (edges, then loops, each sorted), that
+    closes a tight set of the rows before it, and the least such set.
+    Edges are tight in the (2,3) count over the edges, loops in the (2,0)
+    count over all rows."""
+    masks = np.arange(1 << n)
+    size = np.bitwise_count(masks)
+    ie = np.zeros(1 << n, dtype=np.int64)
+    rows = [(tuple(sorted(e)), "edges") for e in sorted(edges)]
+    rows += [((v,), "rows") for v in sorted(loops)]
+    for ends, rule in rows:
+        inside = np.ones(1 << n, dtype=bool)
+        for v in ends:
+            inside &= (masks >> v) & 1 == 1
+        tight = inside & (ie == (2 * size - 3 if rule == "edges" else 2 * size))
+        if tight.any():
+            sizes = np.where(tight, size, n + 1)
+            least = int(masks[np.argmin(sizes)])
+            # the least tight set lies inside every other one
+            assert all(int(m) & least == least for m in masks[tight])
+            return tuple(v for v in range(n) if least >> v & 1), rule
+        ie += inside
+    return None
+
+
+def test_pebble_witness_is_the_least_tight_set_the_failing_row_closes():
+    seen = 0
+    for n, edges, loops in _pebble_cases():
+        if n > 12:
+            continue
+        r = pebble_check(n, edges, loops)
+        expected = _first_dependent_row(n, edges, loops)
+        if r.witness is None:
+            assert expected is None
+            continue
+        seen += 1
+        assert (r.witness.vertices, r.witness.rule) == expected, (n, edges, loops)
+        rc, ec = _induced_rows(edges, loops, r.witness.vertices)
+        assert (r.witness.row_count, r.witness.edge_count) == (rc, ec)
+    assert seen > 500
+
+
+def test_restricted_games_decide_added_rows_like_a_fresh_game():
+    # delete some vertices from a sparse graph's games, insert random rows,
+    # and compare each acceptance with pebble_check of the rows so far
+    rng = random.Random(3)
+    for trial in range(300):
+        n = rng.randint(2, 10)
+        n, edges, loops = random_rows_graph(rng, n, rng.randint(0, 2 * n))
+        if not pebble_check(n, edges, loops).sparse:
+            continue
+        edge_game, row_game = pebble_games(n, edges, loops)
+        gone = set(rng.sample(range(n), rng.randint(0, n - 1)))
+        vmap, kept = [None] * n, 0
+        for u in range(n):
+            if u not in gone:
+                vmap[u], kept = kept, kept + 1
+        edge_game, row_game = edge_game.restrict(vmap), row_game.restrict(vmap)
+        edges = [(vmap[a], vmap[b]) for a, b in edges if not gone & {a, b}]
+        loops = [vmap[v] for v in loops if vmap[v] is not None]
+        for _ in range(4):
+            if kept >= 2 and rng.random() < 0.6:
+                a, b = sorted(rng.sample(range(kept), 2))
+                if (a, b) in edges:
+                    continue
+                ok = pebble_check(kept, edges + [(a, b)], loops).sparse
+                assert (edge_game.insert_edge(a, b, 4) and row_game.insert_edge(a, b, 1)) == ok
+                if not ok:
+                    break
+                edges.append((a, b))
+            else:
+                v = rng.randrange(kept)
+                ok = pebble_check(kept, edges, loops + [v]).sparse
+                assert row_game.insert_loop(v) == ok
+                if not ok:
+                    break
+                loops.append(v)
+
+
+def test_pebble_games_refuse_a_graph_that_is_not_sparse():
+    with pytest.raises(RangeError):
+        pebble_games(4, K4_EDGES, [])
+    with pytest.raises(RangeError):
+        pebble_games(1, [], [0, 0, 0])
