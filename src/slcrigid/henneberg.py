@@ -14,12 +14,17 @@ Moves preserve symmetry-compatible tightness, so iterating them from a
 tight base graph generates tight graphs.  ``decompose`` runs the moves
 backwards: it strips one free orbit at a time until only a disjoint union
 of recognized base graphs remains, then replays the moves forward to
-certify the trace by exact relabeling.  Candidate reductions are ranked
-before any is built, by the number of symmetric components the reduced
-graph would have; the search then decides them one at a time and
-descends into the first tight one.  Every candidate of a tight graph G is
-G - O + A, for a free vertex orbit O and A empty, one edge orbit or one
-loop orbit, and:
+certify the trace by exact relabeling.  The search is depth-first, and
+candidate reductions are ranked before any is built, by two counts of the
+reduced graph: its symmetric components, and its permanent orbits, those
+with two loops per vertex or an edge inside the orbit.  No reduction
+deletes a permanent orbit or takes a loop or edge from one, components
+never merge, and every base graph is one orbit; so a graph with two
+components or two permanent orbits cannot reach a single base, and the
+search does not expand it.  Only when no single base is reachable does a
+second search look for a disjoint union of bases.  Every candidate of a
+tight graph G is G - O + A, for a free vertex orbit O and A empty, one
+edge orbit or one loop orbit, and:
 
 * G - O is sparse, because it is a subgraph of a sparse graph;
 * deleting a free orbit and its rows changes no fixed count;
@@ -40,15 +45,18 @@ base graphs:
   (any cyclic n-cycle counts, e.g. star polygons).
 
 Reduction down to a base is guaranteed for the cyclic groups of order 2 or
-odd order; for other groups the same greedy search runs heuristically and a
-dead end raises ``ReductionDeadEnd`` with the stuck graph attached.
+odd order; for other groups the same search runs heuristically.  A dead
+end raises ``ReductionDeadEnd`` carrying the first graph the search proved
+dead, and the message names why: no tight reduction, two permanent
+orbits, or two components.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Union
 
@@ -408,42 +416,6 @@ class Reduction:
     vertex_map: tuple[int | None, ...]
 
 
-def _delete_orbit(
-    graph: SymmetricGraph, orb: set[int]
-) -> tuple[SymmetricGraph, tuple[int | None, ...]]:
-    keep = [v for v in range(graph.num_vertices) if v not in orb]
-    sub, vmap = induced_subgraph(graph, keep)
-    return sub, tuple(vmap.get(v) for v in range(graph.num_vertices))
-
-
-def _add_edge_orbit(graph: SymmetricGraph, x1: int, x2: int) -> SymmetricGraph:
-    new = set(graph.edges)
-    for vp, _ in graph.action:
-        a, b = vp[x1], vp[x2]
-        new.add((a, b) if a < b else (b, a))
-    return replace(graph, edges=tuple(sorted(new)))
-
-
-def _add_loop_orbit(
-    graph: SymmetricGraph, x: int
-) -> tuple[SymmetricGraph, int]:
-    """Add a free loop orbit rooted at x; returns the identity element's id."""
-    group = graph.group
-    elements = group.elements()
-    base = _fresh_loop_base(graph)
-    new_loops = tuple(
-        Loop(base + k, vp[x]) for k, (vp, _) in enumerate(graph.action)
-    )
-    kwargs = {}
-    for ref, gen in _gen_elements(group):
-        lp_name = "reflection_loop_perm" if ref else "rotation_loop_perm"
-        lmap = dict(zip(graph.loop_ids, getattr(graph, lp_name)))
-        for k in range(len(elements)):
-            lmap[base + k] = base + group.index(group.compose(gen, elements[k]))
-        kwargs[lp_name] = lmap
-    return replace(graph, loops=graph.loops + new_loops, **kwargs), base
-
-
 def _reduce(
     graph: SymmetricGraph,
     v: int,
@@ -453,11 +425,25 @@ def _reduce(
 ) -> Reduction:
     """Delete v's orbit, and the orbit of ``graph.loops[loop]`` when given,
     then state the ``kind`` move that restores it from ``ends``, v's
-    neighbours in ``graph`` labels (a split's new edge or loop orbit is
-    added first)."""
-    orbit_vertices = tuple(vp[v] for vp, _ in graph.action)
-    orbit_loops = () if loop is None else tuple(lp[loop] for _, lp in graph.action)
-    red, vmap = _delete_orbit(graph, set(orbit_vertices))
+    neighbours in ``graph`` labels.
+
+    The reduced graph is built once, with a split's new edge or loop orbit
+    in it.  The kept vertices are renumbered in order and keep their loop
+    ids, as in ``induced_subgraph``; a new loop orbit's ids continue from
+    the largest kept id, element k's loop first, as in ``apply_extension``.
+    """
+    group = graph.group
+    action = graph.action
+    orbit_vertices = tuple(vp[v] for vp, _ in action)
+    orbit_loops = () if loop is None else tuple(lp[loop] for _, lp in action)
+    deleted = set(orbit_vertices)
+    keep = [u for u in range(graph.num_vertices) if u not in deleted]
+    vmap: list[int | None] = [None] * graph.num_vertices
+    for i, u in enumerate(keep):
+        vmap[u] = i
+    edges = [(vmap[a], vmap[b]) for a, b in graph.edges if a not in deleted and b not in deleted]
+    kept_loops = [(l, k) for k, l in enumerate(graph.loops) if l.vertex not in deleted]
+    loops = [Loop(l.id, vmap[l.vertex], l.sigma_label) for l, _ in kept_loops]
     a = [vmap[u] for u in ends]
     move: Move
     if kind is Zero2Edges:
@@ -465,12 +451,27 @@ def _reduce(
     elif kind is ZeroEdgeLoop:
         move = ZeroEdgeLoop(a[0])
     elif kind is OneEdgeSplit:
-        red = _add_edge_orbit(red, a[0], a[1])
+        images = ((vmap[vp[ends[0]]], vmap[vp[ends[1]]]) for vp, _ in action)
+        edges += {(x, y) if x < y else (y, x) for x, y in images}
         move = OneEdgeSplit(*a)
     else:
-        red, new_id = _add_loop_orbit(red, a[0])
+        new_id = max((l.id for l in loops), default=-1) + 1
+        loops += [Loop(new_id + k, vmap[vp[ends[0]]]) for k, (vp, _) in enumerate(action)]
         move = OneLoopSplit(new_id, a[1])
-    return Reduction(move, red, orbit_vertices, orbit_loops, vmap)
+    kwargs = {}
+    elements = group.elements()
+    for ref, gen in _gen_elements(group):
+        vp_name = "reflection_vertex_perm" if ref else "rotation_vertex_perm"
+        lp_name = "reflection_loop_perm" if ref else "rotation_loop_perm"
+        vperm, lperm = getattr(graph, vp_name), getattr(graph, lp_name)
+        kwargs[vp_name] = tuple(vmap[vperm[u]] for u in keep)
+        lmap = {l.id: lperm[k] for l, k in kept_loops}
+        if kind is OneLoopSplit:
+            for k, el in enumerate(elements):
+                lmap[new_id + k] = new_id + group.index(group.compose(gen, el))
+        kwargs[lp_name] = lmap
+    red = SymmetricGraph(group, len(keep), tuple(edges), tuple(loops), **kwargs)
+    return Reduction(move, red, orbit_vertices, orbit_loops, tuple(vmap))
 
 
 def _cut_pieces(
@@ -530,26 +531,58 @@ def _cut_pieces(
     return len(roots), pieces, piece
 
 
+def _orbit_reps(graph: SymmetricGraph) -> list[int]:
+    """Each vertex's orbit representative, the orbit's smallest vertex."""
+    return [min(vp[v] for vp, _ in graph.action) for v in range(graph.num_vertices)]
+
+
+def _permanent_orbits(graph: SymmetricGraph, rep: list[int]) -> set[int]:
+    """Representatives (``rep``, from ``_orbit_reps``) of the permanent
+    orbits: those with two loops per vertex, or with an edge inside the
+    orbit.
+
+    No reduction deletes such an orbit (none is offered), and none takes a
+    loop or an edge away from it, so it stays to the end.  Every base graph
+    is one orbit, so a graph with two of them cannot reach a single base.
+    """
+    looped = Counter(l.vertex for l in graph.loops)
+    return {rep[v] for v, k in looped.items() if k >= 2} | {
+        rep[a] for a, b in graph.edges if rep[a] == rep[b]
+    }
+
+
 Candidate = tuple[int, int | None, type, tuple[int, ...]]
+# (symmetric components of the reduced graph, whether it makes an orbit
+# permanent); see ``_reduction_candidates``
+Key = tuple[int, bool]
+# (symmetric components, permanent orbits) of a graph
+Counts = tuple[int, int]
 
 
 def _reduction_candidates(
     graph: SymmetricGraph,
-) -> Iterator[tuple[int, Candidate]]:
+) -> Iterator[tuple[Key, Candidate]]:
     """Structurally valid orbit deletions, deterministic order, unbuilt.
 
     Only free orbits whose neighborhood lies outside the orbit are offered;
     those are exactly the orbits an extension can have created.  Each comes
-    as ``(components, (v, loop, kind, ends))``, the arguments of
-    ``_reduce(graph, v, loop, kind, ends)``, which builds the unchecked
-    ``Reduction``; ``components`` is the number of symmetric components
-    of its graph, counted without building it.  Every candidate of an orbit
-    O starts from G - O and adds an edge orbit x1-x2 (a (3,0) split), a
-    loop orbit (a (2,1) split) or nothing.  Components are action-closed,
-    so they are the components of the orbit-quotient graph (one node per
-    vertex orbit), and one DFS over it counts them in G - O for every O
-    (``_cut_pieces``): the edge orbit joins two of them exactly when x1
-    and x2 lie apart in G - O, and a loop joins none.
+    as ``((components, permanent), (v, loop, kind, ends))``; the second
+    part holds the arguments of ``_reduce(graph, v, loop, kind, ends)``,
+    which builds the unchecked ``Reduction``.  Both parts of the key are
+    found without building the reduced graph:
+
+    * ``components`` is the number of symmetric components of the reduced
+      graph.  Every candidate of an orbit O starts from G - O and adds an
+      edge orbit x1-x2 (a (3,0) split), a loop orbit (a (2,1) split) or
+      nothing.  Components are action-closed, so they are the components
+      of the orbit-quotient graph (one node per vertex orbit), and one DFS
+      over it counts them in G - O for every O (``_cut_pieces``): the edge
+      orbit joins two of them exactly when x1 and x2 lie apart in G - O,
+      and a loop joins none.
+    * ``permanent`` says whether the reduced graph has one more permanent
+      orbit than G (see ``_permanent_orbits``): a (2,1) split whose loops
+      give a vertex its second loop, or a (3,0) split whose edge orbit lies
+      inside one orbit, where that orbit was not permanent already.
     """
     t = graph.group.size
     n = graph.num_vertices
@@ -562,8 +595,9 @@ def _reduction_candidates(
     loops_at: list[list[int]] = [[] for _ in range(n)]
     for k, l in enumerate(graph.loops):
         loops_at[l.vertex].append(k)
-    # each orbit is named by its representative, its smallest vertex
-    rep = [min(vp[v] for vp, _ in graph.action) for v in range(n)]
+    rep = _orbit_reps(graph)
+    size = Counter(rep)
+    permanent = _permanent_orbits(graph, rep)
     quotient: dict[int, set[int]] = {r: set() for r in rep}
     for a, b in graph.edges:
         if rep[a] != rep[b]:
@@ -586,9 +620,9 @@ def _reduction_candidates(
         comps = total - 1 + pieces(v)
 
         if profile == (2, 0):
-            yield comps, (v, None, Zero2Edges, tuple(out))
+            yield (comps, False), (v, None, Zero2Edges, tuple(out))
         elif profile == (1, 1):
-            yield comps, (v, loops_at[v][0], ZeroEdgeLoop, tuple(out))
+            yield (comps, False), (v, loops_at[v][0], ZeroEdgeLoop, tuple(out))
         elif profile == (3, 0):
             for i in range(3):
                 for j in range(i + 1, 3):
@@ -597,11 +631,15 @@ def _reduction_candidates(
                         continue
                     z = out[3 - i - j]
                     joined = piece(v, rep[x1]) != piece(v, rep[x2])
-                    yield comps - joined, (v, None, OneEdgeSplit, (x1, x2, z))
+                    inner = rep[x1] == rep[x2] and rep[x1] not in permanent
+                    yield (comps - joined, inner), (v, None, OneEdgeSplit, (x1, x2, z))
         else:
             loop = loops_at[v][0]
             for x, y in ((out[0], out[1]), (out[1], out[0])):
-                yield comps, (v, loop, OneLoopSplit, (x, y))
+                # the t new loops spread evenly over x's orbit
+                looped = len(loops_at[x]) + t // size[rep[x]] >= 2
+                new = looped and rep[x] not in permanent
+                yield (comps, new), (v, loop, OneLoopSplit, (x, y))
 
 
 def enumerate_reductions(
@@ -730,12 +768,17 @@ def _child_games(
 
 
 def _tight_reductions(
-    graph: SymmetricGraph, games: Games
-) -> Iterator[tuple[Reduction, Games]]:
-    """Tight reductions of ``graph``, fewest symmetric components first,
-    each with the pebble games of its graph.
+    graph: SymmetricGraph,
+    games: Games,
+    permanent: int,
+    wanted: Callable[[Counts], bool] | None = None,
+) -> Iterator[tuple[Reduction, Games, Counts]]:
+    """Tight reductions of ``graph`` in search order, each with the pebble
+    games of its graph and its ``Counts``.
 
-    ``graph`` is tight and ``games`` are its ``pebble_games``.  Every
+    ``graph`` is tight, ``games`` are its ``pebble_games`` and
+    ``permanent`` is its number of permanent orbits; a reduction's counts
+    are its key's components and ``permanent`` plus its key's flag.  Every
     candidate is G - O + A (see ``_reduction_candidates``), and:
 
     * G - O is sparse, because it is a subgraph of the sparse graph G;
@@ -747,68 +790,105 @@ def _tight_reductions(
     So each candidate is decided from the parent's games
     (``_child_games``), not by ``check_tight``, and built only when it is
     tight; every built graph still passes ``validate_action``.  The
-    candidates are stable-sorted by their component count, which needs no
-    reduced graph, and each is decided only when the caller asks for the
-    next one.  Filtering commutes with a stable sort, so this is the order
-    of sorting the tight reductions themselves.
+    candidates are stable-sorted by their key, which needs no reduced
+    graph: fewest symmetric components first, and among as many components
+    those that make no new permanent orbit (``_permanent_orbits``), since a
+    second permanent orbit rules out a single base.  Each candidate is
+    decided only when the caller asks for the next one, and only if
+    ``wanted`` (when given) holds for its counts then; the others are
+    passed over undecided.  Filtering commutes with a stable sort, so this
+    is the order of sorting the tight reductions themselves.
     """
-    for _, cand in sorted(_reduction_candidates(graph), key=itemgetter(0)):
+    for (comps, new), cand in sorted(_reduction_candidates(graph), key=itemgetter(0)):
+        counts = (comps, permanent + new)
+        if wanted is not None and not wanted(counts):
+            continue
         child = _child_games(graph, games, cand)
         if child is not None:
             red = _reduce(graph, *cand)
             require_valid_action(red.graph)
-            yield red, child
+            yield red, child, counts
 
 
-def _search_reductions(
-    start: SymmetricGraph,
-) -> tuple[tuple[Reduction, ...], tuple[str, ...]] | SymmetricGraph:
-    """Reduction path from ``start``, a tight graph, down to a union of
-    base graphs.
+Path = tuple[tuple[Reduction, ...], tuple[str, ...]]
 
-    Depth-first with backtracking: branches that keep the graph in one
-    piece are tried first, and the first terminal that is a single base
-    graph wins.  A reduction can disconnect the graph, and a path through
-    disconnection may bottom out on a disjoint union of bases; such a
-    terminal is kept only as a fallback (fewest pieces, then longest path)
-    when no single-base terminal exists.  Returns the first stuck graph
-    (no tight reduction at all) as the failure witness.
+
+def _walk(
+    start: SymmetricGraph, union: bool
+) -> tuple[Path | None, tuple[SymmetricGraph, int, str] | None]:
+    """One depth-first search of ``_search_reductions``.
+
+    Without ``union`` it looks for a single base only.  A graph with two or
+    more symmetric components, or with two or more permanent orbits, is cut
+    there; both counts come with each reduction (``_tight_reductions``), so
+    only ``start``'s are counted from scratch.  Once a witness is in hand,
+    a reduction that would be cut is not even decided.  Returns the path
+    to the first single base, or None, and the first graph the search
+    proved dead: one with no tight reduction, or one cut by either rule,
+    with its depth and the rule.
+
+    With ``union`` it looks for the best disjoint union of bases (fewest
+    pieces, then longest path), decides every candidate, and counts from
+    scratch per graph; a graph is cut only when one of its components has
+    two permanent orbits, since each piece of a union is one base.
 
     The walk is iterative: ``frames`` holds, for each graph on the current
-    path that is being expanded, the lazy iterator of its tight reductions
-    (see ``_tight_reductions``), so a graph's later candidates are decided
-    and built only after the search has come back from its earlier ones.
-    Each iterator keeps its graph's pebble games, so games are held only
-    for the graphs on the path.  The depth is the number of moves and is
-    not bounded by Python's recursion limit.  Graphs already expanded are
-    not expanded again.
+    path that is being expanded, the lazy iterator of its tight reductions,
+    so a graph's later candidates are decided and built only after the
+    search has come back from its earlier ones.  Each iterator keeps its
+    graph's pebble games, so games are held only for the graphs on the
+    path.  The depth is the number of moves and is not bounded by Python's
+    recursion limit.  Graphs already expanded are not expanded again.
     """
-    best: tuple[tuple[Reduction, ...], tuple[str, ...]] | None = None
-    stuck: SymmetricGraph | None = None
+    t = start.group.size
+    best: Path | None = None
+    dead: tuple[SymmetricGraph, int, str] | None = None
     seen: set[SymmetricGraph] = set()
     path: list[Reduction] = []  # from start to g
     # frames[i] expands the graph after path[:i]
-    frames: list[Iterator[tuple[Reduction, Games]]] = []
+    frames: list[Iterator[tuple[Reduction, Games, Counts]]] = []
+
+    def wanted(counts: Counts) -> bool:
+        return union or (counts[0] < 2 and counts[1] < 2) or dead is None
+
     g = start
     games = pebble_games(start.num_vertices, start.edges, start.loop_vertices)
+    comps = len(symmetric_components(start))
+    perm = len(_permanent_orbits(start, _orbit_reps(start)))
     while True:
-        nxt: tuple[Reduction, Games] | None = None
-        labels = base_union_labels(g)
+        if union:
+            pieces = symmetric_components(g)
+            where = {v: i for i, piece in enumerate(pieces) for v in piece}
+            per_piece = Counter(where[r] for r in _permanent_orbits(g, _orbit_reps(g)))
+            comps, perm = len(pieces), max(per_piece.values(), default=0)
+        nxt: tuple[Reduction, Games, Counts] | None = None
+        # a union of bases has at most |group| vertices per piece
+        labels = base_union_labels(g) if g.num_vertices <= comps * t else None
+        cut = None
+        if comps >= 2 and not union:
+            cut = f"has {comps} symmetric components, which no reduction joins"
+        elif perm >= 2:
+            cut = (
+                f"has {perm} permanent orbits (two loops per vertex, or an edge"
+                " inside the orbit), which no reduction removes"
+            )
         if labels is not None:
             if len(labels) == 1:
-                return tuple(path), labels
-            if best is None or (len(labels), -len(path)) < (
-                len(best[1]),
-                -len(best[0]),
+                return (tuple(path), labels), dead
+            if union and (
+                best is None or (len(labels), -len(path)) < (len(best[1]), -len(best[0]))
             ):
                 best = (tuple(path), labels)
+        elif cut is not None:
+            if dead is None:
+                dead = (g, len(path), cut)
         elif g not in seen:
             seen.add(g)
-            reds = _tight_reductions(g, games)
+            reds = _tight_reductions(g, games, perm, wanted)
             nxt = next(reds, None)
             if nxt is None:
-                if stuck is None:
-                    stuck = g
+                if dead is None:
+                    dead = (g, len(path), "admits no tightness-preserving reduction")
             else:
                 frames.append(reds)
         while nxt is None and frames:
@@ -816,15 +896,46 @@ def _search_reductions(
             if nxt is None:
                 frames.pop()
         if nxt is None:
-            break
+            return best, dead
         del path[len(frames) - 1 :]
-        red, games = nxt
+        red, games, (comps, perm) = nxt
         path.append(red)
         g = red.graph
 
-    if best is not None:
-        return best
-    return stuck if stuck is not None else start
+
+def _search_reductions(start: SymmetricGraph) -> Path:
+    """Reduction path from ``start``, a tight graph, down to a union of
+    base graphs.
+
+    Depth-first with backtracking, in the order of ``_tight_reductions``;
+    the first terminal that is a single base graph wins.  A base graph is
+    one vertex orbit, components never merge, and a permanent orbit (two
+    loops per vertex, or an edge inside the orbit) is never deleted.  So a
+    graph with two or more symmetric components, or with two or more
+    permanent orbits, cannot reach a single base, and that search does not
+    expand it (see ``_walk``).  A graph with more vertices than
+    ``components * |group|`` is no union of bases, so ``base_union_labels``
+    is not asked.
+
+    Only when no single base is reachable, a second search looks for a
+    disjoint union of bases, kept as a fallback (fewest pieces, then
+    longest path): a reduction can disconnect the graph.  When it finds
+    none either, raises ``ReductionDeadEnd`` carrying the first search's
+    witness, the first graph it proved dead, and the message names the
+    rule.
+    """
+    found, dead = _walk(start, union=False)
+    if found is None:
+        found, _ = _walk(start, union=True)
+    if found is not None:
+        return found
+    witness, depth, reason = dead
+    raise ReductionDeadEnd(
+        f"tight graph on {witness.num_vertices} vertices (group"
+        f" {start.group.name}), {depth} reductions below a component, is not"
+        f" a union of base graphs and {reason}",
+        witness,
+    )
 
 
 def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
@@ -837,8 +948,9 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     _search_reductions.  The returned traces are verified internally:
     replaying each one and relabeling through its embedding must reproduce
     the component exactly.  Raises NotTightError on non-tight input and
-    ReductionDeadEnd, carrying the stuck graph, when some component cannot
-    reach a union of base graphs by tightness-preserving reductions.
+    ReductionDeadEnd, carrying a graph the search proved dead, when some
+    component cannot reach a union of base graphs by tightness-preserving
+    reductions.
     """
     if not check_tight(graph, method).tight:
         raise NotTightError("decompose needs a tight graph")
@@ -849,15 +961,7 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
         sub, vmap = induced_subgraph(graph, comp)
         inv_vmap = {new: old for old, new in vmap.items()}
 
-        found = _search_reductions(sub)
-        if isinstance(found, SymmetricGraph):
-            raise ReductionDeadEnd(
-                f"tight component on {found.num_vertices} vertices"
-                f" (group {group.name}) is not a union of base graphs"
-                " and admits no tightness-preserving reduction",
-                found,
-            )
-        steps, labels = found
+        steps, labels = _search_reductions(sub)
         label = "+".join(labels)
 
         # replay forward, tracking where each replayed vertex and loop lands

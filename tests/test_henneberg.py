@@ -1,5 +1,6 @@
 """Extension moves, base recognition, decomposition, and round trips."""
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -37,7 +38,7 @@ from slcrigid import (
 )
 from slcrigid import document, henneberg, symcheck
 from slcrigid.sparsity import pebble_games
-from slcrigid.symgraph import _union_find
+from slcrigid.symgraph import Loop, _union_find, induced_subgraph, orbits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -249,6 +250,8 @@ def test_decompose_dead_end_reports_the_stuck_graph():
     with pytest.raises(ReductionDeadEnd) as exc:
         decompose(g)
     assert exc.value.graph.num_vertices == 10
+    # the ring's edges and the spokes' loop pairs: neither orbit can go
+    assert "has 2 permanent orbits" in str(exc.value)
 
 
 def test_replay_rebuilds_the_component():
@@ -281,10 +284,28 @@ def test_split_cycle_bases_decompose_trivially():
         assert dec.components[0].base_label == label
 
 
+def _permanent_count(g):
+    """Permanent orbits counted from scratch: orbits with two loops per
+    vertex, or with an edge whose ends both lie in the orbit."""
+    count = 0
+    for orb in orbits(g).vertices:
+        inside = set(orb)
+        looped = sum(1 for l in g.loops if l.vertex == orb[0]) >= 2
+        count += looped or any(a in inside and b in inside for a, b in g.edges)
+    return count
+
+
+def _counts(g):
+    """(symmetric components, permanent orbits), both from scratch."""
+    return len(symmetric_components(g)), _permanent_count(g)
+
+
 def test_candidate_component_counts_match_the_built_graphs():
-    # the sort key is counted on G - O without building the reduced graph;
-    # the candidates' own candidates include graphs already split apart
+    # both parts of the sort key are counted on G - O without building the
+    # reduced graph; the candidates' own candidates include graphs already
+    # split apart and graphs with a permanent orbit
     splits_that_join = 0
+    made_permanent = {OneEdgeSplit: 0, OneLoopSplit: 0}
     for case in [
         *((name, 9, seed) for name in ["c1", "c2", "c3", "c4", "c5"] for seed in range(2)),
         ("c1", 9, 4),  # a split at the top joins two components of G - O
@@ -293,43 +314,55 @@ def test_candidate_component_counts_match_the_built_graphs():
         g = generate_random(*case).graph
         reduced = [henneberg._reduce(g, *c).graph for _, c in henneberg._reduction_candidates(g)]
         for h in [g, *reduced]:
-            for comps, cand in henneberg._reduction_candidates(h):
+            permanent = _permanent_count(h)
+            for (comps, new), cand in henneberg._reduction_candidates(h):
                 red = henneberg._reduce(h, *cand)
-                assert comps == len(symmetric_components(red.graph)), (case, red.move)
+                assert (comps, permanent + new) == _counts(red.graph), (case, red.move)
+                if new:
+                    made_permanent[type(red.move)] += 1
                 if isinstance(red.move, OneEdgeSplit):
-                    apart, _ = henneberg._delete_orbit(h, set(red.orbit_vertices))
+                    keep = [u for u in range(h.num_vertices) if u not in red.orbit_vertices]
+                    apart, _ = induced_subgraph(h, keep)
                     splits_that_join += comps < len(symmetric_components(apart))
     assert splits_that_join > 0
+    assert all(made_permanent.values()), made_permanent
 
 
-def _eager_search(start, method="pebble"):
-    """Reference for ``henneberg._search_reductions``, eager and recursive:
-    every tight reduction of a graph is built, checked and sorted by its
-    number of symmetric components before the first one is entered."""
+def _eager_walk(start, method="pebble", cut=lambda g: False, union=False, seen=None):
+    """Eager, recursive depth-first search: every tight reduction of a
+    graph is built, checked and sorted by its symmetric components and
+    permanent orbits, both counted from scratch, before the first one is
+    entered.  A graph for which ``cut`` holds, or one in ``seen`` (graphs
+    already expanded), is not expanded.  Returns the first single-base
+    path, else (with ``union``) the best union of bases or None, and the
+    first graph found dead."""
     best = None
-    stuck = None
-    seen = set()
+    dead = None
+    seen = set() if seen is None else seen
 
     def visit(g, path):
-        nonlocal best, stuck
+        nonlocal best, dead
         labels = base_union_labels(g)
         if labels is not None:
             found = (tuple(path), labels)
             if len(labels) == 1:
                 return found
-            if best is None or (len(labels), -len(path)) < (len(best[1]), -len(best[0])):
+            if union and (
+                best is None or (len(labels), -len(path)) < (len(best[1]), -len(best[0]))
+            ):
                 best = found
+            return None
+        if cut(g):
+            if dead is None:
+                dead = g
             return None
         if g in seen:
             return None
         seen.add(g)
-        cands = sorted(
-            enumerate_reductions(g, method),
-            key=lambda r: len(symmetric_components(r.graph)),
-        )
+        cands = sorted(enumerate_reductions(g, method), key=lambda r: _counts(r.graph))
         if not cands:
-            if stuck is None:
-                stuck = g
+            if dead is None:
+                dead = g
             return None
         for red in cands:
             path.append(red)
@@ -340,11 +373,35 @@ def _eager_search(start, method="pebble"):
         return None
 
     hit = visit(start, [])
-    if hit is not None:
-        return hit
-    if best is not None:
-        return best
-    return stuck if stuck is not None else start
+    return (hit if hit is not None else best), dead
+
+
+def _two_permanent_in_a_component(g):
+    return any(
+        _permanent_count(induced_subgraph(g, comp)[0]) >= 2 for comp in symmetric_components(g)
+    )
+
+
+def _eager_search(start, method="pebble"):
+    """Reference for ``henneberg._search_reductions``: a single-base search
+    that cuts a graph with two components or two permanent orbits, then,
+    only if it fails, a union-of-bases search that cuts a component with
+    two permanent orbits."""
+    found, dead = _eager_walk(start, method, cut=lambda g: max(_counts(g)) >= 2)
+    if found is None:
+        found, _ = _eager_walk(start, method, cut=_two_permanent_in_a_component, union=True)
+    if found is None:
+        raise ReductionDeadEnd("no union of base graphs", dead)
+    return found
+
+
+def _ring_with_extensions():
+    """``ring_with_spokes(3)`` grown by three moves: 15 vertices, and two
+    permanent orbits, the ring and its doubly looped spokes."""
+    dead = ring_with_spokes(3)
+    for move in (ZeroEdgeLoop(0), ZeroEdgeLoop(7), Zero2Edges(7, 10)):
+        dead = apply_extension(dead, move)
+    return dead
 
 
 def test_lazy_search_gives_the_eager_search_traces(monkeypatch):
@@ -357,10 +414,7 @@ def test_lazy_search_gives_the_eager_search_traces(monkeypatch):
     cases.append(("c5", 12, 1))  # backtracks
     graphs = [generate_random(*case).graph for case in cases]
     lazy = [decompose(g) for g in graphs]
-    # a dead end whose search passes other stuck graphs before it gives up
-    dead = ring_with_spokes(3)
-    for move in (ZeroEdgeLoop(0), ZeroEdgeLoop(7), Zero2Edges(7, 10)):
-        dead = apply_extension(dead, move)
+    dead = _ring_with_extensions()
     with pytest.raises(ReductionDeadEnd) as lazy_dead:
         decompose(dead)
     monkeypatch.setattr(henneberg, "_search_reductions", _eager_search)
@@ -408,15 +462,15 @@ def test_decompose_is_not_bounded_by_the_recursion_limit():
 def _search_list(g, games):
     """What the search sees at g: its tight reductions, in order, each with
     the pebble games carried from ``games``."""
-    return list(henneberg._tight_reductions(g, games))
+    found = list(henneberg._tight_reductions(g, games, _permanent_count(g)))
+    return [(red, child) for red, child, _ in found]
 
 
 def _reference_list(g, method="pebble"):
     """Every candidate built and checked from scratch, stable-sorted by the
-    number of symmetric components as the search orders them."""
-    return sorted(
-        enumerate_reductions(g, method), key=lambda r: len(symmetric_components(r.graph))
-    )
+    symmetric components and permanent orbits of its graph, counted from
+    scratch, as the search orders them."""
+    return sorted(enumerate_reductions(g, method), key=lambda r: _counts(r.graph))
 
 
 def _games(g):
@@ -519,8 +573,9 @@ def test_cut_pieces_match_deleting_each_node():
                     assert (piece(r, a) == piece(r, b)) == (root_of[a] == root_of[b])
 
 
-# outputs pinned on the commit before the incremental search: sha256 over
-# document.dumps of each decomposition, in case order
+# outputs pinned when candidates were first ordered by permanent orbits as
+# well as components: sha256 over document.dumps of each decomposition, in
+# case order
 DECOMPOSE_MID = (
     ("c1", 20, 0), ("c1", 35, 3), ("c2", 25, 1), ("c2", 30, 0),
     ("c3", 20, 0), ("c3", 40, 1), ("c5", 12, 1), ("c5", 18, 1),
@@ -532,8 +587,8 @@ GENERATED = tuple(
     for seed in range(4)
 )
 PINNED = {
-    DECOMPOSE_MID: "4ddaf7e345b5a7aaff5d1a47da9bd68a5f438585e65ea829ee368a0339493c0e",
-    GENERATED: "f7ec1b8ac1eddda2f7912b54e5c835b899fb71cf6cc53daea6e644ec1278f918",
+    DECOMPOSE_MID: "d9904ee3619908a516e4fad115626baf50cf64d1231d540bf3578b0d7403010c",
+    GENERATED: "683ebf1c252d57d48bf1fcb56f6d632ececa644894ee3bb55f677d9a252a7d29",
 }
 
 
@@ -565,3 +620,240 @@ def test_decompose_outputs_are_unchanged_and_checked_once(monkeypatch):
             reduced = [red.graph for _, red in built]
             assert [args[0] for args, _ in validated] == [g, *reduced], case
         assert h.hexdigest() == digest
+
+
+# -- the permanent-orbit order and prunes --------------------------------------
+
+
+def _turned(order, n, edges, loop_vertices):
+    """A c<order> graph whose rotation turns each block of ``order``
+    vertices, and each block of ``order`` loop ids, by one; loop id i sits
+    on ``loop_vertices[i]``."""
+    turn = lambda x: x - x % order + (x + 1) % order
+    return SymmetricGraph(
+        GroupSpec("cyclic", order),
+        n,
+        edges,
+        tuple(Loop(i, v) for i, v in enumerate(loop_vertices)),
+        rotation_vertex_perm=tuple(turn(v) for v in range(n)),
+        rotation_loop_perm={i: turn(i) for i in range(len(loop_vertices))},
+    )
+
+
+def _stuck():
+    """Tight, one permanent orbit (the triangle 0-1-2), and no orbit to
+    delete: the looped orbit 3-5 and the orbit 6-8 both have degree 4."""
+    edges = [(0, 1), (0, 2), (1, 2), (0, 6), (1, 7), (2, 8)]
+    edges += [(b, c) for b in (3, 4, 5) for c in (6, 7, 8)]
+    return _turned(3, 9, tuple(edges), (3, 4, 5))
+
+
+def _splits():
+    """Tight and one component, but deleting the orbit 6-8 cuts the doubly
+    looped orbit 0-2 off from the rest, and no other reduction is tight."""
+    edges = [(0, 6), (1, 7), (2, 8), (6, 10), (7, 11), (8, 9)]
+    edges += [(b, d) for b in (3, 4, 5) for d in (9, 10, 11)]
+    return _turned(3, 12, tuple(edges), (0, 1, 2, 0, 1, 2, 3, 4, 5))
+
+
+def test_dead_end_witnesses_are_dead_by_the_rule_they_name():
+    ring = _ring_with_extensions()
+    stuck = _stuck()
+    assert (_permanent_count(ring), _permanent_count(stuck)) == (2, 1)
+    assert enumerate_reductions(stuck) == ()
+    for g, witness, rule in [
+        # dead at the start: no reduction can remove either permanent orbit,
+        # so the search does not expand it (it used to return a 6-vertex
+        # stuck graph found below it)
+        (ring, ring, "has 2 permanent orbits"),
+        (ring_with_spokes(5), ring_with_spokes(5), "has 2 permanent orbits"),
+        (stuck, stuck, "admits no tightness-preserving reduction"),
+    ]:
+        assert is_tight(g)
+        with pytest.raises(ReductionDeadEnd) as exc:
+            decompose(g)
+        assert exc.value.graph == witness
+        assert rule in str(exc.value)
+
+
+def test_a_graph_that_splits_falls_back_to_a_union_of_bases():
+    g = _splits()
+    assert is_tight(g) and len(symmetric_components(g)) == 1
+    # the single-base search cuts the split graph, and says why
+    found, (witness, depth, rule) = henneberg._walk(g, union=False)
+    assert found is None
+    assert (witness.num_vertices, depth, rule) == (
+        9, 1, "has 2 symmetric components, which no reduction joins"
+    )
+    assert len(symmetric_components(witness)) == 2
+    # the union search goes on below it
+    dec = decompose(g)
+    assert [c.base_label for c in dec.components] == ["pinned3+lc3"]
+    assert dec.total_moves == 2
+    assert verify_decomposition(g, dec)
+
+
+def test_eager_reference_agrees_on_the_fallback_and_the_dead_ends(monkeypatch):
+    graphs = [_splits(), _stuck(), _ring_with_extensions()]
+    outcomes = []
+    for search in (henneberg._search_reductions, _eager_search):
+        monkeypatch.setattr(henneberg, "_search_reductions", search)
+        for g in graphs:
+            try:
+                outcomes.append(decompose(g))
+            except ReductionDeadEnd as err:
+                outcomes.append(err.graph)
+    assert outcomes[:3] == outcomes[3:]
+
+
+def _spied_searches(monkeypatch, cases, spy):
+    """Decompose each case with ``spy(g, permanent, reductions)`` seeing
+    every graph the search expands and yielding what the search gets."""
+    original = henneberg._tight_reductions
+
+    def spied(g, games, permanent, wanted=None):
+        return spy(g, permanent, original(g, games, permanent, wanted), original(g, games, permanent))
+
+    monkeypatch.setattr(henneberg, "_tight_reductions", spied)
+    for case in cases:
+        gen = generate_random(*case)
+        dec = decompose(gen.graph)
+        assert dec.total_moves == case[1], case
+        assert verify_decomposition(gen.graph, dec), case
+
+
+def test_carried_counts_equal_counts_from_scratch(monkeypatch):
+    # components and permanent orbits are carried down the path, never
+    # recounted; here they are recounted on every graph the search reaches
+    reached = 0
+
+    def spy(g, permanent, reductions, _):
+        nonlocal reached
+        assert (1, permanent) == _counts(g)  # only one-piece graphs are expanded
+        for red, child, counts in reductions:
+            reached += 1
+            assert counts == _counts(red.graph), red.move
+            yield red, child, counts
+
+    cases = [
+        (name, steps, seed)
+        for name in ["c1", "c2", "c3", "c4", "c5", "c6"]
+        for steps in (4, 9, 18)
+        for seed in range(4)
+    ]
+    # c4 is not a certified group, and this one backtracks through 83,417
+    # candidates (about 18 s) before it finds its base
+    cases.remove(("c4", 18, 1))
+    _spied_searches(monkeypatch, cases, spy)
+    assert reached > 500
+
+
+def test_graphs_the_prune_cuts_reach_no_single_base(monkeypatch):
+    # every tight reduction, of a graph the search expands, that the rule
+    # cuts; an exhaustive search without the rule finds no base below it
+    cut = set()
+
+    def spy(g, permanent, reductions, every):
+        for red, _, counts in every:
+            if max(counts) >= 2 and base_union_labels(red.graph) is None:
+                cut.add(red.graph)
+        return reductions
+
+    cases = [("c1", 20, 0), ("c1", 25, 2), ("c1", 25, 5), ("c1", 14, 2), ("c1", 14, 4)]
+    cases += [("c2", 12, seed) for seed in range(6)]
+    cases += [("c2", 8, 4), ("c3", 8, 4), ("c3", 5, 4), ("c5", 5, 4)]
+    _spied_searches(monkeypatch, cases, spy)
+    assert len(cut) > 30
+    counts = [_counts(g) for g in cut]
+    assert any(c >= 2 for c, _ in counts) and any(p >= 2 for _, p in counts)
+    # a graph that a search without the rule expanded and left without a
+    # base need not be expanded again
+    dead = set()
+    for g in sorted(cut, key=lambda g: g.num_vertices):
+        assert g.num_vertices <= 30
+        found, _ = _eager_walk(g, seen=dead)
+        assert found is None, g
+
+
+@pytest.mark.parametrize(
+    "case",
+    # each ran past 14 s, tens of thousands of candidates, before the order
+    [("c3", 20, 2), ("c1", 60, 0), ("c2", 40, 0), ("c3", 40, 4), ("c5", 20, 0)],
+)
+def test_graphs_that_blew_up_reduce_in_few_steps(monkeypatch, case):
+    # work is bounded by candidates decided, not by wall clock
+    decided = []
+    monkeypatch.setattr(henneberg, "_child_games", _recording(decided, henneberg._child_games))
+    gen = generate_random(*case)
+    dec = decompose(gen.graph)
+    assert len(dec.components) == 1
+    assert "+" not in dec.components[0].base_label
+    assert dec.total_moves == case[1]
+    assert verify_decomposition(gen.graph, dec)
+    assert len(decided) <= 2 * case[1], len(decided)
+
+
+def test_cut_candidates_are_not_decided_once_a_witness_is_found(monkeypatch):
+    # c4 is not certified, and this search backtracks; deciding every
+    # candidate that the rules cut took 1,120 decisions
+    decided = []
+    monkeypatch.setattr(henneberg, "_child_games", _recording(decided, henneberg._child_games))
+    gen = generate_random("c4", 20, 2)
+    dec = decompose(gen.graph)
+    assert dec.total_moves == 20
+    assert len(decided) <= 400, len(decided)
+
+
+def _two_build_reduce(g, v, loop, kind, ends):
+    """``henneberg._reduce`` as it was: ``induced_subgraph``, then a second
+    build that adds a split's edge or loop orbit (cyclic groups only)."""
+    orbit_vertices = tuple(vp[v] for vp, _ in g.action)
+    orbit_loops = () if loop is None else tuple(lp[loop] for _, lp in g.action)
+    keep = [u for u in range(g.num_vertices) if u not in orbit_vertices]
+    red, vmap = induced_subgraph(g, keep)
+    a = [vmap[u] for u in ends]
+    if kind is Zero2Edges:
+        move = Zero2Edges(*sorted(a))
+    elif kind is ZeroEdgeLoop:
+        move = ZeroEdgeLoop(a[0])
+    elif kind is OneEdgeSplit:
+        added = {tuple(sorted((vp[a[0]], vp[a[1]]))) for vp, _ in red.action}
+        red = dataclasses.replace(red, edges=red.edges + tuple(added))
+        move = OneEdgeSplit(*a)
+    else:
+        base, t = max(red.loop_ids, default=-1) + 1, len(red.action)
+        loops = red.loops + tuple(Loop(base + k, vp[a[0]]) for k, (vp, _) in enumerate(red.action))
+        turn = None
+        if red.rotation_loop_perm is not None:
+            turn = dict(zip(red.loop_ids, red.rotation_loop_perm))
+            turn |= {base + k: base + (k + 1) % t for k in range(t)}
+        red = dataclasses.replace(red, loops=loops, rotation_loop_perm=turn)
+        move = OneLoopSplit(base, a[1])
+    vertex_map = tuple(vmap.get(u) for u in range(g.num_vertices))
+    return henneberg.Reduction(move, red, orbit_vertices, orbit_loops, vertex_map)
+
+
+def test_reduce_builds_the_reduced_graph_once(monkeypatch):
+    builds = 0
+    post_init = SymmetricGraph.__post_init__
+
+    def counting(self):
+        nonlocal builds
+        builds += 1
+        post_init(self)
+
+    kinds = set()
+    for name in ["c1", "c2", "c3", "c4", "c5", "c6"]:
+        for seed in range(3):
+            g = generate_random(name, 9, seed).graph
+            g.action  # built before counting
+            for _, cand in henneberg._reduction_candidates(g):
+                expected = _two_build_reduce(g, *cand)
+                monkeypatch.setattr(SymmetricGraph, "__post_init__", counting)
+                builds = 0
+                red = henneberg._reduce(g, *cand)
+                monkeypatch.setattr(SymmetricGraph, "__post_init__", post_init)
+                assert builds == 1
+                assert red == expected, (name, seed, cand)
+                kinds.add(type(red.move))
+    assert kinds == {Zero2Edges, ZeroEdgeLoop, OneEdgeSplit, OneLoopSplit}
