@@ -78,6 +78,7 @@ from .symgraph import (
     induced_subgraph,
     orbits,
     relabel,
+    restricted_fields,
     symmetric_components,
 )
 
@@ -428,22 +429,19 @@ def _reduce(
     neighbours in ``graph`` labels.
 
     The reduced graph is built once, with a split's new edge or loop orbit
-    in it.  The kept vertices are renumbered in order and keep their loop
-    ids, as in ``induced_subgraph``; a new loop orbit's ids continue from
-    the largest kept id, element k's loop first, as in ``apply_extension``.
+    added to the fields of ``restricted_fields``: the kept vertices are
+    renumbered in order and keep their loop ids; a new loop orbit's ids
+    continue from the largest kept id, element k's loop first, as in
+    ``apply_extension``.
     """
     group = graph.group
     action = graph.action
     orbit_vertices = tuple(vp[v] for vp, _ in action)
     orbit_loops = () if loop is None else tuple(lp[loop] for _, lp in action)
     deleted = set(orbit_vertices)
-    keep = [u for u in range(graph.num_vertices) if u not in deleted]
-    vmap: list[int | None] = [None] * graph.num_vertices
-    for i, u in enumerate(keep):
-        vmap[u] = i
-    edges = [(vmap[a], vmap[b]) for a, b in graph.edges if a not in deleted and b not in deleted]
-    kept_loops = [(l, k) for k, l in enumerate(graph.loops) if l.vertex not in deleted]
-    loops = [Loop(l.id, vmap[l.vertex], l.sigma_label) for l, _ in kept_loops]
+    fields, vmap = restricted_fields(
+        graph, (u for u in range(graph.num_vertices) if u not in deleted)
+    )
     a = [vmap[u] for u in ends]
     move: Move
     if kind is Zero2Edges:
@@ -452,26 +450,22 @@ def _reduce(
         move = ZeroEdgeLoop(a[0])
     elif kind is OneEdgeSplit:
         images = ((vmap[vp[ends[0]]], vmap[vp[ends[1]]]) for vp, _ in action)
-        edges += {(x, y) if x < y else (y, x) for x, y in images}
+        fields["edges"] += tuple({(x, y) if x < y else (y, x) for x, y in images})
         move = OneEdgeSplit(*a)
     else:
-        new_id = max((l.id for l in loops), default=-1) + 1
-        loops += [Loop(new_id + k, vmap[vp[ends[0]]]) for k, (vp, _) in enumerate(action)]
-        move = OneLoopSplit(new_id, a[1])
-    kwargs = {}
-    elements = group.elements()
-    for ref, gen in _gen_elements(group):
-        vp_name = "reflection_vertex_perm" if ref else "rotation_vertex_perm"
-        lp_name = "reflection_loop_perm" if ref else "rotation_loop_perm"
-        vperm, lperm = getattr(graph, vp_name), getattr(graph, lp_name)
-        kwargs[vp_name] = tuple(vmap[vperm[u]] for u in keep)
-        lmap = {l.id: lperm[k] for l, k in kept_loops}
-        if kind is OneLoopSplit:
+        new_id = max((l.id for l in fields["loops"]), default=-1) + 1
+        fields["loops"] += tuple(
+            Loop(new_id + k, vmap[vp[ends[0]]]) for k, (vp, _) in enumerate(action)
+        )
+        elements = group.elements()
+        for ref, gen in _gen_elements(group):
+            lmap = fields["reflection_loop_perm" if ref else "rotation_loop_perm"]
             for k, el in enumerate(elements):
                 lmap[new_id + k] = new_id + group.index(group.compose(gen, el))
-        kwargs[lp_name] = lmap
-    red = SymmetricGraph(group, len(keep), tuple(edges), tuple(loops), **kwargs)
-    return Reduction(move, red, orbit_vertices, orbit_loops, tuple(vmap))
+        move = OneLoopSplit(new_id, a[1])
+    red = SymmetricGraph(group, **fields)
+    vertex_map = tuple(vmap.get(u) for u in range(graph.num_vertices))
+    return Reduction(move, red, orbit_vertices, orbit_loops, vertex_map)
 
 
 def _cut_pieces(
@@ -828,9 +822,10 @@ def _walk(
     with its depth and the rule.
 
     With ``union`` it looks for the best disjoint union of bases (fewest
-    pieces, then longest path), decides every candidate, and counts from
-    scratch per graph; a graph is cut only when one of its components has
-    two permanent orbits, since each piece of a union is one base.
+    pieces, then longest path), decides every candidate and cuts nothing:
+    a component can split, so two permanent orbits in one component may
+    still end in two base pieces.  The carried component count only spares
+    ``base_union_labels`` there.
 
     The walk is iterative: ``frames`` holds, for each graph on the current
     path that is being expanded, the lazy iterator of its tight reductions,
@@ -856,18 +851,13 @@ def _walk(
     comps = len(symmetric_components(start))
     perm = len(_permanent_orbits(start, _orbit_reps(start)))
     while True:
-        if union:
-            pieces = symmetric_components(g)
-            where = {v: i for i, piece in enumerate(pieces) for v in piece}
-            per_piece = Counter(where[r] for r in _permanent_orbits(g, _orbit_reps(g)))
-            comps, perm = len(pieces), max(per_piece.values(), default=0)
         nxt: tuple[Reduction, Games, Counts] | None = None
         # a union of bases has at most |group| vertices per piece
         labels = base_union_labels(g) if g.num_vertices <= comps * t else None
         cut = None
-        if comps >= 2 and not union:
+        if not union and comps >= 2:
             cut = f"has {comps} symmetric components, which no reduction joins"
-        elif perm >= 2:
+        elif not union and perm >= 2:
             cut = (
                 f"has {perm} permanent orbits (two loops per vertex, or an edge"
                 " inside the orbit), which no reduction removes"

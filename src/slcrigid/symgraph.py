@@ -825,13 +825,16 @@ def relabel(
     )
 
 
-def induced_subgraph(
+def restricted_fields(
     graph: SymmetricGraph, vertices: Iterable[int]
-) -> tuple[SymmetricGraph, dict[int, int]]:
-    """Restrict to an action-closed vertex set; loop ids are kept.
+) -> tuple[dict, dict[int, int]]:
+    """The fields of the subgraph on an action-closed vertex set, unbuilt.
 
-    Returns the subgraph (vertices renumbered monotonically) and the map
-    old index -> new index.
+    Returns keyword arguments for ``SymmetricGraph`` (every field but the
+    group; edges and loops as tuples, loop permutations as dicts keyed by
+    loop id) and the map old index -> new index.  Vertices are renumbered
+    monotonically and loops keep their ids, so a caller can add edges or
+    loops before the one build.
     """
     keep = sorted(set(vertices))
     vmap = {v: i for i, v in enumerate(keep)}
@@ -855,23 +858,30 @@ def induced_subgraph(
             return None
         return {l.id: img for l, img in zip(graph.loops, lperm) if l.id in kept_ids}
 
-    return (
-        SymmetricGraph(
-            group=graph.group,
-            num_vertices=len(keep),
-            edges=tuple(
-                (vmap[u], vmap[v])
-                for (u, v) in graph.edges
-                if u in keep_set and v in keep_set
-            ),
-            loops=loops,
-            rotation_vertex_perm=restrict_v(graph.rotation_vertex_perm),
-            rotation_loop_perm=restrict_l(graph.rotation_loop_perm),
-            reflection_vertex_perm=restrict_v(graph.reflection_vertex_perm),
-            reflection_loop_perm=restrict_l(graph.reflection_loop_perm),
+    fields = dict(
+        num_vertices=len(keep),
+        edges=tuple(
+            (vmap[u], vmap[v]) for (u, v) in graph.edges if u in keep_set and v in keep_set
         ),
-        vmap,
+        loops=loops,
+        rotation_vertex_perm=restrict_v(graph.rotation_vertex_perm),
+        rotation_loop_perm=restrict_l(graph.rotation_loop_perm),
+        reflection_vertex_perm=restrict_v(graph.reflection_vertex_perm),
+        reflection_loop_perm=restrict_l(graph.reflection_loop_perm),
     )
+    return fields, vmap
+
+
+def induced_subgraph(
+    graph: SymmetricGraph, vertices: Iterable[int]
+) -> tuple[SymmetricGraph, dict[int, int]]:
+    """Restrict to an action-closed vertex set; loop ids are kept.
+
+    Returns the subgraph (vertices renumbered monotonically) and the map
+    old index -> new index; see ``restricted_fields``.
+    """
+    fields, vmap = restricted_fields(graph, vertices)
+    return SymmetricGraph(group=graph.group, **fields), vmap
 
 
 __all__ = [
@@ -899,4 +909,5 @@ __all__ = [
     "symmetric_components",
     "relabel",
     "induced_subgraph",
+    "restricted_fields",
 ]

@@ -376,20 +376,13 @@ def _eager_walk(start, method="pebble", cut=lambda g: False, union=False, seen=N
     return (hit if hit is not None else best), dead
 
 
-def _two_permanent_in_a_component(g):
-    return any(
-        _permanent_count(induced_subgraph(g, comp)[0]) >= 2 for comp in symmetric_components(g)
-    )
-
-
 def _eager_search(start, method="pebble"):
     """Reference for ``henneberg._search_reductions``: a single-base search
     that cuts a graph with two components or two permanent orbits, then,
-    only if it fails, a union-of-bases search that cuts a component with
-    two permanent orbits."""
+    only if it fails, a union-of-bases search that cuts nothing."""
     found, dead = _eager_walk(start, method, cut=lambda g: max(_counts(g)) >= 2)
     if found is None:
-        found, _ = _eager_walk(start, method, cut=_two_permanent_in_a_component, union=True)
+        found, _ = _eager_walk(start, method, union=True)
     if found is None:
         raise ReductionDeadEnd("no union of base graphs", dead)
     return found
@@ -693,8 +686,31 @@ def test_a_graph_that_splits_falls_back_to_a_union_of_bases():
     assert verify_decomposition(g, dec)
 
 
+def _split_apart_permanent_orbits():
+    """``pinned3`` and ``lc3`` side by side, joined by one free orbit: one
+    component with two permanent orbits, which deleting the free orbit
+    splits into two base pieces."""
+    edges = ((3, 4), (3, 5), (4, 5))
+    return apply_extension(_turned(3, 6, edges, (0, 1, 2, 0, 1, 2, 3, 4, 5)), Zero2Edges(0, 3))
+
+
+def test_two_permanent_orbits_that_split_apart_give_a_union_of_bases():
+    g = _split_apart_permanent_orbits()
+    assert is_tight(g) and len(symmetric_components(g)) == 1
+    assert _permanent_count(g) == 2
+    assert g.edges == ((0, 6), (1, 7), (2, 8), (3, 4), (3, 5), (3, 6), (4, 5), (4, 7), (5, 8))
+    # the single-base search is dead at the start; the union search is not cut
+    found, (witness, depth, rule) = henneberg._walk(g, union=False)
+    assert found is None
+    assert (witness, depth) == (g, 0) and "has 2 permanent orbits" in rule
+    dec = decompose(g)
+    assert [c.base_label for c in dec.components] == ["pinned3+lc3"]
+    assert dec.total_moves == 1
+    assert verify_decomposition(g, dec)  # replays the trace
+
+
 def test_eager_reference_agrees_on_the_fallback_and_the_dead_ends(monkeypatch):
-    graphs = [_splits(), _stuck(), _ring_with_extensions()]
+    graphs = [_splits(), _split_apart_permanent_orbits(), _stuck(), _ring_with_extensions()]
     outcomes = []
     for search in (henneberg._search_reductions, _eager_search):
         monkeypatch.setattr(henneberg, "_search_reductions", search)
@@ -703,7 +719,7 @@ def test_eager_reference_agrees_on_the_fallback_and_the_dead_ends(monkeypatch):
                 outcomes.append(decompose(g))
             except ReductionDeadEnd as err:
                 outcomes.append(err.graph)
-    assert outcomes[:3] == outcomes[3:]
+    assert outcomes[:4] == outcomes[4:]
 
 
 def _spied_searches(monkeypatch, cases, spy):
