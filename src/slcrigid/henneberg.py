@@ -32,11 +32,12 @@ edge orbit or one loop orbit, and:
   split candidate is tight exactly when A has |group| members and is
   independent over G - O.
 
-The search therefore keeps, for each graph on its path, the two pebble
-games of ``sparsity.pebble_games`` and derives a candidate's games from
-its parent's: delete O, then insert A.  ``check_tight`` runs once, on the
-input; ``enumerate_reductions`` stays as the try-and-check reference.  The
-base graphs:
+The search therefore walks one state (``_State``) in the input's vertex
+ids, with the two pebble games of ``sparsity.pebble_games``: a reduction
+deletes O in place, then inserts A, and backtracking restores the parent.
+``check_tight`` runs once, on the input, and graphs are built only near
+the bottom and for the replay; ``enumerate_reductions`` stays as the
+try-and-check reference.  The base graphs:
 
 * ``p1_fixed``: one half-turn-fixed vertex with two fixed loops (order 2);
 * ``p1_swap``: one fixed vertex with a swapped loop pair (order 4);
@@ -57,8 +58,9 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterator, Union
+from typing import Callable, Collection, Iterator, NamedTuple, Union
 
 from .errors import (
     InvalidMoveError,
@@ -75,6 +77,7 @@ from .symgraph import (
     GroupSpec,
     Loop,
     SymmetricGraph,
+    _union_find,
     induced_subgraph,
     orbits,
     relabel,
@@ -119,13 +122,17 @@ def _fresh_loop_base(graph: SymmetricGraph) -> int:
     return max(graph.loop_ids, default=-1) + 1
 
 
-def _gen_elements(group: GroupSpec) -> list[tuple[bool, GroupElement]]:
+def _generators(group: GroupSpec) -> list[tuple[str, list[int]]]:
+    """The group's generators, rotation first, each as its field-name stem
+    and k -> the index of generator * element k: where it moves element
+    k's member of a new orbit."""
     gens = []
     if group.rotation_order > 1:
-        gens.append((False, GroupElement(1, False)))
+        gens.append(("rotation", GroupElement(1, False)))
     if group.has_reflection:
-        gens.append((True, GroupElement(0, True)))
-    return gens
+        gens.append(("reflection", GroupElement(0, True)))
+    elements = group.elements()
+    return [(name, [group.index(group.compose(g, el)) for el in elements]) for name, g in gens]
 
 
 def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
@@ -135,8 +142,7 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
     loop ids continue from the largest existing id.
     """
     group = graph.group
-    elements = group.elements()
-    t = len(elements)
+    t = group.size
     n = graph.num_vertices
 
     def images(v: int) -> list[int]:
@@ -167,10 +173,8 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
             raise InvalidMoveError(f"({move.x0}, {move.y0}) is not an edge")
         if move.z0 in (move.x0, move.y0):
             raise InvalidMoveError("z0 must differ from the split edge's ends")
-        orbit = {
-            (a, b) if a < b else (b, a)
-            for a, b in zip(images(move.x0), images(move.y0))
-        }
+        pairs = zip(images(move.x0), images(move.y0))
+        orbit = {(a, b) if a < b else (b, a) for a, b in pairs}
         if len(orbit) != t:
             raise InvalidMoveError(
                 "the split edge's orbit must have one edge per group element"
@@ -202,21 +206,17 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
 
     surviving = {l.id for l in loops}
     kwargs = {}
-    for ref, gen in _gen_elements(group):
-        vp_name = "reflection_vertex_perm" if ref else "rotation_vertex_perm"
-        lp_name = "reflection_loop_perm" if ref else "rotation_loop_perm"
-        kwargs[vp_name] = getattr(graph, vp_name) + tuple(
-            n + group.index(group.compose(gen, elements[k])) for k in range(t)
-        )
+    for name, shift in _generators(group):
+        vertex_perm = getattr(graph, f"{name}_vertex_perm")
+        kwargs[f"{name}_vertex_perm"] = vertex_perm + tuple(n + s for s in shift)
         lmap = {
             l.id: img
-            for l, img in zip(graph.loops, getattr(graph, lp_name))
+            for l, img in zip(graph.loops, getattr(graph, f"{name}_loop_perm"))
             if l.id in surviving
         }
-        for k in range(t):
-            if new_loops:
-                lmap[base_id + k] = base_id + group.index(group.compose(gen, elements[k]))
-        kwargs[lp_name] = lmap
+        if new_loops:
+            lmap.update((base_id + k, base_id + s) for k, s in enumerate(shift))
+        kwargs[f"{name}_loop_perm"] = lmap
 
     return SymmetricGraph(
         group=group,
@@ -232,23 +232,15 @@ def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
 
 def base_graph(label: str) -> SymmetricGraph:
     """Construct a base graph from its label."""
-    if label == "p1_fixed":
+    if label in ("p1_fixed", "p1_swap"):
+        swap = label == "p1_swap"
         return SymmetricGraph(
-            GroupSpec("cyclic", 2),
+            GroupSpec("cyclic", 4 if swap else 2),
             1,
             (),
             (Loop(0, 0), Loop(1, 0)),
             rotation_vertex_perm=(0,),
-            rotation_loop_perm={0: 0, 1: 1},
-        )
-    if label == "p1_swap":
-        return SymmetricGraph(
-            GroupSpec("cyclic", 4),
-            1,
-            (),
-            (Loop(0, 0), Loop(1, 0)),
-            rotation_vertex_perm=(0,),
-            rotation_loop_perm={0: 1, 1: 0},
+            rotation_loop_perm={0: int(swap), 1: 1 - swap},
         )
     if label.startswith("pinned"):
         tail = label[len("pinned") :]
@@ -294,29 +286,10 @@ def base_graph(label: str) -> SymmetricGraph:
 
 def _cycle_cover_count(n: int, edges: tuple[tuple[int, int], ...]) -> int | None:
     """Number of cycles when the edges are disjoint cycles covering 0..n-1."""
-    if len(edges) != n or n < 3:
+    degree = Counter(v for e in edges for v in e)
+    if len(edges) != n or n < 3 or any(degree[v] != 2 for v in range(n)):
         return None
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(a) != 2 for a in adj):
-        return None
-    pieces = 0
-    seen: set[int] = set()
-    for v0 in range(n):
-        if v0 in seen:
-            continue
-        pieces += 1
-        seen.add(v0)
-        stack = [v0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return pieces
+    return len(set(_union_find(n, edges)))
 
 
 def is_base_graph(graph: SymmetricGraph) -> str | None:
@@ -347,28 +320,16 @@ def is_base_graph(graph: SymmetricGraph) -> str | None:
         return None
 
     orbs = orbits(graph)
-    free_vertex_orbit = len(orbs.vertices) == 1 and len(orbs.vertices[0]) == n
+    if nv != n or len(orbs.vertices) != 1:  # one free vertex orbit
+        return None
+    looped = Counter(l.vertex for l in graph.loops)
     if (
-        nv == n
-        and not graph.edges
-        and len(graph.loops) == 2 * n
-        and free_vertex_orbit
+        not graph.edges
+        and all(looped[v] == 2 for v in range(nv))
         and all(len(o) == n for o in orbs.loops)
-        and all(
-            sum(1 for l in graph.loops if l.vertex == v) == 2 for v in range(nv)
-        )
     ):
         return f"pinned{n}"
-    if (
-        n >= 3
-        and nv == n
-        and len(graph.loops) == n
-        and free_vertex_orbit
-        and len(orbs.loops) == 1
-        and all(
-            sum(1 for l in graph.loops if l.vertex == v) == 1 for v in range(nv)
-        )
-    ):
+    if n >= 3 and len(orbs.loops) == 1 and all(looped[v] == 1 for v in range(nv)):
         pieces = _cycle_cover_count(nv, graph.edges)
         if pieces == 1:
             return f"lc{n}"
@@ -417,6 +378,14 @@ class Reduction:
     vertex_map: tuple[int | None, ...]
 
 
+def _move(kind: type, ends: list[int], new_loop: int) -> Move:
+    """The ``kind`` move that restores a deleted orbit from ``ends``, its
+    neighbours; a loop split splits the loop orbit from id ``new_loop``."""
+    if kind is OneLoopSplit:
+        return OneLoopSplit(new_loop, ends[1])
+    return Zero2Edges(*sorted(ends)) if kind is Zero2Edges else kind(*ends)
+
+
 def _reduce(
     graph: SymmetricGraph,
     v: int,
@@ -424,52 +393,41 @@ def _reduce(
     kind: type,
     ends: tuple[int, ...],
 ) -> Reduction:
-    """Delete v's orbit, and the orbit of ``graph.loops[loop]`` when given,
-    then state the ``kind`` move that restores it from ``ends``, v's
-    neighbours in ``graph`` labels.
+    """Delete v's orbit, and the orbit of the loop with id ``loop`` when
+    given, then state the ``kind`` move that restores it from ``ends``, v's
+    neighbours in ``graph`` labels: the reference for ``_State.push``.
 
-    The reduced graph is built once, with a split's new edge or loop orbit
-    added to the fields of ``restricted_fields``: the kept vertices are
-    renumbered in order and keep their loop ids; a new loop orbit's ids
-    continue from the largest kept id, element k's loop first, as in
-    ``apply_extension``.
+    The reduced graph is built once: kept vertices are renumbered in order
+    and keep their loop ids; a split's new loop orbit continues from the
+    largest kept id, element k's loop first, as in ``apply_extension``.
     """
     group = graph.group
     action = graph.action
     orbit_vertices = tuple(vp[v] for vp, _ in action)
-    orbit_loops = () if loop is None else tuple(lp[loop] for _, lp in action)
+    orbit_loops = () if loop is None else tuple(lp[graph.loop_index(loop)] for _, lp in action)
     deleted = set(orbit_vertices)
     fields, vmap = restricted_fields(
         graph, (u for u in range(graph.num_vertices) if u not in deleted)
     )
-    a = [vmap[u] for u in ends]
-    move: Move
-    if kind is Zero2Edges:
-        move = Zero2Edges(*sorted(a))
-    elif kind is ZeroEdgeLoop:
-        move = ZeroEdgeLoop(a[0])
-    elif kind is OneEdgeSplit:
+    new_id = max((l.id for l in fields["loops"]), default=-1) + 1
+    if kind is OneEdgeSplit:
         images = ((vmap[vp[ends[0]]], vmap[vp[ends[1]]]) for vp, _ in action)
         fields["edges"] += tuple({(x, y) if x < y else (y, x) for x, y in images})
-        move = OneEdgeSplit(*a)
-    else:
-        new_id = max((l.id for l in fields["loops"]), default=-1) + 1
+    elif kind is OneLoopSplit:
         fields["loops"] += tuple(
             Loop(new_id + k, vmap[vp[ends[0]]]) for k, (vp, _) in enumerate(action)
         )
-        elements = group.elements()
-        for ref, gen in _gen_elements(group):
-            lmap = fields["reflection_loop_perm" if ref else "rotation_loop_perm"]
-            for k, el in enumerate(elements):
-                lmap[new_id + k] = new_id + group.index(group.compose(gen, el))
-        move = OneLoopSplit(new_id, a[1])
+        for name, shift in _generators(group):
+            lmap = fields[f"{name}_loop_perm"]
+            lmap.update((new_id + k, new_id + s) for k, s in enumerate(shift))
     red = SymmetricGraph(group, **fields)
+    move = _move(kind, [vmap[u] for u in ends], new_id)
     vertex_map = tuple(vmap.get(u) for u in range(graph.num_vertices))
     return Reduction(move, red, orbit_vertices, orbit_loops, vertex_map)
 
 
 def _cut_pieces(
-    adj: dict[int, set[int]],
+    adj: dict[int, Collection[int]],
 ) -> tuple[int, Callable[[int], int], Callable[[int, int], int]]:
     """Connectivity of a simple graph after deleting any one node.
 
@@ -525,26 +483,6 @@ def _cut_pieces(
     return len(roots), pieces, piece
 
 
-def _orbit_reps(graph: SymmetricGraph) -> list[int]:
-    """Each vertex's orbit representative, the orbit's smallest vertex."""
-    return [min(vp[v] for vp, _ in graph.action) for v in range(graph.num_vertices)]
-
-
-def _permanent_orbits(graph: SymmetricGraph, rep: list[int]) -> set[int]:
-    """Representatives (``rep``, from ``_orbit_reps``) of the permanent
-    orbits: those with two loops per vertex, or with an edge inside the
-    orbit.
-
-    No reduction deletes such an orbit (none is offered), and none takes a
-    loop or an edge away from it, so it stays to the end.  Every base graph
-    is one orbit, so a graph with two of them cannot reach a single base.
-    """
-    looped = Counter(l.vertex for l in graph.loops)
-    return {rep[v] for v, k in looped.items() if k >= 2} | {
-        rep[a] for a, b in graph.edges if rep[a] == rep[b]
-    }
-
-
 Candidate = tuple[int, int | None, type, tuple[int, ...]]
 # (symmetric components of the reduced graph, whether it makes an orbit
 # permanent); see ``_reduction_candidates``
@@ -553,60 +491,226 @@ Key = tuple[int, bool]
 Counts = tuple[int, int]
 
 
-def _reduction_candidates(
-    graph: SymmetricGraph,
-) -> Iterator[tuple[Key, Candidate]]:
-    """Structurally valid orbit deletions, deterministic order, unbuilt.
+class _Step(NamedTuple):
+    """One reduction on a search path, in the start graph's vertex ids and
+    the loop ids of the graph it reduces: the forward move, and the deleted
+    orbit's vertices and loops, element k's at k."""
+
+    move: Move
+    orbit_vertices: tuple[int, ...]
+    orbit_loops: tuple[int, ...]
+
+
+class _State:
+    """The graph at the reduction search's current node, edited in place
+    and kept in the start graph's vertex ids.
+
+    ``push`` reduces it to G - O + A and ``pop`` restores the parent;
+    ``steps`` is the path from the start.  ``alive`` marks the kept
+    vertices; loop ids are the ones the ``_reduce`` chain gives, so
+    ``graph()`` rebuilds the graph that chain builds.  A deleted vertex
+    keeps its loop ids and stays, isolated, in the two pebble ``games``.
+    ``quotient`` counts the edges that join two orbits.  Orbits, their
+    representatives (smallest vertices) and sizes never change, so they
+    are read once from ``start.action``.
+    """
+
+    def __init__(self, start: SymmetricGraph) -> None:
+        n, group = start.num_vertices, start.group
+        self.start = start
+        self.t = group.size
+        self.orbit = [tuple(vp[v] for vp, _ in start.action) for v in range(n)]
+        self.rep = rep = [min(o) for o in self.orbit]
+        self.size = Counter(rep)
+        self.free = [v for v in range(n) if rep[v] == v and self.size[v] == self.t]
+        self.alive = [True] * n
+        self.num_alive = n
+        self.nbrs: list[set[int]] = [set() for _ in range(n)]
+        self.quotient: dict[int, Counter[int]] = {r: Counter() for r in self.size}
+        for a, b in start.edges:
+            self._join(a, b, 1)
+        self.gens = [
+            (name, getattr(start, f"{name}_vertex_perm"), shift)
+            for name, shift in _generators(group)
+        ]
+        self.loops_at: list[list[int]] = [[] for _ in range(n)]
+        self.loops: dict[int, tuple[Loop, tuple[int, ...]]] = {}
+        for k, l in enumerate(start.loops):
+            self.loops_at[l.vertex].append(l.id)
+            images = tuple(getattr(start, f"{name}_loop_perm")[k] for name, _, _ in self.gens)
+            self.loops[l.id] = (l, images)
+        self.permanent = {rep[v] for v in range(n) if len(self.loops_at[v]) >= 2}
+        self.permanent |= {rep[a] for a, b in start.edges if rep[a] == rep[b]}
+        self.steps: list[_Step] = []
+        self._undo: list[tuple] = []
+
+    @cached_property
+    def games(self) -> tuple[_PebbleGame, _PebbleGame]:
+        """The start's ``pebble_games``, built at the first push: reading
+        candidates, as ``enumerate_reductions`` does, needs none."""
+        start = self.start
+        return pebble_games(start.num_vertices, start.edges, start.loop_vertices)
+
+    def key(self) -> tuple:
+        """The graph at this node, unbuilt, as vertex count, edges, loops
+        with generator images, and generator vertex permutations: equal
+        exactly when the graphs are, also after deleting twin orbits."""
+        keep = [u for u, kept in enumerate(self.alive) if kept]
+        new = {u: i for i, u in enumerate(keep)}
+        edges = frozenset((new[u], new[w]) for u in keep for w in self.nbrs[u] if u < w)
+        loops = frozenset(
+            (l.id, new[l.vertex], l.sigma_label, im) for l, im in self.loops.values()
+        )
+        perms = tuple(tuple(new[perm[u]] for u in keep) for _, perm, _ in self.gens)
+        return len(keep), edges, loops, perms
+
+    def graph(self) -> SymmetricGraph:
+        """The graph at this node: kept vertices in order, loop ids kept."""
+        n, edges, loops, perms = self.key()
+        fields = {}
+        for g, (name, _, _) in enumerate(self.gens):
+            fields[f"{name}_vertex_perm"] = perms[g]
+            fields[f"{name}_loop_perm"] = {l[0]: l[3][g] for l in loops}
+        loops = tuple(Loop(*l[:3]) for l in loops)
+        return SymmetricGraph(self.start.group, n, tuple(edges), loops, **fields)
+
+    def _join(self, a: int, b: int, step: int) -> None:
+        """Add (``step`` 1) or remove (-1) the edge a-b in the neighbour
+        sets and the quotient."""
+        for x, y in ((a, b), (b, a)):
+            (self.nbrs[x].add if step > 0 else self.nbrs[x].remove)(y)
+            links, ry = self.quotient[self.rep[x]], self.rep[y]
+            if self.rep[x] != ry:
+                links[ry] += step
+                if not links[ry]:
+                    del links[ry]
+
+    def _play(self, row: tuple[int, int | None]) -> bool:
+        """Insert the edge u-w (4 pebbles in the (2,3) game, 1 in the (2,0)
+        game), or a loop at u when w is None (1 in the (2,0) game); False,
+        with the row in neither game, when it is dependent."""
+        edge_game, row_game = self.games
+        u, w = row
+        if w is None:
+            return row_game.insert_loop(u)
+        if not edge_game.insert_edge(u, w, 4):
+            return False
+        if row_game.insert_edge(u, w, 1):
+            return True
+        edge_game.delete(u, w)
+        return False
+
+    def _edit(self, rows: list[tuple[int, int | None]], step: int) -> None:
+        """Delete (``step`` -1) rows, as ``_play`` takes them, from the
+        games, the neighbour sets and the quotient, or put back (1) rows
+        that are independent there."""
+        for u, w in rows:
+            if step > 0:
+                self._play((u, w))
+            else:
+                if w is not None:
+                    self.games[0].delete(u, w)
+                self.games[1].delete(u, w)
+            if w is not None:
+                self._join(u, w, step)
+
+    def push(self, cand: Candidate) -> bool:
+        """Reduce the graph by ``cand``, or return False, with the state as
+        it was, when the reduced graph is not tight (``_tight_reductions``).
+
+        O's rows leave the games with no search (an arc into O returns its
+        pebble to its tail), then A's rows go in.  An edge orbit of fewer
+        than |group| members is refused unplayed: an element fixes one of
+        its edges, and it has fewer rows than O took.
+        """
+        v, _, kind, (x, *rest) = cand
+        orbit, rep = self.orbit[v], self.rep
+        rows = [(u, w) for u in orbit for w in self.nbrs[u]]
+        rows += [(u, None) for u in orbit for _ in self.loops_at[u]]
+        loops = [self.loops.pop(i) for u in orbit for i in self.loops_at[u]]
+        self._edit(rows, -1)
+        del self.quotient[v]
+        for u in orbit:
+            self.alive[u] = False
+        self.num_alive -= self.t
+
+        added: list[tuple[int, int | None]] = []
+        if kind is OneEdgeSplit:
+            pairs = zip(self.orbit[x], self.orbit[rest[0]])
+            added = sorted({(a, b) if a < b else (b, a) for a, b in pairs})
+        elif kind is OneLoopSplit:
+            added = [(y, None) for y in self.orbit[x]]
+        played = 0
+        while played < len(added) == self.t and self._play(added[played]):
+            if added[played][1] is not None:
+                self._join(*added[played], 1)
+            played += 1
+        if played < len(added):
+            self._edit(added[:played], -1)
+            self._restore(v, rows, loops)
+            return False
+
+        new_loop = max(self.loops, default=-1) + 1
+        for k, (a, b) in enumerate(added):
+            if b is None:
+                shifted = tuple(new_loop + shift[k] for _, _, shift in self.gens)
+                self.loops[new_loop + k] = (Loop(new_loop + k, a), shifted)
+                self.loops_at[a].append(new_loop + k)
+        made = None
+        if rep[x] not in self.permanent and (
+            len(self.loops_at[x]) >= 2 or kind is OneEdgeSplit and rep[x] == rep[rest[0]]
+        ):
+            made = rep[x]
+            self.permanent.add(made)
+        self._undo.append((v, rows, loops, added, made))
+        move = _move(kind, [x, *rest], new_loop)
+        self.steps.append(_Step(move, orbit, tuple(l.id for l, _ in loops)))
+        return True
+
+    def pop(self) -> None:
+        """Undo the last ``push`` that returned True."""
+        v, rows, loops, added, made = self._undo.pop()
+        self.steps.pop()
+        self.permanent.discard(made)
+        for a, b in added:
+            if b is None:
+                del self.loops[self.loops_at[a].pop()]
+        self._edit(added, -1)
+        self._restore(v, rows, loops)
+
+    def _restore(self, v: int, rows: list, loops: list) -> None:
+        """Put back the orbit of v, its rows and its loops."""
+        for u in self.orbit[v]:
+            self.alive[u] = True
+        self.num_alive += self.t
+        self.quotient[v] = Counter()
+        self._edit(rows, 1)
+        self.loops.update((l.id, (l, images)) for l, images in loops)
+
+
+def _reduction_candidates(state: _State) -> Iterator[tuple[Key, Candidate]]:
+    """Structurally valid orbit deletions of the state's graph, in a fixed
+    order, unbuilt and in the start graph's vertex ids.
 
     Only free orbits whose neighborhood lies outside the orbit are offered;
     those are exactly the orbits an extension can have created.  Each comes
-    as ``((components, permanent), (v, loop, kind, ends))``; the second
-    part holds the arguments of ``_reduce(graph, v, loop, kind, ends)``,
-    which builds the unchecked ``Reduction``.  Both parts of the key are
-    found without building the reduced graph:
-
-    * ``components`` is the number of symmetric components of the reduced
-      graph.  Every candidate of an orbit O starts from G - O and adds an
-      edge orbit x1-x2 (a (3,0) split), a loop orbit (a (2,1) split) or
-      nothing.  Components are action-closed, so they are the components
-      of the orbit-quotient graph (one node per vertex orbit), and one DFS
-      over it counts them in G - O for every O (``_cut_pieces``): the edge
-      orbit joins two of them exactly when x1 and x2 lie apart in G - O,
-      and a loop joins none.
-    * ``permanent`` says whether the reduced graph has one more permanent
-      orbit than G (see ``_permanent_orbits``): a (2,1) split whose loops
-      give a vertex its second loop, or a (3,0) split whose edge orbit lies
-      inside one orbit, where that orbit was not permanent already.
+    as ``((components, permanent), (v, loop, kind, ends))``: the key, read
+    from the state, and the arguments of ``_State.push`` and ``_reduce``
+    (``loop`` is a loop id).  ``components`` counts the symmetric
+    components of G - O + A, that is of the orbit-quotient graph: one DFS
+    over it (``_cut_pieces``) counts them in G - O for every O, an edge
+    orbit x1-x2 joins two exactly when x1 and x2 lie apart, and a loop
+    orbit joins none.  ``permanent`` says whether A makes an orbit
+    permanent that was not: a (2,1) split whose loops give a vertex its
+    second loop, or a (3,0) split whose edge orbit lies inside one orbit.
     """
-    t = graph.group.size
-    n = graph.num_vertices
-    edge_set = set(graph.edges)
-
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in graph.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    loops_at: list[list[int]] = [[] for _ in range(n)]
-    for k, l in enumerate(graph.loops):
-        loops_at[l.vertex].append(k)
-    rep = _orbit_reps(graph)
-    size = Counter(rep)
-    permanent = _permanent_orbits(graph, rep)
-    quotient: dict[int, set[int]] = {r: set() for r in rep}
-    for a, b in graph.edges:
-        if rep[a] != rep[b]:
-            quotient[rep[a]].add(rep[b])
-            quotient[rep[b]].add(rep[a])
-    total, pieces, piece = _cut_pieces(quotient)
-
-    for v in range(n):
-        if rep[v] != v:
-            continue
-        orb = {vp[v] for vp, _ in graph.action}
-        if len(orb) != t:
+    t, rep, nbrs, loops_at = state.t, state.rep, state.nbrs, state.loops_at
+    total, pieces, piece = _cut_pieces(state.quotient)
+    for v in state.free:
+        if not state.alive[v]:
             continue
         out = sorted(nbrs[v])
-        if any(u in orb for u in out):
+        if any(rep[u] == v for u in out):
             continue
         profile = (len(out), len(loops_at[v]))
         if profile not in ((2, 0), (1, 1), (3, 0), (2, 1)):
@@ -621,18 +725,18 @@ def _reduction_candidates(
             for i in range(3):
                 for j in range(i + 1, 3):
                     x1, x2 = out[i], out[j]
-                    if ((x1, x2) if x1 < x2 else (x2, x1)) in edge_set:
+                    if x2 in nbrs[x1]:
                         continue
                     z = out[3 - i - j]
                     joined = piece(v, rep[x1]) != piece(v, rep[x2])
-                    inner = rep[x1] == rep[x2] and rep[x1] not in permanent
+                    inner = rep[x1] == rep[x2] and rep[x1] not in state.permanent
                     yield (comps - joined, inner), (v, None, OneEdgeSplit, (x1, x2, z))
         else:
             loop = loops_at[v][0]
             for x, y in ((out[0], out[1]), (out[1], out[0])):
                 # the t new loops spread evenly over x's orbit
-                looped = len(loops_at[x]) + t // size[rep[x]] >= 2
-                new = looped and rep[x] not in permanent
+                looped = len(loops_at[x]) + t // state.size[rep[x]] >= 2
+                new = looped and rep[x] not in state.permanent
                 yield (comps, new), (v, loop, OneLoopSplit, (x, y))
 
 
@@ -641,13 +745,14 @@ def enumerate_reductions(
 ) -> tuple[Reduction, ...]:
     """All reductions whose result is still tight (try-and-check).
 
-    Every candidate is built and checked by ``check_tight`` from scratch;
-    this is the reference that ``decompose``'s incremental search is tested
-    against.
+    Every candidate is built by ``_reduce`` and checked by ``check_tight``
+    from scratch; this is the reference that ``decompose``'s incremental
+    search is tested against.
     """
     if not check_tight(graph, method).tight:
         raise NotTightError("reductions are only defined on tight graphs")
-    reds = (_reduce(graph, *cand) for _, cand in _reduction_candidates(graph))
+    cands = _reduction_candidates(_State(graph))
+    reds = (_reduce(graph, *cand) for _, cand in cands)
     return tuple(r for r in reds if check_tight(r.graph, method).tight)
 
 
@@ -682,14 +787,8 @@ def base_union_labels(graph: SymmetricGraph) -> tuple[str, ...] | None:
     comps = symmetric_components(graph)
     if any(len(comp) > graph.group.size for comp in comps):
         return None
-    labels = []
-    for comp in comps:
-        sub, _ = induced_subgraph(graph, comp)
-        label = is_base_graph(sub)
-        if label is None:
-            return None
-        labels.append(label)
-    return tuple(labels)
+    labels = tuple(is_base_graph(induced_subgraph(graph, comp)[0]) for comp in comps)
+    return None if None in labels else labels
 
 
 @dataclass(frozen=True)
@@ -722,89 +821,32 @@ def replay(trace: ComponentTrace) -> SymmetricGraph:
     return g
 
 
-Games = tuple[_PebbleGame, _PebbleGame]
-
-
-def _child_games(
-    graph: SymmetricGraph, games: Games, cand: Candidate
-) -> Games | None:
-    """The pebble games of a candidate's graph G - O + A, or None when that
-    graph is not tight (see ``_tight_reductions`` for why this decides it).
-
-    ``games`` are the ``pebble_games`` of ``graph``.  The games of G - O
-    come from restricting them.  An edge orbit A is inserted with 4
-    pebbles per edge in the (2,3) game and 1 in the (2,0) game, a loop
-    orbit with 1 per loop in the (2,0) game.  An edge orbit of fewer than
-    |group| members is refused unplayed: some element fixes one of its
-    edges, and it has fewer rows than O took.
-    """
-    v, _, kind, ends = cand
-    orbit = {vp[v] for vp, _ in graph.action}
-    vmap: list[int | None] = [None] * graph.num_vertices
-    kept = 0
-    for u in range(graph.num_vertices):
-        if u not in orbit:
-            vmap[u] = kept
-            kept += 1
-    edge_game, row_game = (game.restrict(vmap) for game in games)
-    if kind is OneEdgeSplit:
-        x1, x2 = ends[0], ends[1]
-        added = {tuple(sorted((vmap[vp[x1]], vmap[vp[x2]]))) for vp, _ in graph.action}
-        if len(added) != graph.group.size or not all(
-            edge_game.insert_edge(a, b, 4) and row_game.insert_edge(a, b, 1)
-            for a, b in sorted(added)
-        ):
-            return None
-    elif kind is OneLoopSplit:
-        if not all(row_game.insert_loop(vmap[vp[ends[0]]]) for vp, _ in graph.action):
-            return None
-    return edge_game, row_game
-
-
 def _tight_reductions(
-    graph: SymmetricGraph,
-    games: Games,
+    state: _State,
     permanent: int,
     wanted: Callable[[Counts], bool] | None = None,
-) -> Iterator[tuple[Reduction, Games, Counts]]:
-    """Tight reductions of ``graph`` in search order, each with the pebble
-    games of its graph and its ``Counts``.
+) -> Iterator[Counts]:
+    """Reduce ``state``, whose graph is tight with ``permanent`` permanent
+    orbits, by each of its tight reductions in search order, and yield its
+    ``Counts`` while the state holds it.
 
-    ``graph`` is tight, ``games`` are its ``pebble_games`` and
-    ``permanent`` is its number of permanent orbits; a reduction's counts
-    are its key's components and ``permanent`` plus its key's flag.  Every
-    candidate is G - O + A (see ``_reduction_candidates``), and:
-
-    * G - O is sparse, because it is a subgraph of the sparse graph G;
-    * deleting the free orbit O, with its rows, changes no fixed count;
-    * so a ``Zero2Edges`` or ``ZeroEdgeLoop`` candidate (A empty) is always
-      tight, and a split is tight exactly when its orbit A has |group|
-      members and A is independent over G - O.
-
-    So each candidate is decided from the parent's games
-    (``_child_games``), not by ``check_tight``, and built only when it is
-    tight; every built graph still passes ``validate_action``.  The
-    candidates are stable-sorted by their key, which needs no reduced
-    graph: fewest symmetric components first, and among as many components
-    those that make no new permanent orbit (``_permanent_orbits``), since a
-    second permanent orbit rules out a single base.  Each candidate is
-    decided only when the caller asks for the next one, and only if
-    ``wanted`` (when given) holds for its counts then; the others are
-    passed over undecided.  Filtering commutes with a stable sort, so this
-    is the order of sorting the tight reductions themselves.
+    Candidates are stable-sorted by key: fewest components first, then
+    those that make no new permanent orbit.  Each is decided by
+    ``_State.push`` (see the module notes for why its games decide it)
+    only when the caller asks for the next one, and only if ``wanted``
+    (when given) holds for its counts then.
     """
-    for (comps, new), cand in sorted(_reduction_candidates(graph), key=itemgetter(0)):
+    for (comps, new), cand in sorted(_reduction_candidates(state), key=itemgetter(0)):
         counts = (comps, permanent + new)
         if wanted is not None and not wanted(counts):
             continue
-        child = _child_games(graph, games, cand)
-        if child is not None:
-            red = _reduce(graph, *cand)
-            require_valid_action(red.graph)
-            yield red, child, counts
+        if state.push(cand):
+            yield counts
+            state.pop()
 
 
-Path = tuple[tuple[Reduction, ...], tuple[str, ...]]
+# the steps from the start, the base labels, and the base graph
+Path = tuple[tuple[_Step, ...], tuple[str, ...], SymmetricGraph]
 
 
 def _walk(
@@ -812,73 +854,67 @@ def _walk(
 ) -> tuple[Path | None, tuple[SymmetricGraph, int, str] | None]:
     """One depth-first search of ``_search_reductions``.
 
-    Without ``union`` it looks for a single base only.  A graph with two or
-    more symmetric components, or with two or more permanent orbits, is cut
-    there; both counts come with each reduction (``_tight_reductions``), so
-    only ``start``'s are counted from scratch.  Once a witness is in hand,
-    a reduction that would be cut is not even decided.  Returns the path
-    to the first single base, or None, and the first graph the search
-    proved dead: one with no tight reduction, or one cut by either rule,
-    with its depth and the rule.
+    Without ``union`` it looks for a single base only, and cuts a graph
+    with two or more symmetric components or permanent orbits (counts that
+    come with each reduction); once a witness is in hand, a reduction that
+    would be cut is not even decided.  Returns the path to the first single
+    base, or None, and the first graph proved dead (no tight reduction, or
+    cut) with its depth and the rule.  With ``union`` it looks for the best
+    union of bases (fewest pieces, then longest path), cuts nothing, since
+    two permanent orbits may end in two pieces, and keeps no dead graph.
 
-    With ``union`` it looks for the best disjoint union of bases (fewest
-    pieces, then longest path), decides every candidate and cuts nothing:
-    a component can split, so two permanent orbits in one component may
-    still end in two base pieces.  The carried component count only spares
-    ``base_union_labels`` there.
-
-    The walk is iterative: ``frames`` holds, for each graph on the current
-    path that is being expanded, the lazy iterator of its tight reductions,
-    so a graph's later candidates are decided and built only after the
-    search has come back from its earlier ones.  Each iterator keeps its
-    graph's pebble games, so games are held only for the graphs on the
-    path.  The depth is the number of moves and is not bounded by Python's
-    recursion limit.  Graphs already expanded are not expanded again.
+    The walk is iterative and moves one ``_State`` down and up: ``frames``
+    holds, for each graph on the path being expanded, the lazy iterator of
+    its tight reductions.  A graph is built only for ``base_union_labels``,
+    on at most ``components * |group|`` vertices, and for the dead graph.
+    Graphs already expanded are not expanded again.
     """
     t = start.group.size
+    state = _State(start)
     best: Path | None = None
     dead: tuple[SymmetricGraph, int, str] | None = None
-    seen: set[SymmetricGraph] = set()
-    path: list[Reduction] = []  # from start to g
-    # frames[i] expands the graph after path[:i]
-    frames: list[Iterator[tuple[Reduction, Games, Counts]]] = []
+    seen: set[tuple] = set()
+    # frames[i] expands the graph after state.steps[:i]
+    frames: list[Iterator[Counts]] = []
 
     def wanted(counts: Counts) -> bool:
         return union or (counts[0] < 2 and counts[1] < 2) or dead is None
 
-    g = start
-    games = pebble_games(start.num_vertices, start.edges, start.loop_vertices)
+    def found_dead(reason: str) -> None:
+        nonlocal dead
+        if dead is None and not union:
+            dead = (state.graph(), len(state.steps), reason)
+
     comps = len(symmetric_components(start))
-    perm = len(_permanent_orbits(start, _orbit_reps(start)))
+    perm = len(state.permanent)
     while True:
-        nxt: tuple[Reduction, Games, Counts] | None = None
+        nxt: Counts | None = None
+        labels = None
         # a union of bases has at most |group| vertices per piece
-        labels = base_union_labels(g) if g.num_vertices <= comps * t else None
-        cut = None
-        if not union and comps >= 2:
-            cut = f"has {comps} symmetric components, which no reduction joins"
+        if state.num_alive <= comps * t:
+            g = state.graph()
+            labels = base_union_labels(g)
+        if labels is not None:
+            path = (tuple(state.steps), labels, g)
+            if len(labels) == 1:
+                return path, dead
+            if union and (
+                best is None or (len(labels), -len(path[0])) < (len(best[1]), -len(best[0]))
+            ):
+                best = path
+        elif not union and comps >= 2:
+            found_dead(f"has {comps} symmetric components, which no reduction joins")
         elif not union and perm >= 2:
-            cut = (
+            found_dead(
                 f"has {perm} permanent orbits (two loops per vertex, or an edge"
                 " inside the orbit), which no reduction removes"
             )
-        if labels is not None:
-            if len(labels) == 1:
-                return (tuple(path), labels), dead
-            if union and (
-                best is None or (len(labels), -len(path)) < (len(best[1]), -len(best[0]))
-            ):
-                best = (tuple(path), labels)
-        elif cut is not None:
-            if dead is None:
-                dead = (g, len(path), cut)
-        elif g not in seen:
-            seen.add(g)
-            reds = _tight_reductions(g, games, perm, wanted)
+        elif (key := state.key()) not in seen:
+            seen.add(key)
+            reds = _tight_reductions(state, perm, wanted)
             nxt = next(reds, None)
             if nxt is None:
-                if dead is None:
-                    dead = (g, len(path), "admits no tightness-preserving reduction")
+                found_dead("admits no tightness-preserving reduction")
             else:
                 frames.append(reds)
         while nxt is None and frames:
@@ -887,32 +923,18 @@ def _walk(
                 frames.pop()
         if nxt is None:
             return best, dead
-        del path[len(frames) - 1 :]
-        red, games, (comps, perm) = nxt
-        path.append(red)
-        g = red.graph
+        comps, perm = nxt
 
 
 def _search_reductions(start: SymmetricGraph) -> Path:
     """Reduction path from ``start``, a tight graph, down to a union of
     base graphs.
 
-    Depth-first with backtracking, in the order of ``_tight_reductions``;
-    the first terminal that is a single base graph wins.  A base graph is
-    one vertex orbit, components never merge, and a permanent orbit (two
-    loops per vertex, or an edge inside the orbit) is never deleted.  So a
-    graph with two or more symmetric components, or with two or more
-    permanent orbits, cannot reach a single base, and that search does not
-    expand it (see ``_walk``).  A graph with more vertices than
-    ``components * |group|`` is no union of bases, so ``base_union_labels``
-    is not asked.
-
-    Only when no single base is reachable, a second search looks for a
-    disjoint union of bases, kept as a fallback (fewest pieces, then
-    longest path): a reduction can disconnect the graph.  When it finds
-    none either, raises ``ReductionDeadEnd`` carrying the first search's
-    witness, the first graph it proved dead, and the message names the
-    rule.
+    A depth-first search (``_walk``) for a single base graph first, which
+    expands no graph with two components or two permanent orbits; only when
+    that fails, a second one for a disjoint union of bases.  When both
+    fail, raises ``ReductionDeadEnd`` carrying the first search's witness,
+    the first graph it proved dead, and naming the rule.
     """
     found, dead = _walk(start, union=False)
     if found is None:
@@ -932,99 +954,77 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     """Reduce every symmetric component to a base graph and certify replay.
 
     The input is checked once, by ``check_tight`` with the given sparsity
-    ``method``; the search then decides every reduction from the pebble
-    games of the graph it reduces (see ``_tight_reductions``).  Backtracking
-    search per component, preferring a single-base terminal; see
-    _search_reductions.  The returned traces are verified internally:
-    replaying each one and relabeling through its embedding must reproduce
-    the component exactly.  Raises NotTightError on non-tight input and
-    ReductionDeadEnd, carrying a graph the search proved dead, when some
-    component cannot reach a union of base graphs by tightness-preserving
-    reductions.
+    ``method``; the search (``_search_reductions``) decides each reduction
+    in its pebble games.  Each trace is replayed forward: every replayed
+    graph, the base first, passes ``validate_action``, and the last one,
+    relabeled through the embedding, must reproduce the component exactly.
+    Raises NotTightError on non-tight input and ReductionDeadEnd, carrying
+    a graph the search proved dead, when some component cannot reach a
+    union of base graphs by tightness-preserving reductions.
     """
     if not check_tight(graph, method).tight:
         raise NotTightError("decompose needs a tight graph")
-    group = graph.group
-    t = group.size
     traces = []
     for comp in symmetric_components(graph):
-        sub, vmap = induced_subgraph(graph, comp)
-        inv_vmap = {new: old for old, new in vmap.items()}
+        sub, _ = induced_subgraph(graph, comp)  # vertex i of sub is comp[i]
+        steps, labels, base = _search_reductions(sub)
 
-        steps, labels = _search_reductions(sub)
-        label = "+".join(labels)
-
-        # replay forward, tracking where each replayed vertex and loop lands
-        base = steps[-1].graph if steps else sub
+        # replay forward: sigma maps each replayed vertex to sub's, pos
+        # inverts it, and ids maps each loop id of the current step to the
+        # replayed one
+        deleted = {u for step in steps for u in step.orbit_vertices}
+        sigma = [u for u in range(sub.num_vertices) if u not in deleted]
+        pos = {u: i for i, u in enumerate(sigma)}
+        ids = {i: i for i in base.loop_ids}
         x = base
-        sigma = list(range(base.num_vertices))  # replay vertex -> current step's
-        lam = {lid: lid for lid in base.loop_ids}  # replay loop id -> step's
+        require_valid_action(x)
         moves: list[Move] = []
-        for red in reversed(steps):
-            inv_v = {s: i for i, s in enumerate(sigma)}
-            inv_l = {v: k for k, v in lam.items()}
-            translated = _translate_move(red.move, inv_v, inv_l)
+        for step in reversed(steps):
+            move = _translate_move(step.move, pos, ids)
             fresh = _fresh_loop_base(x)
-            deleted_ids: set[int] = set()
-            if isinstance(translated, OneLoopSplit):
-                k = x.loop_index(translated.loop_id)
-                deleted_ids = {lp[k] for _, lp in x.action}
-            x = apply_extension(x, translated)
-            inv_red = {
-                new: old
-                for old, new in enumerate(red.vertex_map)
-                if new is not None
-            }
-            sigma = [inv_red[s] for s in sigma] + list(red.orbit_vertices)
-            lam = {k: v for k, v in lam.items() if k not in deleted_ids}
-            for k in range(t):
-                if red.orbit_loops:
-                    lam[fresh + k] = red.orbit_loops[k]
-            moves.append(translated)
+            if isinstance(move, OneLoopSplit):  # its loop orbit goes
+                for k in range(len(step.orbit_vertices)):
+                    del ids[step.move.loop_id + k]
+            x = apply_extension(x, move)
+            require_valid_action(x)
+            for u in step.orbit_vertices:
+                pos[u] = len(sigma)
+                sigma.append(u)
+            ids.update((i, fresh + k) for k, i in enumerate(step.orbit_loops))
+            moves.append(move)
 
+        lam = {r: i for i, r in ids.items()}
         if relabel(x, sigma, lam) != sub:
-            raise RuntimeError(
-                "internal error: replaying the trace does not reproduce the"
-                " component"
-            )
-        traces.append(
-            ComponentTrace(
-                label,
-                base,
-                tuple(moves),
-                tuple(inv_vmap[s] for s in sigma),
-                tuple(sorted(lam.items())),
-            )
-        )
-    return Decomposition(graph, tuple(traces), certified_group(group))
+            raise RuntimeError("internal error: the trace does not replay the component")
+        embedding = tuple(comp[s] for s in sigma)
+        loop_embedding = tuple(sorted(lam.items()))
+        traces.append(ComponentTrace("+".join(labels), base, tuple(moves), embedding, loop_embedding))
+    return Decomposition(graph, tuple(traces), certified_group(graph.group))
 
 
 def verify_decomposition(graph: SymmetricGraph, dec: Decomposition) -> bool:
     """Replay every trace and compare against the component it claims.
 
-    Exact comparison: the replayed graph, relabeled through the stored
-    embedding, must equal the induced component graph field by field.
+    Each ``base_graph`` must be the union of bases its ``base_label``
+    names, and every move must apply.  Exact comparison: the replayed
+    graph, relabeled through the stored embedding, must equal the induced
+    component graph field by field.
     """
     comps = symmetric_components(graph)
-    if len(comps) != len(dec.components):
-        return False
-    claimed: list[tuple[int, ...]] = []
-    for trace in dec.components:
-        claimed.append(tuple(sorted(trace.embedding)))
-    if sorted(claimed) != sorted(comps):
+    if sorted(tuple(sorted(t.embedding)) for t in dec.components) != sorted(comps):
         return False
     for trace in dec.components:
-        comp = tuple(sorted(trace.embedding))
-        sub, vmap = induced_subgraph(graph, comp)
-        x = replay(trace)
-        if x.num_vertices != len(trace.embedding):
+        labels = base_union_labels(trace.base_graph)
+        if labels is None or "+".join(labels) != trace.base_label:
             return False
+        sub, vmap = induced_subgraph(graph, trace.embedding)
         sigma = [vmap[orig] for orig in trace.embedding]
         lam = dict(trace.loop_embedding)
         try:
-            if relabel(x, sigma, lam) != sub:
+            x = replay(trace)
+            if x.num_vertices != len(trace.embedding) or relabel(x, sigma, lam) != sub:
                 return False
-        except (RangeError, SchemaError):
+        except (InvalidMoveError, RangeError, SchemaError):
             return False
     return True
 

@@ -16,8 +16,9 @@ its reachable set already spans twice its size.  A rejected row's
 reachable set is the least tight set the row closes, whatever the
 orientation, and is the witness.  Equivalence of the two deciders is
 asserted empirically by the test suite rather than assumed.
-``pebble_games`` keeps the game's two states for rows added later, and
-``_PebbleGame.restrict`` deletes vertices from a state without a search.
+``pebble_games`` keeps the game's two states for rows added later;
+``_PebbleGame.restrict`` deletes vertices from a state, and
+``_PebbleGame.delete`` deletes one row in place, both without a search.
 
 Graphs are passed structurally: a vertex count, edge pairs, and a sequence
 of loop vertices (one entry per loop).
@@ -182,6 +183,21 @@ class _PebbleGame:
             game.out[new] = heads
             game.pebbles[new] = self.pebbles[u] + len(self.out[u]) - len(heads)
         return game
+
+    def delete(self, u: int, v: int | None = None) -> None:
+        """Delete the edge u-v, or one loop at u when v is None, in place:
+        its pebble returns to the vertex that spent it.
+
+        Every orientation of a sparse row set with 2 minus out-degree minus
+        loops pebbles per vertex is a state the game can go on from, so a
+        deleted row can later be inserted again with one pebble.
+        """
+        if v is not None and v in self.out[u]:
+            self.out[u].remove(v)
+        elif v is not None:
+            self.out[v].remove(u)
+            u = v
+        self.pebbles[u] += 1
 
     def _find_pebble(self, root: int, forbidden: set[int]) -> bool:
         # DFS along arcs; pull the first free pebble back to the root by

@@ -12,6 +12,8 @@ import pytest
 
 from conftest import c2_fixed_edge, ring_with_spokes
 from slcrigid import (
+    ComponentTrace,
+    Decomposition,
     GroupSpec,
     InvalidMoveError,
     NotTightError,
@@ -37,7 +39,6 @@ from slcrigid import (
     verify_decomposition,
 )
 from slcrigid import document, henneberg, symcheck
-from slcrigid.sparsity import pebble_games
 from slcrigid.symgraph import Loop, _union_find, induced_subgraph, orbits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -270,6 +271,23 @@ def test_verify_decomposition_rejects_tampering():
     assert not verify_decomposition(other.graph, dec)
 
 
+def test_verify_decomposition_rejects_a_base_its_label_does_not_name():
+    g = generate_random("c3", 6, 0).graph
+    identity = tuple(range(g.num_vertices))
+    fake = ComponentTrace("lc3", g, (), identity, tuple((i, i) for i in g.loop_ids))
+    # it replays to g itself, but g is no lc3
+    assert not verify_decomposition(g, Decomposition(g, (fake,), True))
+    assert verify_decomposition(g, decompose(g))
+
+
+def test_verify_decomposition_is_false_when_a_move_does_not_apply():
+    gen = generate_random("c2", 3, 1)
+    dec = decompose(gen.graph)
+    [trace] = dec.components
+    bad = dataclasses.replace(trace, moves=(Zero2Edges(0, 99), *trace.moves[1:]))
+    assert not verify_decomposition(gen.graph, dataclasses.replace(dec, components=(bad,)))
+
+
 def test_zero_step_generation_is_the_base():
     gen = generate_random("c3", steps=0, seed=0)
     assert is_base_graph(gen.graph) == gen.base_label
@@ -300,6 +318,11 @@ def _counts(g):
     return len(symmetric_components(g)), _permanent_count(g)
 
 
+def _candidates(g):
+    """``henneberg._reduction_candidates`` of a search state on g."""
+    return list(henneberg._reduction_candidates(henneberg._State(g)))
+
+
 def test_candidate_component_counts_match_the_built_graphs():
     # both parts of the sort key are counted on G - O without building the
     # reduced graph; the candidates' own candidates include graphs already
@@ -312,10 +335,10 @@ def test_candidate_component_counts_match_the_built_graphs():
         ("c2", 6, 0),
     ]:
         g = generate_random(*case).graph
-        reduced = [henneberg._reduce(g, *c).graph for _, c in henneberg._reduction_candidates(g)]
+        reduced = [henneberg._reduce(g, *c).graph for _, c in _candidates(g)]
         for h in [g, *reduced]:
             permanent = _permanent_count(h)
-            for (comps, new), cand in henneberg._reduction_candidates(h):
+            for (comps, new), cand in _candidates(h):
                 red = henneberg._reduce(h, *cand)
                 assert (comps, permanent + new) == _counts(red.graph), (case, red.move)
                 if new:
@@ -376,6 +399,20 @@ def _eager_walk(start, method="pebble", cut=lambda g: False, union=False, seen=N
     return (hit if hit is not None else best), dead
 
 
+def _as_path(start, reductions, labels):
+    """A path of ``Reduction``s as ``henneberg._walk`` gives it: each one a
+    ``_Step`` in ``start``'s vertex ids, then the labels and the base."""
+    orig, base, steps = list(range(start.num_vertices)), start, []
+    for red in reductions:
+        kept = [u for u, new in zip(orig, red.vertex_map) if new is not None]
+        loop_ids = {i: i for i in red.graph.loop_ids}
+        move = henneberg._translate_move(red.move, dict(enumerate(kept)), loop_ids)
+        orbit = tuple(orig[u] for u in red.orbit_vertices)
+        steps.append(henneberg._Step(move, orbit, red.orbit_loops))
+        orig, base = kept, red.graph
+    return tuple(steps), labels, base
+
+
 def _eager_search(start, method="pebble"):
     """Reference for ``henneberg._search_reductions``: a single-base search
     that cuts a graph with two components or two permanent orbits, then,
@@ -385,7 +422,7 @@ def _eager_search(start, method="pebble"):
         found, _ = _eager_walk(start, method, union=True)
     if found is None:
         raise ReductionDeadEnd("no union of base graphs", dead)
-    return found
+    return _as_path(start, *found)
 
 
 def _ring_with_extensions():
@@ -452,11 +489,25 @@ def test_decompose_is_not_bounded_by_the_recursion_limit():
 # -- the incremental search against try-and-check ------------------------------
 
 
-def _search_list(g, games):
-    """What the search sees at g: its tight reductions, in order, each with
-    the pebble games carried from ``games``."""
-    found = list(henneberg._tight_reductions(g, games, _permanent_count(g)))
-    return [(red, child) for red, child, _ in found]
+def _kept(state):
+    return [u for u, kept in enumerate(state.alive) if kept]
+
+
+def _search_list(state):
+    """What the search sees at the state's graph G: its tight reductions,
+    in order, each read off the state while it holds it, as the
+    ``Reduction`` of G that ``_reduce`` would build."""
+    keep = _kept(state)
+    pos = {u: i for i, u in enumerate(keep)}
+    found = []
+    for _ in henneberg._tight_reductions(state, _permanent_count(state.graph())):
+        move, orbit, loops = state.steps[-1]
+        child = {u: i for i, u in enumerate(_kept(state))}
+        move = henneberg._translate_move(move, child, {i: i for i in state.loops})
+        vertex_map = tuple(child.get(u) for u in keep)
+        orbit = tuple(pos[u] for u in orbit)
+        found.append(henneberg.Reduction(move, state.graph(), orbit, loops, vertex_map))
+    return found
 
 
 def _reference_list(g, method="pebble"):
@@ -466,31 +517,30 @@ def _reference_list(g, method="pebble"):
     return sorted(enumerate_reductions(g, method), key=lambda r: _counts(r.graph))
 
 
-def _games(g):
-    return pebble_games(g.num_vertices, g.edges, g.loop_vertices)
-
-
 def test_search_agrees_with_try_and_check_three_levels_deep():
-    # the carried games, not fresh ones, decide the levels below the top
+    # one state, edited in place, decides the levels below the top
     graphs = 0
     for name in ["c1", "c2", "c3", "c4", "c5", "c6"]:
         for steps in (4, 11, 18, 25):
             for seed in range(4):
-                g = generate_random(name, steps, seed).graph
-                games = _games(g)
+                state = henneberg._State(generate_random(name, steps, seed).graph)
                 for level in range(3):
-                    found = _search_list(g, games)
+                    g = state.graph()
+                    found = _search_list(state)
                     reference = _reference_list(g)
-                    assert [r.move for r, _ in found] == [r.move for r in reference], (
+                    assert [r.move for r in found] == [r.move for r in reference], (
                         name, steps, seed, level,
                     )
-                    assert [r for r, _ in found] == reference
+                    assert found == reference
+                    assert state.graph() == g  # restored after each reduction
                     graphs += 1
                     if not found:
                         break
                     # go down the last branch, which the search reaches last
-                    red, games = found[-1]
-                    g = red.graph
+                    reds = henneberg._tight_reductions(state, _permanent_count(g))
+                    for _ in found:
+                        next(reds)
+                    assert state.graph() == found[-1].graph
     assert graphs > 250
 
 
@@ -508,8 +558,7 @@ def test_search_agrees_with_try_and_check_three_levels_deep():
 )
 def test_search_rejects_what_try_and_check_rejects(case, move, why):
     g = generate_random(*case).graph
-    games = _games(g)
-    cands = [c for _, c in henneberg._reduction_candidates(g)]
+    cands = [c for _, c in _candidates(g)]
     [cand] = [c for c in cands if henneberg._reduce(g, *c).move == move]
     report = henneberg.check_tight(henneberg._reduce(g, *cand).graph)
     assert not report.tight
@@ -520,8 +569,11 @@ def test_search_rejects_what_try_and_check_rejects(case, move, why):
         assert {tuple(sorted((vp[v1], vp[v2]))) for vp, _ in g.action} == {(v1, v2)}
     else:
         assert report.sparsity.witness.rule == why
-    assert henneberg._child_games(g, games, cand) is None
-    assert move not in [r.move for r, _ in _search_list(g, games)]
+    state = henneberg._State(g)
+    assert not state.push(cand)
+    assert (state.graph(), state.steps) == (g, [])
+    # the games, refused and restored, still decide like try-and-check
+    assert _search_list(state) == _reference_list(g)
     assert move not in [r.move for r in enumerate_reductions(g)]
 
 
@@ -530,7 +582,7 @@ def test_search_agrees_with_the_subset_audit():
         for seed in range(4):
             g = generate_random(name, {"c1": 16, "c2": 7, "c3": 5}[name], seed).graph
             assert g.num_vertices <= 24
-            found = [r.move for r, _ in _search_list(g, _games(g))]
+            found = [r.move for r in _search_list(henneberg._State(g))]
             assert found == [r.move for r in _reference_list(g, "subset")], (name, seed)
             assert decompose(g, method="subset") == decompose(g)
 
@@ -594,24 +646,44 @@ def _recording(log, fn):
     return recorded
 
 
+def _replayed(trace):
+    """The base, then the graph after each move of the trace."""
+    graphs = [trace.base_graph]
+    for move in trace.moves:
+        graphs.append(apply_extension(graphs[-1], move))
+    return graphs
+
+
 def test_decompose_outputs_are_unchanged_and_checked_once(monkeypatch):
-    checks, validated, built = [], [], []
+    checks, validated = [], []
+    builds = 0
+    post_init = SymmetricGraph.__post_init__
+
+    def counting(self):
+        nonlocal builds
+        builds += 1
+        post_init(self)
+
     monkeypatch.setattr(henneberg, "check_tight", _recording(checks, henneberg.check_tight))
     monkeypatch.setattr(symcheck, "validate_action", _recording(validated, symcheck.validate_action))
-    monkeypatch.setattr(henneberg, "_reduce", _recording(built, henneberg._reduce))
     for cases, digest in PINNED.items():
         h = hashlib.sha256()
         for case in cases:
             g = generate_random(*case).graph
-            for log in (checks, validated, built):
-                log.clear()
+            checks.clear()
+            validated.clear()
+            monkeypatch.setattr(SymmetricGraph, "__post_init__", counting)
+            builds = 0
             dec = decompose(g)
+            monkeypatch.setattr(SymmetricGraph, "__post_init__", post_init)
             h.update(document.dumps(document.decomposition_to_dict(dec)).encode())
             assert [args[0] for args, _ in checks] == [g], case
-            assert built, case
-            # every built reduction passes validate_action, the input first
-            reduced = [red.graph for _, red in built]
-            assert [args[0] for args, _ in validated] == [g, *reduced], case
+            # the input, then every replayed graph, passes validate_action
+            replayed = [x for trace in dec.components for x in _replayed(trace)]
+            assert [args[0] for args, _ in validated] == [g, *replayed], case
+            # the search builds no graph per step: one per move for the
+            # replay, and a few more per component
+            assert builds <= dec.total_moves + 5 * len(dec.components), (case, builds)
         assert h.hexdigest() == digest
 
 
@@ -723,12 +795,14 @@ def test_eager_reference_agrees_on_the_fallback_and_the_dead_ends(monkeypatch):
 
 
 def _spied_searches(monkeypatch, cases, spy):
-    """Decompose each case with ``spy(g, permanent, reductions)`` seeing
-    every graph the search expands and yielding what the search gets."""
+    """Decompose each case with ``spy(state, permanent, reductions, every)``
+    seeing every graph the search expands and yielding what the search
+    gets.  ``every`` yields every tight reduction, whatever the search
+    wants; both move the one state, so ``every`` is run through first."""
     original = henneberg._tight_reductions
 
-    def spied(g, games, permanent, wanted=None):
-        return spy(g, permanent, original(g, games, permanent, wanted), original(g, games, permanent))
+    def spied(state, permanent, wanted=None):
+        return spy(state, permanent, original(state, permanent, wanted), original(state, permanent))
 
     monkeypatch.setattr(henneberg, "_tight_reductions", spied)
     for case in cases:
@@ -743,13 +817,13 @@ def test_carried_counts_equal_counts_from_scratch(monkeypatch):
     # recounted; here they are recounted on every graph the search reaches
     reached = 0
 
-    def spy(g, permanent, reductions, _):
+    def spy(state, permanent, reductions, _):
         nonlocal reached
-        assert (1, permanent) == _counts(g)  # only one-piece graphs are expanded
-        for red, child, counts in reductions:
+        assert (1, permanent) == _counts(state.graph())  # only one-piece graphs are expanded
+        for counts in reductions:
             reached += 1
-            assert counts == _counts(red.graph), red.move
-            yield red, child, counts
+            assert counts == _counts(state.graph()), state.steps[-1]
+            yield counts
 
     cases = [
         (name, steps, seed)
@@ -769,10 +843,10 @@ def test_graphs_the_prune_cuts_reach_no_single_base(monkeypatch):
     # cuts; an exhaustive search without the rule finds no base below it
     cut = set()
 
-    def spy(g, permanent, reductions, every):
-        for red, _, counts in every:
-            if max(counts) >= 2 and base_union_labels(red.graph) is None:
-                cut.add(red.graph)
+    def spy(state, permanent, reductions, every):
+        for counts in every:
+            if max(counts) >= 2 and base_union_labels(g := state.graph()) is None:
+                cut.add(g)
         return reductions
 
     cases = [("c1", 20, 0), ("c1", 25, 2), ("c1", 25, 5), ("c1", 14, 2), ("c1", 14, 4)]
@@ -799,7 +873,7 @@ def test_graphs_the_prune_cuts_reach_no_single_base(monkeypatch):
 def test_graphs_that_blew_up_reduce_in_few_steps(monkeypatch, case):
     # work is bounded by candidates decided, not by wall clock
     decided = []
-    monkeypatch.setattr(henneberg, "_child_games", _recording(decided, henneberg._child_games))
+    monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
     gen = generate_random(*case)
     dec = decompose(gen.graph)
     assert len(dec.components) == 1
@@ -813,18 +887,78 @@ def test_cut_candidates_are_not_decided_once_a_witness_is_found(monkeypatch):
     # c4 is not certified, and this search backtracks; deciding every
     # candidate that the rules cut took 1,120 decisions
     decided = []
-    monkeypatch.setattr(henneberg, "_child_games", _recording(decided, henneberg._child_games))
+    monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
     gen = generate_random("c4", 20, 2)
     dec = decompose(gen.graph)
     assert dec.total_moves == 20
-    assert len(decided) <= 400, len(decided)
+    assert len(decided) <= 366, len(decided)
+
+
+def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
+    # at every graph the search expands, the graph rebuilt from the state
+    # is the one _reduce builds along the path, as the search did when it
+    # built every tight candidate, and it passes validate_action
+    decided, expanded = [], 0
+    chain = []  # chain[d]: the graph after d steps of the path, its start ids
+    walk, push, tight = henneberg._walk, henneberg._State.push, henneberg._tight_reductions
+
+    def walking(start, union):
+        chain[:] = [(start, list(range(start.num_vertices)))]
+        return walk(start, union)
+
+    def pushing(state, cand):
+        decided.append(cand)
+        depth = len(state.steps)
+        if not push(state, cand):
+            return False
+        g, keep = chain[depth]
+        pos = {u: i for i, u in enumerate(keep)}
+        v, loop, kind, ends = cand
+        red = henneberg._reduce(g, pos[v], loop, kind, tuple(pos[u] for u in ends))
+        chain[depth + 1 :] = [(red.graph, [u for u, i in zip(keep, red.vertex_map) if i is not None])]
+        return True
+
+    def expanding(state, permanent, wanted=None):
+        nonlocal expanded
+        expanded += 1
+        g = state.graph()
+        assert g == chain[len(state.steps)][0], state.steps
+        symcheck.require_valid_action(g)
+        return tight(state, permanent, wanted)
+
+    monkeypatch.setattr(henneberg, "_walk", walking)
+    monkeypatch.setattr(henneberg._State, "push", pushing)
+    monkeypatch.setattr(henneberg, "_tight_reductions", expanding)
+    counts = []
+    for case in DECOMPOSE_MID:
+        decided.clear()
+        decompose(generate_random(*case).graph)
+        counts.append(len(decided))
+    assert counts == [24, 39, 30, 34, 24, 48, 13, 19]  # as with built candidates
+    decided.clear()
+    decompose(generate_random("c4", 20, 2).graph)  # backtracks
+    assert len(decided) <= 366, len(decided)
+    for g in (_splits(), _split_apart_permanent_orbits()):  # the union search too
+        assert decompose(g).components[0].base_label == "pinned3+lc3"
+    assert expanded > 300, expanded
+
+
+def test_a_long_backtracking_search_decides_no_more_candidates(monkeypatch):
+    # twin orbits: deleting either leaves the same graph, which the search
+    # expands once; keyed by the orbits deleted, it decided 7,929 here
+    decided = []
+    monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
+    gen = generate_random("c5", 15, 7)
+    dec = decompose(gen.graph)
+    assert dec.total_moves == 15 and verify_decomposition(gen.graph, dec)
+    assert len(decided) <= 7881, len(decided)
 
 
 def _two_build_reduce(g, v, loop, kind, ends):
     """``henneberg._reduce`` as it was: ``induced_subgraph``, then a second
     build that adds a split's edge or loop orbit (cyclic groups only)."""
     orbit_vertices = tuple(vp[v] for vp, _ in g.action)
-    orbit_loops = () if loop is None else tuple(lp[loop] for _, lp in g.action)
+    orbit_loops = () if loop is None else tuple(lp[g.loop_index(loop)] for _, lp in g.action)
     keep = [u for u in range(g.num_vertices) if u not in orbit_vertices]
     red, vmap = induced_subgraph(g, keep)
     a = [vmap[u] for u in ends]
@@ -863,7 +997,7 @@ def test_reduce_builds_the_reduced_graph_once(monkeypatch):
         for seed in range(3):
             g = generate_random(name, 9, seed).graph
             g.action  # built before counting
-            for _, cand in henneberg._reduction_candidates(g):
+            for _, cand in _candidates(g):
                 expected = _two_build_reduce(g, *cand)
                 monkeypatch.setattr(SymmetricGraph, "__post_init__", counting)
                 builds = 0

@@ -289,6 +289,53 @@ def test_restricted_games_decide_added_rows_like_a_fresh_game():
                 loops.append(v)
 
 
+def test_rows_deleted_in_place_leave_games_that_decide_like_a_fresh_game():
+    # delete some rows of a sparse graph's games in place, then insert
+    # random rows, the deleted ones among them, and compare each acceptance
+    # with pebble_check of the rows so far
+    rng = random.Random(5)
+    played = 0
+    for trial in range(300):
+        n = rng.randint(2, 10)
+        n, edges, loops = random_rows_graph(rng, n, rng.randint(0, 2 * n))
+        if not pebble_check(n, edges, loops).sparse:
+            continue
+        edge_game, row_game = pebble_games(n, edges, loops)
+        gone = rng.sample(edges, rng.randint(0, len(edges)))
+        gone_loops = rng.sample(loops, rng.randint(0, len(loops)))
+        for a, b in gone:
+            edge_game.delete(*rng.choice([(a, b), (b, a)]))
+            row_game.delete(*rng.choice([(a, b), (b, a)]))
+        for v in gone_loops:
+            row_game.delete(v)
+        edges = [e for e in edges if e not in gone]
+        loops = list(loops)
+        for v in gone_loops:
+            loops.remove(v)
+        for u in range(n):
+            assert edge_game.pebbles[u] + len(edge_game.out[u]) == 2
+            assert row_game.pebbles[u] + len(row_game.out[u]) + loops.count(u) == 2
+        rows = gone + [(v, None) for v in gone_loops]
+        rows += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(2)]
+        rows += [(rng.randrange(n), None) for _ in range(2)]
+        rng.shuffle(rows)
+        for a, b in rows:
+            played += 1
+            if b is None:
+                ok = pebble_check(n, edges, loops + [a]).sparse
+                assert row_game.insert_loop(a) == ok
+                loops.append(a)
+            elif (a, b) not in edges:
+                ok = pebble_check(n, edges + [(a, b)], loops).sparse
+                assert (edge_game.insert_edge(a, b, 4) and row_game.insert_edge(a, b, 1)) == ok
+                edges.append((a, b))
+            else:
+                continue
+            if not ok:
+                break
+    assert played > 500
+
+
 def test_pebble_games_refuse_a_graph_that_is_not_sparse():
     with pytest.raises(RangeError):
         pebble_games(4, K4_EDGES, [])
