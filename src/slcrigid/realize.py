@@ -28,38 +28,34 @@ is a lower bound.  ``classify`` therefore ranks residue samples by default
 below, so it keeps the best trial and stops at the first that reaches
 min(rows, 2|V|).
 
-Both ranks split the matrix by the characters of one cyclic subgroup
-H = <h> of order k: h is the rotation generator when the group has one, else
-the mirror, else the identity (one block, the whole matrix).  A symmetric
-framework's matrix commutes with H's action on rows and columns, so in a
-basis of H-eigenvectors it is block diagonal, with block j on the vectors
-that h multiplies by w^j, w = exp(2 pi i / k).  Block j has one row per
-H-orbit of rows and, per vertex orbit of size d, a basis of
-{x : tau_h^d x = w^(jd) x} as its columns; a row at vertex h^s.rep
-contributes w^(-js) * r^T tau_h^s B.  The rank is the sum of the blocks'
-ranks (Schulze and Tanigawa, SIAM J. Discrete Math. 2015, split the matrix
-the same way into orbit matrices).  The split is only taken when the rows
-are symmetric under H; any other matrix (a given placement off symmetry,
-an invalid stored action) is split under the trivial group, one block that
-is the whole matrix.
+The float rank of real entries is one dense SVD of the matrix: the
+singular values above ``tol * s_max * max(rows, 2|V|)`` are counted.  The
+cut is a heuristic, and it loses rank at a few hundred vertices.
 
-The float rank takes orthonormal bases scaled by 1/sqrt(d), and rows
-scaled by sqrt(|row orbit|), so the union of the blocks' singular values is
-the dense matrix's spectrum.  Blocks j and k - j are complex conjugates, so
-only j <= k/2 is decomposed, and one cut, ``tol * s_max * max(rows,
-2|V|)``, is applied to the spectrum as a whole; symmetric there means
-within ``tol`` times the largest entry.  The exact rank of residues takes
-w's image in F_p (k divides p - 1, so the eigenvectors form a basis of
-F_p^2|V|), checks symmetry exactly, and eliminates the blocks j < k modulo
-p as one sparse block-diagonal system: rounds of Markowitz-cheap pivots,
-at most one per row and column, each round's Schur complement formed at
-once, and a dense finish once the rest has filled in.  No dense block is
-built.  The exact rank of a given integer or rational placement first
-ranks the integer rows modulo the group's prime the same way; full rank
-there is full rank over the rationals, and only a deficit is eliminated
-again over the rationals, by a fraction-free (Bareiss) echelon of the
-sparse integer rows.  Exact motions ask the same question first, and solve
-that echelon for a deficit.
+The exact rank of residues splits the matrix by the characters of one
+cyclic subgroup H = <h> of order k: h is the rotation generator when the
+group has one, else the mirror, else the identity (one block, the whole
+matrix).  k divides p - 1, so w, the image of exp(2 pi i / k) in F_p, is
+there, and the H-eigenvectors form a basis of F_p^2|V|.  A symmetric
+framework's matrix commutes with H's action on rows and columns, so in
+that basis it is block diagonal, with block j on the vectors that h
+multiplies by w^j.  Block j has one row per H-orbit of rows and, per vertex
+orbit of size d, a basis of {x : tau_h^d x = w^(jd) x} as its columns; a
+row at vertex h^s.rep contributes w^(-js) * r^T tau_h^s B.  The rank is the
+sum of the blocks' ranks (Schulze and Tanigawa, SIAM J. Discrete Math.
+2015, split the matrix the same way into orbit matrices).  The split is
+only taken when the rows are exactly symmetric under H; any other matrix
+(a given placement off symmetry, an invalid stored action) is split under
+the trivial group, one block that is the whole matrix.  The blocks j < k
+are eliminated modulo p as one sparse block-diagonal system: rounds of
+Markowitz-cheap pivots, at most one per row and column, each round's Schur
+complement formed at once, and a dense finish once the rest has filled in.
+No dense block is built.  The exact rank of a given integer or rational
+placement first ranks the integer rows modulo the group's prime by the same
+elimination, unsplit; full rank there is full rank over the rationals, and
+only a deficit is eliminated again over the rationals, by a fraction-free
+(Bareiss) echelon of the sparse integer rows.  Exact motions ask the same
+question first, and solve that echelon for a deficit.
 """
 
 from __future__ import annotations
@@ -504,8 +500,11 @@ def _float_rank(
     """Rank of a matrix of the given shape from its descending singular
     values: those above ``tol * s_max * max(shape)`` are accepted.
 
-    Returns (rank, smallest accepted value, largest rejected value).
+    Returns (rank, smallest accepted value, largest rejected value).  Raises
+    RangeError for a ``tol`` that is negative or not finite.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise RangeError(f"tolerance must be finite and not negative, not {tol}")
     if svals.size == 0:
         return 0, None, None
     smax = float(svals[0])
@@ -519,20 +518,6 @@ def _float_rank(
         float(accepted[-1]) if accepted.size else None,
         float(rejected[0]) if rejected.size else None,
     )
-
-
-def _eigenbasis(tau_d: np.ndarray, lam: complex, m: int) -> np.ndarray:
-    """Orthonormal basis (as columns) of {x : tau_d x = lam x}, where
-    (tau_d / lam)^m = I."""
-    step = tau_d / lam
-    proj = sum(np.linalg.matrix_power(step, t) for t in range(m)) / m
-    dim = round(float(np.trace(proj).real))
-    if dim == 2:
-        return np.eye(2, dtype=complex)
-    if dim == 0:
-        return np.zeros((2, 0), dtype=complex)
-    col = proj[:, np.argmax(np.linalg.norm(proj, axis=0))]
-    return (col / np.linalg.norm(col))[:, None]
 
 
 def _eigenbasis_mod(tau_d: np.ndarray, lam: int, m: int, prime: int) -> np.ndarray:
@@ -554,18 +539,17 @@ def _eigenbasis_mod(tau_d: np.ndarray, lam: int, m: int, prime: int) -> np.ndarr
     return proj[:, [0 if proj[:, 0].any() else 1]]
 
 
-def _orbits_under(matrix: RigidityMatrix, h: GroupElement, tol: float):
-    """Vertex and row orbits under H = <h>, or None if the matrix is not
-    symmetric under H.
+def _orbits_under(matrix: RigidityMatrix, h: GroupElement):
+    """Vertex and row orbits under H = <h>, or None if the residue matrix is
+    not symmetric under H.
 
     Symmetric means: every vertex orbit's size divides k = |H|, every row's
     image under h is a row at the image vertices, and the row t steps along
-    each row orbit is +-(r^T tau_h^t) for its first row r (t = orbit size
-    included, so the orbit closes): within ``tol`` times the largest entry
-    for real entries, exactly for residues, with tau_h's image modulo the
-    prime.  An edge row's second pair is minus its first, so comparing first
-    pairs compares rows.  Returns (k, taus, sizes, orbit, step, reps): taus
-    holds tau_h^t for t < k, vertex v = h^step[v] . (first vertex of orbit
+    each row orbit is +-(r^T tau_h^t) modulo the prime for its first row r
+    (t = orbit size included, so the orbit closes).  An edge row's second
+    pair is minus its first, so comparing first pairs compares rows.
+    Returns (k, taus, sizes, orbit, step, reps): taus holds tau_h^t modulo
+    the prime for t < k, vertex v = h^step[v] . (first vertex of orbit
     number orbit[v]), sizes[o] is the size of vertex orbit o, and reps lists
     (first row, orbit size) per row orbit.
     """
@@ -575,15 +559,10 @@ def _orbits_under(matrix: RigidityMatrix, h: GroupElement, tol: float):
     n = graph.num_vertices
     k = group.element_order(h)
     vperm, lperm = graph.action[group.index(h)]
-    if prime is None:
-        taus = [np.eye(2)]
-        for _ in range(k - 1):
-            taus.append(group.tau(h) @ taus[-1])
-    else:
-        tau_h = np.array(group.tau_mod(h), dtype=np.int64)
-        taus = [np.eye(2, dtype=np.int64)]
-        for _ in range(k - 1):
-            taus.append(tau_h @ taus[-1] % prime)
+    tau_h = np.array(group.tau_mod(h), dtype=np.int64)
+    taus = [np.eye(2, dtype=np.int64)]
+    for _ in range(k - 1):
+        taus.append(tau_h @ taus[-1] % prime)
 
     orbit = [-1] * n
     step = [0] * n
@@ -630,44 +609,26 @@ def _orbits_under(matrix: RigidityMatrix, h: GroupElement, tol: float):
         visits.append((i, i, t))
         reps.append((i, t))
 
-    if prime is None:
-        first = np.array(
-            [[float(c) for c in row[0][1]] for row in matrix.rows], dtype=float
-        ).reshape(-1, 2)
-    else:
-        first = np.array([row[0][1] for row in matrix.rows], dtype=np.int64).reshape(-1, 2)
+    first = np.array([row[0][1] for row in matrix.rows], dtype=np.int64).reshape(-1, 2)
     if visits:
         at, frm, steps = np.array(visits, dtype=int).T
-        want = np.einsum("nab,nb->na", np.array(taus)[steps % k], first[frm])
-        if prime is None:
-            off = np.minimum(
-                np.abs(first[at] - want).max(axis=1),
-                np.abs(first[at] + want).max(axis=1),
-            )
-            if off.max() > tol * max(1.0, float(np.abs(first).max())):
-                return None
-        else:
-            want %= prime
-            same = (first[at] == want).all(axis=1)
-            opposite = (first[at] == -want % prime).all(axis=1)
-            if not (same | opposite).all():
-                return None
+        want = np.einsum("nab,nb->na", np.array(taus)[steps % k], first[frm]) % prime
+        same = (first[at] == want).all(axis=1)
+        opposite = (first[at] == -want % prime).all(axis=1)
+        if not (same | opposite).all():
+            return None
     return k, taus, sizes, orbit, step, reps
 
 
-def _character_blocks(matrix: RigidityMatrix, tol: float):
-    """The matrix's character blocks under H = <h> (see the module
-    docstring), as ((rows, cols, vals), shape, copies): the block of that
-    shape sums vals at (rows, cols), and the matrix's rank, or spectrum, is
-    that of the nonempty blocks, each taken ``copies`` times.
+def _character_blocks(matrix: RigidityMatrix):
+    """The residue matrix's character blocks under H = <h> (see the module
+    docstring), as ((rows, cols, vals), shape): the block of that shape sums
+    vals at (rows, cols), and the matrix's rank modulo its prime is the sum
+    of the blocks' ranks.
 
-    Real entries give complex values for j <= k/2, where blocks j = 0 and
-    j = k/2 are real and block j stands for block k - j too.  Residues
-    modulo a prime give int64 residues for every j, with w the image of
-    exp(2 pi i / k) in the group's prime field; there no norm is kept, so
-    the bases and rows are not scaled.  A matrix that is not symmetric
-    under H (within ``tol`` times its largest entry, for real entries) is
-    split under the trivial group instead: one block, the whole matrix.
+    There is one block per j < k, with w the image of exp(2 pi i / k) in the
+    group's prime field.  A matrix that is not symmetric under H is split
+    under the trivial group instead: one block, the whole matrix.
     """
     group = matrix.framework.graph.group
     prime = matrix.framework.prime
@@ -677,63 +638,40 @@ def _character_blocks(matrix: RigidityMatrix, tol: float):
         h = GroupElement(0, True)
     else:
         h = group.identity()
-    split = _orbits_under(matrix, h, tol)
+    split = _orbits_under(matrix, h)
     if split is None:
-        split = _orbits_under(matrix, group.identity(), tol)
+        split = _orbits_under(matrix, group.identity())
     k, taus, sizes, orbit, step, reps = split
-    if prime is None:
-        phase = np.exp(-2j * np.pi * np.arange(k) / k)  # phase[s] = w^-s
-        js = range(k // 2 + 1)
-    else:
-        w_inv = pow(group.prime_field.root_of_unity(k), -1, prime)
-        phase = np.array([pow(w_inv, s, prime) for s in range(k)], dtype=np.int64)
-        js = range(k)
+    w_inv = pow(group.prime_field.root_of_unity(k), -1, prime)
+    phase = np.array([pow(w_inv, s, prime) for s in range(k)], dtype=np.int64)
 
-    # one row per H-orbit of rows, from its first row (scaled by sqrt(orbit
-    # size) over the reals); each stored pair contributes r^T tau_h^s there
+    # one row per H-orbit of rows, from its first row; each stored pair
+    # contributes r^T tau_h^s there
     num_orbits = len(reps)
-    e_row, e_orbit, e_step, e_size, e_pair = [], [], [], [], []
-    for o, (i, size) in enumerate(reps):
+    e_row, e_orbit, e_step, e_pair = [], [], [], []
+    for o, (i, _) in enumerate(reps):
         for v, vec in matrix.rows[i]:
             e_row.append(o)
             e_orbit.append(orbit[v])
             e_step.append(step[v])
-            e_size.append(size)
             e_pair.append(vec)
-    if prime is None:
-        # one product per entry, as einsum's summation would change the
-        # spectrum's last bits
-        e_vec = np.array(
-            [
-                math.sqrt(size) * np.array(vec, dtype=float) @ taus[s]
-                for vec, s, size in zip(e_pair, e_step, e_size)
-            ],
-            dtype=float,
-        ).reshape(-1, 2)
-    else:
-        pairs = np.array(e_pair, dtype=np.int64).reshape(-1, 2)
-        e_vec = np.einsum("ei,eic->ec", pairs, np.array(taus)[e_step]) % prime
+    pairs = np.array(e_pair, dtype=np.int64).reshape(-1, 2)
+    e_vec = np.einsum("ei,eic->ec", pairs, np.array(taus)[e_step]) % prime
     e_row = np.array(e_row, dtype=int)
     e_orbit = np.array(e_orbit, dtype=int)
     e_step = np.array(e_step, dtype=int)
 
-    dtype = complex if prime is None else np.int64
-    for j in js:
+    for j in range(k):
         # per vertex orbit: basis padded to two columns, padding marked -1
         # and dropped with its entries
-        bases = np.zeros((len(sizes), 2, 2), dtype=dtype)
+        bases = np.zeros((len(sizes), 2, 2), dtype=np.int64)
         cols = np.zeros((len(sizes), 2), dtype=int)
         width = 0
         basis_cache: dict[int, np.ndarray] = {}
         for o, d in enumerate(sizes):
             if d not in basis_cache:
-                if prime is None:
-                    lam = np.exp(2j * np.pi * j * d / k)
-                    basis = _eigenbasis(taus[d % k], lam, k // d) / math.sqrt(d)
-                else:
-                    lam = int(phase[(-j * d) % k])  # w^(jd)
-                    basis = _eigenbasis_mod(taus[d % k], lam, k // d, prime)
-                basis_cache[d] = basis
+                lam = int(phase[(-j * d) % k])  # w^(jd)
+                basis_cache[d] = _eigenbasis_mod(taus[d % k], lam, k // d, prime)
             basis = basis_cache[d]
             c = basis.shape[1]
             bases[o, :, :c] = basis
@@ -743,32 +681,11 @@ def _character_blocks(matrix: RigidityMatrix, tol: float):
         if not (num_orbits and width):
             continue
         vals = np.einsum("ei,eic->ec", e_vec, bases[e_orbit])
-        if prime is None:
-            vals = phase[(j * e_step) % k][:, None] * vals
-        else:
-            vals = phase[(j * e_step) % k][:, None] * (vals % prime) % prime
+        vals = phase[(j * e_step) % k][:, None] * (vals % prime) % prime
         e_cols = cols[e_orbit]
         keep = e_cols >= 0
         rows = np.broadcast_to(e_row[:, None], keep.shape)[keep]
-        copies = 2 if prime is None and 0 < 2 * j < k else 1
-        yield (rows, e_cols[keep], vals[keep]), (num_orbits, width), copies
-
-
-def _block_spectrum(matrix: RigidityMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Singular values of a matrix with real entries, descending, min(rows,
-    cols) of them, from its character blocks."""
-    svals = []
-    for (rows, cols, vals), shape, copies in _character_blocks(matrix, tol):
-        block = np.zeros(shape, dtype=complex)
-        np.add.at(block, (rows, cols), vals)
-        if copies == 1:
-            block = block.real
-        svals += [np.linalg.svd(block, compute_uv=False)] * copies
-
-    # the dense SVD's count; any surplus is the noise of zero rows
-    count = min(matrix.num_rows, matrix.num_cols)
-    out = np.sort(np.concatenate(svals))[::-1] if svals else np.zeros(0)
-    return np.concatenate([out[:count], np.zeros(max(0, count - out.size))])
+        yield (rows, e_cols[keep], vals[keep]), (num_orbits, width)
 
 
 def _rank_mod_dense(a: np.ndarray, prime: int) -> int:
@@ -978,10 +895,10 @@ def _echelon(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
 
 
 def _block_diagonal(blocks):
-    """One sparse system from (triple, shape, copies) blocks: each block's
-    rows and columns offset past the previous blocks'."""
+    """One sparse system from (triple, shape) blocks: each block's rows and
+    columns offset past the previous blocks'."""
     parts, nrows, ncols = [], 0, 0
-    for (rows, cols, vals), (height, width), _ in blocks:
+    for (rows, cols, vals), (height, width) in blocks:
         parts.append((rows + nrows, cols + ncols, vals))
         nrows, ncols = nrows + height, ncols + width
     empty = np.zeros(0, dtype=np.int64)
@@ -1005,10 +922,11 @@ def rank(
 ) -> RankReport:
     """Rank of one rigidity matrix with the requested backend.
 
-    ``"float"`` cuts the block spectrum of real entries.  ``"exact"``
-    eliminates the character blocks of residues modulo their prime, and
-    integer or rational entries modulo the group's prime, then, unless that
-    rank is full, over the rationals.
+    ``"float"`` cuts the singular values of one dense SVD of real entries.
+    ``"exact"`` eliminates the character blocks of residues modulo their
+    prime, and integer or rational entries modulo the group's prime, then,
+    unless that rank is full, over the rationals.  Raises RangeError for a
+    float ``tol`` that is negative or not finite.
     """
     prime = matrix.framework.prime
     if backend == "float":
@@ -1017,7 +935,9 @@ def rank(
                 f"float rank needs real entries, not residues modulo {prime}"
             )
         r, small, large = _float_rank(
-            _block_spectrum(matrix, tol), tol, (matrix.num_rows, matrix.num_cols)
+            np.linalg.svd(matrix.to_array(), compute_uv=False),
+            tol,
+            (matrix.num_rows, matrix.num_cols),
         )
         return RankReport(
             r,
@@ -1032,7 +952,7 @@ def rank(
         )
     if backend == "exact":
         if prime is not None:
-            r = _rank_mod(*_block_diagonal(_character_blocks(matrix, tol)), prime)
+            r = _rank_mod(*_block_diagonal(_character_blocks(matrix)), prime)
         elif matrix.exact:
             r = _given_rank(matrix)
         else:
@@ -1112,7 +1032,11 @@ def _nullspace(echelon: list[dict], pivots: list[int], ncols: int) -> list[list]
 def motions(
     fw: Framework, backend: str = "float", tol: float = DEFAULT_TOL
 ) -> MotionReport:
-    """Nullspace of the rigidity matrix as per-vertex velocities."""
+    """Nullspace of the rigidity matrix as per-vertex velocities.
+
+    ``"float"`` takes the right singular vectors past the float rank's cut
+    (see ``rank``); ``"exact"`` solves over the rationals.
+    """
     if fw.prime is not None:
         raise UnsupportedBackendError(
             f"motions need real coordinates, not residues modulo {fw.prime}"
@@ -1135,11 +1059,8 @@ def motions(
     if backend != "float":
         raise UnsupportedBackendError(f"unknown backend {backend!r}")
     a = matrix.to_array()
-    if matrix.num_rows == 0:
-        vecs = np.eye(matrix.num_cols)
-    else:
-        _, svals, vh = np.linalg.svd(a)
-        vecs = vh[_float_rank(svals, tol, a.shape)[0] :]
+    _, svals, vh = np.linalg.svd(a)
+    vecs = vh[_float_rank(svals, tol, a.shape)[0] :]
     basis = tuple(
         tuple((float(v[2 * i]), float(v[2 * i + 1])) for i in range(n))
         for v in vecs

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import c2_fixed_edge
-from slcrigid import base_graph, document
+from slcrigid import base_graph, document, sample_symmetric_placement
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -300,6 +300,7 @@ def _exits_with_index_error(r):
     assert r.returncode == 2
     assert r.stdout == ""
     assert "error[index]" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_nonpositive_scale_is_refused_where_it_is_used(tmp_path, lc3_file):
@@ -315,6 +316,23 @@ def test_nonpositive_scale_is_refused_where_it_is_used(tmp_path, lc3_file):
             _exits_with_index_error(run_cli(args + ["--scale", scale]))
     # residue samples draw no coordinate from the scale
     r = run_cli(["rank", lc3_file, "--scale", "0"])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["classification"] == "isostatic"
+
+    # the float cut: a negative tolerance used to die in a TypeError, NaN
+    # printed "tolerance": NaN with rank 0, and infinity rank 0
+    fw = sample_symmetric_placement(base_graph("lc3"), seed=0)
+    placed = tmp_path / "placed.json"
+    placed.write_text(document.serialize_graph(fw.graph, framework=fw))
+    for tol in ("-1", "nan", "inf"):
+        for args in (
+            ["rank", lc3_file, "--backend", "float"],
+            ["rank", str(placed)],
+            ["verdict", lc3_file, "--backend", "float"],
+        ):
+            _exits_with_index_error(run_cli(args + [f"--tol={tol}"]))
+    # the exact backend reads no tolerance
+    r = run_cli(["rank", lc3_file, "--tol=-1"])
     assert r.returncode == 0
     assert json.loads(r.stdout)["classification"] == "isostatic"
 

@@ -21,6 +21,7 @@ from conftest import (
 )
 from slcrigid import (
     DegenerateInputError,
+    RangeError,
     Framework,
     GroupElement,
     GroupSpec,
@@ -47,12 +48,9 @@ from slcrigid import (
 )
 from slcrigid import document, realize
 from slcrigid.realize import (
-    DEFAULT_TOL,
     _block_diagonal,
-    _block_spectrum,
     _character_blocks,
     _eigenbasis_mod,
-    _float_rank,
     _echelon,
     _orbits_under,
     _rank_mod,
@@ -243,6 +241,28 @@ def test_exact_motions_match_float_dimension():
     b = motions(fw, backend="exact")
     assert a.dimension == b.dimension == 1
     assert b.residual == 0
+    # no rows: every velocity is a motion
+    empty = Framework(SymmetricGraph(GroupSpec("cyclic", 1), 2, ()), ((0, 0), (1, 2)), ())
+    assert motions(empty, backend="float").dimension == 4
+    assert motions(empty, backend="exact").dimension == 4
+
+
+def test_float_backend_refuses_a_negative_or_infinite_tolerance():
+    graph = c2_fixed_edge()
+    fw = sample_symmetric_placement(graph, seed=0)
+    m = build_rigidity_matrix(fw)
+    for tol in (-1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(RangeError):
+            rank(m, backend="float", tol=tol)
+        with pytest.raises(RangeError):
+            classify(graph, backend="float", tol=tol)
+        with pytest.raises(RangeError):
+            motions(fw, backend="float", tol=tol)
+    # zero is a cut, if one that keeps rounding errors
+    assert rank(m, backend="float", tol=0.0).tolerance == 0.0
+    # the exact backend reads no tolerance
+    assert rank(m, backend="exact", tol=-1.0).rank == 5
+    assert classify(graph, tol=math.nan).rank == 5
 
 
 def test_check_framework_scales_and_still_flags_coincidence():
@@ -319,107 +339,8 @@ def _equivalence_graphs():
     yield "negative_control", negative_control()
     yield "d3_flower", d3_flower()
     yield "d2_loop_fixed_by_both_mirrors", d2_loop_fixed_by_both_mirrors()
-    # the float cut is known to lose rank here; only agreement is checked
+    # n = 301, where the float cut loses rank (600 of 602)
     yield "c2 steps=150 seed=2", generate_random("c2", steps=150, seed=2).graph
-
-
-def test_block_rank_matches_dense_svd():
-    for label, graph in _equivalence_graphs():
-        group = graph.group
-        if group.rotation_order > 1:
-            h = GroupElement(1, False)
-        else:
-            h = GroupElement(0, group.has_reflection)
-        for seed in range(3):
-            m = build_rigidity_matrix(sample_symmetric_placement(graph, seed=seed))
-            # a sampled placement is symmetric, so it is split under <h>
-            assert _orbits_under(m, h, DEFAULT_TOL) is not None, (label, seed)
-            shape = (m.num_rows, m.num_cols)
-            dense = np.linalg.svd(m.to_array(), compute_uv=False)
-            blocks = _block_spectrum(m)
-            assert blocks.shape == dense.shape, label
-            assert np.max(np.abs(blocks - dense), initial=0.0) <= 1e-12 * dense[0], label
-            want = _float_rank(dense, DEFAULT_TOL, shape)[0]
-            assert rank(m).rank == want, (label, seed)
-
-
-def _assert_block_rank_is_dense(m, label):
-    dense = np.linalg.svd(m.to_array(), compute_uv=False)
-    blocks = _block_spectrum(m)
-    assert np.max(np.abs(blocks - dense), initial=0.0) <= 1e-12 * dense[0], label
-    assert rank(m).rank == _float_rank(dense, DEFAULT_TOL, m.to_array().shape)[0], label
-
-
-def test_block_rank_of_a_placement_off_symmetry_is_the_dense_rank():
-    # the README's c2 document with vertex 2 moved off -p1: the triangle is
-    # no longer collinear, so the given placement has rank 6, while its
-    # symmetric version (p2 = -p1) has rank 5
-    g = c2_fixed_edge()
-    q = ((1, 0), (2, 3), (-2, -3))
-    symmetric = build_rigidity_matrix(Framework(g, ((0, 0), (5, 1), (-5, -1)), q))
-    moved = build_rigidity_matrix(Framework(g, ((0, 0), (5, 1), (-4, -2)), q))
-    assert rank(symmetric).rank == 5
-    assert rank(moved).rank == 6
-    _assert_block_rank_is_dense(moved, "c2 moved vertex")
-
-    # one point or one normal moved, per fixture, including mirror-pinned
-    # normals and rotation-fixed vertices
-    rng = random.Random(5)
-    for label, graph in (
-        ("c3_wheel", c3_wheel()),
-        ("c2_fixed_edge", c2_fixed_edge()),
-        ("mirror_pair", mirror_pair()),
-        ("mirror_fixed_vertex", mirror_fixed_vertex()),
-        ("d3_flower", d3_flower()),
-        ("c5 lc5", base_graph("lc5")),
-    ):
-        fw = sample_symmetric_placement(graph, seed=1)
-        for v in range(graph.num_vertices):
-            p = list(fw.p)
-            p[v] = (p[v][0] + rng.randint(1, 9), p[v][1] - rng.randint(1, 9))
-            _assert_block_rank_is_dense(
-                build_rigidity_matrix(Framework(graph, p, fw.q)), (label, "p", v)
-            )
-        for i in range(len(graph.loops)):
-            q = list(fw.q)
-            q[i] = (q[i][0] + rng.randint(1, 9) * 1000, q[i][1])
-            _assert_block_rank_is_dense(
-                build_rigidity_matrix(Framework(graph, fw.p, q)), (label, "q", i)
-            )
-
-
-def test_block_rank_of_a_graph_with_an_invalid_action():
-    # the half-turn sends edge 0-1 to 0-2, which is not an edge
-    g = SymmetricGraph(GroupSpec("cyclic", 2), 3, ((0, 1),), (), rotation_vertex_perm=(0, 2, 1))
-    m = build_rigidity_matrix(Framework(g, ((0, 0), (1, 2), (3, 1)), ()))
-    assert rank(m).rank == 1
-    _assert_block_rank_is_dense(m, "invalid action")
-
-    # the half-turn swaps two loops at vertex 1, which it sends to vertex 2
-    g = SymmetricGraph(
-        GroupSpec("cyclic", 2),
-        3,
-        (),
-        (Loop(0, 1), Loop(1, 1)),
-        rotation_vertex_perm=(0, 2, 1),
-        rotation_loop_perm={0: 1, 1: 0},
-    )
-    m = build_rigidity_matrix(Framework(g, ((0, 0), (1, 2), (-1, -2)), ((3, 1), (-3, -1))))
-    assert rank(m).rank == 1
-    _assert_block_rank_is_dense(m, "loop sent off its vertex")
-
-    # a "half-turn" of order 3; the loop normals alternate in sign under it
-    g = SymmetricGraph(
-        GroupSpec("cyclic", 2),
-        3,
-        (),
-        (Loop(0, 0), Loop(1, 1), Loop(2, 2)),
-        rotation_vertex_perm=(1, 2, 0),
-        rotation_loop_perm={0: 1, 1: 2, 2: 0},
-    )
-    m = build_rigidity_matrix(Framework(g, ((0, 0), (4, 1), (1, 3)), ((1, 0),) * 3))
-    assert rank(m).rank == 3
-    _assert_block_rank_is_dense(m, "generator of the wrong order")
 
 
 def _split_element(group):
@@ -453,9 +374,111 @@ def test_block_rank_mod_p_matches_dense_rank_mod_p():
             fw = sample_symmetric_placement(graph, seed=seed, modular=True)
             m = build_rigidity_matrix(fw)
             # a sampled placement is symmetric, so it is split under <h>
-            assert _orbits_under(m, _split_element(graph.group), 0.0) is not None, label
+            assert _orbits_under(m, _split_element(graph.group)) is not None, label
             want = _dense_rank_mod(m.entries, fw.prime)
             assert rank(m, backend="exact").rank == want, (label, seed)
+
+
+def _residues(graph, p, q):
+    """The framework with the integer points and normals taken modulo the
+    group's prime."""
+    prime = graph.group.prime_field.prime
+    return Framework(
+        graph,
+        [(x % prime, y % prime) for x, y in p],
+        [(x % prime, y % prime) for x, y in q],
+        prime,
+    )
+
+
+def _unsplit_rank(fw, label):
+    """Exact rank of a residue framework that is not symmetric under <h>,
+    checked to be the dense rank of the whole matrix."""
+    m = build_rigidity_matrix(fw)
+    assert _orbits_under(m, _split_element(fw.graph.group)) is None, label
+    got = rank(m, backend="exact").rank
+    assert got == _dense_rank_mod(m.entries, fw.prime), label
+    return got
+
+
+def test_block_rank_of_a_placement_off_symmetry_is_the_dense_rank():
+    # the README's c2 document with vertex 2 moved off -p1: the triangle is
+    # no longer collinear, so the given placement has rank 6, while its
+    # symmetric version (p2 = -p1) has rank 5, over the reals and modulo p
+    g = c2_fixed_edge()
+    q = ((1, 0), (2, 3), (-2, -3))
+    symmetric, moved = ((0, 0), (5, 1), (-5, -1)), ((0, 0), (5, 1), (-4, -2))
+    assert rank(build_rigidity_matrix(Framework(g, symmetric, q))).rank == 5
+    assert rank(build_rigidity_matrix(Framework(g, moved, q))).rank == 6
+    assert rank(build_rigidity_matrix(_residues(g, symmetric, q)), backend="exact").rank == 5
+    assert _unsplit_rank(_residues(g, moved, q), "c2 moved vertex") == 6
+
+    # one point or one normal moved, per fixture, including mirror-pinned
+    # normals and rotation-fixed vertices
+    rng = random.Random(5)
+    still_symmetric = []
+    for label, graph in (
+        ("c3_wheel", c3_wheel()),
+        ("c2_fixed_edge", c2_fixed_edge()),
+        ("mirror_pair", mirror_pair()),
+        ("mirror_fixed_vertex", mirror_fixed_vertex()),
+        ("d3_flower", d3_flower()),
+        ("c5 lc5", base_graph("lc5")),
+    ):
+        fw = sample_symmetric_placement(graph, seed=1, modular=True)
+        moves = []
+        for v in range(graph.num_vertices):
+            p = list(fw.p)
+            p[v] = (p[v][0] + rng.randint(1, 9), p[v][1] - rng.randint(1, 9))
+            moves.append(("p", v, _residues(graph, p, fw.q)))
+        for i in range(len(graph.loops)):
+            q = list(fw.q)
+            q[i] = (q[i][0] + rng.randint(1, 9) * 1000, q[i][1])
+            moves.append(("q", i, _residues(graph, fw.p, q)))
+        for kind, i, moved in moves:
+            m = build_rigidity_matrix(moved)
+            if _orbits_under(m, _split_element(graph.group)) is not None:
+                still_symmetric.append((label, kind, i))
+            want = _dense_rank_mod(m.entries, moved.prime)
+            assert rank(m, backend="exact").rank == want, (label, kind, i)
+    # the half-turn sends every normal at a fixed vertex to its negative; a
+    # vertex with no edge has no row; the mirror-pinned normal stays on the
+    # mirror line
+    assert still_symmetric == [
+        ("c2_fixed_edge", "q", 0),
+        ("mirror_fixed_vertex", "p", 0),
+        ("mirror_fixed_vertex", "q", 0),
+    ]
+
+
+def test_block_rank_of_a_graph_with_an_invalid_action():
+    # the half-turn sends edge 0-1 to 0-2, which is not an edge
+    g = SymmetricGraph(GroupSpec("cyclic", 2), 3, ((0, 1),), (), rotation_vertex_perm=(0, 2, 1))
+    assert _unsplit_rank(_residues(g, ((0, 0), (1, 2), (3, 1)), ()), "invalid action") == 1
+
+    # the half-turn swaps two loops at vertex 1, which it sends to vertex 2
+    g = SymmetricGraph(
+        GroupSpec("cyclic", 2),
+        3,
+        (),
+        (Loop(0, 1), Loop(1, 1)),
+        rotation_vertex_perm=(0, 2, 1),
+        rotation_loop_perm={0: 1, 1: 0},
+    )
+    fw = _residues(g, ((0, 0), (1, 2), (-1, -2)), ((3, 1), (-3, -1)))
+    assert _unsplit_rank(fw, "loop sent off its vertex") == 1
+
+    # a "half-turn" of order 3: the orbit size 3 does not divide 2
+    g = SymmetricGraph(
+        GroupSpec("cyclic", 2),
+        3,
+        (),
+        (Loop(0, 0), Loop(1, 1), Loop(2, 2)),
+        rotation_vertex_perm=(1, 2, 0),
+        rotation_loop_perm={0: 1, 1: 2, 2: 0},
+    )
+    fw = _residues(g, ((0, 0), (4, 1), (1, 3)), ((1, 0),) * 3)
+    assert _unsplit_rank(fw, "generator of the wrong order") == 3
 
 
 PRIME = GroupSpec("cyclic", 3).prime_field.prime
@@ -531,7 +554,7 @@ def test_sparse_rank_mod_of_a_block_diagonal_system():
     blocks.append(deficient)
     want = sum(_dense_rank_mod(b, PRIME) for b in blocks)
     assert _dense_rank_mod(deficient, PRIME) < 18
-    system = _block_diagonal((_triples(b), b.shape, 1) for b in blocks)
+    system = _block_diagonal((_triples(b), b.shape) for b in blocks)
     assert system[3] == (83, 75)
     assert _rank_mod(*system, PRIME) == want
 
@@ -685,7 +708,7 @@ def _residue_blocks_in_python_ints(m):
     pair (v, vec) of its first row, v = h^s . rep, basis column b of v's
     orbit adds w^(-js) * vec^T tau_h^s b."""
     group, p = m.framework.graph.group, m.framework.prime
-    k, taus, sizes, orbit, step, reps = _orbits_under(m, _split_element(group), 0.0)
+    k, taus, sizes, orbit, step, reps = _orbits_under(m, _split_element(group))
     w = group.prime_field.root_of_unity(k)
     tau = [[[int(x) for x in row] for row in t] for t in taus]
     out = []
@@ -718,8 +741,7 @@ def test_residue_blocks_match_the_formula_in_python_ints():
         for seed in range(2):
             m = build_rigidity_matrix(sample_symmetric_placement(graph, seed=seed, modular=True))
             got = []
-            for (rows, cols, vals), (height, width), copies in _character_blocks(m, DEFAULT_TOL):
-                assert copies == 1, label
+            for (rows, cols, vals), (height, width) in _character_blocks(m):
                 block = [[0] * width for _ in range(height)]
                 for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
                     block[r][c] = (block[r][c] + v) % m.framework.prime
@@ -770,7 +792,7 @@ def test_modular_framework_states_its_prime():
     # a residue framework moved off symmetry is split under the trivial group
     moved = Framework(graph, ((fw.p[0][0] + 1, fw.p[0][1]),) + fw.p[1:], fw.q, fw.prime)
     m = build_rigidity_matrix(moved)
-    assert _orbits_under(m, GroupElement(1, False), 0.0) is None
+    assert _orbits_under(m, GroupElement(1, False)) is None
     assert rank(m, backend="exact").rank == _dense_rank_mod(m.entries, fw.prime)
 
 
