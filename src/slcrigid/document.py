@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ActionError, SchemaError
+from .errors import SchemaError
 from .henneberg import (
     ComponentTrace,
     Decomposition,
@@ -40,8 +40,8 @@ from .henneberg import (
     ZeroEdgeLoop,
 )
 from .realize import Framework, MotionReport, RankReport
-from .symcheck import CharacterReport, FixedCountReport, TightReport
-from .symgraph import GroupSpec, Loop, SymmetricGraph, validate_action
+from .symcheck import CharacterReport, FixedCountReport, TightReport, require_valid_action
+from .symgraph import GroupSpec, Loop, SymmetricGraph
 from .sparsity import SparsityReport
 
 VERSION = 1
@@ -256,9 +256,7 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
         reflection_vertex_perm=vperm("reflection_vertex_perm"),
         reflection_loop_perm=lperm("reflection_loop_perm"),
     )
-    report = validate_action(graph)
-    if not report.ok:
-        raise ActionError("; ".join(report.violations))
+    require_valid_action(graph)
 
     framework = None
     if "placement" in doc:

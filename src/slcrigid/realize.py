@@ -32,30 +32,17 @@ The float rank of real entries is one dense SVD of the matrix: the
 singular values above ``tol * s_max * max(rows, 2|V|)`` are counted.  The
 cut is a heuristic, and it loses rank at a few hundred vertices.
 
-The exact rank of residues splits the matrix by the characters of one
-cyclic subgroup H = <h> of order k: h is the rotation generator when the
-group has one, else the mirror, else the identity (one block, the whole
-matrix).  k divides p - 1, so w, the image of exp(2 pi i / k) in F_p, is
-there, and the H-eigenvectors form a basis of F_p^2|V|.  A symmetric
-framework's matrix commutes with H's action on rows and columns, so in
-that basis it is block diagonal, with block j on the vectors that h
-multiplies by w^j.  Block j has one row per H-orbit of rows and, per vertex
-orbit of size d, a basis of {x : tau_h^d x = w^(jd) x} as its columns; a
-row at vertex h^s.rep contributes w^(-js) * r^T tau_h^s B.  The rank is the
-sum of the blocks' ranks (Schulze and Tanigawa, SIAM J. Discrete Math.
-2015, split the matrix the same way into orbit matrices).  The split is
-only taken when the rows are exactly symmetric under H; any other matrix
-(a given placement off symmetry, an invalid stored action) is split under
-the trivial group, one block that is the whole matrix.  The blocks j < k
-are eliminated modulo p as one sparse block-diagonal system: rounds of
-Markowitz-cheap pivots, at most one per row and column, each round's Schur
-complement formed at once, and a dense finish once the rest has filled in.
-No dense block is built.  The exact rank of a given integer or rational
-placement first ranks the integer rows modulo the group's prime by the same
-elimination, unsplit; full rank there is full rank over the rationals, and
-only a deficit is eliminated again over the rationals, by a fraction-free
-(Bareiss) echelon of the sparse integer rows.  Exact motions ask the same
-question first, and solve that echelon for a deficit.
+The exact rank of residues eliminates the whole sparse matrix modulo p:
+rounds of Markowitz-cheap pivots, at most one per row and column, each
+round's Schur complement formed at once, and a dense finish once the rest
+has filled in.  The elimination reads only the entries, so a placement off
+symmetry or a graph with an invalid stored action is ranked like any
+other.  The exact rank of a given integer or rational placement first
+ranks the integer rows modulo the group's prime by the same elimination;
+full rank there is full rank over the rationals, and only a deficit is
+eliminated again over the rationals, by a fraction-free (Bareiss) echelon
+of the sparse integer rows.  Exact motions ask the same question first,
+and solve that echelon for a deficit.
 """
 
 from __future__ import annotations
@@ -67,20 +54,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ActionError,
-    DegenerateInputError,
-    RangeError,
-    UnsupportedBackendError,
-)
-from .symgraph import (
-    GroupElement,
-    GroupSpec,
-    SymmetricGraph,
-    mirror_sign,
-    stabilizers,
-    validate_action,
-)
+from .errors import DegenerateInputError, RangeError, UnsupportedBackendError
+from .symcheck import require_valid_action
+from .symgraph import GroupSpec, SymmetricGraph, mirror_sign, stabilizers
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SCALE = 10 ** 6
@@ -225,9 +201,7 @@ def sample_symmetric_placement(
     """
     if not modular and scale < 1:
         raise RangeError(f"scale must be positive, not {scale}")
-    report = validate_action(graph)
-    if not report.ok:
-        raise ActionError("; ".join(report.violations))
+    require_valid_action(graph)
     group = graph.group
     rng = random.Random(seed)
     prime = group.prime_field.prime if modular else None
@@ -398,8 +372,8 @@ class RigidityMatrix:
 
     ``rows`` holds each row sparsely as its (vertex, 2-vector) pairs:
     (u, p_u - p_v) and (v, p_v - p_u) for edge u-v, (v, q) for a loop at v.
-    ``framework`` is the framework the rows were built from; the ranks read
-    its group action, and its prime, when the entries are residues.
+    ``framework`` is the framework the rows were built from; the exact rank
+    reads its prime, or its group's prime for integer or rational entries.
     """
 
     framework: Framework
@@ -518,174 +492,6 @@ def _float_rank(
         float(accepted[-1]) if accepted.size else None,
         float(rejected[0]) if rejected.size else None,
     )
-
-
-def _eigenbasis_mod(tau_d: np.ndarray, lam: int, m: int, prime: int) -> np.ndarray:
-    """Basis (as int64 columns of residues) of {x : tau_d x = lam x} modulo
-    ``prime``, where (tau_d / lam)^m = I: columns of the projector
-    (1/m) sum_t (tau_d / lam)^t onto it."""
-    step = tau_d * pow(lam, -1, prime) % prime
-    proj = np.zeros((2, 2), dtype=np.int64)
-    power = np.eye(2, dtype=np.int64)
-    for _ in range(m):
-        proj = (proj + power) % prime
-        power = power @ step % prime
-    proj = proj * pow(m, -1, prime) % prime
-    dim = int(np.trace(proj)) % prime  # a projector's trace is its rank
-    if dim == 2:
-        return np.eye(2, dtype=np.int64)
-    if dim == 0:
-        return np.zeros((2, 0), dtype=np.int64)
-    return proj[:, [0 if proj[:, 0].any() else 1]]
-
-
-def _orbits_under(matrix: RigidityMatrix, h: GroupElement):
-    """Vertex and row orbits under H = <h>, or None if the residue matrix is
-    not symmetric under H.
-
-    Symmetric means: every vertex orbit's size divides k = |H|, every row's
-    image under h is a row at the image vertices, and the row t steps along
-    each row orbit is +-(r^T tau_h^t) modulo the prime for its first row r
-    (t = orbit size included, so the orbit closes).  An edge row's second
-    pair is minus its first, so comparing first pairs compares rows.
-    Returns (k, taus, sizes, orbit, step, reps): taus holds tau_h^t modulo
-    the prime for t < k, vertex v = h^step[v] . (first vertex of orbit
-    number orbit[v]), sizes[o] is the size of vertex orbit o, and reps lists
-    (first row, orbit size) per row orbit.
-    """
-    graph = matrix.framework.graph
-    prime = matrix.framework.prime
-    group = graph.group
-    n = graph.num_vertices
-    k = group.element_order(h)
-    vperm, lperm = graph.action[group.index(h)]
-    tau_h = np.array(group.tau_mod(h), dtype=np.int64)
-    taus = [np.eye(2, dtype=np.int64)]
-    for _ in range(k - 1):
-        taus.append(tau_h @ taus[-1] % prime)
-
-    orbit = [-1] * n
-    step = [0] * n
-    sizes: list[int] = []
-    for v in range(n):
-        if orbit[v] >= 0:
-            continue
-        x, s = v, 0
-        while orbit[x] < 0:
-            orbit[x], step[x] = len(sizes), s
-            x, s = vperm[x], s + 1
-        if k % s:
-            return None
-        sizes.append(s)
-
-    # walk each row orbit; (row, first row of its orbit, steps) per visit
-    num_edges = len(graph.edges)
-    edge_row = {e: i for i, e in enumerate(graph.edges)}
-    loop_row = {l.id: num_edges + i for i, l in enumerate(graph.loops)}
-    seen = [False] * matrix.num_rows
-    reps = []
-    visits: list[tuple[int, int, int]] = []
-    for i in range(matrix.num_rows):
-        if seen[i]:
-            continue
-        verts = [v for v, _ in matrix.rows[i]]
-        j, t = i, 0
-        while not seen[j]:
-            seen[j] = True
-            visits.append((j, i, t))
-            verts = [vperm[x] for x in verts]
-            t += 1
-            if j < num_edges:
-                a, b = verts
-                j = edge_row.get((a, b) if a < b else (b, a))
-                if j is None:
-                    return None
-            else:
-                j = loop_row[lperm[j - num_edges]]
-                if graph.loops[j - num_edges].vertex != verts[0]:
-                    return None
-        if j != i:
-            return None
-        visits.append((i, i, t))
-        reps.append((i, t))
-
-    first = np.array([row[0][1] for row in matrix.rows], dtype=np.int64).reshape(-1, 2)
-    if visits:
-        at, frm, steps = np.array(visits, dtype=int).T
-        want = np.einsum("nab,nb->na", np.array(taus)[steps % k], first[frm]) % prime
-        same = (first[at] == want).all(axis=1)
-        opposite = (first[at] == -want % prime).all(axis=1)
-        if not (same | opposite).all():
-            return None
-    return k, taus, sizes, orbit, step, reps
-
-
-def _character_blocks(matrix: RigidityMatrix):
-    """The residue matrix's character blocks under H = <h> (see the module
-    docstring), as ((rows, cols, vals), shape): the block of that shape sums
-    vals at (rows, cols), and the matrix's rank modulo its prime is the sum
-    of the blocks' ranks.
-
-    There is one block per j < k, with w the image of exp(2 pi i / k) in the
-    group's prime field.  A matrix that is not symmetric under H is split
-    under the trivial group instead: one block, the whole matrix.
-    """
-    group = matrix.framework.graph.group
-    prime = matrix.framework.prime
-    if group.rotation_order > 1:
-        h = GroupElement(1, False)
-    elif group.has_reflection:
-        h = GroupElement(0, True)
-    else:
-        h = group.identity()
-    split = _orbits_under(matrix, h)
-    if split is None:
-        split = _orbits_under(matrix, group.identity())
-    k, taus, sizes, orbit, step, reps = split
-    w_inv = pow(group.prime_field.root_of_unity(k), -1, prime)
-    phase = np.array([pow(w_inv, s, prime) for s in range(k)], dtype=np.int64)
-
-    # one row per H-orbit of rows, from its first row; each stored pair
-    # contributes r^T tau_h^s there
-    num_orbits = len(reps)
-    e_row, e_orbit, e_step, e_pair = [], [], [], []
-    for o, (i, _) in enumerate(reps):
-        for v, vec in matrix.rows[i]:
-            e_row.append(o)
-            e_orbit.append(orbit[v])
-            e_step.append(step[v])
-            e_pair.append(vec)
-    pairs = np.array(e_pair, dtype=np.int64).reshape(-1, 2)
-    e_vec = np.einsum("ei,eic->ec", pairs, np.array(taus)[e_step]) % prime
-    e_row = np.array(e_row, dtype=int)
-    e_orbit = np.array(e_orbit, dtype=int)
-    e_step = np.array(e_step, dtype=int)
-
-    for j in range(k):
-        # per vertex orbit: basis padded to two columns, padding marked -1
-        # and dropped with its entries
-        bases = np.zeros((len(sizes), 2, 2), dtype=np.int64)
-        cols = np.zeros((len(sizes), 2), dtype=int)
-        width = 0
-        basis_cache: dict[int, np.ndarray] = {}
-        for o, d in enumerate(sizes):
-            if d not in basis_cache:
-                lam = int(phase[(-j * d) % k])  # w^(jd)
-                basis_cache[d] = _eigenbasis_mod(taus[d % k], lam, k // d, prime)
-            basis = basis_cache[d]
-            c = basis.shape[1]
-            bases[o, :, :c] = basis
-            cols[o] = [width, width + 1]
-            cols[o, c:] = -1
-            width += c
-        if not (num_orbits and width):
-            continue
-        vals = np.einsum("ei,eic->ec", e_vec, bases[e_orbit])
-        vals = phase[(j * e_step) % k][:, None] * (vals % prime) % prime
-        e_cols = cols[e_orbit]
-        keep = e_cols >= 0
-        rows = np.broadcast_to(e_row[:, None], keep.shape)[keep]
-        yield (rows, e_cols[keep], vals[keep]), (num_orbits, width)
 
 
 def _rank_mod_dense(a: np.ndarray, prime: int) -> int:
@@ -856,6 +662,15 @@ def _integer_rows(matrix: RigidityMatrix) -> list[dict[int, int]]:
     return out
 
 
+def _residue_entries(matrix: RigidityMatrix):
+    """(rows, cols, vals) of a residue matrix: row i holds each stored pair
+    (v, (x, y)) as x at column 2v and y at column 2v + 1."""
+    flat = [(i, v, x, y) for i, row in enumerate(matrix.rows) for v, (x, y) in row]
+    i, v, x, y = np.array(flat, dtype=np.int64).reshape(-1, 4).T
+    cols = 2 * v[:, None] + (0, 1)
+    return np.repeat(i, 2), cols.ravel(), np.stack([x, y], 1).ravel()
+
+
 def _residue_rank(matrix: RigidityMatrix, ints: list[dict[int, int]]) -> int:
     """Rank of the integer rows modulo the group's prime; a full rank there
     is full rank over the rationals."""
@@ -894,18 +709,6 @@ def _echelon(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
     return echelon, pivots
 
 
-def _block_diagonal(blocks):
-    """One sparse system from (triple, shape) blocks: each block's rows and
-    columns offset past the previous blocks'."""
-    parts, nrows, ncols = [], 0, 0
-    for (rows, cols, vals), (height, width) in blocks:
-        parts.append((rows + nrows, cols + ncols, vals))
-        nrows, ncols = nrows + height, ncols + width
-    empty = np.zeros(0, dtype=np.int64)
-    rows, cols, vals = (np.concatenate([empty] + [p[i] for p in parts]) for i in range(3))
-    return rows, cols, vals, (nrows, ncols)
-
-
 def _given_rank(matrix: RigidityMatrix) -> int:
     """Rank over the rationals of integer or rational entries: modulo the
     group's prime first, and only a deficit there by fraction-free
@@ -923,9 +726,9 @@ def rank(
     """Rank of one rigidity matrix with the requested backend.
 
     ``"float"`` cuts the singular values of one dense SVD of real entries.
-    ``"exact"`` eliminates the character blocks of residues modulo their
-    prime, and integer or rational entries modulo the group's prime, then,
-    unless that rank is full, over the rationals.  Raises RangeError for a
+    ``"exact"`` eliminates residues modulo their prime in one sparse pass,
+    and integer or rational entries modulo the group's prime, then, unless
+    that rank is full, over the rationals.  Raises RangeError for a
     float ``tol`` that is negative or not finite.
     """
     prime = matrix.framework.prime
@@ -952,7 +755,8 @@ def rank(
         )
     if backend == "exact":
         if prime is not None:
-            r = _rank_mod(*_block_diagonal(_character_blocks(matrix)), prime)
+            shape = (matrix.num_rows, matrix.num_cols)
+            r = _rank_mod(*_residue_entries(matrix), shape, prime)
         elif matrix.exact:
             r = _given_rank(matrix)
         else:

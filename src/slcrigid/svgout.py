@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import RangeError
 from .realize import Framework
 from .symgraph import stabilizers
 
@@ -29,7 +30,10 @@ def _fmt(v: float) -> str:
 
 
 def render_svg(fw: Framework, size: int = 480) -> str:
-    """Render the framework as a standalone SVG 1.1 document."""
+    """Render the framework as a standalone SVG 1.1 document ``size``
+    pixels square; raises RangeError for a size below 1."""
+    if size < 1:
+        raise RangeError(f"size must be positive, not {size}")
     graph, group = fw.graph, fw.graph.group
     pts = [(float(x), float(y)) for (x, y) in fw.p]
     qs = [(float(x), float(y)) for (x, y) in fw.q]

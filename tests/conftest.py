@@ -150,8 +150,8 @@ def d3_flower() -> SymmetricGraph:
     Free vertex r + 3m sits at the image of vertex 0 under c^r s^m; vertex
     6 + r lies on a mirror line and carries a mirror-fixed loop.  The free
     orbit is a ring with a loop at each vertex and spokes to the mirror
-    orbit.  Exercises complex character blocks next to mirror-pinned
-    points and normals.
+    orbit.  Exercises a free orbit of a group with non-integral matrices
+    next to mirror-pinned points and normals.
     """
     rot = tuple((r + 1) % 3 + 3 * m for m in range(2) for r in range(3))
     ref = tuple((-r) % 3 + 3 * (1 - m) for m in range(2) for r in range(3))

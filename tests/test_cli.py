@@ -314,6 +314,9 @@ def test_nonpositive_scale_is_refused_where_it_is_used(tmp_path, lc3_file):
             ["svg", lc3_file, "--auto", "-o", pic],
         ):
             _exits_with_index_error(run_cli(args + ["--scale", scale]))
+    # --size 0 or below wrote an SVG with an empty or negative viewBox
+    for size in ("0", "-5"):
+        _exits_with_index_error(run_cli(["svg", lc3_file, "--auto", "-o", pic, "--size", size]))
     # residue samples draw no coordinate from the scale
     r = run_cli(["rank", lc3_file, "--scale", "0"])
     assert r.returncode == 0

@@ -23,7 +23,6 @@ from slcrigid import (
     DegenerateInputError,
     RangeError,
     Framework,
-    GroupElement,
     GroupSpec,
     Loop,
     SymmetricGraph,
@@ -47,14 +46,7 @@ from slcrigid import (
     vertex_stabilizer,
 )
 from slcrigid import document, realize
-from slcrigid.realize import (
-    _block_diagonal,
-    _character_blocks,
-    _eigenbasis_mod,
-    _echelon,
-    _orbits_under,
-    _rank_mod,
-)
+from slcrigid.realize import _echelon, _rank_mod
 from slcrigid.selftest import negative_control
 
 
@@ -343,12 +335,6 @@ def _equivalence_graphs():
     yield "c2 steps=150 seed=2", generate_random("c2", steps=150, seed=2).graph
 
 
-def _split_element(group):
-    if group.rotation_order > 1:
-        return GroupElement(1, False)
-    return GroupElement(0, group.has_reflection)
-
-
 def _dense_rank_mod(entries, prime):
     """Rank modulo a prime by Gauss-Jordan steps on whole rows."""
     a = np.array(entries, dtype=np.int64).reshape(len(entries), -1) % prime
@@ -368,13 +354,11 @@ def _dense_rank_mod(entries, prime):
     return r
 
 
-def test_block_rank_mod_p_matches_dense_rank_mod_p():
+def test_exact_rank_mod_p_matches_dense_rank_mod_p():
     for label, graph in _equivalence_graphs():
         for seed in range(3):
             fw = sample_symmetric_placement(graph, seed=seed, modular=True)
             m = build_rigidity_matrix(fw)
-            # a sampled placement is symmetric, so it is split under <h>
-            assert _orbits_under(m, _split_element(graph.group)) is not None, label
             want = _dense_rank_mod(m.entries, fw.prime)
             assert rank(m, backend="exact").rank == want, (label, seed)
 
@@ -391,17 +375,16 @@ def _residues(graph, p, q):
     )
 
 
-def _unsplit_rank(fw, label):
-    """Exact rank of a residue framework that is not symmetric under <h>,
-    checked to be the dense rank of the whole matrix."""
+def _checked_rank(fw, label):
+    """Exact rank of a residue framework, checked to be the dense rank of
+    the whole matrix."""
     m = build_rigidity_matrix(fw)
-    assert _orbits_under(m, _split_element(fw.graph.group)) is None, label
     got = rank(m, backend="exact").rank
     assert got == _dense_rank_mod(m.entries, fw.prime), label
     return got
 
 
-def test_block_rank_of_a_placement_off_symmetry_is_the_dense_rank():
+def test_exact_rank_of_a_placement_off_symmetry_is_the_dense_rank():
     # the README's c2 document with vertex 2 moved off -p1: the triangle is
     # no longer collinear, so the given placement has rank 6, while its
     # symmetric version (p2 = -p1) has rank 5, over the reals and modulo p
@@ -411,12 +394,11 @@ def test_block_rank_of_a_placement_off_symmetry_is_the_dense_rank():
     assert rank(build_rigidity_matrix(Framework(g, symmetric, q))).rank == 5
     assert rank(build_rigidity_matrix(Framework(g, moved, q))).rank == 6
     assert rank(build_rigidity_matrix(_residues(g, symmetric, q)), backend="exact").rank == 5
-    assert _unsplit_rank(_residues(g, moved, q), "c2 moved vertex") == 6
+    assert _checked_rank(_residues(g, moved, q), "c2 moved vertex") == 6
 
     # one point or one normal moved, per fixture, including mirror-pinned
     # normals and rotation-fixed vertices
     rng = random.Random(5)
-    still_symmetric = []
     for label, graph in (
         ("c3_wheel", c3_wheel()),
         ("c2_fixed_edge", c2_fixed_edge()),
@@ -437,24 +419,14 @@ def test_block_rank_of_a_placement_off_symmetry_is_the_dense_rank():
             moves.append(("q", i, _residues(graph, fw.p, q)))
         for kind, i, moved in moves:
             m = build_rigidity_matrix(moved)
-            if _orbits_under(m, _split_element(graph.group)) is not None:
-                still_symmetric.append((label, kind, i))
             want = _dense_rank_mod(m.entries, moved.prime)
             assert rank(m, backend="exact").rank == want, (label, kind, i)
-    # the half-turn sends every normal at a fixed vertex to its negative; a
-    # vertex with no edge has no row; the mirror-pinned normal stays on the
-    # mirror line
-    assert still_symmetric == [
-        ("c2_fixed_edge", "q", 0),
-        ("mirror_fixed_vertex", "p", 0),
-        ("mirror_fixed_vertex", "q", 0),
-    ]
 
 
 def test_block_rank_of_a_graph_with_an_invalid_action():
     # the half-turn sends edge 0-1 to 0-2, which is not an edge
     g = SymmetricGraph(GroupSpec("cyclic", 2), 3, ((0, 1),), (), rotation_vertex_perm=(0, 2, 1))
-    assert _unsplit_rank(_residues(g, ((0, 0), (1, 2), (3, 1)), ()), "invalid action") == 1
+    assert _checked_rank(_residues(g, ((0, 0), (1, 2), (3, 1)), ()), "invalid action") == 1
 
     # the half-turn swaps two loops at vertex 1, which it sends to vertex 2
     g = SymmetricGraph(
@@ -466,7 +438,7 @@ def test_block_rank_of_a_graph_with_an_invalid_action():
         rotation_loop_perm={0: 1, 1: 0},
     )
     fw = _residues(g, ((0, 0), (1, 2), (-1, -2)), ((3, 1), (-3, -1)))
-    assert _unsplit_rank(fw, "loop sent off its vertex") == 1
+    assert _checked_rank(fw, "loop sent off its vertex") == 1
 
     # a "half-turn" of order 3: the orbit size 3 does not divide 2
     g = SymmetricGraph(
@@ -478,7 +450,7 @@ def test_block_rank_of_a_graph_with_an_invalid_action():
         rotation_loop_perm={0: 1, 1: 2, 2: 0},
     )
     fw = _residues(g, ((0, 0), (4, 1), (1, 3)), ((1, 0),) * 3)
-    assert _unsplit_rank(fw, "generator of the wrong order") == 3
+    assert _checked_rank(fw, "generator of the wrong order") == 3
 
 
 PRIME = GroupSpec("cyclic", 3).prime_field.prime
@@ -519,7 +491,17 @@ def test_sparse_rank_mod_of_empty_and_zero_matrices():
     rows, cols = np.array([0, 1, 2, 2, 3]), np.array([0, 1, 2, 2, 5])
     vals = np.array([0, PRIME, 7, -7, -3 * PRIME])
     assert _rank_mod(rows, cols, vals, (4, 6), PRIME) == 0
-    assert _rank_mod(*_block_diagonal([]), PRIME) == 0
+    # residue matrices with no rows, and the empty graph's, with no columns
+    # either
+    for graph in (
+        SymmetricGraph(GroupSpec("cyclic", 1), 2, (), ()),
+        SymmetricGraph(GroupSpec("cyclic", 3), 3, (), (), rotation_vertex_perm=(1, 2, 0)),
+    ):
+        m = build_rigidity_matrix(sample_symmetric_placement(graph, modular=True))
+        assert (m.num_rows, rank(m, backend="exact").rank) == (0, 0)
+    empty = SymmetricGraph(GroupSpec("cyclic", 1), 0, (), ())
+    r = rank(build_rigidity_matrix(sample_symmetric_placement(empty, modular=True)), backend="exact")
+    assert (r.rank, r.classification) == (0, "isostatic")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -554,9 +536,14 @@ def test_sparse_rank_mod_of_a_block_diagonal_system():
     blocks.append(deficient)
     want = sum(_dense_rank_mod(b, PRIME) for b in blocks)
     assert _dense_rank_mod(deficient, PRIME) < 18
-    system = _block_diagonal((_triples(b), b.shape) for b in blocks)
-    assert system[3] == (83, 75)
-    assert _rank_mod(*system, PRIME) == want
+    parts, nrows, ncols = [], 0, 0
+    for b in blocks:
+        rows, cols, vals = _triples(b)
+        parts.append((rows + nrows, cols + ncols, vals))
+        nrows, ncols = nrows + b.shape[0], ncols + b.shape[1]
+    assert (nrows, ncols) == (83, 75)
+    rows, cols, vals = (np.concatenate([p[i] for p in parts]) for i in range(3))
+    assert _rank_mod(rows, cols, vals, (nrows, ncols), PRIME) == want
 
 
 def test_sparse_rank_mod_of_entries_p_minus_one():
@@ -703,52 +690,6 @@ def test_exact_motions_are_the_nullspace_basis_reduced_on_the_free_columns():
     assert rep.dimension == 76
 
 
-def _residue_blocks_in_python_ints(m):
-    """Every residue block, entry by entry in Python integers: row orbit o,
-    pair (v, vec) of its first row, v = h^s . rep, basis column b of v's
-    orbit adds w^(-js) * vec^T tau_h^s b."""
-    group, p = m.framework.graph.group, m.framework.prime
-    k, taus, sizes, orbit, step, reps = _orbits_under(m, _split_element(group))
-    w = group.prime_field.root_of_unity(k)
-    tau = [[[int(x) for x in row] for row in t] for t in taus]
-    out = []
-    for j in range(k):
-        bases = {
-            d: _eigenbasis_mod(taus[d % k], pow(w, j * d, p), k // d, p).tolist()
-            for d in set(sizes)
-        }
-        first_col, width = [], 0
-        for d in sizes:
-            first_col.append(width)
-            width += len(bases[d][0])
-        block = [[0] * width for _ in reps]
-        for o, (i, _) in enumerate(reps):
-            for v, vec in m.rows[i]:
-                t, basis = tau[step[v]], bases[sizes[orbit[v]]]
-                row_tau = [vec[0] * t[0][c] + vec[1] * t[1][c] for c in range(2)]
-                for b in range(len(basis[0])):
-                    val = sum(row_tau[a] * basis[a][b] for a in range(2))
-                    col = first_col[orbit[v]] + b
-                    block[o][col] = (block[o][col] + val * pow(w, -j * step[v], p)) % p
-        if reps and width:
-            out.append(block)
-    return out
-
-
-def test_residue_blocks_match_the_formula_in_python_ints():
-    # int64 products of two residues are exact, but not a product of three
-    for label, graph in _equivalence_graphs():
-        for seed in range(2):
-            m = build_rigidity_matrix(sample_symmetric_placement(graph, seed=seed, modular=True))
-            got = []
-            for (rows, cols, vals), (height, width) in _character_blocks(m):
-                block = [[0] * width for _ in range(height)]
-                for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-                    block[r][c] = (block[r][c] + v) % m.framework.prime
-                got.append(block)
-            assert got == _residue_blocks_in_python_ints(m), (label, seed)
-
-
 def _mod_apply(mat, vec, prime):
     (a, b), (c, d) = mat
     return ((a * vec[0] + b * vec[1]) % prime, (c * vec[0] + d * vec[1]) % prime)
@@ -789,10 +730,9 @@ def test_modular_framework_states_its_prime():
         Framework(graph, ((fw.prime, 0),) + fw.p[1:], fw.q, fw.prime)
     with pytest.raises(Exception):
         rank(build_rigidity_matrix(fw), backend="float")
-    # a residue framework moved off symmetry is split under the trivial group
+    # a residue framework moved off symmetry is ranked as it stands
     moved = Framework(graph, ((fw.p[0][0] + 1, fw.p[0][1]),) + fw.p[1:], fw.q, fw.prime)
     m = build_rigidity_matrix(moved)
-    assert _orbits_under(m, GroupElement(1, False)) is None
     assert rank(m, backend="exact").rank == _dense_rank_mod(m.entries, fw.prime)
 
 
