@@ -10,7 +10,11 @@ group element in canonical order, each carrying two new rows.
 * ``OneLoopSplit(loop_id, y0)``: delete the full-size orbit of the loop;
   new vertices join the loop's vertex and y0 and carry one loop each.
 
-Moves preserve symmetry-compatible tightness, so iterating them from a
+Moves are applied in place, to one growing state (``_Growth``) that
+appends each new orbit through the group's multiplication table, and the
+graph is built once, at the end: ``generate_random`` and ``replay`` are
+linear in the number of moves, and ``apply_extension`` is the one-move
+case.  Moves preserve symmetry-compatible tightness, so iterating them from a
 tight base graph generates tight graphs.  ``decompose`` runs the moves
 backwards: it strips one free orbit at a time until only a disjoint union
 of recognized base graphs remains, then replays the moves forward to
@@ -55,12 +59,12 @@ orbits, or two components.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Collection, Iterator, NamedTuple, Union
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
     InvalidMoveError,
@@ -113,13 +117,15 @@ class OneLoopSplit:
 Move = Union[Zero2Edges, ZeroEdgeLoop, OneEdgeSplit, OneLoopSplit]
 
 
-def _require_vertex(graph: SymmetricGraph, v: int, what: str) -> None:
-    if not 0 <= v < graph.num_vertices:
+def _require_int(x, what: str) -> None:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidMoveError(f"{what} must be an integer, not {x!r}")
+
+
+def _require_vertex(n: int, v, what: str) -> None:
+    _require_int(v, what)
+    if not 0 <= v < n:
         raise InvalidMoveError(f"{what} {v} is not a vertex of the graph")
-
-
-def _fresh_loop_base(graph: SymmetricGraph) -> int:
-    return max(graph.loop_ids, default=-1) + 1
 
 
 def _generators(group: GroupSpec) -> list[tuple[str, list[int]]]:
@@ -135,96 +141,139 @@ def _generators(group: GroupSpec) -> list[tuple[str, list[int]]]:
     return [(name, [group.index(group.compose(g, el)) for el in elements]) for name, g in gens]
 
 
+class _Growth:
+    """A graph grown by extension moves in place, built by ``build``.
+
+    It holds, per group element in canonical order, the vertex table and
+    the loop map {id: image id}, read once from the start graph's
+    ``action``; the loop records by id, the edge set and the next loop id.
+    ``apply`` appends a move's orbit through the group's multiplication
+    table: element j sends new vertex n + k to n + (the index of g_j g_k),
+    and new loop id base + k likewise.  A move so costs O(|group|^2),
+    whatever the graph's size.  The edges and loop ids a move adds are
+    checked for duplicates as they go in, and a split orbit for closure
+    under the generators as it goes out; ``build`` runs every other check
+    of ``SymmetricGraph``, so the graph built after any sequence of moves
+    is the one that building after every move would give.
+    """
+
+    def __init__(self, graph: SymmetricGraph) -> None:
+        group = self.group = graph.group
+        elements = group.elements()
+        self.t = len(elements)
+        self.product = [[group.index(group.compose(a, b)) for b in elements] for a in elements]
+        # each generator as its field-name stem and its element index
+        self.gens = [(name, shift[0]) for name, shift in _generators(group)]
+        self.n = graph.num_vertices
+        self.vertex = [list(vp) for vp, _ in graph.action]
+        self.loop = [dict(zip(graph.loop_ids, lp)) for _, lp in graph.action]
+        self.loops = {l.id: l for l in graph.loops}
+        self.edges = set(graph.edges)
+        self.next_loop = max(self.loops, default=-1) + 1
+
+    def images(self, v: int) -> list[int]:
+        """Where each group element, in canonical order, sends vertex v."""
+        return [table[v] for table in self.vertex]
+
+    def apply(self, move: Move) -> None:
+        """Apply one move: the new orbit's vertices are n .. n+|group|-1,
+        vertex n+k for group element k, and new loop ids continue from the
+        largest id the graph had before the move."""
+        n, t = self.n, self.t
+        if isinstance(move, Zero2Edges):
+            _require_vertex(n, move.v1, "v1")
+            _require_vertex(n, move.v2, "v2")
+            if move.v1 == move.v2:
+                raise InvalidMoveError("v1 and v2 must be distinct vertices")
+            ends, looped = (move.v1, move.v2), False
+        elif isinstance(move, ZeroEdgeLoop):
+            _require_vertex(n, move.v1, "v1")
+            ends, looped = (move.v1,), True
+        elif isinstance(move, OneEdgeSplit):
+            for name, v in (("x0", move.x0), ("y0", move.y0), ("z0", move.z0)):
+                _require_vertex(n, v, name)
+            e0 = (min(move.x0, move.y0), max(move.x0, move.y0))
+            if move.x0 == move.y0 or e0 not in self.edges:
+                raise InvalidMoveError(f"({move.x0}, {move.y0}) is not an edge")
+            if move.z0 in (move.x0, move.y0):
+                raise InvalidMoveError("z0 must differ from the split edge's ends")
+            pairs = zip(self.images(move.x0), self.images(move.y0))
+            orbit = {(a, b) if a < b else (b, a) for a, b in pairs}
+            if len(orbit) != t:
+                raise InvalidMoveError(
+                    "the split edge's orbit must have one edge per group element"
+                )
+            self.edges -= orbit
+            ends, looped = (move.x0, move.y0, move.z0), False
+        elif isinstance(move, OneLoopSplit):
+            _require_int(move.loop_id, "loop_id")
+            if move.loop_id not in self.loops:
+                raise InvalidMoveError(f"no loop with id {move.loop_id}")
+            _require_vertex(n, move.y0, "y0")
+            x0 = self.loops[move.loop_id].vertex
+            if move.y0 == x0:
+                raise InvalidMoveError("y0 must differ from the loop's vertex")
+            orbit = {table[move.loop_id] for table in self.loop}
+            if len(orbit) != t:
+                raise InvalidMoveError(
+                    "the split loop's orbit must have one loop per group element"
+                )
+            for name, j in self.gens:
+                if any(self.loop[j][i] not in orbit for i in orbit):
+                    raise RangeError(f"{name}_loop_perm is not a permutation of the loop ids")
+            for i in orbit:
+                del self.loops[i]
+                for table in self.loop:
+                    del table[i]
+            ends, looped = (x0, move.y0), True
+        else:
+            raise InvalidMoveError(f"unknown move {move!r}")
+
+        for table, row in zip(self.vertex, self.product):
+            table.extend(n + s for s in row)
+        for end in ends:
+            for k, a in enumerate(self.images(end)):
+                if (a, n + k) in self.edges:
+                    raise RangeError(f"duplicate edge {(a, n + k)}")
+                self.edges.add((a, n + k))
+        if looped:
+            base = self.next_loop
+            for k in range(t):
+                if base + k in self.loops:
+                    raise RangeError("duplicate loop id")
+                self.loops[base + k] = Loop(base + k, n + k)
+            for table, row in zip(self.loop, self.product):
+                table.update((base + k, base + s) for k, s in enumerate(row))
+            self.next_loop = base + t
+        self.n = n + t
+
+    def build(self) -> SymmetricGraph:
+        """The grown graph, checked as every ``SymmetricGraph`` is."""
+        fields = {}
+        for name, j in self.gens:
+            fields[f"{name}_vertex_perm"] = tuple(self.vertex[j])
+            fields[f"{name}_loop_perm"] = self.loop[j]
+        loops = tuple(self.loops.values())
+        return SymmetricGraph(self.group, self.n, tuple(self.edges), loops, **fields)
+
+
+def _grown(graph: SymmetricGraph, moves: Iterable[Move]) -> SymmetricGraph:
+    """``graph`` after the moves, built once."""
+    growth = _Growth(graph)
+    for move in moves:
+        growth.apply(move)
+    return growth.build()
+
+
 def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
     """Apply one move; the new orbit's vertices are n .. n+|group|-1.
 
     New vertex n+k corresponds to group element k in canonical order; new
-    loop ids continue from the largest existing id.
+    loop ids continue from the largest existing id.  Raises
+    ``InvalidMoveError`` for a move that does not apply, also for a vertex
+    or loop id that is not an integer.
     """
-    group = graph.group
-    t = group.size
-    n = graph.num_vertices
-
-    def images(v: int) -> list[int]:
-        return [vp[v] for vp, _ in graph.action]
-
-    edges = list(graph.edges)
-    loops = list(graph.loops)
-    new_loops: list[Loop] = []
-    base_id = _fresh_loop_base(graph)
-
-    if isinstance(move, Zero2Edges):
-        _require_vertex(graph, move.v1, "v1")
-        _require_vertex(graph, move.v2, "v2")
-        if move.v1 == move.v2:
-            raise InvalidMoveError("v1 and v2 must be distinct vertices")
-        for k, (a, b) in enumerate(zip(images(move.v1), images(move.v2))):
-            edges += [(n + k, a), (n + k, b)]
-    elif isinstance(move, ZeroEdgeLoop):
-        _require_vertex(graph, move.v1, "v1")
-        for k, a in enumerate(images(move.v1)):
-            edges.append((n + k, a))
-            new_loops.append(Loop(base_id + k, n + k))
-    elif isinstance(move, OneEdgeSplit):
-        for name, v in (("x0", move.x0), ("y0", move.y0), ("z0", move.z0)):
-            _require_vertex(graph, v, name)
-        e0 = (min(move.x0, move.y0), max(move.x0, move.y0))
-        if move.x0 == move.y0 or e0 not in graph.edges:
-            raise InvalidMoveError(f"({move.x0}, {move.y0}) is not an edge")
-        if move.z0 in (move.x0, move.y0):
-            raise InvalidMoveError("z0 must differ from the split edge's ends")
-        pairs = zip(images(move.x0), images(move.y0))
-        orbit = {(a, b) if a < b else (b, a) for a, b in pairs}
-        if len(orbit) != t:
-            raise InvalidMoveError(
-                "the split edge's orbit must have one edge per group element"
-            )
-        edges = [e for e in edges if e not in orbit]
-        for k, (a, b, c) in enumerate(
-            zip(images(move.x0), images(move.y0), images(move.z0))
-        ):
-            edges += [(n + k, a), (n + k, b), (n + k, c)]
-    elif isinstance(move, OneLoopSplit):
-        if move.loop_id not in graph.loop_ids:
-            raise InvalidMoveError(f"no loop with id {move.loop_id}")
-        _require_vertex(graph, move.y0, "y0")
-        x0 = graph.loop_by_id(move.loop_id).vertex
-        if move.y0 == x0:
-            raise InvalidMoveError("y0 must differ from the loop's vertex")
-        k = graph.loop_index(move.loop_id)
-        loop_orbit = {lp[k] for _, lp in graph.action}
-        if len(loop_orbit) != t:
-            raise InvalidMoveError(
-                "the split loop's orbit must have one loop per group element"
-            )
-        loops = [l for l in loops if l.id not in loop_orbit]
-        for k, (a, b) in enumerate(zip(images(x0), images(move.y0))):
-            edges += [(n + k, a), (n + k, b)]
-            new_loops.append(Loop(base_id + k, n + k))
-    else:
-        raise InvalidMoveError(f"unknown move {move!r}")
-
-    surviving = {l.id for l in loops}
-    kwargs = {}
-    for name, shift in _generators(group):
-        vertex_perm = getattr(graph, f"{name}_vertex_perm")
-        kwargs[f"{name}_vertex_perm"] = vertex_perm + tuple(n + s for s in shift)
-        lmap = {
-            l.id: img
-            for l, img in zip(graph.loops, getattr(graph, f"{name}_loop_perm"))
-            if l.id in surviving
-        }
-        if new_loops:
-            lmap.update((base_id + k, base_id + s) for k, s in enumerate(shift))
-        kwargs[f"{name}_loop_perm"] = lmap
-
-    return SymmetricGraph(
-        group=group,
-        num_vertices=n + t,
-        edges=tuple(edges),
-        loops=tuple(loops + new_loops),
-        **kwargs,
-    )
+    return _grown(graph, (move,))
 
 
 # -- base graphs -------------------------------------------------------------
@@ -814,11 +863,9 @@ def _translate_move(move: Move, inv_v: dict[int, int], inv_l: dict[int, int]) ->
 
 
 def replay(trace: ComponentTrace) -> SymmetricGraph:
-    """Apply the trace's moves to its base graph."""
-    g = trace.base_graph
-    for move in trace.moves:
-        g = apply_extension(g, move)
-    return g
+    """Apply the trace's moves to its base graph, in place, and build the
+    result once."""
+    return _grown(trace.base_graph, trace.moves)
 
 
 def _tight_reductions(
@@ -978,14 +1025,16 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
         ids = {i: i for i in base.loop_ids}
         x = base
         require_valid_action(x)
+        growth = _Growth(base)
         moves: list[Move] = []
         for step in reversed(steps):
             move = _translate_move(step.move, pos, ids)
-            fresh = _fresh_loop_base(x)
+            fresh = growth.next_loop
             if isinstance(move, OneLoopSplit):  # its loop orbit goes
                 for k in range(len(step.orbit_vertices)):
                     del ids[step.move.loop_id + k]
-            x = apply_extension(x, move)
+            growth.apply(move)
+            x = growth.build()
             require_valid_action(x)
             for u in step.orbit_vertices:
                 pos[u] = len(sigma)
@@ -1049,11 +1098,16 @@ def generate_random(
 
     The move kind is drawn uniformly among the applicable kinds and its
     parameters uniformly among the valid choices.  Deterministic in the
-    seed.  The result is checked tight before it is returned.  A bare
-    ``base`` of "lc" or "pinned" picks up the group's rotation order.
+    seed.  The moves are applied in place and the graph is built once, so
+    the cost is linear in ``steps``; the result is checked tight before it
+    is returned.  ``steps`` must be a nonnegative integer, else
+    ``RangeError``.  A bare ``base`` of "lc" or "pinned" picks up the
+    group's rotation order.
     """
     if isinstance(group, str):
         group = GroupSpec.from_name(group)
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise RangeError(f"steps must be an integer, not {steps!r}")
     if steps < 0:
         raise RangeError("steps must be nonnegative")
     choices = default_bases(group)
@@ -1072,36 +1126,56 @@ def generate_random(
         )
     g = base_graph(label)
     t = group.size
+    growth = _Growth(g)
+    # the smallest member of each full-size edge orbit and loop orbit, in
+    # order: what ``orbits`` would list, kept up to date move by move
+    orbs = orbits(g)
+    edge_orbits = [o[0] for o in orbs.edges if len(o) == t]
+    loop_orbits = [o[0] for o in orbs.loops if len(o) == t]
     moves: list[Move] = []
     for _ in range(steps):
-        orbs = orbits(g)
+        n = growth.n
         options = ["zero_edge_loop"]
-        if g.num_vertices >= 2:
+        if n >= 2:
             options.append("zero_two_edges")
-        full_edge_orbits = [o for o in orbs.edges if len(o) == t]
-        if full_edge_orbits and g.num_vertices >= 3:
+        if edge_orbits and n >= 3:
             options.append("one_edge_split")
-        full_loop_orbits = [o for o in orbs.loops if len(o) == t]
-        if full_loop_orbits and g.num_vertices >= 2:
+        if loop_orbits and n >= 2:
             options.append("one_loop_split")
         kind = rng.choice(sorted(options))
         move: Move
+        # a draw among the vertices other than x0 (and y0 > x0) is the
+        # index ``rng.randrange(m)`` of the m of them, as ``rng.choice`` of
+        # their list would draw it, mapped past x0 (and y0) with no list made
         if kind == "zero_two_edges":
-            v1, v2 = sorted(rng.sample(range(g.num_vertices), 2))
-            move = Zero2Edges(v1, v2)
+            v1, v2 = sorted(rng.sample(range(n), 2))
+            move, ends = Zero2Edges(v1, v2), (v1, v2)
         elif kind == "zero_edge_loop":
-            move = ZeroEdgeLoop(rng.randrange(g.num_vertices))
+            move = ZeroEdgeLoop(rng.randrange(n))
+            ends = (move.v1,)
         elif kind == "one_edge_split":
-            x0, y0 = rng.choice(full_edge_orbits)[0]
-            z0 = rng.choice([u for u in range(g.num_vertices) if u not in (x0, y0)])
-            move = OneEdgeSplit(x0, y0, z0)
+            x0, y0 = rng.choice(edge_orbits)
+            z0 = rng.randrange(n - 2)
+            z0 += z0 >= x0
+            z0 += z0 >= y0
+            move, ends = OneEdgeSplit(x0, y0, z0), (x0, y0, z0)
+            del edge_orbits[bisect_left(edge_orbits, (x0, y0))]
         else:
-            lid = rng.choice(full_loop_orbits)[0]
-            x0 = g.loop_by_id(lid).vertex
-            y0 = rng.choice([u for u in range(g.num_vertices) if u != x0])
-            move = OneLoopSplit(lid, y0)
-        g = apply_extension(g, move)
+            lid = rng.choice(loop_orbits)
+            x0 = growth.loops[lid].vertex
+            y0 = rng.randrange(n - 1)
+            y0 += y0 >= x0
+            move, ends = OneLoopSplit(lid, y0), (x0, y0)
+            del loop_orbits[bisect_left(loop_orbits, lid)]
+        fresh = growth.next_loop
+        growth.apply(move)
+        # each end's new edges (images[k], n + k) are one full-size orbit
+        for end in ends:
+            insort(edge_orbits, min(zip(growth.images(end), range(n, n + t))))
+        if growth.next_loop != fresh:  # the move added a loop orbit
+            insort(loop_orbits, fresh)
         moves.append(move)
+    g = growth.build()
     if not check_tight(g).tight:
         raise RuntimeError("internal error: extension moves broke tightness")
     return GeneratedGraph(g, label, tuple(moves))

@@ -19,6 +19,7 @@ from slcrigid import (
     NotTightError,
     OneEdgeSplit,
     OneLoopSplit,
+    RangeError,
     ReductionDeadEnd,
     SchemaError,
     SymmetricGraph,
@@ -171,6 +172,46 @@ def test_invalid_moves_are_rejected():
         apply_extension(base_graph("lc5"), OneEdgeSplit(0, 2, 1))  # not an edge
     with pytest.raises(InvalidMoveError):
         apply_extension(g, OneLoopSplit(99, 0))
+
+
+def test_move_and_step_values_must_be_integers():
+    g = base_graph("pinned2")
+    for move in [
+        Zero2Edges(0.0, 1),
+        Zero2Edges(0, True),
+        ZeroEdgeLoop(True),
+        ZeroEdgeLoop("0"),
+        OneEdgeSplit(0, 1, 2.0),
+        OneLoopSplit(True, 1),
+        OneLoopSplit(0.0, 1),
+        OneLoopSplit(0, False),
+    ]:
+        with pytest.raises(InvalidMoveError, match="must be an integer"):
+            apply_extension(g, move)
+    for steps in [2.5, True, "3", None]:
+        with pytest.raises(RangeError, match="steps must be an integer"):
+            generate_random("c2", steps=steps)
+
+
+def test_a_split_loop_orbit_must_be_closed_under_the_generators():
+    # the rotation cycles four loop ids, so its cube is no identity: the
+    # orbit {0, 1, 2} the three elements give loop 0 is not closed, and
+    # deleting it leaves the rotation's loop map no permutation
+    g = SymmetricGraph(
+        GroupSpec("cyclic", 3),
+        3,
+        (),
+        tuple(Loop(i, i % 3) for i in range(4)),
+        rotation_vertex_perm=(1, 2, 0),
+        rotation_loop_perm={0: 1, 1: 2, 2: 3, 3: 0},
+    )
+    with pytest.raises(RangeError, match="rotation_loop_perm is not a permutation"):
+        apply_extension(g, OneLoopSplit(0, 1))
+    # raised at the move, not at the build, before a later move reads the
+    # deleted ids
+    trace = ComponentTrace("", g, (OneLoopSplit(0, 1), OneLoopSplit(3, 1)), (), ())
+    with pytest.raises(RangeError, match="rotation_loop_perm is not a permutation"):
+        replay(trace)
 
 
 def test_loop_split_requires_full_orbit():
@@ -637,6 +678,58 @@ PINNED = {
 }
 
 
+# generate_random's outputs, pinned before moves were applied in place:
+# sha256 over document.dumps of each graph, its base label and its moves,
+# in case order
+GENERATION = tuple(
+    (name, steps, seed)
+    for name in ["c1", "c2", "c3", "c4", "c5", "c6"]
+    for steps in (0, 9, 60)
+    for seed in range(4)
+)
+GENERATION_LARGE = (("c2", 500, 0), ("c5", 200, 0))  # n = 1002 and 1005
+PINNED_GENERATION = {
+    GENERATION: "89cfe6f3369bc7100ee67624b2490f9df7b73c111926d3a37b1c93c4ef8bca41",
+    GENERATION_LARGE: "36547b6ab3f7b6f8a064db3c5caf1c1221aecd2891cc69104a4c6684cbe16ae6",
+}
+
+
+def test_generate_random_outputs_are_pinned():
+    for cases, digest in PINNED_GENERATION.items():
+        h = hashlib.sha256()
+        for case in cases:
+            gen = generate_random(*case)
+            h.update(document.dumps(document.graph_to_dict(gen.graph)).encode())
+            h.update(gen.base_label.encode())
+            h.update(document.dumps([document.move_to_dict(m) for m in gen.moves]).encode())
+        assert h.hexdigest() == digest
+
+
+def test_generation_and_replay_build_the_graph_once(monkeypatch):
+    builds = 0
+    post_init = SymmetricGraph.__post_init__
+
+    def counting(self):
+        nonlocal builds
+        builds += 1
+        post_init(self)
+
+    monkeypatch.setattr(SymmetricGraph, "__post_init__", counting)
+    gen = generate_random("c2", 500, 0)
+    # the base and the result, not one graph per move
+    assert builds <= 2
+    trace = ComponentTrace(
+        gen.base_label,
+        base_graph(gen.base_label),
+        gen.moves,
+        tuple(range(gen.graph.num_vertices)),
+        tuple((i, i) for i in gen.graph.loop_ids),
+    )
+    builds = 0
+    assert replay(trace) == gen.graph
+    assert builds <= 2
+
+
 def _recording(log, fn):
     def recorded(*args):
         result = fn(*args)
@@ -684,6 +777,9 @@ def test_decompose_outputs_are_unchanged_and_checked_once(monkeypatch):
             # the search builds no graph per step: one per move for the
             # replay, and a few more per component
             assert builds <= dec.total_moves + 5 * len(dec.components), (case, builds)
+            # the in-place replay gives what applying the moves one by one does
+            for trace in dec.components:
+                assert replay(trace) == _replayed(trace)[-1], case
         assert h.hexdigest() == digest
 
 
