@@ -31,6 +31,7 @@ from typing import Any
 from .errors import SchemaError
 from .henneberg import (
     ComponentTrace,
+    CycleEdge,
     Decomposition,
     GeneratedGraph,
     Move,
@@ -303,6 +304,7 @@ def parse_graph(text: str) -> tuple[SymmetricGraph, Framework | None]:
 _MOVE_TYPES = {
     Zero2Edges: "zero_two_edges",
     ZeroEdgeLoop: "zero_edge_loop",
+    CycleEdge: "cycle_edge",
     OneEdgeSplit: "one_edge_split",
     OneLoopSplit: "one_loop_split",
 }
@@ -325,6 +327,7 @@ def move_from_dict(d) -> Move:
     fields = {
         "zero_two_edges": (Zero2Edges, ("v1", "v2")),
         "zero_edge_loop": (ZeroEdgeLoop, ("v1",)),
+        "cycle_edge": (CycleEdge, ("v1", "step")),
         "one_edge_split": (OneEdgeSplit, ("x0", "y0", "z0")),
         "one_loop_split": (OneLoopSplit, ("loop_id", "y0")),
     }

@@ -5,6 +5,9 @@ group element in canonical order, each carrying two new rows.
 
 * ``Zero2Edges(v1, v2)``: new vertices join v1 and v2 (two edges each).
 * ``ZeroEdgeLoop(v1)``: new vertices join v1 and carry one loop each.
+* ``CycleEdge(v1, step)``: new vertices join v1 and are joined in cycles:
+  the vertex of element k to the vertex of g_k·g_step, for an element
+  g_step of order 3 or more.
 * ``OneEdgeSplit(x0, y0, z0)``: delete the full-size orbit of edge (x0,
   y0); new vertices join x0, y0 and z0.
 * ``OneLoopSplit(loop_id, y0)``: delete the full-size orbit of the loop;
@@ -12,36 +15,35 @@ group element in canonical order, each carrying two new rows.
 
 Moves are applied in place, to one growing state (``_Growth``) that
 appends each new orbit through the group's multiplication table, and the
-graph is built once, at the end: ``generate_random`` and ``replay`` are
-linear in the number of moves, and ``apply_extension`` is the one-move
-case.  Moves preserve symmetry-compatible tightness, so iterating them from a
-tight base graph generates tight graphs.  ``decompose`` runs the moves
-backwards: it strips one free orbit at a time until only a disjoint union
-of recognized base graphs remains, then replays the moves forward to
-certify the trace by exact relabeling.  The search is depth-first, and
-candidate reductions are ranked before any is built, by two counts of the
-reduced graph: its symmetric components, and its permanent orbits, those
-with two loops per vertex or an edge inside the orbit.  No reduction
-deletes a permanent orbit or takes a loop or edge from one, components
-never merge, and every base graph is one orbit; so a graph with two
-components or two permanent orbits cannot reach a single base, and the
-search does not expand it.  Only when no single base is reachable does a
-second search look for a disjoint union of bases.  Every candidate of a
-tight graph G is G - O + A, for a free vertex orbit O and A empty, one
-edge orbit or one loop orbit, and:
+graph is built once, at the end: ``generate_random``, ``replay`` and
+``decompose``'s replay are linear in the number of moves, and
+``apply_extension`` is the one-move case.  Moves preserve
+symmetry-compatible tightness, so iterating them from a tight base graph
+generates tight graphs.
+
+``decompose`` runs the moves backwards, greedily: at each graph it takes
+the first tight reduction, strips its free orbit, and never goes back,
+until only a disjoint union of recognized base graphs remains; then it
+replays the moves forward to certify the trace by exact relabeling.
+Candidate reductions are ranked before any is decided, by a key of the
+reduced graph: its symmetric components, fewest first, then whether it
+makes an orbit *permanent* (two loops per vertex, or an edge inside the
+orbit) that was not, a preference only.  Every candidate of a tight graph
+G is G - O + A, for a free vertex orbit O and A empty, one edge orbit or
+one loop orbit, and:
 
 * G - O is sparse, because it is a subgraph of a sparse graph;
 * deleting a free orbit and its rows changes no fixed count;
-* so a ``Zero2Edges`` or ``ZeroEdgeLoop`` candidate is always tight, and a
-  split candidate is tight exactly when A has |group| members and is
-  independent over G - O.
+* so a ``Zero2Edges``, ``ZeroEdgeLoop`` or ``CycleEdge`` candidate is
+  always tight, and a split candidate is tight exactly when A has |group|
+  members and is independent over G - O.
 
-The search therefore walks one state (``_State``) in the input's vertex
+The walk therefore edits one state (``_State``) in the input's vertex
 ids, with the two pebble games of ``sparsity.pebble_games``: a reduction
-deletes O in place, then inserts A, and backtracking restores the parent.
-``check_tight`` runs once, on the input, and graphs are built only near
-the bottom and for the replay; ``enumerate_reductions`` stays as the
-try-and-check reference.  The base graphs:
+deletes O's rows in place, then inserts A's.  ``check_tight`` runs once,
+on the input, and graphs are built only near the bottom and for the
+replay; ``enumerate_reductions`` stays as the try-and-check reference.
+The base graphs:
 
 * ``p1_fixed``: one half-turn-fixed vertex with two fixed loops (order 2);
 * ``p1_swap``: one fixed vertex with a swapped loop pair (order 4);
@@ -49,11 +51,16 @@ try-and-check reference.  The base graphs:
 * ``lcN``: one free orbit spanned by a single n-cycle, one loop per vertex
   (any cyclic n-cycle counts, e.g. star polygons).
 
-Reduction down to a base is guaranteed for the cyclic groups of order 2 or
-odd order; for other groups the same search runs heuristically.  A dead
-end raises ``ReductionDeadEnd`` carrying the first graph the search proved
-dead, and the message names why: no tight reduction, two permanent
-orbits, or two components.
+For the cyclic groups of order 2 or odd order, the paper's construction
+gives every tight graph that is not a union of bases a tight reduction,
+and a tight reduction leaves a tight graph, so the greedy walk needs no
+backtracking there; for other groups the same walk runs heuristically.
+A graph with no tight reduction that is not a union of bases raises
+``ReductionDeadEnd`` carrying that graph, which can happen only outside
+those groups.  A walk can still split off a piece where a single base was
+reachable: when it ends at a union of several bases, one more walk from
+the start, with the splits ranked last, is kept if it ends in fewer
+pieces.
 """
 
 from __future__ import annotations
@@ -102,6 +109,12 @@ class ZeroEdgeLoop:
 
 
 @dataclass(frozen=True)
+class CycleEdge:
+    v1: int
+    step: int
+
+
+@dataclass(frozen=True)
 class OneEdgeSplit:
     x0: int
     y0: int
@@ -114,7 +127,7 @@ class OneLoopSplit:
     y0: int
 
 
-Move = Union[Zero2Edges, ZeroEdgeLoop, OneEdgeSplit, OneLoopSplit]
+Move = Union[Zero2Edges, ZeroEdgeLoop, CycleEdge, OneEdgeSplit, OneLoopSplit]
 
 
 def _require_int(x, what: str) -> None:
@@ -180,6 +193,7 @@ class _Growth:
         vertex n+k for group element k, and new loop ids continue from the
         largest id the graph had before the move."""
         n, t = self.n, self.t
+        cycle = None
         if isinstance(move, Zero2Edges):
             _require_vertex(n, move.v1, "v1")
             _require_vertex(n, move.v2, "v2")
@@ -189,6 +203,15 @@ class _Growth:
         elif isinstance(move, ZeroEdgeLoop):
             _require_vertex(n, move.v1, "v1")
             ends, looped = (move.v1,), True
+        elif isinstance(move, CycleEdge):
+            _require_vertex(n, move.v1, "v1")
+            _require_int(move.step, "step")
+            elements = self.group.elements()
+            if not 0 <= move.step < t or self.group.element_order(elements[move.step]) < 3:
+                raise InvalidMoveError(
+                    f"step {move.step} does not name a group element of order 3 or more"
+                )
+            ends, looped, cycle = (move.v1,), False, move.step
         elif isinstance(move, OneEdgeSplit):
             for name, v in (("x0", move.x0), ("y0", move.y0), ("z0", move.z0)):
                 _require_vertex(n, v, name)
@@ -236,6 +259,9 @@ class _Growth:
                 if (a, n + k) in self.edges:
                     raise RangeError(f"duplicate edge {(a, n + k)}")
                 self.edges.add((a, n + k))
+        if cycle is not None:  # one edge orbit of t members, as the order is 3 or more
+            for k, row in enumerate(self.product):
+                self.edges.add((n + min(k, row[cycle]), n + max(k, row[cycle])))
         if looped:
             base = self.next_loop
             for k in range(t):
@@ -429,7 +455,8 @@ class Reduction:
 
 def _move(kind: type, ends: list[int], new_loop: int) -> Move:
     """The ``kind`` move that restores a deleted orbit from ``ends``, its
-    neighbours; a loop split splits the loop orbit from id ``new_loop``."""
+    neighbours outside the orbit, and a cycle's step; a loop split splits
+    the loop orbit from id ``new_loop``."""
     if kind is OneLoopSplit:
         return OneLoopSplit(new_loop, ends[1])
     return Zero2Edges(*sorted(ends)) if kind is Zero2Edges else kind(*ends)
@@ -444,7 +471,8 @@ def _reduce(
 ) -> Reduction:
     """Delete v's orbit, and the orbit of the loop with id ``loop`` when
     given, then state the ``kind`` move that restores it from ``ends``, v's
-    neighbours in ``graph`` labels: the reference for ``_State.push``.
+    neighbours in ``graph`` labels (a ``CycleEdge``'s step last, as it
+    is): the reference for ``_State.push``.
 
     The reduced graph is built once: kept vertices are renumbered in order
     and keep their loop ids; a split's new loop orbit continues from the
@@ -470,7 +498,8 @@ def _reduce(
             lmap = fields[f"{name}_loop_perm"]
             lmap.update((new_id + k, new_id + s) for k, s in enumerate(shift))
     red = SymmetricGraph(group, **fields)
-    move = _move(kind, [vmap[u] for u in ends], new_id)
+    kept = [vmap[ends[0]], ends[1]] if kind is CycleEdge else [vmap[u] for u in ends]
+    move = _move(kind, kept, new_id)
     vertex_map = tuple(vmap.get(u) for u in range(graph.num_vertices))
     return Reduction(move, red, orbit_vertices, orbit_loops, vertex_map)
 
@@ -536,14 +565,12 @@ Candidate = tuple[int, int | None, type, tuple[int, ...]]
 # (symmetric components of the reduced graph, whether it makes an orbit
 # permanent); see ``_reduction_candidates``
 Key = tuple[int, bool]
-# (symmetric components, permanent orbits) of a graph
-Counts = tuple[int, int]
 
 
 class _Step(NamedTuple):
-    """One reduction on a search path, in the start graph's vertex ids and
-    the loop ids of the graph it reduces: the forward move, and the deleted
-    orbit's vertices and loops, element k's at k."""
+    """One reduction on a reduction path, in the start graph's vertex ids
+    and the loop ids of the graph it reduces: the forward move, and the
+    deleted orbit's vertices and loops, element k's at k."""
 
     move: Move
     orbit_vertices: tuple[int, ...]
@@ -551,17 +578,16 @@ class _Step(NamedTuple):
 
 
 class _State:
-    """The graph at the reduction search's current node, edited in place
-    and kept in the start graph's vertex ids.
+    """The graph the greedy walk has reached, edited in place and kept in
+    the start graph's vertex ids.
 
-    ``push`` reduces it to G - O + A and ``pop`` restores the parent;
-    ``steps`` is the path from the start.  ``alive`` marks the kept
-    vertices; loop ids are the ones the ``_reduce`` chain gives, so
-    ``graph()`` rebuilds the graph that chain builds.  A deleted vertex
-    keeps its loop ids and stays, isolated, in the two pebble ``games``.
+    ``push`` reduces it to G - O + A; ``steps`` is the path from the start.
+    ``alive`` marks the kept vertices; loop ids are the ones the ``_reduce``
+    chain gives, so ``graph()`` builds the graph that chain builds.  A
+    deleted vertex stays, isolated, in the two pebble ``games``.
     ``quotient`` counts the edges that join two orbits.  Orbits, their
-    representatives (smallest vertices) and sizes never change, so they
-    are read once from ``start.action``.
+    representatives (smallest vertices) and sizes never change, so they are
+    read once from ``start.action``.
     """
 
     def __init__(self, start: SymmetricGraph) -> None:
@@ -591,7 +617,6 @@ class _State:
         self.permanent = {rep[v] for v in range(n) if len(self.loops_at[v]) >= 2}
         self.permanent |= {rep[a] for a, b in start.edges if rep[a] == rep[b]}
         self.steps: list[_Step] = []
-        self._undo: list[tuple] = []
 
     @cached_property
     def games(self) -> tuple[_PebbleGame, _PebbleGame]:
@@ -600,28 +625,17 @@ class _State:
         start = self.start
         return pebble_games(start.num_vertices, start.edges, start.loop_vertices)
 
-    def key(self) -> tuple:
-        """The graph at this node, unbuilt, as vertex count, edges, loops
-        with generator images, and generator vertex permutations: equal
-        exactly when the graphs are, also after deleting twin orbits."""
+    def graph(self) -> SymmetricGraph:
+        """The graph reached: kept vertices in order, loop ids kept."""
         keep = [u for u, kept in enumerate(self.alive) if kept]
         new = {u: i for i, u in enumerate(keep)}
-        edges = frozenset((new[u], new[w]) for u in keep for w in self.nbrs[u] if u < w)
-        loops = frozenset(
-            (l.id, new[l.vertex], l.sigma_label, im) for l, im in self.loops.values()
-        )
-        perms = tuple(tuple(new[perm[u]] for u in keep) for _, perm, _ in self.gens)
-        return len(keep), edges, loops, perms
-
-    def graph(self) -> SymmetricGraph:
-        """The graph at this node: kept vertices in order, loop ids kept."""
-        n, edges, loops, perms = self.key()
+        edges = tuple((new[u], new[w]) for u in keep for w in self.nbrs[u] if u < w)
+        loops = tuple(Loop(l.id, new[l.vertex], l.sigma_label) for l, _ in self.loops.values())
         fields = {}
-        for g, (name, _, _) in enumerate(self.gens):
-            fields[f"{name}_vertex_perm"] = perms[g]
-            fields[f"{name}_loop_perm"] = {l[0]: l[3][g] for l in loops}
-        loops = tuple(Loop(*l[:3]) for l in loops)
-        return SymmetricGraph(self.start.group, n, tuple(edges), loops, **fields)
+        for g, (name, perm, _) in enumerate(self.gens):
+            fields[f"{name}_vertex_perm"] = tuple(new[perm[u]] for u in keep)
+            fields[f"{name}_loop_perm"] = {i: im[g] for i, (_, im) in self.loops.items()}
+        return SymmetricGraph(self.start.group, len(keep), edges, loops, **fields)
 
     def _join(self, a: int, b: int, step: int) -> None:
         """Add (``step`` 1) or remove (-1) the edge a-b in the neighbour
@@ -649,122 +663,112 @@ class _State:
         edge_game.delete(u, w)
         return False
 
-    def _edit(self, rows: list[tuple[int, int | None]], step: int) -> None:
-        """Delete (``step`` -1) rows, as ``_play`` takes them, from the
-        games, the neighbour sets and the quotient, or put back (1) rows
-        that are independent there."""
-        for u, w in rows:
-            if step > 0:
-                self._play((u, w))
-            else:
-                if w is not None:
-                    self.games[0].delete(u, w)
-                self.games[1].delete(u, w)
-            if w is not None:
-                self._join(u, w, step)
+    def _unplay(self, row: tuple[int, int | None]) -> None:
+        """Delete a row, as ``_play`` takes it, from the games."""
+        u, w = row
+        if w is not None:
+            self.games[0].delete(u, w)
+        self.games[1].delete(u, w)
 
     def push(self, cand: Candidate) -> bool:
-        """Reduce the graph by ``cand``, or return False, with the state as
-        it was, when the reduced graph is not tight (``_tight_reductions``).
+        """Reduce the graph by ``cand``, or return False, with the graph as
+        it was, when the reduced graph is not tight.
 
         O's rows leave the games with no search (an arc into O returns its
-        pebble to its tail), then A's rows go in.  An edge orbit of fewer
-        than |group| members is refused unplayed: an element fixes one of
-        its edges, and it has fewer rows than O took.
+        pebble to its tail), each edge inside O once; then A's rows go in.
+        When one of them is dependent, A's rows played so far leave the
+        games and O's go back in, which they do, since G is independent.
+        An edge orbit of fewer than |group| members is refused unplayed: an
+        element fixes one of its edges, and it has fewer rows than O took.
         """
         v, _, kind, (x, *rest) = cand
         orbit, rep = self.orbit[v], self.rep
-        rows = [(u, w) for u in orbit for w in self.nbrs[u]]
-        rows += [(u, None) for u in orbit for _ in self.loops_at[u]]
-        loops = [self.loops.pop(i) for u in orbit for i in self.loops_at[u]]
-        self._edit(rows, -1)
-        del self.quotient[v]
-        for u in orbit:
-            self.alive[u] = False
-        self.num_alive -= self.t
-
         added: list[tuple[int, int | None]] = []
         if kind is OneEdgeSplit:
             pairs = zip(self.orbit[x], self.orbit[rest[0]])
             added = sorted({(a, b) if a < b else (b, a) for a, b in pairs})
+            if len(added) < self.t:
+                return False
         elif kind is OneLoopSplit:
             added = [(y, None) for y in self.orbit[x]]
+        rows = [(u, w) for u in orbit for w in self.nbrs[u] if rep[w] != v or u < w]
+        rows += [(u, None) for u in orbit for _ in self.loops_at[u]]
+        for row in rows:
+            self._unplay(row)
         played = 0
-        while played < len(added) == self.t and self._play(added[played]):
-            if added[played][1] is not None:
-                self._join(*added[played], 1)
+        while played < len(added) and self._play(added[played]):
             played += 1
         if played < len(added):
-            self._edit(added[:played], -1)
-            self._restore(v, rows, loops)
+            for row in added[:played]:
+                self._unplay(row)
+            for row in rows:
+                self._play(row)
             return False
 
+        for u, w in rows:
+            if w is not None:
+                self._join(u, w, -1)
+        del self.quotient[v]
+        for u in orbit:
+            self.alive[u] = False
+        self.num_alive -= self.t
+        loop_ids = tuple(i for u in orbit for i in self.loops_at[u])
+        for i in loop_ids:
+            del self.loops[i]
         new_loop = max(self.loops, default=-1) + 1
         for k, (a, b) in enumerate(added):
-            if b is None:
+            if b is not None:
+                self._join(a, b, 1)
+            else:
                 shifted = tuple(new_loop + shift[k] for _, _, shift in self.gens)
                 self.loops[new_loop + k] = (Loop(new_loop + k, a), shifted)
                 self.loops_at[a].append(new_loop + k)
-        made = None
-        if rep[x] not in self.permanent and (
-            len(self.loops_at[x]) >= 2 or kind is OneEdgeSplit and rep[x] == rep[rest[0]]
-        ):
-            made = rep[x]
-            self.permanent.add(made)
-        self._undo.append((v, rows, loops, added, made))
+        if len(self.loops_at[x]) >= 2 or kind is OneEdgeSplit and rep[x] == rep[rest[0]]:
+            self.permanent.add(rep[x])
         move = _move(kind, [x, *rest], new_loop)
-        self.steps.append(_Step(move, orbit, tuple(l.id for l, _ in loops)))
+        self.steps.append(_Step(move, orbit, loop_ids))
         return True
-
-    def pop(self) -> None:
-        """Undo the last ``push`` that returned True."""
-        v, rows, loops, added, made = self._undo.pop()
-        self.steps.pop()
-        self.permanent.discard(made)
-        for a, b in added:
-            if b is None:
-                del self.loops[self.loops_at[a].pop()]
-        self._edit(added, -1)
-        self._restore(v, rows, loops)
-
-    def _restore(self, v: int, rows: list, loops: list) -> None:
-        """Put back the orbit of v, its rows and its loops."""
-        for u in self.orbit[v]:
-            self.alive[u] = True
-        self.num_alive += self.t
-        self.quotient[v] = Counter()
-        self._edit(rows, 1)
-        self.loops.update((l.id, (l, images)) for l, images in loops)
 
 
 def _reduction_candidates(state: _State) -> Iterator[tuple[Key, Candidate]]:
     """Structurally valid orbit deletions of the state's graph, in a fixed
     order, unbuilt and in the start graph's vertex ids.
 
-    Only free orbits whose neighborhood lies outside the orbit are offered;
-    those are exactly the orbits an extension can have created.  Each comes
-    as ``((components, permanent), (v, loop, kind, ends))``: the key, read
-    from the state, and the arguments of ``_State.push`` and ``_reduce``
-    (``loop`` is a loop id).  ``components`` counts the symmetric
-    components of G - O + A, that is of the orbit-quotient graph: one DFS
-    over it (``_cut_pieces``) counts them in G - O for every O, an edge
-    orbit x1-x2 joins two exactly when x1 and x2 lie apart, and a loop
-    orbit joins none.  ``permanent`` says whether A makes an orbit
-    permanent that was not: a (2,1) split whose loops give a vertex its
-    second loop, or a (3,0) split whose edge orbit lies inside one orbit.
+    Offered are the free orbits whose neighbours all lie outside, then,
+    after all of them, the loopless free orbits whose vertices have three
+    neighbours, two inside the orbit: those are exactly the orbits an
+    extension can have created.  Each comes as ``((components,
+    permanent), (v, loop, kind, ends))``: the key, read from the state, and
+    the arguments of ``_State.push`` and ``_reduce`` (``loop`` is a loop
+    id; a ``CycleEdge``'s ends are v's neighbour outside the orbit and the
+    index of the smaller element that sends v to a neighbour inside).
+    ``components`` counts the symmetric components of G - O + A, that is
+    of the orbit-quotient graph: one DFS over it (``_cut_pieces``) counts
+    them in G - O for every O, an edge orbit x1-x2 joins two exactly when
+    x1 and x2 lie apart, and a loop orbit joins none.  ``permanent`` says
+    whether A makes an orbit permanent that was not: a (2,1) split whose
+    loops give a vertex its second loop, or a (3,0) split whose edge orbit
+    lies inside one orbit.
     """
     t, rep, nbrs, loops_at = state.t, state.rep, state.nbrs, state.loops_at
     total, pieces, piece = _cut_pieces(state.quotient)
+    cycles = []
     for v in state.free:
         if not state.alive[v]:
             continue
         out = sorted(nbrs[v])
-        if any(rep[u] == v for u in out):
+        comps = total - 1 + pieces(v)
+        inside = [u for u in out if rep[u] == v]
+        if inside:
+            if len(out) == 3 and len(inside) == 2 and not loops_at[v]:
+                # the two are g v and g^-1 v for one g of order 3 or more,
+                # or else h v and h' v for two elements of order 2
+                steps = [state.orbit[v].index(u) for u in inside]
+                if state.orbit[inside[1]][steps[0]] == v:
+                    (x,) = set(out) - set(inside)
+                    cycles.append(((comps, False), (v, None, CycleEdge, (x, min(steps)))))
             continue
         profile = (len(out), len(loops_at[v]))
-        if profile not in ((2, 0), (1, 1), (3, 0), (2, 1)):
-            continue
-        comps = total - 1 + pieces(v)
 
         if profile == (2, 0):
             yield (comps, False), (v, None, Zero2Edges, tuple(out))
@@ -780,13 +784,14 @@ def _reduction_candidates(state: _State) -> Iterator[tuple[Key, Candidate]]:
                     joined = piece(v, rep[x1]) != piece(v, rep[x2])
                     inner = rep[x1] == rep[x2] and rep[x1] not in state.permanent
                     yield (comps - joined, inner), (v, None, OneEdgeSplit, (x1, x2, z))
-        else:
+        elif profile == (2, 1):
             loop = loops_at[v][0]
             for x, y in ((out[0], out[1]), (out[1], out[0])):
                 # the t new loops spread evenly over x's orbit
                 looped = len(loops_at[x]) + t // state.size[rep[x]] >= 2
                 new = looped and rep[x] not in state.permanent
                 yield (comps, new), (v, loop, OneLoopSplit, (x, y))
+    yield from cycles
 
 
 def enumerate_reductions(
@@ -796,7 +801,7 @@ def enumerate_reductions(
 
     Every candidate is built by ``_reduce`` and checked by ``check_tight``
     from scratch; this is the reference that ``decompose``'s incremental
-    search is tested against.
+    walk is tested against.
     """
     if not check_tight(graph, method).tight:
         raise NotTightError("reductions are only defined on tight graphs")
@@ -857,6 +862,8 @@ def _translate_move(move: Move, inv_v: dict[int, int], inv_l: dict[int, int]) ->
         return Zero2Edges(a, b)
     if isinstance(move, ZeroEdgeLoop):
         return ZeroEdgeLoop(inv_v[move.v1])
+    if isinstance(move, CycleEdge):
+        return CycleEdge(inv_v[move.v1], move.step)
     if isinstance(move, OneEdgeSplit):
         return OneEdgeSplit(inv_v[move.x0], inv_v[move.y0], inv_v[move.z0])
     return OneLoopSplit(inv_l[move.loop_id], inv_v[move.y0])
@@ -868,153 +875,93 @@ def replay(trace: ComponentTrace) -> SymmetricGraph:
     return _grown(trace.base_graph, trace.moves)
 
 
-def _tight_reductions(
-    state: _State,
-    permanent: int,
-    wanted: Callable[[Counts], bool] | None = None,
-) -> Iterator[Counts]:
-    """Reduce ``state``, whose graph is tight with ``permanent`` permanent
-    orbits, by each of its tight reductions in search order, and yield its
-    ``Counts`` while the state holds it.
-
-    Candidates are stable-sorted by key: fewest components first, then
-    those that make no new permanent orbit.  Each is decided by
-    ``_State.push`` (see the module notes for why its games decide it)
-    only when the caller asks for the next one, and only if ``wanted``
-    (when given) holds for its counts then.
-    """
-    for (comps, new), cand in sorted(_reduction_candidates(state), key=itemgetter(0)):
-        counts = (comps, permanent + new)
-        if wanted is not None and not wanted(counts):
-            continue
-        if state.push(cand):
-            yield counts
-            state.pop()
-
-
 # the steps from the start, the base labels, and the base graph
 Path = tuple[tuple[_Step, ...], tuple[str, ...], SymmetricGraph]
 
 
-def _walk(
-    start: SymmetricGraph, union: bool
-) -> tuple[Path | None, tuple[SymmetricGraph, int, str] | None]:
-    """One depth-first search of ``_search_reductions``.
+def _splits_last(item: tuple[Key, Candidate]) -> tuple:
+    """The second walk's candidate order: fewest components, then the
+    splits after the moves that add nothing back, then the key's
+    preference."""
+    (comps, new), (_, _, kind, _) = item
+    return comps, kind in (OneEdgeSplit, OneLoopSplit), new
 
-    Without ``union`` it looks for a single base only, and cuts a graph
-    with two or more symmetric components or permanent orbits (counts that
-    come with each reduction); once a witness is in hand, a reduction that
-    would be cut is not even decided.  Returns the path to the first single
-    base, or None, and the first graph proved dead (no tight reduction, or
-    cut) with its depth and the rule.  With ``union`` it looks for the best
-    union of bases (fewest pieces, then longest path), cuts nothing, since
-    two permanent orbits may end in two pieces, and keeps no dead graph.
 
-    The walk is iterative and moves one ``_State`` down and up: ``frames``
-    holds, for each graph on the path being expanded, the lazy iterator of
-    its tight reductions.  A graph is built only for ``base_union_labels``,
-    on at most ``components * |group|`` vertices, and for the dead graph.
-    Graphs already expanded are not expanded again.
+def _greedy(start: SymmetricGraph, order: Callable[[tuple[Key, Candidate]], tuple]) -> Path:
+    """Greedy reduction path from ``start``, a tight graph, down to a union
+    of base graphs.
+
+    At each graph it takes the first tight reduction in ``order``, decided
+    by ``_State.push``, and never undoes one.  A graph is built only for
+    ``base_union_labels``, on at most ``components * |group|`` vertices, and
+    for a dead end: a graph that is not a union of bases and has no tight
+    reduction raises ``ReductionDeadEnd`` carrying it.
     """
     t = start.group.size
     state = _State(start)
-    best: Path | None = None
-    dead: tuple[SymmetricGraph, int, str] | None = None
-    seen: set[tuple] = set()
-    # frames[i] expands the graph after state.steps[:i]
-    frames: list[Iterator[Counts]] = []
-
-    def wanted(counts: Counts) -> bool:
-        return union or (counts[0] < 2 and counts[1] < 2) or dead is None
-
-    def found_dead(reason: str) -> None:
-        nonlocal dead
-        if dead is None and not union:
-            dead = (state.graph(), len(state.steps), reason)
-
     comps = len(symmetric_components(start))
-    perm = len(state.permanent)
     while True:
-        nxt: Counts | None = None
-        labels = None
         # a union of bases has at most |group| vertices per piece
         if state.num_alive <= comps * t:
-            g = state.graph()
-            labels = base_union_labels(g)
-        if labels is not None:
-            path = (tuple(state.steps), labels, g)
-            if len(labels) == 1:
-                return path, dead
-            if union and (
-                best is None or (len(labels), -len(path[0])) < (len(best[1]), -len(best[0]))
-            ):
-                best = path
-        elif not union and comps >= 2:
-            found_dead(f"has {comps} symmetric components, which no reduction joins")
-        elif not union and perm >= 2:
-            found_dead(
-                f"has {perm} permanent orbits (two loops per vertex, or an edge"
-                " inside the orbit), which no reduction removes"
+            base = state.graph()
+            labels = base_union_labels(base)
+            if labels is not None:
+                return tuple(state.steps), labels, base
+        for key, cand in sorted(_reduction_candidates(state), key=order):
+            if state.push(cand):
+                comps = key[0]
+                break
+        else:
+            stuck = state.graph()
+            raise ReductionDeadEnd(
+                f"tight graph on {stuck.num_vertices} vertices (group"
+                f" {start.group.name}), {len(state.steps)} reductions below a"
+                " component, is not a union of base graphs and admits no"
+                " tightness-preserving reduction",
+                stuck,
             )
-        elif (key := state.key()) not in seen:
-            seen.add(key)
-            reds = _tight_reductions(state, perm, wanted)
-            nxt = next(reds, None)
-            if nxt is None:
-                found_dead("admits no tightness-preserving reduction")
-            else:
-                frames.append(reds)
-        while nxt is None and frames:
-            nxt = next(frames[-1], None)
-            if nxt is None:
-                frames.pop()
-        if nxt is None:
-            return best, dead
-        comps, perm = nxt
 
 
-def _search_reductions(start: SymmetricGraph) -> Path:
-    """Reduction path from ``start``, a tight graph, down to a union of
-    base graphs.
+def _walk(start: SymmetricGraph) -> Path:
+    """Reduction path from ``start``, one symmetric component, down to a
+    union of base graphs: the greedy walk in key order.
 
-    A depth-first search (``_walk``) for a single base graph first, which
-    expands no graph with two components or two permanent orbits; only when
-    that fails, a second one for a disjoint union of bases.  When both
-    fail, raises ``ReductionDeadEnd`` carrying the first search's witness,
-    the first graph it proved dead, and naming the rule.
+    Any tight reduction keeps the graph tight, but one can split off a
+    piece where a single base was still reachable.  So when the walk ends
+    at a union of several bases, a second greedy walk, from the start,
+    ranks the reductions that add nothing back before the splits, and the
+    walk that ends in fewer pieces is kept.
     """
-    found, dead = _walk(start, union=False)
-    if found is None:
-        found, _ = _walk(start, union=True)
-    if found is not None:
-        return found
-    witness, depth, reason = dead
-    raise ReductionDeadEnd(
-        f"tight graph on {witness.num_vertices} vertices (group"
-        f" {start.group.name}), {depth} reductions below a component, is not"
-        f" a union of base graphs and {reason}",
-        witness,
-    )
+    path = _greedy(start, itemgetter(0))
+    if len(path[1]) > 1:
+        try:
+            other = _greedy(start, _splits_last)
+        except ReductionDeadEnd:
+            return path
+        if len(other[1]) < len(path[1]):
+            return other
+    return path
 
 
 def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     """Reduce every symmetric component to a base graph and certify replay.
 
     The input is checked once, by ``check_tight`` with the given sparsity
-    ``method``; the search (``_search_reductions``) decides each reduction
-    in its pebble games.  Each trace is replayed forward: every replayed
-    graph, the base first, passes ``validate_action``, and the last one,
-    relabeled through the embedding, must reproduce the component exactly.
-    Raises NotTightError on non-tight input and ReductionDeadEnd, carrying
-    a graph the search proved dead, when some component cannot reach a
-    union of base graphs by tightness-preserving reductions.
+    ``method``; the greedy walk (``_walk``) decides each reduction in its
+    pebble games.  Each trace is replayed forward, in place, and built
+    once: the base and the result pass ``validate_action``, and the
+    result, relabeled through the embedding, must reproduce the component
+    exactly.  Raises NotTightError on non-tight input and
+    ReductionDeadEnd, carrying the graph the walk stopped at, when it
+    reaches a graph that is not a union of base graphs and has no
+    tightness-preserving reduction.
     """
     if not check_tight(graph, method).tight:
         raise NotTightError("decompose needs a tight graph")
     traces = []
     for comp in symmetric_components(graph):
         sub, _ = induced_subgraph(graph, comp)  # vertex i of sub is comp[i]
-        steps, labels, base = _search_reductions(sub)
+        steps, labels, base = _walk(sub)
 
         # replay forward: sigma maps each replayed vertex to sub's, pos
         # inverts it, and ids maps each loop id of the current step to the
@@ -1023,8 +970,7 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
         sigma = [u for u in range(sub.num_vertices) if u not in deleted]
         pos = {u: i for i, u in enumerate(sigma)}
         ids = {i: i for i in base.loop_ids}
-        x = base
-        require_valid_action(x)
+        require_valid_action(base)
         growth = _Growth(base)
         moves: list[Move] = []
         for step in reversed(steps):
@@ -1034,13 +980,13 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
                 for k in range(len(step.orbit_vertices)):
                     del ids[step.move.loop_id + k]
             growth.apply(move)
-            x = growth.build()
-            require_valid_action(x)
             for u in step.orbit_vertices:
                 pos[u] = len(sigma)
                 sigma.append(u)
             ids.update((i, fresh + k) for k, i in enumerate(step.orbit_loops))
             moves.append(move)
+        x = growth.build()
+        require_valid_action(x)
 
         lam = {r: i for i, r in ids.items()}
         if relabel(x, sigma, lam) != sub:
@@ -1184,6 +1130,7 @@ def generate_random(
 __all__ = [
     "Zero2Edges",
     "ZeroEdgeLoop",
+    "CycleEdge",
     "OneEdgeSplit",
     "OneLoopSplit",
     "Move",

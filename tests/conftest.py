@@ -52,9 +52,9 @@ def c2_fixed_edge() -> SymmetricGraph:
 def ring_with_spokes(n: int = 5) -> SymmetricGraph:
     """Free ring orbit joined by spokes to a doubly looped free orbit.
 
-    Tight, but no vertex orbit is reducible: ring vertices have both edge
-    neighbours inside their own orbit, and the spoke orbit's vertices carry
-    two loops, a shape no extension move creates.  Stays isostatic.
+    Tight and isostatic.  Each ring vertex has two neighbours inside its
+    own orbit and one spoke, the orbit a ``CycleEdge`` move adds, so
+    deleting the ring reduces the graph to ``pinnedN`` in one move.
     """
     edges = sorted(
         [tuple(sorted((i, (i + 1) % n))) for i in range(n)]

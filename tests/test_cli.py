@@ -233,6 +233,20 @@ def test_extend_applies_a_move(lc3_file):
     assert graph.num_vertices == 6
 
 
+def test_extend_applies_a_cycle_edge(lc3_file):
+    r = run_cli(["extend", lc3_file, "--move", '{"type": "cycle_edge", "v1": 0, "step": 1}'])
+    assert r.returncode == 0
+    graph, _ = document.parse_graph(r.stdout)
+    assert graph.num_vertices == 6
+    # the new orbit is one triangle, and each of its vertices has one spoke
+    assert graph.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5))
+    r = run_cli(["reduce", "-"], inp=r.stdout)
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["total_moves"] == 1
+    assert out["components"][0]["moves"] == [{"type": "cycle_edge", "v1": 0, "step": 1}]
+
+
 def test_extend_rejects_invalid_move(lc3_file):
     r = run_cli(
         [

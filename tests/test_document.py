@@ -7,6 +7,7 @@ import pytest
 from conftest import c2_fixed_edge, c3_wheel, mirror_fixed_vertex
 from slcrigid import (
     ActionError,
+    CycleEdge,
     OneEdgeSplit,
     OneLoopSplit,
     SchemaError,
@@ -112,10 +113,15 @@ def test_move_round_trip():
         ZeroEdgeLoop(2),
         OneEdgeSplit(0, 1, 2),
         OneLoopSplit(3, 0),
+        CycleEdge(4, 2),
     ]
     for m in moves:
         text = document.dumps(document.move_to_dict(m))
         assert document.parse_move(text) == m
+    assert document.move_to_dict(CycleEdge(4, 2)) == {"type": "cycle_edge", "v1": 4, "step": 2}
+    assert document.move_from_dict({"type": "cycle_edge", "v1": 4, "step": 2}) == CycleEdge(4, 2)
+    with pytest.raises(SchemaError, match="needs step"):
+        document.move_from_dict({"type": "cycle_edge", "v1": 4})
 
 
 def test_parse_move_rejects_unknown_kind():

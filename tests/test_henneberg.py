@@ -6,13 +6,16 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
-from conftest import c2_fixed_edge, ring_with_spokes
+from conftest import c2_fixed_edge, mirror_fixed_vertex, ring_with_spokes
 from slcrigid import (
     ComponentTrace,
+    CycleEdge,
     Decomposition,
     GroupSpec,
     InvalidMoveError,
@@ -29,6 +32,7 @@ from slcrigid import (
     base_graph,
     base_union_labels,
     certified_group,
+    classify,
     decompose,
     default_bases,
     enumerate_reductions,
@@ -40,7 +44,7 @@ from slcrigid import (
     verify_decomposition,
 )
 from slcrigid import document, henneberg, symcheck
-from slcrigid.symgraph import Loop, _union_find, induced_subgraph, orbits
+from slcrigid.symgraph import Loop, _union_find, induced_subgraph, orbits, relabel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -160,6 +164,28 @@ def test_loop_split_moves_a_loop_orbit_to_the_new_vertices():
     assert len(h.edges) == 4
 
 
+def test_a_cycle_edge_adds_an_orbit_spanned_by_cycles():
+    # pinned5 with a ring orbit spoked to it is ring_with_spokes(5), the
+    # two orbits in the other order
+    h = apply_extension(base_graph("pinned5"), CycleEdge(0, 1))
+    ring = ring_with_spokes(5)
+    assert relabel(h, [5, 6, 7, 8, 9, 0, 1, 2, 3, 4]) == ring
+    # step 4 is the inverse rotation: the same ring
+    assert apply_extension(base_graph("pinned5"), CycleEdge(0, 4)) == h
+    # in c6, step 2 has order 3: two triangles, joined to lc6 by spokes
+    g = apply_extension(base_graph("lc6"), CycleEdge(2, 2))
+    assert is_tight(g)
+    assert [e for e in g.edges if min(e) >= 6] == [(6, 8), (6, 10), (7, 9), (7, 11), (8, 10), (9, 11)]
+    assert [e for e in g.edges if min(e) < 6 <= max(e)] == [(0, 10), (1, 11), (2, 6), (3, 7), (4, 8), (5, 9)]
+
+
+def test_a_cycle_edge_needs_a_step_of_order_three_or_more():
+    for label, step in [("p1_fixed", 1), ("pinned2", 1), ("pinned4", 2), ("pinned5", 0), ("lc3", 3), ("lc3", -1)]:
+        with pytest.raises(InvalidMoveError, match="order 3 or more"):
+            apply_extension(base_graph(label), CycleEdge(0, step))
+    assert is_tight(apply_extension(base_graph("pinned4"), CycleEdge(0, 3)))
+
+
 def test_invalid_moves_are_rejected():
     g = base_graph("lc3")
     with pytest.raises(InvalidMoveError):
@@ -185,6 +211,8 @@ def test_move_and_step_values_must_be_integers():
         OneLoopSplit(True, 1),
         OneLoopSplit(0.0, 1),
         OneLoopSplit(0, False),
+        CycleEdge(True, 1),
+        CycleEdge(0, 1.0),
     ]:
         with pytest.raises(InvalidMoveError, match="must be an integer"):
             apply_extension(g, move)
@@ -287,13 +315,14 @@ def test_decompose_requires_tight_input():
 
 
 def test_decompose_dead_end_reports_the_stuck_graph():
-    g = ring_with_spokes(5)
-    assert is_tight(g)
+    # cs is not a certified group, and no base is defined for it: its one
+    # mirror-fixed vertex is no free orbit, so it has no reduction at all
+    g = mirror_fixed_vertex()
+    assert is_tight(g) and not certified_group(g.group)
     with pytest.raises(ReductionDeadEnd) as exc:
         decompose(g)
-    assert exc.value.graph.num_vertices == 10
-    # the ring's edges and the spokes' loop pairs: neither orbit can go
-    assert "has 2 permanent orbits" in str(exc.value)
+    assert exc.value.graph == g
+    assert "admits no tightness-preserving reduction" in str(exc.value)
 
 
 def test_replay_rebuilds_the_component():
@@ -346,12 +375,10 @@ def test_split_cycle_bases_decompose_trivially():
 def _permanent_count(g):
     """Permanent orbits counted from scratch: orbits with two loops per
     vertex, or with an edge whose ends both lie in the orbit."""
-    count = 0
-    for orb in orbits(g).vertices:
-        inside = set(orb)
-        looped = sum(1 for l in g.loops if l.vertex == orb[0]) >= 2
-        count += looped or any(a in inside and b in inside for a, b in g.edges)
-    return count
+    rep = {v: orb[0] for orb in orbits(g).vertices for v in orb}
+    looped = Counter(l.vertex for l in g.loops)
+    permanent = {rep[v] for v, k in looped.items() if k >= 2}
+    return len(permanent | {rep[a] for a, b in g.edges if rep[a] == rep[b]})
 
 
 def _counts(g):
@@ -359,8 +386,15 @@ def _counts(g):
     return len(symmetric_components(g)), _permanent_count(g)
 
 
+def _key(g, red):
+    """The walk's key for a reduction of g, counted from scratch: the
+    symmetric components of the reduced graph, and whether it has more
+    permanent orbits than g."""
+    return len(symmetric_components(red.graph)), _permanent_count(red.graph) > _permanent_count(g)
+
+
 def _candidates(g):
-    """``henneberg._reduction_candidates`` of a search state on g."""
+    """``henneberg._reduction_candidates`` of a walk state on g."""
     return list(henneberg._reduction_candidates(henneberg._State(g)))
 
 
@@ -377,11 +411,13 @@ def test_candidate_component_counts_match_the_built_graphs():
     ]:
         g = generate_random(*case).graph
         reduced = [henneberg._reduce(g, *c).graph for _, c in _candidates(g)]
-        for h in [g, *reduced]:
+        for h in [g, *reduced, ring_with_spokes(5), _stuck()]:
             permanent = _permanent_count(h)
             for (comps, new), cand in _candidates(h):
                 red = henneberg._reduce(h, *cand)
-                assert (comps, permanent + new) == _counts(red.graph), (case, red.move)
+                # a cycle move deletes a permanent orbit
+                after = permanent + new - isinstance(red.move, CycleEdge)
+                assert (comps, after) == _counts(red.graph), (case, red.move)
                 if new:
                     made_permanent[type(red.move)] += 1
                 if isinstance(red.move, OneEdgeSplit):
@@ -390,54 +426,6 @@ def test_candidate_component_counts_match_the_built_graphs():
                     splits_that_join += comps < len(symmetric_components(apart))
     assert splits_that_join > 0
     assert all(made_permanent.values()), made_permanent
-
-
-def _eager_walk(start, method="pebble", cut=lambda g: False, union=False, seen=None):
-    """Eager, recursive depth-first search: every tight reduction of a
-    graph is built, checked and sorted by its symmetric components and
-    permanent orbits, both counted from scratch, before the first one is
-    entered.  A graph for which ``cut`` holds, or one in ``seen`` (graphs
-    already expanded), is not expanded.  Returns the first single-base
-    path, else (with ``union``) the best union of bases or None, and the
-    first graph found dead."""
-    best = None
-    dead = None
-    seen = set() if seen is None else seen
-
-    def visit(g, path):
-        nonlocal best, dead
-        labels = base_union_labels(g)
-        if labels is not None:
-            found = (tuple(path), labels)
-            if len(labels) == 1:
-                return found
-            if union and (
-                best is None or (len(labels), -len(path)) < (len(best[1]), -len(best[0]))
-            ):
-                best = found
-            return None
-        if cut(g):
-            if dead is None:
-                dead = g
-            return None
-        if g in seen:
-            return None
-        seen.add(g)
-        cands = sorted(enumerate_reductions(g, method), key=lambda r: _counts(r.graph))
-        if not cands:
-            if dead is None:
-                dead = g
-            return None
-        for red in cands:
-            path.append(red)
-            hit = visit(red.graph, path)
-            path.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    hit = visit(start, [])
-    return (hit if hit is not None else best), dead
 
 
 def _as_path(start, reductions, labels):
@@ -454,16 +442,47 @@ def _as_path(start, reductions, labels):
     return tuple(steps), labels, base
 
 
-def _eager_search(start, method="pebble"):
-    """Reference for ``henneberg._search_reductions``: a single-base search
-    that cuts a graph with two components or two permanent orbits, then,
-    only if it fails, a union-of-bases search that cuts nothing."""
-    found, dead = _eager_walk(start, method, cut=lambda g: max(_counts(g)) >= 2)
-    if found is None:
-        found, _ = _eager_walk(start, method, union=True)
-    if found is None:
-        raise ReductionDeadEnd("no union of base graphs", dead)
-    return _as_path(start, *found)
+def _reference_list(g, method="pebble"):
+    """Every candidate built and checked from scratch, stable-sorted by its
+    key, counted from scratch, as the walk orders them."""
+    return sorted(enumerate_reductions(g, method), key=lambda r: _key(g, r))
+
+
+def _splits_last(g, red):
+    """The second walk's order, from scratch: components, then the splits
+    after the moves that add nothing back, then the key's preference."""
+    comps, new = _key(g, red)
+    return comps, isinstance(red.move, (OneEdgeSplit, OneLoopSplit)), new
+
+
+def _eager_greedy(start, order, method="pebble"):
+    """Greedy try-and-check: at each graph every reduction is built and
+    checked from scratch, the tight ones are sorted by ``order(g, red)``,
+    counted from scratch, and the first is taken, until a union of bases
+    remains."""
+    g, path = start, []
+    while (labels := base_union_labels(g)) is None:
+        reds = sorted(enumerate_reductions(g, method), key=lambda r: order(g, r))
+        if not reds:
+            raise ReductionDeadEnd("no tight reduction", g)
+        path.append(reds[0])
+        g = reds[0].graph
+    return _as_path(start, path, labels)
+
+
+def _eager_walk(start, method="pebble"):
+    """Reference for ``henneberg._walk``: the greedy try-and-check walk by
+    key, and, when it ends at a union of several bases, a second one with
+    the splits last, kept when it ends in fewer pieces."""
+    path = _eager_greedy(start, _key, method)
+    if len(path[1]) > 1:
+        try:
+            other = _eager_greedy(start, _splits_last, method)
+        except ReductionDeadEnd:
+            return path
+        if len(other[1]) < len(path[1]):
+            return other
+    return path
 
 
 def _ring_with_extensions():
@@ -482,18 +501,14 @@ def test_lazy_search_gives_the_eager_search_traces(monkeypatch):
         for steps in (4, 9)
         for seed in range(4)
     ]
-    cases.append(("c5", 12, 1))  # backtracks
+    cases.append(("c5", 12, 1))
+    # the first walk ends at a union of two bases, the second at one
+    cases += [("c2", 7, 1181, "pinned2"), ("c4", 20, 2)]
     graphs = [generate_random(*case).graph for case in cases]
     lazy = [decompose(g) for g in graphs]
-    dead = _ring_with_extensions()
-    with pytest.raises(ReductionDeadEnd) as lazy_dead:
-        decompose(dead)
-    monkeypatch.setattr(henneberg, "_search_reductions", _eager_search)
+    monkeypatch.setattr(henneberg, "_walk", _eager_walk)
     for case, g, dec in zip(cases, graphs, lazy):
         assert decompose(g) == dec, case
-    with pytest.raises(ReductionDeadEnd) as eager_dead:
-        decompose(dead)
-    assert lazy_dead.value.graph == eager_dead.value.graph
 
 
 def test_decompose_checks_only_the_candidates_it_reaches(monkeypatch):
@@ -527,61 +542,53 @@ def test_decompose_is_not_bounded_by_the_recursion_limit():
     assert done.stdout.split() == ["120"]
 
 
-# -- the incremental search against try-and-check ------------------------------
+# -- the incremental walk against try-and-check --------------------------------
 
 
 def _kept(state):
     return [u for u, kept in enumerate(state.alive) if kept]
 
 
-def _search_list(state):
-    """What the search sees at the state's graph G: its tight reductions,
-    in order, each read off the state while it holds it, as the
-    ``Reduction`` of G that ``_reduce`` would build."""
-    keep = _kept(state)
-    pos = {u: i for i, u in enumerate(keep)}
+def _search_list(g, state=None):
+    """What the walk's state decides at g: the tight reductions among its
+    candidates, in key order, each as the ``Reduction`` of g that
+    ``_reduce`` would build.  ``state`` holds g in g's own vertex ids (a
+    fresh one by default); a refused candidate must leave it holding g, and
+    after a taken one a fresh state goes on."""
+    state = henneberg._State(g) if state is None else state
     found = []
-    for _ in henneberg._tight_reductions(state, _permanent_count(state.graph())):
+    for _, cand in sorted(henneberg._reduction_candidates(state), key=itemgetter(0)):
+        if not state.push(cand):
+            assert (state.graph(), state.steps) == (g, []), cand
+            continue
         move, orbit, loops = state.steps[-1]
         child = {u: i for i, u in enumerate(_kept(state))}
         move = henneberg._translate_move(move, child, {i: i for i in state.loops})
-        vertex_map = tuple(child.get(u) for u in keep)
-        orbit = tuple(pos[u] for u in orbit)
+        vertex_map = tuple(child.get(u) for u in range(g.num_vertices))
         found.append(henneberg.Reduction(move, state.graph(), orbit, loops, vertex_map))
+        state = henneberg._State(g)
     return found
 
 
-def _reference_list(g, method="pebble"):
-    """Every candidate built and checked from scratch, stable-sorted by the
-    symmetric components and permanent orbits of its graph, counted from
-    scratch, as the search orders them."""
-    return sorted(enumerate_reductions(g, method), key=lambda r: _counts(r.graph))
-
-
 def test_search_agrees_with_try_and_check_three_levels_deep():
-    # one state, edited in place, decides the levels below the top
+    # the walk's state decides every candidate as try-and-check does, at
+    # the top and two levels down the walk's own path
     graphs = 0
     for name in ["c1", "c2", "c3", "c4", "c5", "c6"]:
         for steps in (4, 11, 18, 25):
             for seed in range(4):
-                state = henneberg._State(generate_random(name, steps, seed).graph)
+                g = generate_random(name, steps, seed).graph
                 for level in range(3):
-                    g = state.graph()
-                    found = _search_list(state)
+                    found = _search_list(g)
                     reference = _reference_list(g)
                     assert [r.move for r in found] == [r.move for r in reference], (
                         name, steps, seed, level,
                     )
                     assert found == reference
-                    assert state.graph() == g  # restored after each reduction
                     graphs += 1
                     if not found:
                         break
-                    # go down the last branch, which the search reaches last
-                    reds = henneberg._tight_reductions(state, _permanent_count(g))
-                    for _ in found:
-                        next(reds)
-                    assert state.graph() == found[-1].graph
+                    g = found[0].graph  # the one the walk takes
     assert graphs > 250
 
 
@@ -613,8 +620,8 @@ def test_search_rejects_what_try_and_check_rejects(case, move, why):
     state = henneberg._State(g)
     assert not state.push(cand)
     assert (state.graph(), state.steps) == (g, [])
-    # the games, refused and restored, still decide like try-and-check
-    assert _search_list(state) == _reference_list(g)
+    # the games, refused and put back, still decide like try-and-check
+    assert _search_list(g, state) == _reference_list(g)
     assert move not in [r.move for r in enumerate_reductions(g)]
 
 
@@ -623,9 +630,41 @@ def test_search_agrees_with_the_subset_audit():
         for seed in range(4):
             g = generate_random(name, {"c1": 16, "c2": 7, "c3": 5}[name], seed).graph
             assert g.num_vertices <= 24
-            found = [r.move for r in _search_list(henneberg._State(g))]
+            found = [r.move for r in _search_list(g)]
             assert found == [r.move for r in _reference_list(g, "subset")], (name, seed)
             assert decompose(g, method="subset") == decompose(g)
+
+
+def _cycle_grown():
+    """Generated graphs grown by one or two cycle moves, each as the graph
+    before the last move, the move, and the graph after it."""
+    for name, step in [("c3", 1), ("c4", 1), ("c5", 2), ("c6", 2)]:
+        for seed in range(3):
+            g = generate_random(name, 6, seed).graph
+            moves = [CycleEdge(seed, step), CycleEdge(g.num_vertices + seed, step)]
+            for move in moves[: 1 + seed % 2]:
+                h = apply_extension(g, move)
+                yield g, move, h
+                g = h
+
+
+def test_reduce_equals_push_on_cycle_edge_candidates():
+    # the cycle move's inverse, decided by the state, is the reduction
+    # _reduce builds, and it undoes the move; the graph with two cycle
+    # orbits offers both
+    cycles = 0
+    for before, move, g in _cycle_grown():
+        assert is_tight(g)
+        found = _search_list(g)
+        assert found == _reference_list(g)
+        undo = [r for r in found if r.move == move]
+        assert [r.graph for r in undo] == [before], move
+        cycles += sum(isinstance(r.move, CycleEdge) for r in found)
+    for g in (ring_with_spokes(5), _stuck()):
+        found = _search_list(g)
+        assert found == _reference_list(g)
+        cycles += sum(isinstance(r.move, CycleEdge) for r in found)
+    assert cycles > 14, cycles
 
 
 def _components_without(adj, r):
@@ -730,6 +769,30 @@ def test_generation_and_replay_build_the_graph_once(monkeypatch):
     assert builds <= 2
 
 
+def test_decompose_replays_a_trace_building_two_graphs(monkeypatch):
+    builds = None
+    post_init, walk = SymmetricGraph.__post_init__, henneberg._walk
+
+    def counting(self):
+        nonlocal builds
+        builds = None if builds is None else builds + 1
+        post_init(self)
+
+    def walking(start):
+        nonlocal builds
+        path = walk(start)
+        builds = 0  # the replay starts here
+        return path
+
+    g = generate_random("c2", 500, 0).graph
+    monkeypatch.setattr(SymmetricGraph, "__post_init__", counting)
+    monkeypatch.setattr(henneberg, "_walk", walking)
+    dec = decompose(g)
+    # the grown graph and its relabeling, not one graph per move
+    assert dec.total_moves == 500
+    assert builds <= 2, builds
+
+
 def _recording(log, fn):
     def recorded(*args):
         result = fn(*args)
@@ -771,19 +834,19 @@ def test_decompose_outputs_are_unchanged_and_checked_once(monkeypatch):
             monkeypatch.setattr(SymmetricGraph, "__post_init__", post_init)
             h.update(document.dumps(document.decomposition_to_dict(dec)).encode())
             assert [args[0] for args, _ in checks] == [g], case
-            # the input, then every replayed graph, passes validate_action
-            replayed = [x for trace in dec.components for x in _replayed(trace)]
-            assert [args[0] for args, _ in validated] == [g, *replayed], case
-            # the search builds no graph per step: one per move for the
-            # replay, and a few more per component
-            assert builds <= dec.total_moves + 5 * len(dec.components), (case, builds)
+            # the input, then each trace's base and its result, pass
+            # validate_action
+            ends = [x for trace in dec.components for x in (trace.base_graph, replay(trace))]
+            assert [args[0] for args, _ in validated] == [g, *ends], case
+            # the walk builds no graph per step, nor does the replay
+            assert builds <= 6 * len(dec.components), (case, builds)
             # the in-place replay gives what applying the moves one by one does
             for trace in dec.components:
                 assert replay(trace) == _replayed(trace)[-1], case
         assert h.hexdigest() == digest
 
 
-# -- the permanent-orbit order and prunes --------------------------------------
+# -- graphs that need the cycle move, unions of bases, and candidates decided --
 
 
 def _turned(order, n, edges, loop_vertices):
@@ -802,8 +865,9 @@ def _turned(order, n, edges, loop_vertices):
 
 
 def _stuck():
-    """Tight, one permanent orbit (the triangle 0-1-2), and no orbit to
-    delete: the looped orbit 3-5 and the orbit 6-8 both have degree 4."""
+    """Tight, with one permanent orbit, the triangle 0-1-2 spoked to the
+    orbit 6-8.  The looped orbit 3-5 and the orbit 6-8 both have degree 4,
+    so only the triangle can go, by the cycle move."""
     edges = [(0, 1), (0, 2), (1, 2), (0, 6), (1, 7), (2, 8)]
     edges += [(b, c) for b in (3, 4, 5) for c in (6, 7, 8)]
     return _turned(3, 9, tuple(edges), (3, 4, 5))
@@ -817,37 +881,29 @@ def _splits():
     return _turned(3, 12, tuple(edges), (0, 1, 2, 0, 1, 2, 3, 4, 5))
 
 
-def test_dead_end_witnesses_are_dead_by_the_rule_they_name():
-    ring = _ring_with_extensions()
-    stuck = _stuck()
-    assert (_permanent_count(ring), _permanent_count(stuck)) == (2, 1)
-    assert enumerate_reductions(stuck) == ()
-    for g, witness, rule in [
-        # dead at the start: no reduction can remove either permanent orbit,
-        # so the search does not expand it (it used to return a 6-vertex
-        # stuck graph found below it)
-        (ring, ring, "has 2 permanent orbits"),
-        (ring_with_spokes(5), ring_with_spokes(5), "has 2 permanent orbits"),
-        (stuck, stuck, "admits no tightness-preserving reduction"),
+def test_graphs_that_need_the_cycle_move_decompose():
+    # certified, tight and isostatic: without the cycle move no reduction
+    # reached a base from any of them
+    for g, label, moves in [
+        (ring_with_spokes(5), "pinned5", 1),
+        (_ring_with_extensions(), "pinned3", 4),
+        (_stuck(), "lc3", 2),
     ]:
-        assert is_tight(g)
-        with pytest.raises(ReductionDeadEnd) as exc:
-            decompose(g)
-        assert exc.value.graph == witness
-        assert rule in str(exc.value)
+        assert is_tight(g) and certified_group(g.group)
+        assert classify(g, trials=3, seed=0).classification == "isostatic"
+        dec = decompose(g)
+        assert [c.base_label for c in dec.components] == [label]
+        assert dec.total_moves == moves
+        assert any(isinstance(m, CycleEdge) for m in dec.components[0].moves)
+        assert verify_decomposition(g, dec)
+    [trace] = decompose(ring_with_spokes(5)).components
+    assert trace.moves == (CycleEdge(0, 1),)
 
 
 def test_a_graph_that_splits_falls_back_to_a_union_of_bases():
     g = _splits()
     assert is_tight(g) and len(symmetric_components(g)) == 1
-    # the single-base search cuts the split graph, and says why
-    found, (witness, depth, rule) = henneberg._walk(g, union=False)
-    assert found is None
-    assert (witness.num_vertices, depth, rule) == (
-        9, 1, "has 2 symmetric components, which no reduction joins"
-    )
-    assert len(symmetric_components(witness)) == 2
-    # the union search goes on below it
+    # the only tight reduction splits it, and the walk goes on in both pieces
     dec = decompose(g)
     assert [c.base_label for c in dec.components] == ["pinned3+lc3"]
     assert dec.total_moves == 2
@@ -867,10 +923,6 @@ def test_two_permanent_orbits_that_split_apart_give_a_union_of_bases():
     assert is_tight(g) and len(symmetric_components(g)) == 1
     assert _permanent_count(g) == 2
     assert g.edges == ((0, 6), (1, 7), (2, 8), (3, 4), (3, 5), (3, 6), (4, 5), (4, 7), (5, 8))
-    # the single-base search is dead at the start; the union search is not cut
-    found, (witness, depth, rule) = henneberg._walk(g, union=False)
-    assert found is None
-    assert (witness, depth) == (g, 0) and "has 2 permanent orbits" in rule
     dec = decompose(g)
     assert [c.base_label for c in dec.components] == ["pinned3+lc3"]
     assert dec.total_moves == 1
@@ -878,87 +930,61 @@ def test_two_permanent_orbits_that_split_apart_give_a_union_of_bases():
 
 
 def test_eager_reference_agrees_on_the_fallback_and_the_dead_ends(monkeypatch):
-    graphs = [_splits(), _split_apart_permanent_orbits(), _stuck(), _ring_with_extensions()]
+    graphs = [
+        _splits(),
+        _split_apart_permanent_orbits(),
+        _stuck(),
+        _ring_with_extensions(),
+        ring_with_spokes(5),
+        mirror_fixed_vertex(),  # a dead end
+    ]
     outcomes = []
-    for search in (henneberg._search_reductions, _eager_search):
-        monkeypatch.setattr(henneberg, "_search_reductions", search)
+    for walk in (henneberg._walk, _eager_walk):
+        monkeypatch.setattr(henneberg, "_walk", walk)
         for g in graphs:
             try:
                 outcomes.append(decompose(g))
             except ReductionDeadEnd as err:
                 outcomes.append(err.graph)
-    assert outcomes[:4] == outcomes[4:]
-
-
-def _spied_searches(monkeypatch, cases, spy):
-    """Decompose each case with ``spy(state, permanent, reductions, every)``
-    seeing every graph the search expands and yielding what the search
-    gets.  ``every`` yields every tight reduction, whatever the search
-    wants; both move the one state, so ``every`` is run through first."""
-    original = henneberg._tight_reductions
-
-    def spied(state, permanent, wanted=None):
-        return spy(state, permanent, original(state, permanent, wanted), original(state, permanent))
-
-    monkeypatch.setattr(henneberg, "_tight_reductions", spied)
-    for case in cases:
-        gen = generate_random(*case)
-        dec = decompose(gen.graph)
-        assert dec.total_moves == case[1], case
-        assert verify_decomposition(gen.graph, dec), case
+    assert outcomes[:6] == outcomes[6:]
+    assert outcomes[5] == mirror_fixed_vertex()
 
 
 def test_carried_counts_equal_counts_from_scratch(monkeypatch):
-    # components and permanent orbits are carried down the path, never
-    # recounted; here they are recounted on every graph the search reaches
-    reached = 0
+    # the walk reads each reduction's key off the state, and carries its
+    # component count down; here both are recounted on the graphs before
+    # and after every reduction it takes
+    keys, taken = {}, 0
+    candidates, push = henneberg._reduction_candidates, henneberg._State.push
 
-    def spy(state, permanent, reductions, _):
-        nonlocal reached
-        assert (1, permanent) == _counts(state.graph())  # only one-piece graphs are expanded
-        for counts in reductions:
-            reached += 1
-            assert counts == _counts(state.graph()), state.steps[-1]
-            yield counts
+    def reading(state):
+        for key, cand in candidates(state):
+            keys[cand] = key
+            yield key, cand
 
-    cases = [
-        (name, steps, seed)
+    def pushing(state, cand):
+        nonlocal taken
+        permanent = _permanent_count(state.graph())
+        if not push(state, cand):
+            return False
+        taken += 1
+        comps, new = keys[cand]
+        after = permanent + new - (cand[2] is CycleEdge)
+        assert (comps, after) == _counts(state.graph()), state.steps[-1]
+        return True
+
+    monkeypatch.setattr(henneberg, "_reduction_candidates", reading)
+    monkeypatch.setattr(henneberg._State, "push", pushing)
+    graphs = [
+        generate_random(name, steps, seed).graph
         for name in ["c1", "c2", "c3", "c4", "c5", "c6"]
         for steps in (4, 9, 18)
         for seed in range(4)
     ]
-    # c4 is not a certified group, and this one backtracks through 83,417
-    # candidates (about 18 s) before it finds its base
-    cases.remove(("c4", 18, 1))
-    _spied_searches(monkeypatch, cases, spy)
-    assert reached > 500
-
-
-def test_graphs_the_prune_cuts_reach_no_single_base(monkeypatch):
-    # every tight reduction, of a graph the search expands, that the rule
-    # cuts; an exhaustive search without the rule finds no base below it
-    cut = set()
-
-    def spy(state, permanent, reductions, every):
-        for counts in every:
-            if max(counts) >= 2 and base_union_labels(g := state.graph()) is None:
-                cut.add(g)
-        return reductions
-
-    cases = [("c1", 20, 0), ("c1", 25, 2), ("c1", 25, 5), ("c1", 14, 2), ("c1", 14, 4)]
-    cases += [("c2", 12, seed) for seed in range(6)]
-    cases += [("c2", 8, 4), ("c3", 8, 4), ("c3", 5, 4), ("c5", 5, 4)]
-    _spied_searches(monkeypatch, cases, spy)
-    assert len(cut) > 30
-    counts = [_counts(g) for g in cut]
-    assert any(c >= 2 for c, _ in counts) and any(p >= 2 for _, p in counts)
-    # a graph that a search without the rule expanded and left without a
-    # base need not be expanded again
-    dead = set()
-    for g in sorted(cut, key=lambda g: g.num_vertices):
-        assert g.num_vertices <= 30
-        found, _ = _eager_walk(g, seen=dead)
-        assert found is None, g
+    graphs += [_splits(), _stuck(), _ring_with_extensions(), ring_with_spokes(5)]
+    for g in graphs:
+        assert verify_decomposition(g, decompose(g))
+    assert taken > 500
 
 
 @pytest.mark.parametrize(
@@ -979,28 +1005,65 @@ def test_graphs_that_blew_up_reduce_in_few_steps(monkeypatch, case):
     assert len(decided) <= 2 * case[1], len(decided)
 
 
-def test_cut_candidates_are_not_decided_once_a_witness_is_found(monkeypatch):
-    # c4 is not certified, and this search backtracks; deciding every
-    # candidate that the rules cut took 1,120 decisions
+@pytest.mark.parametrize(
+    "case",
+    # before the cycle move and the greedy walk, c5 15/7 took 2.3 s (7,881
+    # candidates) and c4 18/1 18 s, and the others gave no result within
+    # 10 s; c4 is not certified
+    [("c5", 15, 7), ("c5", 18, 7), ("c5", 50, 0), ("c4", 18, 1), ("c4", 200, 2)],
+)
+def test_slow_or_stuck_graphs_decompose_greedily(monkeypatch, case):
+    decided, walks = [], []
+    monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
+    monkeypatch.setattr(henneberg, "_greedy", _recording(walks, henneberg._greedy))
+    gen = generate_random(*case)
+    dec = decompose(gen.graph)
+    assert verify_decomposition(gen.graph, dec)
+    if certified_group(gen.graph.group):
+        assert len(dec.components) == 1
+        assert "+" not in dec.components[0].base_label
+        assert dec.total_moves == case[1]
+        assert len(walks) == 1
+    # at most two per level of each greedy walk; c4 200/2 ends at a union
+    # of bases, so a second walk follows the first
+    assert len(decided) <= 2 * case[1] * len(walks), (len(decided), len(walks))
+
+
+@pytest.mark.parametrize(
+    "case, union, single",
+    [
+        # generated from one base, as every graph of the acceptance pools
+        (("c2", 7, 1181, "pinned2"), "pinned2+pinned2", "pinned2"),
+        (("c2", 7, 1182, "p1_fixed"), "p1_fixed+pinned2", "p1_fixed"),
+        # c4 is not certified; the backtracking search decided up to 366
+        # candidates here
+        (("c4", 20, 2), "p1_swap+pinned4", "p1_swap"),
+    ],
+)
+def test_a_walk_that_splits_off_a_piece_is_walked_again(monkeypatch, case, union, single):
+    gen = generate_random(*case)
+    steps, labels, _ = henneberg._greedy(gen.graph, itemgetter(0))
+    assert ("+".join(labels), len(steps)) == (union, case[1] - 1)
     decided = []
     monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
-    gen = generate_random("c4", 20, 2)
     dec = decompose(gen.graph)
-    assert dec.total_moves == 20
-    assert len(decided) <= 366, len(decided)
+    assert [c.base_label for c in dec.components] == [single]
+    assert dec.total_moves == case[1]
+    assert verify_decomposition(gen.graph, dec)
+    assert len(decided) <= 2 * (2 * case[1] - 1), len(decided)
 
 
 def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
-    # at every graph the search expands, the graph rebuilt from the state
-    # is the one _reduce builds along the path, as the search did when it
-    # built every tight candidate, and it passes validate_action
-    decided, expanded = [], 0
+    # at every graph the walk reaches, the graph built from the state is
+    # the one _reduce builds along the path, and it passes validate_action
+    decided, reached = [], 0
     chain = []  # chain[d]: the graph after d steps of the path, its start ids
-    walk, push, tight = henneberg._walk, henneberg._State.push, henneberg._tight_reductions
+    greedy, push = henneberg._greedy, henneberg._State.push
+    candidates = henneberg._reduction_candidates
 
-    def walking(start, union):
+    def walking(start, order):
         chain[:] = [(start, list(range(start.num_vertices)))]
-        return walk(start, union)
+        return greedy(start, order)
 
     def pushing(state, cand):
         decided.append(cand)
@@ -1010,21 +1073,22 @@ def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
         g, keep = chain[depth]
         pos = {u: i for i, u in enumerate(keep)}
         v, loop, kind, ends = cand
-        red = henneberg._reduce(g, pos[v], loop, kind, tuple(pos[u] for u in ends))
+        ends = (pos[ends[0]], ends[1]) if kind is CycleEdge else tuple(pos[u] for u in ends)
+        red = henneberg._reduce(g, pos[v], loop, kind, ends)
         chain[depth + 1 :] = [(red.graph, [u for u, i in zip(keep, red.vertex_map) if i is not None])]
         return True
 
-    def expanding(state, permanent, wanted=None):
-        nonlocal expanded
-        expanded += 1
+    def reaching(state):
+        nonlocal reached
+        reached += 1
         g = state.graph()
         assert g == chain[len(state.steps)][0], state.steps
         symcheck.require_valid_action(g)
-        return tight(state, permanent, wanted)
+        return candidates(state)
 
-    monkeypatch.setattr(henneberg, "_walk", walking)
+    monkeypatch.setattr(henneberg, "_greedy", walking)
     monkeypatch.setattr(henneberg._State, "push", pushing)
-    monkeypatch.setattr(henneberg, "_tight_reductions", expanding)
+    monkeypatch.setattr(henneberg, "_reduction_candidates", reaching)
     counts = []
     for case in DECOMPOSE_MID:
         decided.clear()
@@ -1032,22 +1096,22 @@ def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
         counts.append(len(decided))
     assert counts == [24, 39, 30, 34, 24, 48, 13, 19]  # as with built candidates
     decided.clear()
-    decompose(generate_random("c4", 20, 2).graph)  # backtracks
-    assert len(decided) <= 366, len(decided)
-    for g in (_splits(), _split_apart_permanent_orbits()):  # the union search too
-        assert decompose(g).components[0].base_label == "pinned3+lc3"
-    assert expanded > 300, expanded
+    decompose(generate_random("c4", 20, 2).graph)  # walked twice
+    assert len(decided) <= 2 * (19 + 20), len(decided)
+    for g in (_splits(), _split_apart_permanent_orbits(), _stuck(), _ring_with_extensions()):
+        decompose(g)
+    assert reached > 200, reached
 
 
 def test_a_long_backtracking_search_decides_no_more_candidates(monkeypatch):
-    # twin orbits: deleting either leaves the same graph, which the search
-    # expands once; keyed by the orbits deleted, it decided 7,929 here
+    # the backtracking search decided 7,881 candidates here; the greedy
+    # walk decides at most two per move
     decided = []
     monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
     gen = generate_random("c5", 15, 7)
     dec = decompose(gen.graph)
     assert dec.total_moves == 15 and verify_decomposition(gen.graph, dec)
-    assert len(decided) <= 7881, len(decided)
+    assert len(decided) <= 2 * 15, len(decided)
 
 
 def _two_build_reduce(g, v, loop, kind, ends):
