@@ -7,7 +7,7 @@ group element in canonical order, each carrying two new rows.
 * ``ZeroEdgeLoop(v1)``: new vertices join v1 and carry one loop each.
 * ``CycleEdge(v1, step)``: new vertices join v1 and are joined in cycles:
   the vertex of element k to the vertex of g_k·g_step, for an element
-  g_step of order 3 or more.
+  g_step of order 3 or more that does not fix v1.
 * ``OneEdgeSplit(x0, y0, z0)``: delete the full-size orbit of edge (x0,
   y0); new vertices join x0, y0 and z0.
 * ``OneLoopSplit(loop_id, y0)``: delete the full-size orbit of the loop;
@@ -22,15 +22,15 @@ symmetry-compatible tightness, so iterating them from a tight base graph
 generates tight graphs.
 
 ``decompose`` runs the moves backwards, greedily: at each graph it takes
-the first tight reduction, strips its free orbit, and never goes back,
-until only a disjoint union of recognized base graphs remains; then it
-replays the moves forward to certify the trace by exact relabeling.
-Candidate reductions are ranked before any is decided, by a key of the
-reduced graph: its symmetric components, fewest first, then whether it
-makes an orbit *permanent* (two loops per vertex, or an edge inside the
-orbit) that was not, a preference only.  Every candidate of a tight graph
-G is G - O + A, for a free vertex orbit O and A empty, one edge orbit or
-one loop orbit, and:
+the first tight reduction that keeps a single core (below), strips its
+free orbit, and never goes back, until only a disjoint union of
+recognized base graphs remains; then it replays the moves forward to
+certify the trace by exact relabeling.  Candidate reductions are ranked
+before any is decided, by a key of the reduced graph: its symmetric
+components, fewest first, then whether it makes an orbit *dense* (two
+loops per vertex, or an edge inside the orbit) that was not, a tie-break
+only.  Every candidate of a tight graph G is G - O + A, for a free vertex
+orbit O and A empty, one edge orbit or one loop orbit, and:
 
 * G - O is sparse, because it is a subgraph of a sparse graph;
 * deleting a free orbit and its rows changes no fixed count;
@@ -51,16 +51,30 @@ The base graphs:
 * ``lcN``: one free orbit spanned by a single n-cycle, one loop per vertex
   (any cyclic n-cycle counts, e.g. star polygons).
 
+A vertex set of a tight graph is *tight* when it spans twice as many rows
+as it has vertices.  Tight sets are closed under union and intersection,
+and a graph has a *single core* when it has one least symmetric
+(group-invariant) tight set.  A base graph has one, its orbit, and every
+move keeps one: a symmetric tight set of the extended graph, less the new
+orbit, is one of the graph before.  So a graph without a single core, a
+union of several bases among them, is built from no single base.  The
+walk, started on a graph with a single core, takes only reductions that
+keep it, and so can end only at a single base.  One that adds nothing
+back always keeps it (G - O is a tight set of G, so it holds the core); a
+split is checked in the (2,0) game, where what a vertex reaches along the
+arcs is the least tight set holding it.  When no tight reduction keeps
+it, the walk drops the condition and goes on; that has been seen only
+outside the certified groups.
+
 For the cyclic groups of order 2 or odd order, the paper's construction
-gives every tight graph that is not a union of bases a tight reduction,
-and a tight reduction leaves a tight graph, so the greedy walk needs no
-backtracking there; for other groups the same walk runs heuristically.
-A graph with no tight reduction that is not a union of bases raises
-``ReductionDeadEnd`` carrying that graph, which can happen only outside
-those groups.  A walk can still split off a piece where a single base was
-reachable: when it ends at a union of several bases, one more walk from
-the start, with the splits ranked last, is kept if it ends in fewer
-pieces.
+builds every tight graph from base graphs, and a tight reduction leaves a
+tight graph, so the greedy walk needs no backtracking there if these five
+inverse moves are all that construction uses.  That is checked by
+experiment, not proved: no dead end has been seen in those groups, on
+generated graphs or on graphs grown with cycle moves at every level.  For
+other groups the same walk runs heuristically.  A graph with no tight
+reduction that is not a union of bases raises ``ReductionDeadEnd``
+carrying that graph.
 """
 
 from __future__ import annotations
@@ -211,6 +225,8 @@ class _Growth:
                 raise InvalidMoveError(
                     f"step {move.step} does not name a group element of order 3 or more"
                 )
+            if self.vertex[move.step][move.v1] == move.v1:  # each cycle a wheel around v1
+                raise InvalidMoveError(f"the step's element fixes v1 {move.v1}")
             ends, looped, cycle = (move.v1,), False, move.step
         elif isinstance(move, OneEdgeSplit):
             for name, v in (("x0", move.x0), ("y0", move.y0), ("z0", move.z0)):
@@ -563,7 +579,7 @@ def _cut_pieces(
 
 Candidate = tuple[int, int | None, type, tuple[int, ...]]
 # (symmetric components of the reduced graph, whether it makes an orbit
-# permanent); see ``_reduction_candidates``
+# dense); see ``_reduction_candidates``
 Key = tuple[int, bool]
 
 
@@ -585,9 +601,10 @@ class _State:
     ``alive`` marks the kept vertices; loop ids are the ones the ``_reduce``
     chain gives, so ``graph()`` builds the graph that chain builds.  A
     deleted vertex stays, isolated, in the two pebble ``games``.
-    ``quotient`` counts the edges that join two orbits.  Orbits, their
-    representatives (smallest vertices) and sizes never change, so they are
-    read once from ``start.action``.
+    ``quotient`` counts the edges that join two orbits, and ``dense`` holds
+    the alive orbits with two loops per vertex or an edge inside.  Orbits,
+    their representatives (smallest vertices) and sizes never change, so
+    they are read once from ``start.action``.
     """
 
     def __init__(self, start: SymmetricGraph) -> None:
@@ -614,8 +631,8 @@ class _State:
             self.loops_at[l.vertex].append(l.id)
             images = tuple(getattr(start, f"{name}_loop_perm")[k] for name, _, _ in self.gens)
             self.loops[l.id] = (l, images)
-        self.permanent = {rep[v] for v in range(n) if len(self.loops_at[v]) >= 2}
-        self.permanent |= {rep[a] for a, b in start.edges if rep[a] == rep[b]}
+        self.dense = {rep[v] for v in range(n) if len(self.loops_at[v]) >= 2}
+        self.dense |= {rep[a] for a, b in start.edges if rep[a] == rep[b]}
         self.steps: list[_Step] = []
 
     @cached_property
@@ -624,6 +641,50 @@ class _State:
         candidates, as ``enumerate_reductions`` does, needs none."""
         start = self.start
         return pebble_games(start.num_vertices, start.edges, start.loop_vertices)
+
+    @cached_property
+    def single_core(self) -> bool:
+        """Whether ``push`` keeps a single core: the graph has one, read at
+        the first split, and the walk has not given the condition up."""
+        return self._single_core(())
+
+    def _single_core(self, deleted: Collection[int]) -> bool:
+        """Whether the graph on the alive vertices outside ``deleted``, with
+        every alive vertex out of pebbles in the (2,0) game, has a single
+        core.
+
+        What a vertex reaches along the arcs is the least tight set holding
+        it, so the least tight sets are the strongly connected components
+        no arc leaves, and the core is single exactly when every vertex
+        reaches the orbit of one of them.  The last root of a search over
+        the reversed arcs lies in such a component; a second search, from
+        its orbit, must reach every vertex.
+        """
+        out = self.games[1].out
+        nodes = [u for u, kept in enumerate(self.alive) if kept and u not in deleted]
+        into: dict[int, list[int]] = {u: [] for u in nodes}
+        for u in nodes:
+            for w in out[u]:
+                into[w].append(u)
+
+        def search(roots: Iterable[int], seen: set[int]) -> None:
+            stack = [r for r in roots if r not in seen]
+            seen.update(stack)
+            while stack:
+                for w in into[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+
+        seen: set[int] = set()
+        root = nodes[0]
+        for u in nodes:
+            if u not in seen:
+                root = u
+                search((u,), seen)
+        seen = set()
+        search(self.orbit[root], seen)
+        return len(seen) == len(nodes)
 
     def graph(self) -> SymmetricGraph:
         """The graph reached: kept vertices in order, loop ids kept."""
@@ -672,14 +733,16 @@ class _State:
 
     def push(self, cand: Candidate) -> bool:
         """Reduce the graph by ``cand``, or return False, with the graph as
-        it was, when the reduced graph is not tight.
+        it was, when the reduced graph is not tight, or loses the single
+        core ``single_core`` asks it to keep.
 
         O's rows leave the games with no search (an arc into O returns its
         pebble to its tail), each edge inside O once; then A's rows go in.
-        When one of them is dependent, A's rows played so far leave the
-        games and O's go back in, which they do, since G is independent.
-        An edge orbit of fewer than |group| members is refused unplayed: an
-        element fixes one of its edges, and it has fewer rows than O took.
+        When one of them is dependent, or A is in and the core splits, A's
+        rows played so far leave the games and O's go back in, which they
+        do, since G is independent.  An edge orbit of fewer than |group|
+        members is refused unplayed: an element fixes one of its edges, and
+        it has fewer rows than O took.
         """
         v, _, kind, (x, *rest) = cand
         orbit, rep = self.orbit[v], self.rep
@@ -693,12 +756,13 @@ class _State:
             added = [(y, None) for y in self.orbit[x]]
         rows = [(u, w) for u in orbit for w in self.nbrs[u] if rep[w] != v or u < w]
         rows += [(u, None) for u in orbit for _ in self.loops_at[u]]
+        single = bool(added) and self.single_core
         for row in rows:
             self._unplay(row)
         played = 0
         while played < len(added) and self._play(added[played]):
             played += 1
-        if played < len(added):
+        if played < len(added) or single and not self._single_core(orbit):
             for row in added[:played]:
                 self._unplay(row)
             for row in rows:
@@ -709,6 +773,7 @@ class _State:
             if w is not None:
                 self._join(u, w, -1)
         del self.quotient[v]
+        self.dense.discard(v)
         for u in orbit:
             self.alive[u] = False
         self.num_alive -= self.t
@@ -724,7 +789,7 @@ class _State:
                 self.loops[new_loop + k] = (Loop(new_loop + k, a), shifted)
                 self.loops_at[a].append(new_loop + k)
         if len(self.loops_at[x]) >= 2 or kind is OneEdgeSplit and rep[x] == rep[rest[0]]:
-            self.permanent.add(rep[x])
+            self.dense.add(rep[x])
         move = _move(kind, [x, *rest], new_loop)
         self.steps.append(_Step(move, orbit, loop_ids))
         return True
@@ -737,16 +802,16 @@ def _reduction_candidates(state: _State) -> Iterator[tuple[Key, Candidate]]:
     Offered are the free orbits whose neighbours all lie outside, then,
     after all of them, the loopless free orbits whose vertices have three
     neighbours, two inside the orbit: those are exactly the orbits an
-    extension can have created.  Each comes as ``((components,
-    permanent), (v, loop, kind, ends))``: the key, read from the state, and
+    extension can have created.  Each comes as ``((components, dense),
+    (v, loop, kind, ends))``: the key, read from the state, and
     the arguments of ``_State.push`` and ``_reduce`` (``loop`` is a loop
     id; a ``CycleEdge``'s ends are v's neighbour outside the orbit and the
     index of the smaller element that sends v to a neighbour inside).
     ``components`` counts the symmetric components of G - O + A, that is
     of the orbit-quotient graph: one DFS over it (``_cut_pieces``) counts
     them in G - O for every O, an edge orbit x1-x2 joins two exactly when
-    x1 and x2 lie apart, and a loop orbit joins none.  ``permanent`` says
-    whether A makes an orbit permanent that was not: a (2,1) split whose
+    x1 and x2 lie apart, and a loop orbit joins none.  ``dense`` says
+    whether A makes an orbit dense that was not: a (2,1) split whose
     loops give a vertex its second loop, or a (3,0) split whose edge orbit
     lies inside one orbit.
     """
@@ -782,14 +847,14 @@ def _reduction_candidates(state: _State) -> Iterator[tuple[Key, Candidate]]:
                         continue
                     z = out[3 - i - j]
                     joined = piece(v, rep[x1]) != piece(v, rep[x2])
-                    inner = rep[x1] == rep[x2] and rep[x1] not in state.permanent
+                    inner = rep[x1] == rep[x2] and rep[x1] not in state.dense
                     yield (comps - joined, inner), (v, None, OneEdgeSplit, (x1, x2, z))
         elif profile == (2, 1):
             loop = loops_at[v][0]
             for x, y in ((out[0], out[1]), (out[1], out[0])):
                 # the t new loops spread evenly over x's orbit
                 looped = len(loops_at[x]) + t // state.size[rep[x]] >= 2
-                new = looped and rep[x] not in state.permanent
+                new = looped and rep[x] not in state.dense
                 yield (comps, new), (v, loop, OneLoopSplit, (x, y))
     yield from cycles
 
@@ -879,23 +944,17 @@ def replay(trace: ComponentTrace) -> SymmetricGraph:
 Path = tuple[tuple[_Step, ...], tuple[str, ...], SymmetricGraph]
 
 
-def _splits_last(item: tuple[Key, Candidate]) -> tuple:
-    """The second walk's candidate order: fewest components, then the
-    splits after the moves that add nothing back, then the key's
-    preference."""
-    (comps, new), (_, _, kind, _) = item
-    return comps, kind in (OneEdgeSplit, OneLoopSplit), new
+def _walk(start: SymmetricGraph) -> Path:
+    """Greedy reduction path from ``start``, one symmetric component of a
+    tight graph, down to a union of base graphs.
 
-
-def _greedy(start: SymmetricGraph, order: Callable[[tuple[Key, Candidate]], tuple]) -> Path:
-    """Greedy reduction path from ``start``, a tight graph, down to a union
-    of base graphs.
-
-    At each graph it takes the first tight reduction in ``order``, decided
-    by ``_State.push``, and never undoes one.  A graph is built only for
-    ``base_union_labels``, on at most ``components * |group|`` vertices, and
-    for a dead end: a graph that is not a union of bases and has no tight
-    reduction raises ``ReductionDeadEnd`` carrying it.
+    At each graph it takes the first tight reduction in key order that
+    keeps a single core, decided by ``_State.push``, and never undoes one;
+    when none keeps it, the walk gives the condition up and takes the first
+    tight one.  A graph is built only for ``base_union_labels``, on at most
+    ``components * |group|`` vertices, and for a dead end: a graph that is
+    not a union of bases and has no tight reduction raises
+    ``ReductionDeadEnd`` carrying it.
     """
     t = start.group.size
     state = _State(start)
@@ -907,11 +966,14 @@ def _greedy(start: SymmetricGraph, order: Callable[[tuple[Key, Candidate]], tupl
             labels = base_union_labels(base)
             if labels is not None:
                 return tuple(state.steps), labels, base
-        for key, cand in sorted(_reduction_candidates(state), key=order):
+        for key, cand in sorted(_reduction_candidates(state), key=itemgetter(0)):
             if state.push(cand):
                 comps = key[0]
                 break
         else:
+            if state.single_core:
+                state.single_core = False
+                continue
             stuck = state.graph()
             raise ReductionDeadEnd(
                 f"tight graph on {stuck.num_vertices} vertices (group"
@@ -920,27 +982,6 @@ def _greedy(start: SymmetricGraph, order: Callable[[tuple[Key, Candidate]], tupl
                 " tightness-preserving reduction",
                 stuck,
             )
-
-
-def _walk(start: SymmetricGraph) -> Path:
-    """Reduction path from ``start``, one symmetric component, down to a
-    union of base graphs: the greedy walk in key order.
-
-    Any tight reduction keeps the graph tight, but one can split off a
-    piece where a single base was still reachable.  So when the walk ends
-    at a union of several bases, a second greedy walk, from the start,
-    ranks the reductions that add nothing back before the splits, and the
-    walk that ends in fewer pieces is kept.
-    """
-    path = _greedy(start, itemgetter(0))
-    if len(path[1]) > 1:
-        try:
-            other = _greedy(start, _splits_last)
-        except ReductionDeadEnd:
-            return path
-        if len(other[1]) < len(path[1]):
-            return other
-    return path
 
 
 def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import c2_fixed_edge, mirror_fixed_vertex, ring_with_spokes
+from conftest import c2_fixed_edge, c3_wheel, mirror_fixed_vertex, ring_with_spokes
 from slcrigid import (
     ComponentTrace,
     CycleEdge,
@@ -44,6 +44,7 @@ from slcrigid import (
     verify_decomposition,
 )
 from slcrigid import document, henneberg, symcheck
+from slcrigid.sparsity import pebble_games
 from slcrigid.symgraph import Loop, _union_find, induced_subgraph, orbits, relabel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -184,6 +185,10 @@ def test_a_cycle_edge_needs_a_step_of_order_three_or_more():
         with pytest.raises(InvalidMoveError, match="order 3 or more"):
             apply_extension(base_graph(label), CycleEdge(0, step))
     assert is_tight(apply_extension(base_graph("pinned4"), CycleEdge(0, 3)))
+    # a step whose element fixes v1 would make each cycle a wheel around it
+    for g in (base_graph("p1_swap"), c3_wheel()):
+        with pytest.raises(InvalidMoveError, match="fixes v1"):
+            apply_extension(g, CycleEdge(0, 1))
 
 
 def test_invalid_moves_are_rejected():
@@ -372,25 +377,50 @@ def test_split_cycle_bases_decompose_trivially():
         assert dec.components[0].base_label == label
 
 
-def _permanent_count(g):
-    """Permanent orbits counted from scratch: orbits with two loops per
-    vertex, or with an edge whose ends both lie in the orbit."""
+def _dense_count(g):
+    """Dense orbits counted from scratch: orbits with two loops per vertex,
+    or with an edge whose ends both lie in the orbit."""
     rep = {v: orb[0] for orb in orbits(g).vertices for v in orb}
     looped = Counter(l.vertex for l in g.loops)
-    permanent = {rep[v] for v, k in looped.items() if k >= 2}
-    return len(permanent | {rep[a] for a, b in g.edges if rep[a] == rep[b]})
+    dense = {rep[v] for v, k in looped.items() if k >= 2}
+    return len(dense | {rep[a] for a, b in g.edges if rep[a] == rep[b]})
 
 
 def _counts(g):
-    """(symmetric components, permanent orbits), both from scratch."""
-    return len(symmetric_components(g)), _permanent_count(g)
+    """(symmetric components, dense orbits), both from scratch."""
+    return len(symmetric_components(g)), _dense_count(g)
 
 
 def _key(g, red):
     """The walk's key for a reduction of g, counted from scratch: the
     symmetric components of the reduced graph, and whether it has more
-    permanent orbits than g."""
-    return len(symmetric_components(red.graph)), _permanent_count(red.graph) > _permanent_count(g)
+    dense orbits than g."""
+    return len(symmetric_components(red.graph)), _dense_count(red.graph) > _dense_count(g)
+
+
+def _single_core(g):
+    """Whether the tight graph g has a single core, from scratch: in a fresh
+    (2,0) pebble game, what the orbit of v reaches is the least symmetric
+    tight set holding v, and the core is single when the smallest of these
+    lies in all the others."""
+    _, game = pebble_games(g.num_vertices, g.edges, g.loop_vertices)
+    closures = {frozenset(game.reach(orb)) for orb in orbits(g).vertices}
+    least = min(closures, key=len)
+    return all(least <= c for c in closures)
+
+
+def _least_tight_sets(g):
+    """The least symmetric tight vertex sets of g, by the definition: every
+    union of vertex orbits is counted (a few orbits only)."""
+    orbs = orbits(g).vertices
+    tight = []
+    for mask in range(1, 1 << len(orbs)):
+        verts = {v for i, orb in enumerate(orbs) if mask >> i & 1 for v in orb}
+        rows = sum(a in verts and b in verts for a, b in g.edges)
+        rows += sum(l.vertex in verts for l in g.loops)
+        if rows == 2 * len(verts):
+            tight.append(frozenset(verts))
+    return [x for x in tight if not any(y < x for y in tight)]
 
 
 def _candidates(g):
@@ -401,9 +431,9 @@ def _candidates(g):
 def test_candidate_component_counts_match_the_built_graphs():
     # both parts of the sort key are counted on G - O without building the
     # reduced graph; the candidates' own candidates include graphs already
-    # split apart and graphs with a permanent orbit
+    # split apart and graphs with a dense orbit
     splits_that_join = 0
-    made_permanent = {OneEdgeSplit: 0, OneLoopSplit: 0}
+    made_dense = {OneEdgeSplit: 0, OneLoopSplit: 0}
     for case in [
         *((name, 9, seed) for name in ["c1", "c2", "c3", "c4", "c5"] for seed in range(2)),
         ("c1", 9, 4),  # a split at the top joins two components of G - O
@@ -412,20 +442,20 @@ def test_candidate_component_counts_match_the_built_graphs():
         g = generate_random(*case).graph
         reduced = [henneberg._reduce(g, *c).graph for _, c in _candidates(g)]
         for h in [g, *reduced, ring_with_spokes(5), _stuck()]:
-            permanent = _permanent_count(h)
+            dense = _dense_count(h)
             for (comps, new), cand in _candidates(h):
                 red = henneberg._reduce(h, *cand)
-                # a cycle move deletes a permanent orbit
-                after = permanent + new - isinstance(red.move, CycleEdge)
+                # a cycle move deletes a dense orbit
+                after = dense + new - isinstance(red.move, CycleEdge)
                 assert (comps, after) == _counts(red.graph), (case, red.move)
                 if new:
-                    made_permanent[type(red.move)] += 1
+                    made_dense[type(red.move)] += 1
                 if isinstance(red.move, OneEdgeSplit):
                     keep = [u for u in range(h.num_vertices) if u not in red.orbit_vertices]
                     apart, _ = induced_subgraph(h, keep)
                     splits_that_join += comps < len(symmetric_components(apart))
     assert splits_that_join > 0
-    assert all(made_permanent.values()), made_permanent
+    assert all(made_dense.values()), made_dense
 
 
 def _as_path(start, reductions, labels):
@@ -448,21 +478,19 @@ def _reference_list(g, method="pebble"):
     return sorted(enumerate_reductions(g, method), key=lambda r: _key(g, r))
 
 
-def _splits_last(g, red):
-    """The second walk's order, from scratch: components, then the splits
-    after the moves that add nothing back, then the key's preference."""
-    comps, new = _key(g, red)
-    return comps, isinstance(red.move, (OneEdgeSplit, OneLoopSplit)), new
-
-
-def _eager_greedy(start, order, method="pebble"):
-    """Greedy try-and-check: at each graph every reduction is built and
-    checked from scratch, the tight ones are sorted by ``order(g, red)``,
-    counted from scratch, and the first is taken, until a union of bases
-    remains."""
-    g, path = start, []
+def _eager_walk(start, method="pebble"):
+    """Reference for ``henneberg._walk``, greedy try-and-check: at each graph
+    every reduction is built and checked from scratch, the tight ones are
+    sorted by their key, and the first whose graph has a single core, both
+    counted from scratch, is taken, while the start has one and some
+    reduction keeps it; else the first, until a union of bases remains."""
+    g, path, single = start, [], _single_core(start)
     while (labels := base_union_labels(g)) is None:
-        reds = sorted(enumerate_reductions(g, method), key=lambda r: order(g, r))
+        reds = _reference_list(g, method)
+        if single:
+            kept = [r for r in reds if _single_core(r.graph)]
+            single = bool(kept)
+            reds = kept or reds
         if not reds:
             raise ReductionDeadEnd("no tight reduction", g)
         path.append(reds[0])
@@ -470,24 +498,9 @@ def _eager_greedy(start, order, method="pebble"):
     return _as_path(start, path, labels)
 
 
-def _eager_walk(start, method="pebble"):
-    """Reference for ``henneberg._walk``: the greedy try-and-check walk by
-    key, and, when it ends at a union of several bases, a second one with
-    the splits last, kept when it ends in fewer pieces."""
-    path = _eager_greedy(start, _key, method)
-    if len(path[1]) > 1:
-        try:
-            other = _eager_greedy(start, _splits_last, method)
-        except ReductionDeadEnd:
-            return path
-        if len(other[1]) < len(path[1]):
-            return other
-    return path
-
-
 def _ring_with_extensions():
     """``ring_with_spokes(3)`` grown by three moves: 15 vertices, and two
-    permanent orbits, the ring and its doubly looped spokes."""
+    dense orbits, the ring and its doubly looped spokes."""
     dead = ring_with_spokes(3)
     for move in (ZeroEdgeLoop(0), ZeroEdgeLoop(7), Zero2Edges(7, 10)):
         dead = apply_extension(dead, move)
@@ -502,8 +515,8 @@ def test_lazy_search_gives_the_eager_search_traces(monkeypatch):
         for seed in range(4)
     ]
     cases.append(("c5", 12, 1))
-    # the first walk ends at a union of two bases, the second at one
-    cases += [("c2", 7, 1181, "pinned2"), ("c4", 20, 2)]
+    # greedy by key alone ends at a union of two bases
+    cases += [("c1", 12, 44), ("c2", 7, 1181, "pinned2"), ("c4", 20, 2)]
     graphs = [generate_random(*case).graph for case in cases]
     lazy = [decompose(g) for g in graphs]
     monkeypatch.setattr(henneberg, "_walk", _eager_walk)
@@ -550,12 +563,13 @@ def _kept(state):
 
 
 def _search_list(g, state=None):
-    """What the walk's state decides at g: the tight reductions among its
-    candidates, in key order, each as the ``Reduction`` of g that
-    ``_reduce`` would build.  ``state`` holds g in g's own vertex ids (a
-    fresh one by default); a refused candidate must leave it holding g, and
-    after a taken one a fresh state goes on."""
+    """What the walk's state decides at g, with no single core asked for:
+    the tight reductions among its candidates, in key order, each as the
+    ``Reduction`` of g that ``_reduce`` would build.  ``state`` holds g in
+    g's own vertex ids (a fresh one by default); a refused candidate must
+    leave it holding g, and after a taken one a fresh state goes on."""
     state = henneberg._State(g) if state is None else state
+    state.single_core = False
     found = []
     for _, cand in sorted(henneberg._reduction_candidates(state), key=itemgetter(0)):
         if not state.push(cand):
@@ -567,6 +581,7 @@ def _search_list(g, state=None):
         vertex_map = tuple(child.get(u) for u in range(g.num_vertices))
         found.append(henneberg.Reduction(move, state.graph(), orbit, loops, vertex_map))
         state = henneberg._State(g)
+        state.single_core = False
     return found
 
 
@@ -635,6 +650,63 @@ def test_search_agrees_with_the_subset_audit():
             assert decompose(g, method="subset") == decompose(g)
 
 
+def test_the_single_core_is_the_least_symmetric_tight_set():
+    # the state's decision, the from-scratch reach sets and the definition
+    # over every union of orbits agree, on graphs with a single core and
+    # on graphs with several least symmetric tight sets
+    graphs = [_splits(), _split_apart_dense_orbits(), _stuck(), ring_with_spokes(5)]
+    graphs += [apply_extension(base_graph("pinned3"), Zero2Edges(0, 1)), base_graph("lc5")]
+    for name in ["c1", "c2", "c3", "c4", "c5", "c6"]:
+        for seed in range(3):
+            g = generate_random(name, 7, seed).graph
+            graphs += [g, *(r.graph for r in enumerate_reductions(g))]
+    # every tight reduction three levels down graphs where greedy by key
+    # alone splits the core
+    for case in [("c1", 12, 44), ("c2", 7, 1181, "pinned2"), ("c2", 7, 1182, "p1_fixed")]:
+        g = generate_random(*case).graph
+        for _ in range(3):
+            reds = enumerate_reductions(g)
+            graphs += [r.graph for r in reds]
+            g = reds[0].graph
+    seen = Counter()
+    for g in graphs:
+        single = len(_least_tight_sets(g)) == 1
+        assert _single_core(g) == single == henneberg._State(g).single_core, g
+        seen[single] += 1
+    assert seen[True] > 100 and seen[False] > 10, seen
+
+
+def test_push_refuses_a_split_that_splits_the_core():
+    # on a graph with a single core, a tight split candidate is taken
+    # exactly when its graph keeps one; a reduction that adds nothing back
+    # always keeps it
+    refused = 0
+    for name in ["c1", "c2", "c3", "c5"]:
+        for seed in range(6):
+            g = generate_random(name, 10, seed).graph
+            for _ in range(4):  # down the walk's own path
+                single = _single_core(g)
+                for _, cand in _candidates(g):
+                    red = henneberg._reduce(g, *cand)
+                    if not henneberg.check_tight(red.graph).tight:
+                        continue
+                    keeps = _single_core(red.graph)
+                    assert henneberg._State(g).push(cand) == (keeps or not single), cand
+                    assert keeps or not single or cand[2] in (OneEdgeSplit, OneLoopSplit)
+                    refused += single and not keeps
+                g = _walk_once(g)
+    assert refused > 0
+
+
+def _walk_once(g):
+    """The graph after the walk's first reduction of g."""
+    state = henneberg._State(g)
+    for _, cand in sorted(henneberg._reduction_candidates(state), key=itemgetter(0)):
+        if state.push(cand):
+            return state.graph()
+    return g
+
+
 def _cycle_grown():
     """Generated graphs grown by one or two cycle moves, each as the graph
     before the last move, the move, and the graph after it."""
@@ -666,6 +738,76 @@ def test_reduce_equals_push_on_cycle_edge_candidates():
         cycles += sum(isinstance(r.move, CycleEdge) for r in found)
     assert cycles > 14, cycles
 
+
+
+def _grown_with_cycle_moves(name, steps, seed):
+    """A base grown by ``steps`` random moves of all five kinds, cycle moves
+    among them, each drawn as ``generate_random`` draws the other four; a
+    move that does not apply is drawn again.  Returns the graph, the base
+    label and the moves."""
+    group = GroupSpec.from_name(name)
+    rng = random.Random(seed)
+    label = rng.choice(default_bases(group))
+    g, moves = base_graph(label), []
+    orders = [k for k, el in enumerate(group.elements()) if group.element_order(el) >= 3]
+    while len(moves) < steps:
+        n = g.num_vertices
+        kind = rng.choice([Zero2Edges, ZeroEdgeLoop, CycleEdge, OneEdgeSplit, OneLoopSplit])
+        if kind is Zero2Edges and n >= 2:
+            move = Zero2Edges(*sorted(rng.sample(range(n), 2)))
+        elif kind is ZeroEdgeLoop:
+            move = ZeroEdgeLoop(rng.randrange(n))
+        elif kind is CycleEdge:
+            move = CycleEdge(rng.randrange(n), rng.choice(orders))
+        elif kind is OneEdgeSplit and g.edges:
+            move = OneEdgeSplit(*rng.choice(g.edges), rng.randrange(n))
+        elif kind is OneLoopSplit and g.loops:
+            move = OneLoopSplit(rng.choice(g.loop_ids), rng.randrange(n))
+        else:
+            continue
+        try:
+            g = apply_extension(g, move)
+        except (InvalidMoveError, RangeError):
+            continue
+        moves.append(move)
+    return g, label, moves
+
+
+def test_graphs_grown_with_cycle_moves_decompose_to_one_base(monkeypatch):
+    # cycle orbits anywhere below the top, not only in the last move: the
+    # walk keeps a single core, reaches one base in as many moves as the
+    # graph was grown by, and decides at most two candidates per move
+    decided = []
+    monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
+    below = 0
+    for name in ["c3", "c5", "c7"]:
+        for seed in range(8):
+            steps = 10 + 2 * seed
+            g, _, moves = _grown_with_cycle_moves(name, steps, seed)
+            below += sum(isinstance(m, CycleEdge) for m in moves[:-1])
+            assert is_tight(g), (name, seed)
+            decided.clear()
+            dec = decompose(g)
+            assert len(dec.components) == 1
+            assert "+" not in dec.components[0].base_label, (name, seed)
+            assert dec.total_moves == steps, (name, seed)
+            assert verify_decomposition(g, dec)
+            assert len(decided) <= 2 * steps, (name, seed, len(decided))
+    assert below > 50, below
+
+
+def test_the_walk_gives_the_single_core_up_when_no_reduction_keeps_it(monkeypatch):
+    # c4 is not certified: this graph is grown from p1_swap, so it has a
+    # single core, but at one level no tight reduction keeps it, and the
+    # walk goes on to a union of bases, as the reference does
+    g, label, moves = _grown_with_cycle_moves("c4", 20, 94)
+    assert label == "p1_swap" and _single_core(g)
+    dec = decompose(g)
+    assert [c.base_label for c in dec.components] == ["p1_swap+lc4"]
+    assert dec.total_moves == 19
+    assert verify_decomposition(g, dec)
+    monkeypatch.setattr(henneberg, "_walk", _eager_walk)
+    assert decompose(g) == dec
 
 def _components_without(adj, r):
     """Component count after deleting node r (None: delete nothing), and
@@ -865,7 +1007,7 @@ def _turned(order, n, edges, loop_vertices):
 
 
 def _stuck():
-    """Tight, with one permanent orbit, the triangle 0-1-2 spoked to the
+    """Tight, with one dense orbit, the triangle 0-1-2 spoked to the
     orbit 6-8.  The looped orbit 3-5 and the orbit 6-8 both have degree 4,
     so only the triangle can go, by the cycle move."""
     edges = [(0, 1), (0, 2), (1, 2), (0, 6), (1, 7), (2, 8)]
@@ -875,7 +1017,8 @@ def _stuck():
 
 def _splits():
     """Tight and one component, but deleting the orbit 6-8 cuts the doubly
-    looped orbit 0-2 off from the rest, and no other reduction is tight."""
+    looped orbit 0-2 off from the rest, and no other reduction is tight: the
+    looped orbit and the rest are two disjoint symmetric tight sets."""
     edges = [(0, 6), (1, 7), (2, 8), (6, 10), (7, 11), (8, 9)]
     edges += [(b, d) for b in (3, 4, 5) for d in (9, 10, 11)]
     return _turned(3, 12, tuple(edges), (0, 1, 2, 0, 1, 2, 3, 4, 5))
@@ -903,6 +1046,8 @@ def test_graphs_that_need_the_cycle_move_decompose():
 def test_a_graph_that_splits_falls_back_to_a_union_of_bases():
     g = _splits()
     assert is_tight(g) and len(symmetric_components(g)) == 1
+    # no single core, so no single base builds it
+    assert not _single_core(g) and not henneberg._State(g).single_core
     # the only tight reduction splits it, and the walk goes on in both pieces
     dec = decompose(g)
     assert [c.base_label for c in dec.components] == ["pinned3+lc3"]
@@ -910,18 +1055,19 @@ def test_a_graph_that_splits_falls_back_to_a_union_of_bases():
     assert verify_decomposition(g, dec)
 
 
-def _split_apart_permanent_orbits():
+def _split_apart_dense_orbits():
     """``pinned3`` and ``lc3`` side by side, joined by one free orbit: one
-    component with two permanent orbits, which deleting the free orbit
-    splits into two base pieces."""
+    component with two dense orbits, which deleting the free orbit splits
+    into two base pieces."""
     edges = ((3, 4), (3, 5), (4, 5))
     return apply_extension(_turned(3, 6, edges, (0, 1, 2, 0, 1, 2, 3, 4, 5)), Zero2Edges(0, 3))
 
 
 def test_two_permanent_orbits_that_split_apart_give_a_union_of_bases():
-    g = _split_apart_permanent_orbits()
+    g = _split_apart_dense_orbits()
     assert is_tight(g) and len(symmetric_components(g)) == 1
-    assert _permanent_count(g) == 2
+    assert _dense_count(g) == 2
+    assert not _single_core(g)  # each base piece is a symmetric tight set
     assert g.edges == ((0, 6), (1, 7), (2, 8), (3, 4), (3, 5), (3, 6), (4, 5), (4, 7), (5, 8))
     dec = decompose(g)
     assert [c.base_label for c in dec.components] == ["pinned3+lc3"]
@@ -932,7 +1078,7 @@ def test_two_permanent_orbits_that_split_apart_give_a_union_of_bases():
 def test_eager_reference_agrees_on_the_fallback_and_the_dead_ends(monkeypatch):
     graphs = [
         _splits(),
-        _split_apart_permanent_orbits(),
+        _split_apart_dense_orbits(),
         _stuck(),
         _ring_with_extensions(),
         ring_with_spokes(5),
@@ -964,12 +1110,12 @@ def test_carried_counts_equal_counts_from_scratch(monkeypatch):
 
     def pushing(state, cand):
         nonlocal taken
-        permanent = _permanent_count(state.graph())
+        dense = _dense_count(state.graph())
         if not push(state, cand):
             return False
         taken += 1
         comps, new = keys[cand]
-        after = permanent + new - (cand[2] is CycleEdge)
+        after = dense + new - (cand[2] is CycleEdge)
         assert (comps, after) == _counts(state.graph()), state.steps[-1]
         return True
 
@@ -1013,26 +1159,23 @@ def test_graphs_that_blew_up_reduce_in_few_steps(monkeypatch, case):
     [("c5", 15, 7), ("c5", 18, 7), ("c5", 50, 0), ("c4", 18, 1), ("c4", 200, 2)],
 )
 def test_slow_or_stuck_graphs_decompose_greedily(monkeypatch, case):
-    decided, walks = [], []
+    decided = []
     monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
-    monkeypatch.setattr(henneberg, "_greedy", _recording(walks, henneberg._greedy))
     gen = generate_random(*case)
     dec = decompose(gen.graph)
     assert verify_decomposition(gen.graph, dec)
-    if certified_group(gen.graph.group):
-        assert len(dec.components) == 1
-        assert "+" not in dec.components[0].base_label
-        assert dec.total_moves == case[1]
-        assert len(walks) == 1
-    # at most two per level of each greedy walk; c4 200/2 ends at a union
-    # of bases, so a second walk follows the first
-    assert len(decided) <= 2 * case[1] * len(walks), (len(decided), len(walks))
+    assert len(dec.components) == 1
+    assert "+" not in dec.components[0].base_label
+    assert dec.total_moves == case[1]
+    # at most two per level of the one walk
+    assert len(decided) <= 2 * case[1], len(decided)
 
 
 @pytest.mark.parametrize(
     "case, union, single",
     [
         # generated from one base, as every graph of the acceptance pools
+        (("c1", 12, 44), "pinned1+pinned1", "pinned1"),
         (("c2", 7, 1181, "pinned2"), "pinned2+pinned2", "pinned2"),
         (("c2", 7, 1182, "p1_fixed"), "p1_fixed+pinned2", "p1_fixed"),
         # c4 is not certified; the backtracking search decided up to 366
@@ -1040,17 +1183,21 @@ def test_slow_or_stuck_graphs_decompose_greedily(monkeypatch, case):
         (("c4", 20, 2), "p1_swap+pinned4", "p1_swap"),
     ],
 )
-def test_a_walk_that_splits_off_a_piece_is_walked_again(monkeypatch, case, union, single):
+def test_the_walk_keeps_a_single_core(monkeypatch, case, union, single):
     gen = generate_random(*case)
-    steps, labels, _ = henneberg._greedy(gen.graph, itemgetter(0))
-    assert ("+".join(labels), len(steps)) == (union, case[1] - 1)
+    assert _single_core(gen.graph)
     decided = []
     monkeypatch.setattr(henneberg._State, "push", _recording(decided, henneberg._State.push))
     dec = decompose(gen.graph)
     assert [c.base_label for c in dec.components] == [single]
     assert dec.total_moves == case[1]
     assert verify_decomposition(gen.graph, dec)
-    assert len(decided) <= 2 * (2 * case[1] - 1), len(decided)
+    assert len(decided) <= 2 * case[1], len(decided)
+    # greedy by key alone, with no single core asked for, splits off a
+    # piece one move early
+    monkeypatch.setattr(henneberg._State, "single_core", False)
+    steps, labels, _ = henneberg._walk(gen.graph)
+    assert ("+".join(labels), len(steps)) == (union, case[1] - 1)
 
 
 def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
@@ -1058,12 +1205,12 @@ def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
     # the one _reduce builds along the path, and it passes validate_action
     decided, reached = [], 0
     chain = []  # chain[d]: the graph after d steps of the path, its start ids
-    greedy, push = henneberg._greedy, henneberg._State.push
+    walk, push = henneberg._walk, henneberg._State.push
     candidates = henneberg._reduction_candidates
 
-    def walking(start, order):
+    def walking(start):
         chain[:] = [(start, list(range(start.num_vertices)))]
-        return greedy(start, order)
+        return walk(start)
 
     def pushing(state, cand):
         decided.append(cand)
@@ -1086,7 +1233,7 @@ def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
         symcheck.require_valid_action(g)
         return candidates(state)
 
-    monkeypatch.setattr(henneberg, "_greedy", walking)
+    monkeypatch.setattr(henneberg, "_walk", walking)
     monkeypatch.setattr(henneberg._State, "push", pushing)
     monkeypatch.setattr(henneberg, "_reduction_candidates", reaching)
     counts = []
@@ -1096,9 +1243,9 @@ def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
         counts.append(len(decided))
     assert counts == [24, 39, 30, 34, 24, 48, 13, 19]  # as with built candidates
     decided.clear()
-    decompose(generate_random("c4", 20, 2).graph)  # walked twice
-    assert len(decided) <= 2 * (19 + 20), len(decided)
-    for g in (_splits(), _split_apart_permanent_orbits(), _stuck(), _ring_with_extensions()):
+    decompose(generate_random("c4", 20, 2).graph)  # a split is refused
+    assert len(decided) <= 2 * 20, len(decided)
+    for g in (_splits(), _split_apart_dense_orbits(), _stuck(), _ring_with_extensions()):
         decompose(g)
     assert reached > 200, reached
 
