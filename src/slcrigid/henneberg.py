@@ -39,11 +39,19 @@ orbit O and A empty, one edge orbit or one loop orbit, and:
   members and is independent over G - O.
 
 The walk therefore edits one state (``_State``) in the input's vertex
-ids, with the two pebble games of ``sparsity.pebble_games``: a reduction
-deletes O's rows in place, then inserts A's.  ``check_tight`` runs once,
-on the input, and graphs are built only near the bottom and for the
-replay; ``enumerate_reductions`` stays as the try-and-check reference.
-The base graphs:
+ids, with two pebble games: a reduction deletes O's rows in place, then
+inserts A's.  ``check_tight`` runs once, on the input, and its
+``pebble_check`` is the one game played: the walk starts from the game
+it finished with (``_PebbleGame.games``).  The state keeps each free
+orbit's candidates and derives them again only for the orbits a
+reduction touches.  Keys are worked out lazily (``_in_key_order``): none
+is below (the graph's components, not dense), and those with that key,
+in scan order, nearly always hold the one taken, so the components of
+every candidate are counted (``_cut_pieces``) and sorted only when none
+of them is.  Apart from its pebble searches and the single-core check,
+a level so costs what its reduction touches.  Graphs are built only near
+the bottom and for the replay; ``enumerate_reductions`` stays as the
+try-and-check reference.  The base graphs:
 
 * ``p1_fixed``: one half-turn-fixed vertex with two fixed loops (order 2);
 * ``p1_swap``: one fixed vertex with a swapped loop pair (order 4);
@@ -62,7 +70,9 @@ walk, started on a graph with a single core, takes only reductions that
 keep it, and so can end only at a single base.  One that adds nothing
 back always keeps it (G - O is a tight set of G, so it holds the core); a
 split is checked in the (2,0) game, where what a vertex reaches along the
-arcs is the least tight set holding it.  When no tight reduction keeps
+arcs is the least tight set holding it; the game keeps its in-arcs, and
+one search back from the orbit of the last core found usually settles
+it.  When no tight reduction keeps
 it, the walk drops the condition and goes on; that has been seen only
 outside the certified groups.
 
@@ -81,7 +91,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -95,7 +105,7 @@ from .errors import (
     SchemaError,
     UnsupportedBackendError,
 )
-from .sparsity import _PebbleGame, pebble_games
+from .sparsity import _PebbleGame, pebble_check, pebble_games
 from .symcheck import check_tight, require_valid_action
 from .symgraph import (
     GroupElement,
@@ -605,16 +615,24 @@ class _State:
     the alive orbits with two loops per vertex or an edge inside.  Orbits,
     their representatives (smallest vertices) and sizes never change, so
     they are read once from ``start.action``.
+
+    ``kept[r]`` holds the candidate reductions of the free orbit r, as
+    ``_orbit_candidates`` gives them, for every orbit that has one;
+    ``order`` and ``cycle_order`` list, in increasing order, the orbits
+    with a candidate of another kind and with a cycle candidate.  A push
+    derives them again only for the orbits whose neighbours, loops or
+    dense flag it changes, or whose neighbours' it changes.
     """
 
-    def __init__(self, start: SymmetricGraph) -> None:
+    def __init__(
+        self, start: SymmetricGraph, games: tuple[_PebbleGame, _PebbleGame] | None = None
+    ) -> None:
         n, group = start.num_vertices, start.group
         self.start = start
         self.t = group.size
-        self.orbit = [tuple(vp[v] for vp, _ in start.action) for v in range(n)]
+        self.orbit = list(zip(*(vp for vp, _ in start.action)))
         self.rep = rep = [min(o) for o in self.orbit]
         self.size = Counter(rep)
-        self.free = [v for v in range(n) if rep[v] == v and self.size[v] == self.t]
         self.alive = [True] * n
         self.num_alive = n
         self.nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -627,20 +645,47 @@ class _State:
         ]
         self.loops_at: list[list[int]] = [[] for _ in range(n)]
         self.loops: dict[int, tuple[Loop, tuple[int, ...]]] = {}
+        perms = [getattr(start, f"{name}_loop_perm") for name, _, _ in self.gens]
         for k, l in enumerate(start.loops):
             self.loops_at[l.vertex].append(l.id)
-            images = tuple(getattr(start, f"{name}_loop_perm")[k] for name, _, _ in self.gens)
-            self.loops[l.id] = (l, images)
+            self.loops[l.id] = (l, tuple(perm[k] for perm in perms))
         self.dense = {rep[v] for v in range(n) if len(self.loops_at[v]) >= 2}
         self.dense |= {rep[a] for a, b in start.edges if rep[a] == rep[b]}
         self.steps: list[_Step] = []
+        self.kept: dict[int, tuple[list[tuple[bool, Candidate]], list[Candidate]]] = {}
+        self.order: list[int] = []
+        self.cycle_order: list[int] = []
+        self._refresh(self.size)
+        self.anchor: int | None = None  # a vertex of the core, once one is found
+        if games is not None:
+            self.games = games
 
     @cached_property
     def games(self) -> tuple[_PebbleGame, _PebbleGame]:
-        """The start's ``pebble_games``, built at the first push: reading
-        candidates, as ``enumerate_reductions`` does, needs none."""
+        """The start's ``pebble_games``, built at the first push unless
+        handed over: reading candidates, as ``enumerate_reductions`` does,
+        needs none."""
         start = self.start
         return pebble_games(start.num_vertices, start.edges, start.loop_vertices)
+
+    def _refresh(self, orbits: Iterable[int]) -> None:
+        """Derive the candidates of these orbits again (none for an orbit
+        that is deleted or not free)."""
+        for r in orbits:
+            regular, cycles = self.kept.pop(r, ((), ()))
+            if regular:
+                del self.order[bisect_left(self.order, r)]
+            if cycles:
+                del self.cycle_order[bisect_left(self.cycle_order, r)]
+            if not self.alive[r] or self.size[r] != self.t:
+                continue
+            regular, cycles = _orbit_candidates(self, r)
+            if regular:
+                insort(self.order, r)
+            if cycles:
+                insort(self.cycle_order, r)
+            if regular or cycles:
+                self.kept[r] = regular, cycles
 
     @cached_property
     def single_core(self) -> bool:
@@ -656,16 +701,19 @@ class _State:
         What a vertex reaches along the arcs is the least tight set holding
         it, so the least tight sets are the strongly connected components
         no arc leaves, and the core is single exactly when every vertex
-        reaches the orbit of one of them.  The last root of a search over
-        the reversed arcs lies in such a component; a second search, from
-        its orbit, must reach every vertex.
+        reaches the orbit of one of them.  When every vertex reaches the
+        orbit of the ``anchor``, what that orbit reaches lies in every
+        symmetric tight set, so the core is single; that takes one search
+        over the in-arcs.  Otherwise the last root of a search over the
+        in-arcs lies in such a component; a second search, from its
+        orbit, must reach every vertex, and its root becomes the anchor.
+        The (2,0) game keeps its in-arcs from the first check on.
         """
-        out = self.games[1].out
-        nodes = [u for u, kept in enumerate(self.alive) if kept and u not in deleted]
-        into: dict[int, list[int]] = {u: [] for u in nodes}
-        for u in nodes:
-            for w in out[u]:
-                into[w].append(u)
+        row_game = self.games[1]
+        if row_game.into is None:
+            row_game.keep_in_arcs()
+        into = row_game.into
+        count = self.num_alive - len(deleted)  # deleted vertices are alive
 
         def search(roots: Iterable[int], seen: set[int]) -> None:
             stack = [r for r in roots if r not in seen]
@@ -676,15 +724,24 @@ class _State:
                         seen.add(w)
                         stack.append(w)
 
-        seen: set[int] = set()
-        root = nodes[0]
-        for u in nodes:
-            if u not in seen:
+        anchor = self.anchor
+        if anchor is not None and self.alive[anchor] and anchor not in deleted:
+            seen: set[int] = set()
+            search(self.orbit[anchor], seen)
+            if len(seen) == count:
+                return True
+        seen = set()
+        root = -1
+        for u, kept in enumerate(self.alive):
+            if kept and u not in seen and u not in deleted:
                 root = u
                 search((u,), seen)
         seen = set()
         search(self.orbit[root], seen)
-        return len(seen) == len(nodes)
+        if len(seen) < count:
+            return False
+        self.anchor = root
+        return True
 
     def graph(self) -> SymmetricGraph:
         """The graph reached: kept vertices in order, loop ids kept."""
@@ -742,7 +799,9 @@ class _State:
         rows played so far leave the games and O's go back in, which they
         do, since G is independent.  An edge orbit of fewer than |group|
         members is refused unplayed: an element fixes one of its edges, and
-        it has fewer rows than O took.
+        it has fewer rows than O took.  A taken push derives the
+        candidates again of O's neighbour orbits, and of A's end orbits and
+        their neighbours.
         """
         v, _, kind, (x, *rest) = cand
         orbit, rep = self.orbit[v], self.rep
@@ -769,9 +828,11 @@ class _State:
                 self._play(row)
             return False
 
+        touched = {v}
         for u, w in rows:
             if w is not None:
                 self._join(u, w, -1)
+                touched.add(rep[w])
         del self.quotient[v]
         self.dense.discard(v)
         for u in orbit:
@@ -790,73 +851,178 @@ class _State:
                 self.loops_at[a].append(new_loop + k)
         if len(self.loops_at[x]) >= 2 or kind is OneEdgeSplit and rep[x] == rep[rest[0]]:
             self.dense.add(rep[x])
+        if added:  # an orbit next to A's ends has candidates only if it had
+            for end in {rep[x], rep[rest[0]]} if kind is OneEdgeSplit else {rep[x]}:
+                touched.update(r for r in self.quotient[end] if r in self.kept)
+        self._refresh(touched)
         move = _move(kind, [x, *rest], new_loop)
         self.steps.append(_Step(move, orbit, loop_ids))
         return True
 
 
-def _reduction_candidates(state: _State) -> Iterator[tuple[Key, Candidate]]:
-    """Structurally valid orbit deletions of the state's graph, in a fixed
-    order, unbuilt and in the start graph's vertex ids.
+def _orbit_candidates(
+    state: _State, v: int
+) -> tuple[list[tuple[bool, Candidate]], list[Candidate]]:
+    """The structurally valid deletions of the free orbit of v, unbuilt and
+    in the start graph's vertex ids, in a fixed order.
 
-    Offered are the free orbits whose neighbours all lie outside, then,
-    after all of them, the loopless free orbits whose vertices have three
-    neighbours, two inside the orbit: those are exactly the orbits an
-    extension can have created.  Each comes as ``((components, dense),
-    (v, loop, kind, ends))``: the key, read from the state, and
-    the arguments of ``_State.push`` and ``_reduce`` (``loop`` is a loop
-    id; a ``CycleEdge``'s ends are v's neighbour outside the orbit and the
-    index of the smaller element that sends v to a neighbour inside).
-    ``components`` counts the symmetric components of G - O + A, that is
-    of the orbit-quotient graph: one DFS over it (``_cut_pieces``) counts
-    them in G - O for every O, an edge orbit x1-x2 joins two exactly when
-    x1 and x2 lie apart, and a loop orbit joins none.  ``dense`` says
-    whether A makes an orbit dense that was not: a (2,1) split whose
-    loops give a vertex its second loop, or a (3,0) split whose edge orbit
-    lies inside one orbit.
+    An orbit whose neighbours all lie outside gives its candidates as
+    ``(dense, (v, loop, kind, ends))``: the arguments of ``_State.push`` and
+    ``_reduce`` (``loop`` is a loop id), and whether A makes an orbit dense
+    that was not: a (2,1) split whose loops give a vertex its second loop,
+    or a (3,0) split whose edge orbit lies inside one orbit.  A loopless
+    orbit whose vertices have three neighbours, two inside the orbit,
+    gives its ``CycleEdge`` candidate apart, as it comes after all the
+    others: its ends are v's neighbour outside the orbit and the index of
+    the smaller element that sends v to a neighbour inside.  Those are
+    exactly the orbits an extension can have created.
     """
     t, rep, nbrs, loops_at = state.t, state.rep, state.nbrs, state.loops_at
-    total, pieces, piece = _cut_pieces(state.quotient)
-    cycles = []
-    for v in state.free:
-        if not state.alive[v]:
-            continue
-        out = sorted(nbrs[v])
-        comps = total - 1 + pieces(v)
-        inside = [u for u in out if rep[u] == v]
-        if inside:
-            if len(out) == 3 and len(inside) == 2 and not loops_at[v]:
-                # the two are g v and g^-1 v for one g of order 3 or more,
-                # or else h v and h' v for two elements of order 2
-                steps = [state.orbit[v].index(u) for u in inside]
-                if state.orbit[inside[1]][steps[0]] == v:
-                    (x,) = set(out) - set(inside)
-                    cycles.append(((comps, False), (v, None, CycleEdge, (x, min(steps)))))
-            continue
-        profile = (len(out), len(loops_at[v]))
+    out = sorted(nbrs[v])
+    inside = [u for u in out if rep[u] == v]
+    if inside:
+        if len(out) == 3 and len(inside) == 2 and not loops_at[v]:
+            # the two are g v and g^-1 v for one g of order 3 or more, or
+            # else h v and h' v for two elements of order 2
+            steps = [state.orbit[v].index(u) for u in inside]
+            if state.orbit[inside[1]][steps[0]] == v:
+                (x,) = set(out) - set(inside)
+                return [], [(v, None, CycleEdge, (x, min(steps)))]
+        return [], []
+    profile = (len(out), len(loops_at[v]))
+    if profile == (2, 0):
+        return [(False, (v, None, Zero2Edges, tuple(out)))], []
+    if profile == (1, 1):
+        return [(False, (v, loops_at[v][0], ZeroEdgeLoop, tuple(out)))], []
+    found = []
+    if profile == (3, 0):
+        for i in range(3):
+            for j in range(i + 1, 3):
+                x1, x2 = out[i], out[j]
+                if x2 in nbrs[x1]:
+                    continue
+                inner = rep[x1] == rep[x2] and rep[x1] not in state.dense
+                found.append((inner, (v, None, OneEdgeSplit, (x1, x2, out[3 - i - j]))))
+    elif profile == (2, 1):
+        loop = loops_at[v][0]
+        for x, y in ((out[0], out[1]), (out[1], out[0])):
+            # the t new loops spread evenly over x's orbit
+            looped = len(loops_at[x]) + t // state.size[rep[x]] >= 2
+            found.append((looped and rep[x] not in state.dense, (v, loop, OneLoopSplit, (x, y))))
+    return found, []
 
-        if profile == (2, 0):
-            yield (comps, False), (v, None, Zero2Edges, tuple(out))
-        elif profile == (1, 1):
-            yield (comps, False), (v, loops_at[v][0], ZeroEdgeLoop, tuple(out))
-        elif profile == (3, 0):
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    x1, x2 = out[i], out[j]
-                    if x2 in nbrs[x1]:
-                        continue
-                    z = out[3 - i - j]
-                    joined = piece(v, rep[x1]) != piece(v, rep[x2])
-                    inner = rep[x1] == rep[x2] and rep[x1] not in state.dense
-                    yield (comps - joined, inner), (v, None, OneEdgeSplit, (x1, x2, z))
-        elif profile == (2, 1):
-            loop = loops_at[v][0]
-            for x, y in ((out[0], out[1]), (out[1], out[0])):
-                # the t new loops spread evenly over x's orbit
-                looped = len(loops_at[x]) + t // state.size[rep[x]] >= 2
-                new = looped and rep[x] not in state.dense
-                yield (comps, new), (v, loop, OneLoopSplit, (x, y))
-    yield from cycles
+
+def _components(
+    total: int, pieces: int, piece: Callable[[int], int], cand: Candidate, rep: list[int]
+) -> int:
+    """The symmetric components of G - O + A, for a candidate that deletes
+    O, from the ``total`` of G and the ``pieces`` that O's component falls
+    into without O, ``piece(r)`` labelling the one that O's neighbour orbit
+    r lies in: an edge orbit x1-x2 joins two of them exactly when x1 and
+    x2 lie apart, and a loop orbit joins none."""
+    _, _, kind, ends = cand
+    comps = total - 1 + pieces
+    if kind is OneEdgeSplit:
+        comps -= piece(rep[ends[0]]) != piece(rep[ends[1]])
+    return comps
+
+
+def _reduction_candidates(state: _State) -> Iterator[tuple[Key, Candidate]]:
+    """Every candidate of the state's graph with its key, in scan order: the
+    kept candidates (``_orbit_candidates``) of the orbits in increasing
+    order, then the cycle candidates likewise.
+
+    Each comes as ``((components, dense), candidate)``; ``components``
+    counts the symmetric components of G - O + A, that is of the
+    orbit-quotient graph: one DFS over it (``_cut_pieces``) counts them in
+    G - O for every O.  On a fresh ``_State`` this is the full scan from
+    scratch.
+    """
+    total, pieces, piece = _cut_pieces(state.quotient)
+    for v in state.order:
+        count, label = pieces(v), lambda r, v=v: piece(v, r)
+        for new, cand in state.kept[v][0]:
+            yield (_components(total, count, label, cand, state.rep), new), cand
+    for v in state.cycle_order:
+        for cand in state.kept[v][1]:
+            yield (total - 1 + pieces(v), False), cand
+
+
+def _apart(quotient: dict[int, Collection[int]], v: int) -> dict[int, int]:
+    """The piece of the quotient less v that each neighbour of v lies in,
+    labelled by one of the neighbours.
+
+    One search per neighbour, in lockstep: each in turn expands one node.
+    Two that meet go on as one; one that runs out has searched its whole
+    piece.  It stops as soon as at most one search still runs, so its cost
+    is set by where the searches meet, or by all the pieces but the
+    largest, not by the graph.
+    """
+    label = {r: r for r in quotient[v]}
+    if len(label) < 2:
+        return label
+    owner = dict(label)  # node -> the neighbour whose search reached it
+    owner[v] = v
+    todo = {r: deque((r,)) for r in label}  # the running searches, by label
+    while len(todo) > 1:
+        for r in list(todo):
+            queue = todo.get(r)
+            if queue is None:  # merged this round
+                continue
+            if not queue:
+                del todo[r]
+                continue
+            for y in quotient[queue.popleft()]:
+                s = owner.get(y)
+                if s is None:
+                    owner[y] = r
+                    queue.append(y)
+                elif s != v and label[s] != r:  # a running search: merge
+                    other = label[s]
+                    queue.extend(todo.pop(other))
+                    for u, l in label.items():
+                        if l == other:
+                            label[u] = r
+    return label
+
+
+def _in_key_order(state: _State, comps: int) -> Iterator[tuple[Key, Candidate]]:
+    """The state's candidates in the order ``sorted`` gives
+    ``_reduction_candidates``, by key and then scan order, with keys worked
+    out only as far as needed; ``comps`` counts the graph's symmetric
+    components.
+
+    No key is less than ``(comps, False)``: every candidate's orbit has a
+    neighbour outside it, so deleting the orbit leaves its component in one
+    piece or more, and an edge orbit joins two only where it left two or
+    more.  The
+    candidates with that key come first, in scan order: a candidate has it
+    when it makes no orbit dense and leaves ``comps`` components, counted
+    from the pieces ``_apart`` finds around its orbit.  Only when the walk
+    takes none of them are all the keys counted, and the rest sorted.
+    """
+    least = (comps, False)
+    rep = state.rep
+
+    def minimal(v: int, cands: Iterable[tuple[bool, Candidate]]) -> Iterator[Candidate]:
+        label = None
+        for new, cand in cands:
+            if new:
+                continue
+            if label is None:
+                label = _apart(state.quotient, v)
+            if _components(comps, len(set(label.values())), label.__getitem__, cand, rep) == comps:
+                yield cand
+
+    # a taken push edits the orders, but the walk then asks for no more
+    for v in state.order:
+        for cand in minimal(v, state.kept[v][0]):
+            yield least, cand
+    for v in state.cycle_order:
+        for cand in minimal(v, ((False, c) for c in state.kept[v][1])):
+            yield least, cand
+    rest = [item for item in _reduction_candidates(state) if item[0] != least]
+    yield from sorted(rest, key=itemgetter(0))
 
 
 def enumerate_reductions(
@@ -944,20 +1110,24 @@ def replay(trace: ComponentTrace) -> SymmetricGraph:
 Path = tuple[tuple[_Step, ...], tuple[str, ...], SymmetricGraph]
 
 
-def _walk(start: SymmetricGraph) -> Path:
+def _walk(
+    start: SymmetricGraph, games: tuple[_PebbleGame, _PebbleGame] | None = None
+) -> Path:
     """Greedy reduction path from ``start``, one symmetric component of a
-    tight graph, down to a union of base graphs.
+    tight graph, down to a union of base graphs; ``games`` are its pebble
+    games when the caller has them.
 
     At each graph it takes the first tight reduction in key order that
     keeps a single core, decided by ``_State.push``, and never undoes one;
     when none keeps it, the walk gives the condition up and takes the first
-    tight one.  A graph is built only for ``base_union_labels``, on at most
+    tight one.  The candidates come in key order from ``_in_key_order``.
+    A graph is built only for ``base_union_labels``, on at most
     ``components * |group|`` vertices, and for a dead end: a graph that is
     not a union of bases and has no tight reduction raises
     ``ReductionDeadEnd`` carrying it.
     """
     t = start.group.size
-    state = _State(start)
+    state = _State(start, games)
     comps = len(symmetric_components(start))
     while True:
         # a union of bases has at most |group| vertices per piece
@@ -966,7 +1136,7 @@ def _walk(start: SymmetricGraph) -> Path:
             labels = base_union_labels(base)
             if labels is not None:
                 return tuple(state.steps), labels, base
-        for key, cand in sorted(_reduction_candidates(state), key=itemgetter(0)):
+        for key, cand in _in_key_order(state, comps):
             if state.push(cand):
                 comps = key[0]
                 break
@@ -988,8 +1158,10 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     """Reduce every symmetric component to a base graph and certify replay.
 
     The input is checked once, by ``check_tight`` with the given sparsity
-    ``method``; the greedy walk (``_walk``) decides each reduction in its
-    pebble games.  Each trace is replayed forward, in place, and built
+    ``method``, and its pebble game is played once: each component's walk
+    (``_walk``) starts from the games ``pebble_check`` finished with,
+    restricted to the component, and decides each reduction in them.  Each
+    trace is replayed forward, in place, and built
     once: the base and the result pass ``validate_action``, and the
     result, relabeled through the embedding, must reproduce the component
     exactly.  Raises NotTightError on non-tight input and
@@ -997,12 +1169,19 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     reaches a graph that is not a union of base graphs and has no
     tightness-preserving reduction.
     """
-    if not check_tight(graph, method).tight:
+    report = check_tight(graph, method)
+    if not report.tight:
         raise NotTightError("decompose needs a tight graph")
+    game = report.sparsity.game
+    if game is None:  # the subset audit plays none
+        game = pebble_check(graph.num_vertices, graph.edges, graph.loop_vertices).game
+    comps = symmetric_components(graph)
+    subs = [induced_subgraph(graph, comp) for comp in comps]  # vertex i of sub is comp[i]
+    games = [game.games([vmap.get(u) for u in range(graph.num_vertices)]) for _, vmap in subs]
+    del report, game  # each walk goes on from, and frees, its component's copy
     traces = []
-    for comp in symmetric_components(graph):
-        sub, _ = induced_subgraph(graph, comp)  # vertex i of sub is comp[i]
-        steps, labels, base = _walk(sub)
+    for comp, (sub, _) in zip(comps, subs):
+        steps, labels, base = _walk(sub, games.pop(0))
 
         # replay forward: sigma maps each replayed vertex to sub's, pos
         # inverts it, and ids maps each loop id of the current step to the

@@ -16,9 +16,11 @@ its reachable set already spans twice its size.  A rejected row's
 reachable set is the least tight set the row closes, whatever the
 orientation, and is the witness.  Equivalence of the two deciders is
 asserted empirically by the test suite rather than assumed.
-``pebble_games`` keeps the game's two states for rows added later;
-``_PebbleGame.restrict`` deletes vertices from a state, and
-``_PebbleGame.delete`` deletes one row in place, both without a search.
+``pebble_check``'s report keeps its finished game, from which
+``_PebbleGame.games`` gives the two states that decide rows added later,
+as ``pebble_games`` does; ``_PebbleGame.restrict`` deletes vertices from a
+state, and ``_PebbleGame.delete`` deletes one row in place, both without a
+search.
 
 Graphs are passed structurally: a vertex count, edge pairs, and a sequence
 of loop vertices (one entry per loop).
@@ -26,7 +28,7 @@ of loop vertices (one entry per loop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -79,6 +81,9 @@ class SparsityReport:
     num_edges: int
     num_loops: int
     witness: Witness | None = None
+    # pebble_check's finished game, when the rows are sparse: the state
+    # that decides rows added later (see ``_PebbleGame.games``)
+    game: _PebbleGame | None = field(default=None, repr=False, compare=False)
 
     @property
     def sparse(self) -> bool:
@@ -161,18 +166,28 @@ class _PebbleGame:
     its vertex and needs no arc.  Every vertex holds 2 minus its out-degree
     minus its loops.  Deleting vertices keeps that balance and keeps the
     rows sparse, so ``restrict`` gives a state the game can go on from.
+    After ``keep_in_arcs``, ``into[w]`` holds the tails of the arcs into w,
+    kept up to date by every later move of the game.
     """
 
     def __init__(self, n: int) -> None:
         self.pebbles = [2] * n
         self.out: list[set[int]] = [set() for _ in range(n)]
+        self.into: list[set[int]] | None = None
+
+    def keep_in_arcs(self) -> None:
+        """Store the in-arcs from now on (``into``), read off the out-arcs."""
+        self.into = [set() for _ in self.out]
+        for u, heads in enumerate(self.out):
+            for w in heads:
+                self.into[w].add(u)
 
     def restrict(self, vmap: Sequence[int | None]) -> "_PebbleGame":
         """The game on the vertices that ``vmap`` keeps, renumbered by it.
 
         ``vmap[u]`` is u's new number, or None when u is deleted.  Rows at a
         deleted vertex go with it, and an arc into one returns its pebble
-        to its tail; no search is needed.
+        to its tail; no search is needed.  The copy stores no in-arcs.
         """
         game = _PebbleGame(sum(1 for w in vmap if w is not None))
         for u, new in enumerate(vmap):
@@ -184,6 +199,21 @@ class _PebbleGame:
             game.pebbles[new] = self.pebbles[u] + len(self.out[u]) - len(heads)
         return game
 
+    def games(self, vmap: Sequence[int | None]) -> tuple["_PebbleGame", "_PebbleGame"]:
+        """The two games of ``pebble_games`` on the vertices ``vmap`` keeps,
+        from this finished game of all rows of a sparse graph.
+
+        The (2,0) game is ``restrict(vmap)``.  The (2,3) game has the same
+        arcs and 2 minus its out-degree pebbles at every vertex, as if the
+        loops had not been played: every orientation of sparse rows with
+        that balance is a state the game can go on from.
+        """
+        row_game = self.restrict(vmap)
+        edge_game = _PebbleGame(len(row_game.out))
+        edge_game.out = [set(heads) for heads in row_game.out]
+        edge_game.pebbles = [2 - len(heads) for heads in row_game.out]
+        return edge_game, row_game
+
     def delete(self, u: int, v: int | None = None) -> None:
         """Delete the edge u-v, or one loop at u when v is None, in place:
         its pebble returns to the vertex that spent it.
@@ -192,11 +222,12 @@ class _PebbleGame:
         loops pebbles per vertex is a state the game can go on from, so a
         deleted row can later be inserted again with one pebble.
         """
-        if v is not None and v in self.out[u]:
+        if v is not None and v not in self.out[u]:
+            u, v = v, u
+        if v is not None:
             self.out[u].remove(v)
-        elif v is not None:
-            self.out[v].remove(u)
-            u = v
+            if self.into is not None:
+                self.into[v].remove(u)
         self.pebbles[u] += 1
 
     def _find_pebble(self, root: int, forbidden: set[int]) -> bool:
@@ -211,11 +242,15 @@ class _PebbleGame:
                     continue
                 prev[y] = x
                 if self.pebbles[y] > 0 and y not in forbidden:
+                    into = self.into
                     cur = y
                     while prev[cur] is not None:
                         p = prev[cur]
                         self.out[p].remove(cur)
                         self.out[cur].add(p)
+                        if into is not None:
+                            into[cur].remove(p)
+                            into[p].add(cur)
                         cur = p
                     self.pebbles[y] -= 1
                     self.pebbles[root] += 1
@@ -244,6 +279,8 @@ class _PebbleGame:
         tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
         self.pebbles[tail] -= 1
         self.out[tail].add(head)
+        if self.into is not None:
+            self.into[head].add(tail)
         return True
 
     def insert_loop(self, v: int) -> bool:
@@ -265,7 +302,10 @@ def pebble_check(
     edges: Iterable[Sequence[int]],
     loops: Iterable[int],
 ) -> SparsityReport:
-    """Polynomial sparsity decision; witness from the final reachable set."""
+    """Polynomial sparsity decision; witness from the final reachable set.
+
+    A sparse graph's report keeps the finished game (``game``).
+    """
     edges, loops = _normalize(num_vertices, edges, loops)
     n = num_vertices
     game = _PebbleGame(n)
@@ -281,7 +321,8 @@ def pebble_check(
             ie, il = _induced_counts(edges, loops, verts)
             witness = Witness(tuple(sorted(verts)), ie + il, ie, "rows")
             return SparsityReport("not-sparse", "pebble", n, len(edges), len(loops), witness)
-    return SparsityReport(_verdict(n, len(edges), len(loops)), "pebble", n, len(edges), len(loops))
+    verdict = _verdict(n, len(edges), len(loops))
+    return SparsityReport(verdict, "pebble", n, len(edges), len(loops), game=game)
 
 
 def pebble_games(
@@ -291,21 +332,17 @@ def pebble_games(
 ) -> tuple[_PebbleGame, _PebbleGame]:
     """The two pebble states of a sparse graph, to decide rows added later.
 
-    The first is the (2,3) game on the simple edges, the state
-    ``pebble_check`` reaches after its edge pass; the second is the (2,0)
-    game on all rows, its final state.  A simple edge is independent of a
-    sparse graph exactly when ``insert_edge`` accepts it in both (with 4
-    and 1 pebbles), a loop exactly when ``insert_loop`` accepts it in the
+    The first is the (2,3) game on the simple edges, the second the (2,0)
+    game on all rows, both from ``pebble_check``'s one game (see
+    ``_PebbleGame.games``).  A simple edge is independent of a sparse graph
+    exactly when ``insert_edge`` accepts it in both (with 4 and 1
+    pebbles), a loop exactly when ``insert_loop`` accepts it in the
     second.  Raises ``RangeError`` when the graph is not sparse.
     """
-    edges, loops = _normalize(num_vertices, edges, loops)
-    edge_game = _PebbleGame(num_vertices)
-    if not all(edge_game.insert_edge(u, v) for u, v in edges):
-        raise RangeError("the simple edges are not (2,3)-sparse")
-    row_game = edge_game.restrict(range(num_vertices))
-    if not all(row_game.insert_loop(v) for v in loops):
-        raise RangeError("the rows are not (2,0)-sparse")
-    return edge_game, row_game
+    report = pebble_check(num_vertices, edges, loops)
+    if report.game is None:
+        raise RangeError(f"the rows are not sparse: {report.witness}")
+    return report.game.games(range(num_vertices))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from slcrigid import (
     symmetric_components,
     verify_decomposition,
 )
-from slcrigid import document, henneberg, symcheck
+from slcrigid import document, henneberg, sparsity, symcheck
 from slcrigid.sparsity import pebble_games
 from slcrigid.symgraph import Loop, _union_find, induced_subgraph, orbits, relabel
 
@@ -391,11 +391,11 @@ def _counts(g):
     return len(symmetric_components(g)), _dense_count(g)
 
 
-def _key(g, red):
-    """The walk's key for a reduction of g, counted from scratch: the
-    symmetric components of the reduced graph, and whether it has more
-    dense orbits than g."""
-    return len(symmetric_components(red.graph)), _dense_count(red.graph) > _dense_count(g)
+def _key(dense, red):
+    """The walk's key for a reduction, counted from scratch: the symmetric
+    components of the reduced graph, and whether it has more dense orbits
+    than ``dense``, those of the graph it reduces."""
+    return len(symmetric_components(red.graph)), _dense_count(red.graph) > dense
 
 
 def _single_core(g):
@@ -475,18 +475,20 @@ def _as_path(start, reductions, labels):
 def _reference_list(g, method="pebble"):
     """Every candidate built and checked from scratch, stable-sorted by its
     key, counted from scratch, as the walk orders them."""
-    return sorted(enumerate_reductions(g, method), key=lambda r: _key(g, r))
+    dense = _dense_count(g)
+    return sorted(enumerate_reductions(g, method), key=lambda r: _key(dense, r))
 
 
-def _eager_walk(start, method="pebble"):
+def _eager_walk(start, games=None):
     """Reference for ``henneberg._walk``, greedy try-and-check: at each graph
     every reduction is built and checked from scratch, the tight ones are
     sorted by their key, and the first whose graph has a single core, both
     counted from scratch, is taken, while the start has one and some
-    reduction keeps it; else the first, until a union of bases remains."""
+    reduction keeps it; else the first, until a union of bases remains.
+    The walk's pebble ``games`` go unused."""
     g, path, single = start, [], _single_core(start)
     while (labels := base_union_labels(g)) is None:
-        reds = _reference_list(g, method)
+        reds = _reference_list(g)
         if single:
             kept = [r for r in reds if _single_core(r.graph)]
             single = bool(kept)
@@ -567,9 +569,12 @@ def _search_list(g, state=None):
     the tight reductions among its candidates, in key order, each as the
     ``Reduction`` of g that ``_reduce`` would build.  ``state`` holds g in
     g's own vertex ids (a fresh one by default); a refused candidate must
-    leave it holding g, and after a taken one a fresh state goes on."""
+    leave it holding g, and after a taken one a fresh state goes on, with a
+    copy of g's pebble games rather than games played again."""
     state = henneberg._State(g) if state is None else state
     state.single_core = False
+    everyone = range(g.num_vertices)
+    games = [game.restrict(everyone) for game in state.games]  # before any push
     found = []
     for _, cand in sorted(henneberg._reduction_candidates(state), key=itemgetter(0)):
         if not state.push(cand):
@@ -580,7 +585,7 @@ def _search_list(g, state=None):
         move = henneberg._translate_move(move, child, {i: i for i in state.loops})
         vertex_map = tuple(child.get(u) for u in range(g.num_vertices))
         found.append(henneberg.Reduction(move, state.graph(), orbit, loops, vertex_map))
-        state = henneberg._State(g)
+        state = henneberg._State(g, tuple(game.restrict(everyone) for game in games))
         state.single_core = False
     return found
 
@@ -835,9 +840,144 @@ def test_cut_pieces_match_deleting_each_node():
         for r in nodes:
             comps, root_of = _components_without(adj, r)
             assert total - 1 + pieces(r) == comps, (adj, r)
+            # the lockstep searches from r's neighbours label them alike
+            label = henneberg._apart(adj, r)
+            assert set(label) == adj[r]
             for a in adj[r]:
                 for b in adj[r]:
                     assert (piece(r, a) == piece(r, b)) == (root_of[a] == root_of[b])
+                    assert (label[a] == label[b]) == (root_of[a] == root_of[b]), (adj, r)
+
+
+# -- one walk level, decided locally -----------------------------------------
+
+
+def _two_bases_grown():
+    """``pinned3`` and ``lc3`` side by side, each grown by one move: a
+    tight graph of two symmetric components."""
+    apart = _turned(3, 6, ((3, 4), (3, 5), (4, 5)), (0, 1, 2, 0, 1, 2, 3, 4, 5))
+    return apply_extension(apply_extension(apart, ZeroEdgeLoop(0)), Zero2Edges(3, 4))
+
+
+def test_decompose_plays_the_input_pebble_game_once(monkeypatch):
+    # check_tight's pebble_check is the one game played: each component's
+    # walk starts from that finished game, restricted to the component;
+    # the subset audit plays none, so the walk's game is played once then
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for module in (sparsity, symcheck, henneberg):
+        for name in ("pebble_check", "pebble_games", "subset_audit"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    graphs = [generate_random(*case).graph for case in DECOMPOSE_MID]
+    graphs += [_two_bases_grown(), _splits()]
+    for g in graphs:
+        for method in ("pebble", "subset"):
+            if method == "subset" and g.num_vertices > 24:
+                continue
+            calls.clear()
+            dec = decompose(g, method)
+            played = calls["pebble_check"], calls["pebble_games"], calls["subset_audit"]
+            assert played == (1, 0, int(method == "subset")), (method, calls)
+            assert verify_decomposition(g, dec)
+    assert len(decompose(_two_bases_grown()).components) == 2
+
+
+def _fresh_candidates(state):
+    """``_reduction_candidates`` of a fresh state on the graph that
+    ``state`` holds, in ``state``'s vertex ids."""
+    kept = _kept(state)
+    found = []
+    for key, (v, loop, kind, ends) in henneberg._reduction_candidates(
+        henneberg._State(state.graph())
+    ):
+        ends = (kept[ends[0]], ends[1]) if kind is CycleEdge else tuple(kept[u] for u in ends)
+        found.append((key, (kept[v], loop, kind, ends)))
+    return found
+
+
+def test_each_level_is_decided_as_the_full_scan_and_sort_decide(monkeypatch):
+    # at every level of the walk the kept candidates are a fresh scan's,
+    # and the lazy order is the full sort's as far as the walk reads it, so
+    # the walk takes the candidate the full sort would; levels where no
+    # candidate of the least key is taken are among them
+    lazy = henneberg._in_key_order
+    levels = Counter()
+
+    def checked(state, comps):
+        scan = list(henneberg._reduction_candidates(state))
+        assert scan == _fresh_candidates(state), state.steps
+        assert comps == len(symmetric_components(state.graph()))
+        expected = sorted(scan, key=itemgetter(0))
+        levels["all"] += 1
+        read, past = 0, False
+        for item in lazy(state, comps):
+            assert item == expected[read], (state.steps, read)
+            if item[0] != (comps, False) and not past:
+                levels["past the least key"] += 1
+                past = True
+            read += 1
+            yield item
+        assert read == len(expected)
+
+    monkeypatch.setattr(henneberg, "_in_key_order", checked)
+    graphs = [
+        generate_random(name, steps, seed).graph
+        for name in ["c1", "c2", "c3", "c4", "c5", "c6"]
+        for steps in (9, 30)
+        for seed in range(4)
+    ]
+    graphs += [_splits(), _stuck(), _ring_with_extensions(), ring_with_spokes(5)]
+    for g in graphs:
+        decompose(g)
+    assert levels["all"] > 500 and levels["past the least key"] > 10, levels
+
+
+def _in_arcs(game):
+    """The (2,0) game's in-arcs, from its out-arcs."""
+    into = [set() for _ in game.out]
+    for u, heads in enumerate(game.out):
+        for w in heads:
+            into[w].add(u)
+    return into
+
+
+def test_in_arcs_and_the_single_core_stay_right_after_every_push(monkeypatch):
+    # after every taken and every refused push the row game's in-arcs,
+    # once kept, are its out-arcs reversed, and the state, by its anchor or by
+    # both searches, decides the single core as the from-scratch reach
+    # sets do
+    push = henneberg._State.push
+    seen = Counter()
+
+    def pushing(state, cand):
+        taken = push(state, cand)
+        into = state.games[1].into  # kept from the first single-core check on
+        assert into is None or into == _in_arcs(state.games[1]), (cand, taken)
+        single = _single_core(state.graph())
+        assert state._single_core(()) == single, (cand, taken)
+        seen[taken, single] += 1
+        return taken
+
+    monkeypatch.setattr(henneberg._State, "push", pushing)
+    graphs = [
+        generate_random(name, steps, seed).graph
+        for name in ["c1", "c2", "c3", "c4", "c5"]
+        for steps in (9, 20)
+        for seed in range(3)
+    ]
+    graphs += [_splits(), _split_apart_dense_orbits(), _stuck(), _ring_with_extensions()]
+    graphs.append(_grown_with_cycle_moves("c4", 20, 94)[0])  # gives the core up
+    for g in graphs:
+        decompose(g)
+    assert seen[True, True] > 300 and seen[False, True] > 10 and seen[True, False], seen
 
 
 # outputs pinned when candidates were first ordered by permanent orbits as
@@ -920,9 +1060,9 @@ def test_decompose_replays_a_trace_building_two_graphs(monkeypatch):
         builds = None if builds is None else builds + 1
         post_init(self)
 
-    def walking(start):
+    def walking(start, games):
         nonlocal builds
-        path = walk(start)
+        path = walk(start, games)
         builds = 0  # the replay starts here
         return path
 
@@ -1101,10 +1241,10 @@ def test_carried_counts_equal_counts_from_scratch(monkeypatch):
     # component count down; here both are recounted on the graphs before
     # and after every reduction it takes
     keys, taken = {}, 0
-    candidates, push = henneberg._reduction_candidates, henneberg._State.push
+    candidates, push = henneberg._in_key_order, henneberg._State.push
 
-    def reading(state):
-        for key, cand in candidates(state):
+    def reading(state, comps):
+        for key, cand in candidates(state, comps):
             keys[cand] = key
             yield key, cand
 
@@ -1119,7 +1259,7 @@ def test_carried_counts_equal_counts_from_scratch(monkeypatch):
         assert (comps, after) == _counts(state.graph()), state.steps[-1]
         return True
 
-    monkeypatch.setattr(henneberg, "_reduction_candidates", reading)
+    monkeypatch.setattr(henneberg, "_in_key_order", reading)
     monkeypatch.setattr(henneberg._State, "push", pushing)
     graphs = [
         generate_random(name, steps, seed).graph
@@ -1206,11 +1346,11 @@ def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
     decided, reached = [], 0
     chain = []  # chain[d]: the graph after d steps of the path, its start ids
     walk, push = henneberg._walk, henneberg._State.push
-    candidates = henneberg._reduction_candidates
+    candidates = henneberg._in_key_order
 
-    def walking(start):
+    def walking(start, games):
         chain[:] = [(start, list(range(start.num_vertices)))]
-        return walk(start)
+        return walk(start, games)
 
     def pushing(state, cand):
         decided.append(cand)
@@ -1225,17 +1365,17 @@ def test_the_state_holds_the_graphs_the_reduce_chain_builds(monkeypatch):
         chain[depth + 1 :] = [(red.graph, [u for u, i in zip(keep, red.vertex_map) if i is not None])]
         return True
 
-    def reaching(state):
+    def reaching(state, comps):
         nonlocal reached
         reached += 1
         g = state.graph()
         assert g == chain[len(state.steps)][0], state.steps
         symcheck.require_valid_action(g)
-        return candidates(state)
+        return candidates(state, comps)
 
     monkeypatch.setattr(henneberg, "_walk", walking)
     monkeypatch.setattr(henneberg._State, "push", pushing)
-    monkeypatch.setattr(henneberg, "_reduction_candidates", reaching)
+    monkeypatch.setattr(henneberg, "_in_key_order", reaching)
     counts = []
     for case in DECOMPOSE_MID:
         decided.clear()
