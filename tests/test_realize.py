@@ -751,6 +751,48 @@ def test_integer_samples_are_unchanged():
         assert hashlib.sha256(repr((fw.p, fw.q)).encode()).hexdigest()[:16] == digest
 
 
+def _placement_digest(graph, **kwargs) -> str:
+    fw = sample_symmetric_placement(graph, **kwargs)
+    return hashlib.sha256(repr((fw.p, fw.q)).encode()).hexdigest()[:16]
+
+
+def test_residue_samples_are_unchanged():
+    # the seed-2 residue frameworks as the per-vertex sampler drew them:
+    # rotation-fixed vertices (c2, c4), mirror-fixed vertices and loops
+    # (mirror_pair, mirror_fixed_vertex) and a verdict-large size (c5 40/0)
+    pinned = {
+        "c1": "d82b30346c002352",
+        "c2": "2137eccf112bf0dd",
+        "c3": "e3f62ca5fbeb869e",
+        "c4": "34f58c84ae46de7d",
+        "c5": "c3495f2c5e862b59",
+        "c6": "abe14f450528f3fa",
+    }
+    for group, digest in pinned.items():
+        graph = generate_random(group, steps=12, seed=0).graph
+        assert _placement_digest(graph, seed=2, modular=True) == digest, group
+    for graph, digest in (
+        (mirror_pair(), "b57f783cc2604f0c"),
+        (mirror_fixed_vertex(), "40cfaba9cfce85f3"),
+        (generate_random("c5", steps=40, seed=0).graph, "d99af9384154cb07"),
+    ):
+        assert _placement_digest(graph, seed=2, modular=True) == digest
+
+
+def test_float_and_resampled_samples_are_unchanged():
+    # float coordinates: c3, and d3 with mirror-fixed vertices and loops
+    c3 = generate_random("c3", steps=12, seed=0).graph
+    assert _placement_digest(c3, seed=2) == "d7aa3fc7ca958d21"
+    assert _placement_digest(d3_flower(), seed=2) == "38ca9a894b636932"
+    # at scale 2 four orbit draws collide and are drawn again
+    c2 = generate_random("c2", steps=5, seed=0).graph
+    assert _placement_digest(c2, seed=0, scale=2) == "879398a727ef3dfb"
+    # ... and here one orbit collides on every one of its draws
+    c4 = generate_random("c4", steps=5, seed=0).graph
+    with pytest.raises(DegenerateInputError, match="orbit of vertex 16"):
+        sample_symmetric_placement(c4, seed=0, scale=2)
+
+
 @pytest.mark.parametrize(
     "group, steps, seed",
     [("c2", 250, 2), ("c2", 150, 2), ("c5", 120, 0), ("c4", 100, 0)],
