@@ -54,49 +54,54 @@ def dumps(obj: Any) -> str:
 
 
 # -- low-level strict readers ------------------------------------------------
+#
+# A reader names the value it reads by ``what.format(*at)``, formatted only
+# for the error: ``_expect_int(x, "edges[{}][0]", i)``.
 
 
-def _expect_obj(x, what: str) -> dict:
+def _expect_obj(x, what: str, *at) -> dict:
     if not isinstance(x, dict):
-        raise SchemaError(f"{what} must be an object")
+        raise SchemaError(f"{what.format(*at)} must be an object")
     return x
 
 
-def _expect_list(x, what: str) -> list:
+def _expect_list(x, what: str, *at) -> list:
     if not isinstance(x, list):
-        raise SchemaError(f"{what} must be an array")
+        raise SchemaError(f"{what.format(*at)} must be an array")
     return x
 
 
-def _expect_int(x, what: str) -> int:
+def _expect_int(x, what: str, *at) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise SchemaError(f"{what} must be an integer")
+        raise SchemaError(f"{what.format(*at)} must be an integer")
     return x
 
 
-def _expect_num(x, what: str):
+def _expect_num(x, what: str, *at):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(f"{what} must be a number")
+        raise SchemaError(f"{what.format(*at)} must be a number")
     return x
 
 
-def _expect_str(x, what: str) -> str:
+def _expect_str(x, what: str, *at) -> str:
     if not isinstance(x, str):
-        raise SchemaError(f"{what} must be a string")
+        raise SchemaError(f"{what.format(*at)} must be a string")
     return x
 
 
-def _check_keys(d: dict, allowed: set[str], what: str) -> None:
+def _check_keys(d: dict, allowed: set[str], what: str, *at) -> None:
     unknown = set(d) - allowed
     if unknown:
-        raise SchemaError(f"{what} has unknown keys: {', '.join(sorted(unknown))}")
+        raise SchemaError(
+            f"{what.format(*at)} has unknown keys: {', '.join(sorted(unknown))}"
+        )
 
 
-def _pair(x, what: str) -> tuple:
-    lst = _expect_list(x, what)
+def _pair(x, what: str, *at) -> tuple:
+    lst = _expect_list(x, what, *at)
     if len(lst) != 2:
-        raise SchemaError(f"{what} must be a pair")
-    return (_expect_num(lst[0], what), _expect_num(lst[1], what))
+        raise SchemaError(f"{what.format(*at)} must be a pair")
+    return (_expect_num(lst[0], what, *at), _expect_num(lst[1], what, *at))
 
 
 def _int_key_map(x, what: str) -> dict[int, int]:
@@ -107,7 +112,7 @@ def _int_key_map(x, what: str) -> dict[int, int]:
             ik = int(k)
         except ValueError:
             raise SchemaError(f"{what} keys must be integer loop ids") from None
-        out[ik] = _expect_int(v, f"{what}[{k}]")
+        out[ik] = _expect_int(v, "{}[{}]", what, k)
     return out
 
 
@@ -202,24 +207,24 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
 
     edges = []
     for i, e in enumerate(_expect_list(doc.get("edges", []), "edges")):
-        pair = _expect_list(e, f"edges[{i}]")
+        pair = _expect_list(e, "edges[{}]", i)
         if len(pair) != 2:
             raise SchemaError(f"edges[{i}] must be a pair of vertices")
-        edges.append((_expect_int(pair[0], f"edges[{i}][0]"), _expect_int(pair[1], f"edges[{i}][1]")))
+        edges.append((_expect_int(pair[0], "edges[{}][0]", i), _expect_int(pair[1], "edges[{}][1]", i)))
 
     loops = []
     for i, raw in enumerate(_expect_list(doc.get("loops", []), "loops")):
-        obj = _expect_obj(raw, f"loops[{i}]")
-        _check_keys(obj, {"id", "vertex", "sigma_label"}, f"loops[{i}]")
+        obj = _expect_obj(raw, "loops[{}]", i)
+        _check_keys(obj, {"id", "vertex", "sigma_label"}, "loops[{}]", i)
         if "id" not in obj or "vertex" not in obj:
             raise SchemaError(f"loops[{i}] needs 'id' and 'vertex'")
         label = obj.get("sigma_label")
         if label is not None:
-            label = _expect_str(label, f"loops[{i}].sigma_label")
+            label = _expect_str(label, "loops[{}].sigma_label", i)
         loops.append(
             Loop(
-                _expect_int(obj["id"], f"loops[{i}].id"),
-                _expect_int(obj["vertex"], f"loops[{i}].vertex"),
+                _expect_int(obj["id"], "loops[{}].id", i),
+                _expect_int(obj["vertex"], "loops[{}].vertex", i),
                 label,
             )
         )
@@ -240,7 +245,7 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
         if key not in action:
             return None
         lst = _expect_list(action[key], key)
-        return tuple(_expect_int(x, f"{key}[{i}]") for i, x in enumerate(lst))
+        return tuple(_expect_int(x, "{}[{}]", key, i) for i, x in enumerate(lst))
 
     def lperm(key: str):
         if key not in action:
@@ -266,7 +271,7 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
         if "p" not in pl:
             raise SchemaError("placement needs 'p'")
         p = tuple(
-            _pair(pt, f"placement.p[{i}]")
+            _pair(pt, "placement.p[{}]", i)
             for i, pt in enumerate(_expect_list(pl["p"], "placement.p"))
         )
         qmap_raw = _expect_obj(pl.get("q", {}), "placement.q")
@@ -276,7 +281,7 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
                 ik = int(k)
             except ValueError:
                 raise SchemaError("placement.q keys must be integer loop ids") from None
-            qmap[ik] = _pair(v, f"placement.q[{k}]")
+            qmap[ik] = _pair(v, "placement.q[{}]", k)
         missing = [l.id for l in graph.loops if l.id not in qmap]
         extra = sorted(set(qmap) - {l.id for l in graph.loops})
         if missing:
@@ -338,7 +343,7 @@ def move_from_dict(d) -> Move:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise SchemaError(f"move {name} needs {', '.join(missing)}")
-    return cls(*(_expect_int(obj[k], f"move.{k}") for k in keys))
+    return cls(*(_expect_int(obj[k], "move.{}", k) for k in keys))
 
 
 def parse_move(text: str) -> Move:

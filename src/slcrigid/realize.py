@@ -49,8 +49,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -88,8 +90,8 @@ class Framework:
             raise RangeError("placement has wrong number of vertex points")
         if len(self.q) != len(self.graph.loops):
             raise RangeError("placement has wrong number of loop normals")
-        object.__setattr__(self, "p", tuple(tuple(pt) for pt in self.p))
-        object.__setattr__(self, "q", tuple(tuple(v) for v in self.q))
+        object.__setattr__(self, "p", tuple(map(tuple, self.p)))
+        object.__setattr__(self, "q", tuple(map(tuple, self.q)))
         for pt in self.p + self.q:
             if len(pt) != 2:
                 raise RangeError("points and normals must be coordinate pairs")
@@ -109,6 +111,18 @@ class Framework:
     @property
     def exact(self) -> bool:
         return all(isinstance(c, (int, Fraction)) for pt in self.p + self.q for c in pt)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """p and q as arrays of shape (n, 2) and (loops, 2): int64
+        residues, floats, or (object) the exact numbers as given."""
+        if self.prime is not None:
+            dtype = np.int64
+        else:
+            dtype = object if self.exact else np.float64
+        return tuple(
+            np.array(pts, dtype=dtype).reshape(-1, 2) for pts in (self.p, self.q)
+        )
 
 
 def _tau_rows(group: GroupSpec, exact: bool, prime: int | None = None):
@@ -135,17 +149,6 @@ def _apply(mat, vec: Pair, prime: int | None = None) -> Pair:
     (a, b), (c, d) = mat
     x, y = vec
     return _reduce((a * x + b * y, c * x + d * y), prime)
-
-
-def _perp(vec: Pair) -> Pair:
-    x, y = vec
-    return (-y, x)
-
-
-def _close(a: Pair, b: Pair, exact: bool, span: float) -> bool:
-    if exact:
-        return a == b
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= 1e-7 * max(1.0, span)
 
 
 class _Cells:
@@ -182,6 +185,66 @@ class _Cells:
         self.cells.setdefault(self._key(pt), []).append(item)
 
 
+def _table(perms, width: int) -> np.ndarray:
+    """Equal-length tuples as the rows of an int64 array."""
+    flat = np.fromiter(chain.from_iterable(perms), np.int64, len(perms) * width)
+    return flat.reshape(len(perms), width)
+
+
+def _orbits(images: np.ndarray, ref: np.ndarray):
+    """Orbit data of the items an action table moves, one row of images
+    per group element (identity first), ``ref`` flagging the reflections.
+
+    Returns per item its orbit's number (orbits numbered by their least
+    item, ascending) and the first element sending that least item, the
+    orbit's representative, to it; and per orbit the representative, the
+    first reflection fixing it (-1 if none) and whether a rotation other
+    than the identity fixes it.
+    """
+    width = images.shape[1]
+    rep = images.min(axis=0)
+    first = (images[:, rep] == np.arange(width)).argmax(axis=0)
+    reps = np.flatnonzero(rep == np.arange(width))
+    fixed = images[:, reps] == reps
+    mirrors = fixed & ref[:, None]
+    mirror = np.where(mirrors.any(axis=0), mirrors.argmax(axis=0), -1)
+    rotated = (fixed & ~ref[:, None])[1:].any(axis=0)
+    return np.searchsorted(reps, rep), first, reps, mirror, rotated
+
+
+def _mapped(taus: np.ndarray, first: np.ndarray, cand: np.ndarray, prime):
+    """Each item's point: its element's matrix times its orbit's candidate,
+    reduced modulo ``prime`` when set.  A product of two residues and the
+    sum of two such stay below 2**63."""
+    mats = taus[first]
+    pts = mats[:, :, 0] * cand[:, :1] + mats[:, :, 1] * cand[:, 1:]
+    return pts if prime is None else pts % prime
+
+
+def _first_collision(pts: np.ndarray, orbit: np.ndarray, eps: float):
+    """The least orbit with a point within ``eps`` (max norm) of another
+    point of it or of an orbit before it, or None when all are apart.
+
+    Exact points (eps == 0) are compared in one sort.  Float points go
+    through ``_Cells`` in orbit order, each against those before it.
+    """
+    if not eps:
+        order = np.lexsort((orbit, pts[:, 1], pts[:, 0]))
+        x, y = pts[order, 0], pts[order, 1]
+        same = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
+        # in a run of equal points the second entry has the least orbit
+        # that collides
+        return int(orbit[order[1:][same]].min()) if same.any() else None
+    cells = _Cells(eps)
+    for i in np.argsort(orbit, kind="stable").tolist():
+        a = pts[i].tolist()
+        for b in cells.around(a):
+            if max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= eps:
+                return int(orbit[i])
+        cells.add(a, a)
+    return None
+
+
 def sample_symmetric_placement(
     graph: SymmetricGraph,
     seed: int = 0,
@@ -203,27 +266,40 @@ def sample_symmetric_placement(
         raise RangeError(f"scale must be positive, not {scale}")
     require_valid_action(graph)
     group = graph.group
-    rng = random.Random(seed)
+    elements = group.elements()
     prime = group.prime_field.prime if modular else None
-    exact = modular or group.exact_supported
-    taus = _tau_rows(group, exact, prime)
     if modular:
-        direction = group.mirror_direction_mod
-    elif exact:
-        direction = group.mirror_direction_exact
+        mats, direction = map(group.tau_mod, elements), group.mirror_direction_mod
+        dtype = np.int64
+    elif group.exact_supported:
+        mats, direction = map(group.tau_exact, elements), group.mirror_direction_exact
+        # coordinates stay within [-scale, scale]
+        dtype = np.int64 if scale < 2**62 else object
     else:
-        direction = group.mirror_direction
-    acting = list(zip(group.elements(), graph.action))
-    vstab = stabilizers(graph, "vertex")
+        mats, direction = map(group.tau, elements), group.mirror_direction
+        dtype = np.float64
+    taus = np.array(list(mats), dtype=dtype)
+    ref = np.array([e.ref for e in elements])
+    lines = [direction(e) if e.ref else None for e in elements]
 
-    rot_fixed = [
-        v for v in range(graph.num_vertices) if any(not e.ref for e in vstab[v])
-    ]
-    if len(rot_fixed) > 1:
+    n = graph.num_vertices
+    vimages = _table([vp for vp, _ in graph.action], n)
+    orbit, first, reps, mirror, rotated = _orbits(vimages, ref)
+    rot_fixed = np.flatnonzero(((vimages == np.arange(n)) & ~ref[:, None])[1:].any(axis=0))
+    if rot_fixed.size > 1:
         raise DegenerateInputError(
-            f"vertices {rot_fixed} are all rotation-fixed and would coincide"
-            " at the origin"
+            f"vertices {rot_fixed.tolist()} are all rotation-fixed and would"
+            " coincide at the origin"
         )
+    # per orbit, where its representative goes: two free draws (None), a
+    # fixing mirror's line scaled by one draw, or, when a rotation fixes
+    # it, the origin (the empty line; no draw)
+    vlines = [
+        () if rot else None if g < 0 else lines[g]
+        for rot, g in zip(rotated.tolist(), mirror.tolist())
+    ]
+
+    rng = random.Random(seed)
 
     def draw_nonzero() -> int:
         if modular:
@@ -233,74 +309,68 @@ def sample_symmetric_placement(
             if t != 0:
                 return t
 
-    span = float(scale)
-    eps = 0.0 if modular else 1e-7 * max(1.0, span)
-    placed = _Cells(eps)
-    p: list[Pair | None] = [None] * graph.num_vertices
-    for rep in range(graph.num_vertices):
-        if p[rep] is not None:
-            continue
-        stab = vstab[rep]
-        mirrors = [e for e in stab if e.ref]
-        rotation_fixed = any(not e.ref for e in stab)
-        for _ in range(_MAX_RESAMPLES):
-            if rotation_fixed:
-                cand: Pair = (0, 0) if exact else (0.0, 0.0)
-            elif mirrors:
-                d = direction(mirrors[0])
-                t = draw_nonzero()
-                cand = (d[0] * t, d[1] * t)
-            else:
-                cand = (draw_nonzero(), draw_nonzero())
-            orbit_pts: dict[int, Pair] = {}
-            for elem, (vp, _) in acting:
-                w = vp[rep]
-                if w not in orbit_pts:
-                    orbit_pts[w] = _apply(taus[elem], cand, prime)
-            # the orbit's points must be apart from each other and from
-            # every point placed before
-            own = _Cells(eps)
-            ok = True
-            for a in orbit_pts.values():
-                if any(
-                    _close(a, b, exact, span)
-                    for b in placed.around(a) + own.around(a)
-                ):
-                    ok = False
-                    break
-                own.add(a, a)
-            if ok:
-                for w, pt in orbit_pts.items():
-                    p[w] = pt
-                    placed.add(pt, pt)
-                break
-        else:
+    def draw(line) -> Pair:
+        if line is None:
+            return (draw_nonzero(), draw_nonzero())
+        if not line:
+            return (0, 0)
+        t = draw_nonzero()
+        return _reduce((line[0] * t, line[1] * t), prime)
+
+    # Every orbit is drawn, mapped and checked at once.  The first orbit
+    # with a point on an earlier one (within eps for floats) is drawn
+    # again, from the state of the generator where its last draw began,
+    # and so is every orbit after it: the draws are those of placing the
+    # orbits one by one, each redrawn until it is apart from the ones
+    # before.
+    eps = 0.0 if dtype is not np.float64 else 1e-7 * max(1.0, float(scale))
+    cand = [draw(line) for line in vlines]
+    rejected = [0] * len(cand)
+    while True:
+        p = _mapped(taus, first, np.array(cand, dtype=dtype).reshape(-1, 2)[orbit], prime)
+        j = _first_collision(p, orbit, eps)
+        if j is None:
+            break
+        rejected[j] += 1
+        if rejected[j] == _MAX_RESAMPLES:
             raise DegenerateInputError(
                 f"no injective symmetric placement found for the orbit of"
-                f" vertex {rep}"
+                f" vertex {reps[j]}"
             )
+        rng = random.Random(seed)
+        for i in range(j + 1):
+            for _ in range(rejected[i] + (i < j)):
+                draw(vlines[i])
+        cand[j:] = [draw(line) for line in vlines[j:]]
 
-    q_by_id: dict[int, Pair] = {}
-    for k, (loop, stab) in enumerate(zip(graph.loops, stabilizers(graph, "loop"))):
-        if loop.id in q_by_id:
-            continue
-        mirrors = [e for e in stab if e.ref]
-        if mirrors:
-            d = direction(mirrors[0])
-            positive = mirror_sign(group, loop, stab, mirrors[0]) > 0
-            base = d if positive else _perp(d)
-            t = draw_nonzero()
-            cand = (base[0] * t, base[1] * t)
-        else:
-            cand = (draw_nonzero(), draw_nonzero())
-        for elem, (_, lp) in acting:
-            lid = lp[k]
-            if lid not in q_by_id:
-                q_by_id[lid] = _apply(taus[elem], cand, prime)
-
-    return Framework(
-        graph, tuple(p), tuple(q_by_id[l.id] for l in graph.loops), prime
+    loops = graph.loops
+    limages = np.searchsorted(
+        np.array(graph.loop_ids, dtype=np.int64),
+        _table([lp for _, lp in graph.action], len(loops)),
     )
+    lorbit, lfirst, lreps, lmirror, _ = _orbits(limages, ref)
+    # a mirror-fixed loop's normal lies along the mirror line for "+",
+    # across it for "-"
+    llines = [
+        None
+        if g < 0
+        else lines[g]
+        if loops[k].sigma_label == "+"
+        else (-lines[g][1], lines[g][0])
+        for k, g in zip(lreps.tolist(), lmirror.tolist())
+    ]
+    lcand = np.array([draw(line) for line in llines], dtype=dtype).reshape(-1, 2)
+    q = _mapped(taus, lfirst, lcand[lorbit], prime)
+
+    exact = dtype is not np.float64
+    fw = Framework(
+        graph,
+        p.tolist() if exact else tuple(p),
+        q.tolist() if exact else tuple(q),
+        prime,
+    )
+    fw.__dict__["_arrays"] = (p, q)  # what Framework._arrays would build
+    return fw
 
 
 def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
@@ -370,19 +440,22 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
 class RigidityMatrix:
     """Rows: edges in sorted order, then loops by id.  Columns: 2v, 2v+1.
 
-    ``rows`` holds each row sparsely as its (vertex, 2-vector) pairs:
-    (u, p_u - p_v) and (v, p_v - p_u) for edge u-v, (v, q) for a loop at v.
-    ``framework`` is the framework the rows were built from; the exact rank
-    reads its prime, or its group's prime for integer or rational entries.
+    ``coo`` holds the entries as (row, column, value) arrays, row by row:
+    p_u - p_v at columns 2u, 2u + 1 and p_v - p_u at 2v, 2v + 1 for edge
+    u-v, q at 2v, 2v + 1 for a loop at v.  Values are int64 residues,
+    floats, or (object) exact numbers; a value may be zero.  ``rows``, each
+    row as its (vertex, 2-vector) pairs, and ``row_labels`` are built from
+    it when first read.  ``framework`` is the framework the rows were
+    built from; the exact rank reads its prime, or its group's prime for
+    integer or rational entries.
     """
 
     framework: Framework
-    rows: tuple[tuple[tuple[int, Pair], ...], ...]
-    row_labels: tuple[str, ...]
+    coo: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.framework.graph.num_rows
 
     @property
     def num_cols(self) -> int:
@@ -391,6 +464,23 @@ class RigidityMatrix:
     @property
     def exact(self) -> bool:
         return self.framework.exact
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, Pair], ...], ...]:
+        _, cols, vals = self.coo
+        x = vals.tolist()
+        pairs = list(zip((cols[::2] // 2).tolist(), zip(x[::2], x[1::2])))
+        m = 2 * len(self.framework.graph.edges)
+        return tuple(zip(pairs[:m:2], pairs[1:m:2])) + tuple(
+            (pair,) for pair in pairs[m:]
+        )
+
+    @cached_property
+    def row_labels(self) -> tuple[str, ...]:
+        graph = self.framework.graph
+        return tuple(f"edge {u}-{v}" for u, v in graph.edges) + tuple(
+            f"loop {l.id}" for l in graph.loops
+        )
 
     @property
     def entries(self) -> tuple[tuple, ...]:
@@ -404,29 +494,35 @@ class RigidityMatrix:
         return tuple(out)
 
     def to_array(self) -> np.ndarray:
+        rows, cols, vals = self.coo
         a = np.zeros((self.num_rows, self.num_cols))
-        for i, row in enumerate(self.rows):
-            for v, (x, y) in row:
-                a[i, 2 * v : 2 * v + 2] = (float(x), float(y))
+        a[rows, cols] = vals.astype(np.float64)
         return a
 
 
 def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
-    graph = fw.graph
-    rows: list[tuple] = []
-    labels: list[str] = []
-    for (u, v) in graph.edges:
-        du = _reduce((fw.p[u][0] - fw.p[v][0], fw.p[u][1] - fw.p[v][1]), fw.prime)
-        if du == (0, 0):
-            raise DegenerateInputError(f"edge ({u}, {v}) has coincident endpoints")
-        rows.append(((u, du), (v, _reduce((-du[0], -du[1]), fw.prime))))
-        labels.append(f"edge {u}-{v}")
-    for loop, vec in zip(graph.loops, fw.q):
-        if vec == (0, 0):
-            raise DegenerateInputError(f"loop {loop.id} has zero normal")
-        rows.append(((loop.vertex, vec),))
-        labels.append(f"loop {loop.id}")
-    return RigidityMatrix(fw, tuple(rows), tuple(labels))
+    """The rigidity matrix of the framework.  Raises DegenerateInputError
+    for the first edge with coincident endpoints, else the first loop
+    with a zero normal."""
+    graph, prime = fw.graph, fw.prime
+    p, q = fw._arrays
+    ends = _table(graph.edges, 2)
+    d = p[ends[:, 0]] - p[ends[:, 1]]
+    vals = np.concatenate([d, -d], axis=1)
+    if prime is not None:
+        vals %= prime
+    for k in np.flatnonzero((vals[:, :2] == 0).all(axis=1))[:1].tolist():
+        u, v = graph.edges[k]
+        raise DegenerateInputError(f"edge ({u}, {v}) has coincident endpoints")
+    for k in np.flatnonzero((q == 0).all(axis=1))[:1].tolist():
+        raise DegenerateInputError(f"loop {graph.loops[k].id} has zero normal")
+    m, nl = len(ends), len(q)
+    at = np.array(graph.loop_vertices, dtype=np.int64)
+    rows = np.concatenate([np.repeat(np.arange(m), 4), np.repeat(np.arange(m, m + nl), 2)])
+    cols = np.concatenate(
+        [(2 * ends[:, [0, 0, 1, 1]] + (0, 1, 0, 1)).ravel(), (2 * at[:, None] + (0, 1)).ravel()]
+    )
+    return RigidityMatrix(fw, (rows, cols, np.concatenate([vals.ravel(), q.ravel()])))
 
 
 @dataclass(frozen=True)
@@ -521,17 +617,30 @@ def _rank_mod_dense(a: np.ndarray, prime: int) -> int:
     return r
 
 
+def _prefix_products(x: np.ndarray, prime: int) -> np.ndarray:
+    """Running products of residues modulo a prime, by doubling: after the
+    step with shift k, entry i holds the product of the 2k entries ending
+    at i, or of all up to i."""
+    out = x.copy()
+    k = 1
+    while k < out.size:
+        out[k:] = out[k:] * out[:-k] % prime
+        k *= 2
+    return out
+
+
 def _inverse_mod(x: np.ndarray, prime: int) -> np.ndarray:
-    """Inverses of nonzero residues, elementwise: x^(p - 2) modulo p."""
-    out = np.ones_like(x)
-    e = prime - 2
-    while True:
-        if e & 1:
-            out = out * x % prime
-        e >>= 1
-        if not e:
-            return out
-        x = x * x % prime
+    """Inverses of nonzero residues, elementwise, by batch inversion: one
+    inverse, of the product of all, times each entry's products of the
+    entries before it and after it."""
+    if not x.size:
+        return x.copy()
+    before = _prefix_products(x, prime)
+    after = _prefix_products(x[::-1], prime)[::-1]
+    out = np.full(x.size, pow(int(before[-1]), -1, prime), dtype=np.int64)
+    out[1:] = out[1:] * before[:-1] % prime
+    out[:-1] = out[:-1] * after[1:] % prime
+    return out
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -662,15 +771,6 @@ def _integer_rows(matrix: RigidityMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _residue_entries(matrix: RigidityMatrix):
-    """(rows, cols, vals) of a residue matrix: row i holds each stored pair
-    (v, (x, y)) as x at column 2v and y at column 2v + 1."""
-    flat = [(i, v, x, y) for i, row in enumerate(matrix.rows) for v, (x, y) in row]
-    i, v, x, y = np.array(flat, dtype=np.int64).reshape(-1, 4).T
-    cols = 2 * v[:, None] + (0, 1)
-    return np.repeat(i, 2), cols.ravel(), np.stack([x, y], 1).ravel()
-
-
 def _residue_rank(matrix: RigidityMatrix, ints: list[dict[int, int]]) -> int:
     """Rank of the integer rows modulo the group's prime; a full rank there
     is full rank over the rationals."""
@@ -756,7 +856,7 @@ def rank(
     if backend == "exact":
         if prime is not None:
             shape = (matrix.num_rows, matrix.num_cols)
-            r = _rank_mod(*_residue_entries(matrix), shape, prime)
+            r = _rank_mod(*matrix.coo, shape, prime)
         elif matrix.exact:
             r = _given_rank(matrix)
         else:

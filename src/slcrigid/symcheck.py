@@ -39,7 +39,6 @@ from .symgraph import (
     SymmetricGraph,
     fixed_counts,
     stabilizers,
-    validate_action,
 )
 
 # 2 cos(2*pi/m) for the orders where it is rational.
@@ -242,8 +241,9 @@ class TightReport:
 
 
 def require_valid_action(graph: SymmetricGraph) -> None:
-    """Raise ``ActionError`` naming every violation of ``validate_action``."""
-    report = validate_action(graph)
+    """Raise ``ActionError`` naming every violation of ``validate_action``,
+    read from the report the graph keeps (``SymmetricGraph.validation``)."""
+    report = graph.validation
     if not report.ok:
         raise ActionError("; ".join(report.violations))
 

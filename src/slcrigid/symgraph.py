@@ -21,8 +21,11 @@ A graph's action on its vertices and loops is built once, on first use, by
 group element in canonical order, the vertex permutation and the loop
 permutation, both tuples, the loop one aligned with ``loops`` like the
 stored generators.  Every helper here, and the modules above, read that
-one value.  It is not a field, so ``==``, ``hash``, ``repr`` and
-``dataclasses.replace`` ignore it, and a replaced graph builds its own.
+one value.  Its ``validate_action`` report is kept the same way, as
+``SymmetricGraph.validation``, so a graph is validated once however many
+stages require a valid action.  Neither is a field, so ``==``, ``hash``,
+``repr`` and ``dataclasses.replace`` ignore them, and a replaced graph
+builds its own.
 
 All types are immutable; functions return new values.
 """
@@ -408,6 +411,11 @@ class SymmetricGraph:
     def action(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """``element_tables(self)``, built on first use and kept."""
         return element_tables(self)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """``validate_action(self)``, worked out on first use and kept."""
+        return validate_action(self)
 
 
 @dataclass(frozen=True)

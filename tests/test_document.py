@@ -100,6 +100,39 @@ def test_parse_rejects_bad_types():
         document.parse_graph(document.dumps(d))
 
 
+def test_parse_errors_name_the_bad_value():
+    lc3 = base_graph("lc3")
+
+    def edited(edit):
+        d = document.graph_to_dict(lc3, sample_symmetric_placement(lc3))
+        edit(d)
+        return d
+
+    for edit, message in (
+        (lambda d: d["edges"][1].__setitem__(1, "2"), "edges[1][1] must be an integer"),
+        (lambda d: d["edges"].__setitem__(2, 5), "edges[2] must be an array"),
+        (lambda d: d["loops"][1].__setitem__("id", 1.0), "loops[1].id must be an integer"),
+        (lambda d: d["loops"][2].__setitem__("colour", 1), "loops[2] has unknown keys: colour"),
+        (lambda d: d["loops"][0].__setitem__("sigma_label", 1), "loops[0].sigma_label must be a string"),
+        (
+            lambda d: d["action"]["rotation_vertex_perm"].__setitem__(2, True),
+            "rotation_vertex_perm[2] must be an integer",
+        ),
+        (
+            lambda d: d["action"]["rotation_loop_perm"].__setitem__("1", "2"),
+            "rotation_loop_perm[1] must be an integer",
+        ),
+        (lambda d: d["placement"]["p"][1].__setitem__(0, None), "placement.p[1] must be a number"),
+        (lambda d: d["placement"]["q"].__setitem__("2", [1]), "placement.q[2] must be a pair"),
+    ):
+        with pytest.raises(SchemaError) as err:
+            document.graph_from_dict(edited(edit))
+        assert str(err.value) == message
+    with pytest.raises(SchemaError) as err:
+        document.move_from_dict({"type": "zero_edge_loop", "v1": "0"})
+    assert str(err.value) == "move.v1 must be an integer"
+
+
 def test_parse_validates_the_action():
     d = document.graph_to_dict(base_graph("lc3"))
     d["action"]["rotation_vertex_perm"] = [0, 1, 2]

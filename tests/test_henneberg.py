@@ -43,7 +43,7 @@ from slcrigid import (
     symmetric_components,
     verify_decomposition,
 )
-from slcrigid import document, henneberg, sparsity, symcheck
+from slcrigid import document, henneberg, sparsity, symcheck, symgraph
 from slcrigid.sparsity import pebble_games
 from slcrigid.symgraph import Loop, _union_find, induced_subgraph, orbits, relabel
 
@@ -1103,21 +1103,22 @@ def test_decompose_outputs_are_unchanged_and_checked_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(henneberg, "check_tight", _recording(checks, henneberg.check_tight))
-    monkeypatch.setattr(symcheck, "validate_action", _recording(validated, symcheck.validate_action))
+    monkeypatch.setattr(symgraph, "validate_action", _recording(validated, symgraph.validate_action))
     for cases, digest in PINNED.items():
         h = hashlib.sha256()
         for case in cases:
+            validated.clear()
             g = generate_random(*case).graph
             checks.clear()
-            validated.clear()
             monkeypatch.setattr(SymmetricGraph, "__post_init__", counting)
             builds = 0
             dec = decompose(g)
             monkeypatch.setattr(SymmetricGraph, "__post_init__", post_init)
             h.update(document.dumps(document.decomposition_to_dict(dec)).encode())
             assert [args[0] for args, _ in checks] == [g], case
-            # the input, then each trace's base and its result, pass
-            # validate_action
+            # each graph is validated once, its report kept on it: the
+            # input when generate_random checks it, then each trace's base
+            # and its result
             ends = [x for trace in dec.components for x in (trace.base_graph, replay(trace))]
             assert [args[0] for args, _ in validated] == [g, *ends], case
             # the walk builds no graph per step, nor does the replay

@@ -736,6 +736,80 @@ def test_modular_framework_states_its_prime():
     assert rank(m, backend="exact").rank == _dense_rank_mod(m.entries, fw.prime)
 
 
+def _reference_rows(fw):
+    """The rows as the per-row build made them: (u, p_u - p_v) and
+    (v, p_v - p_u) per edge u-v, modulo the prime if any; (v, q) per loop."""
+    red = (lambda c: c % fw.prime) if fw.prime else (lambda c: c)
+    rows = []
+    for u, v in fw.graph.edges:
+        d = (fw.p[u][0] - fw.p[v][0], fw.p[u][1] - fw.p[v][1])
+        rows.append(((u, (red(d[0]), red(d[1]))), (v, (red(-d[0]), red(-d[1])))))
+    rows += [((loop.vertex, vec),) for loop, vec in zip(fw.graph.loops, fw.q)]
+    return tuple(rows)
+
+
+def test_matrix_arrays_hold_the_rows():
+    lc3 = base_graph("lc3")
+    fw = sample_symmetric_placement(lc3, seed=0, modular=True)
+    # the residue framework moved off symmetry, as ranked above
+    moved = Framework(lc3, ((fw.p[0][0] + 1, fw.p[0][1]),) + fw.p[1:], fw.q, fw.prime)
+    rational = Framework(
+        c2_fixed_edge(),
+        ((Fraction(1, 3), 2), (5, Fraction(-7, 2)), (-4, 1)),
+        ((1, 0), (Fraction(2, 5), 3), (-2, -3)),
+    )
+    for framework in (
+        fw,
+        moved,
+        sample_symmetric_placement(generate_random("c5", steps=20, seed=1).graph, modular=True),
+        sample_symmetric_placement(generate_random("c3", steps=8, seed=0).graph),  # floats
+        sample_symmetric_placement(generate_random("c4", steps=8, seed=0).graph),  # integers
+        sample_symmetric_placement(mirror_pair(), seed=1, modular=True),
+        rational,
+    ):
+        m = build_rigidity_matrix(framework)
+        want = _reference_rows(framework)
+        assert m.rows == want
+        flat = [(i, 2 * v + k, c) for i, row in enumerate(want) for v, pair in row for k, c in enumerate(pair)]
+        rows, cols, vals = m.coo
+        assert (rows.tolist(), cols.tolist(), vals.tolist()) == tuple(map(list, zip(*flat)))
+        assert m.row_labels == tuple(f"edge {u}-{v}" for u, v in framework.graph.edges) + tuple(
+            f"loop {l.id}" for l in framework.graph.loops
+        )
+        assert np.array_equal(m.to_array(), np.array(m.entries, dtype=float))
+
+
+def test_degenerate_rows_are_named_in_row_order():
+    g = SymmetricGraph(
+        GroupSpec("cyclic", 1), 3, ((0, 1), (0, 2), (1, 2)), (Loop(0, 0), Loop(4, 1), Loop(7, 2))
+    )
+    prime = g.group.prime_field.prime
+    q = ((1, 0), (1, 1), (0, 1))
+    for p, normals, message in (
+        (((1, 1), (2, 1), (2, 1)), q, r"edge \(1, 2\) has coincident endpoints"),
+        (((1, 1), (1, 1), (1, 1)), q, r"edge \(0, 1\) has coincident endpoints"),
+        (((1, 1), (2, 1), (3, 1)), ((1, 0), (0, 0), (0, 0)), "loop 4 has zero normal"),
+    ):
+        for given in (Framework(g, p, normals), Framework(g, p, normals, prime)):
+            with pytest.raises(DegenerateInputError, match=message):
+                build_rigidity_matrix(given)
+    # equal modulo the prime only
+    apart = Framework(g, ((1, 1), (2, 1), (2 + prime, 1)), q)
+    assert build_rigidity_matrix(apart).num_rows == 6
+    with pytest.raises(DegenerateInputError, match=r"edge \(1, 2\)"):
+        build_rigidity_matrix(_residues(g, apart.p, q))
+
+
+def test_batch_inverse_is_the_inverse_of_each_residue():
+    rng = random.Random(0)
+    for prime in (PRIME, GroupSpec("cyclic", 5).prime_field.prime, 7):
+        for size in (0, 1, 2, 3, 10, 64, 150, 457):
+            x = [rng.randrange(1, prime) for _ in range(size)]
+            got = realize._inverse_mod(np.array(x, dtype=np.int64), prime)
+            assert got.dtype == np.int64
+            assert got.tolist() == [pow(c, -1, prime) for c in x], (prime, size)
+
+
 def test_integer_samples_are_unchanged():
     # the seed-2 frameworks of the integral groups, as before the sampler
     # learned residues; generated placements and benchmark expectations

@@ -17,6 +17,7 @@ from slcrigid import (
     SymmetricGraph,
     base_graph,
     character_vectors,
+    classify,
     check_tight,
     default_bases,
     fixed_count_check,
@@ -25,7 +26,7 @@ from slcrigid import (
     is_gamma_tight,
     is_tight,
 )
-from slcrigid import document, symcheck
+from slcrigid import document, symcheck, symgraph
 from slcrigid.selftest import negative_control
 
 
@@ -177,6 +178,37 @@ def test_check_tight_rejects_invalid_action():
     )
     with pytest.raises(ActionError):
         check_tight(g)
+
+
+def test_the_action_is_validated_once_per_graph(monkeypatch):
+    validated = []
+    original = symgraph.validate_action
+
+    def recording(g):
+        validated.append(g)
+        return original(g)
+
+    monkeypatch.setattr(symgraph, "validate_action", recording)
+    text = document.serialize_graph(generate_random("c3", steps=10, seed=0).graph)
+    validated.clear()
+    g, _ = document.parse_graph(text)
+    check_tight(g)
+    classify(g, trials=2)
+    assert validated == [g]
+    assert g.validation.ok
+    # an invalid action raises on every call, from the one report
+    bad = SymmetricGraph(
+        GroupSpec("cyclic", 2),
+        2,
+        ((0, 1),),
+        (Loop(0, 0), Loop(1, 1)),
+        rotation_vertex_perm=(0, 1),
+        rotation_loop_perm={0: 1, 1: 0},
+    )
+    for call in (check_tight, classify, symcheck.require_valid_action):
+        with pytest.raises(ActionError, match="sends loop 0 at 0 to loop 1 at 1"):
+            call(bad)
+    assert validated == [g, bad]
 
 
 def test_trivial_group_has_no_extra_conditions():
