@@ -14,7 +14,16 @@ Placements are sampled symmetrically: rotation-fixed vertices go to the
 origin, mirror-fixed vertices onto their mirror line, one random point per
 remaining orbit, propagated by the group matrices.  Loop normals follow the
 same propagation; a mirror-fixed loop is pinned into the eigenspace its
-sign label selects.  Coordinates come in one of three arithmetics:
+sign label selects.  The draws are made orbit by orbit, and the propagation
+is one array map: each point is its orbit's draw times the matrix of the
+first element that sends the orbit's least vertex there.  The points must
+be apart (exactly, or within a tolerance for floats), which is checked for
+the whole placement at once; a collision draws again from the first orbit
+that collides, so a seed gives what placing the orbits one at a time, each
+drawn until it is apart from those before, would.  The rigidity matrix
+holds its entries as (row, column, value) arrays built from the point
+array and the edge array, and the exact rank of residues reads them as
+they are.  Coordinates come in one of three arithmetics:
 integers for groups whose matrices are integral (rotation order 1, 2 or
 4), floats for the others, and residues modulo a prime p for every group
 (``modular=True``).  p is below 2**31, so a product of two residues fits in
@@ -236,11 +245,11 @@ def _first_collision(pts: np.ndarray, orbit: np.ndarray, eps: float):
         # that collides
         return int(orbit[order[1:][same]].min()) if same.any() else None
     cells = _Cells(eps)
-    for i in np.argsort(orbit, kind="stable").tolist():
-        a = pts[i].tolist()
+    order = np.argsort(orbit, kind="stable")
+    for o, a in zip(orbit[order].tolist(), pts[order].tolist()):
         for b in cells.around(a):
             if max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= eps:
-                return int(orbit[i])
+                return o
         cells.add(a, a)
     return None
 
@@ -273,7 +282,8 @@ def sample_symmetric_placement(
         dtype = np.int64
     elif group.exact_supported:
         mats, direction = map(group.tau_exact, elements), group.mirror_direction_exact
-        # coordinates stay within [-scale, scale]
+        # coordinates stay within [-scale, scale], so the differences of
+        # the matrix rows fit in an int64 too
         dtype = np.int64 if scale < 2**62 else object
     else:
         mats, direction = map(group.tau, elements), group.mirror_direction
@@ -285,7 +295,8 @@ def sample_symmetric_placement(
     n = graph.num_vertices
     vimages = _table([vp for vp, _ in graph.action], n)
     orbit, first, reps, mirror, rotated = _orbits(vimages, ref)
-    rot_fixed = np.flatnonzero(((vimages == np.arange(n)) & ~ref[:, None])[1:].any(axis=0))
+    # the images of a rotation-fixed vertex are rotation-fixed too
+    rot_fixed = np.flatnonzero(rotated[orbit])
     if rot_fixed.size > 1:
         raise DegenerateInputError(
             f"vertices {rot_fixed.tolist()} are all rotation-fixed and would"
@@ -369,7 +380,7 @@ def sample_symmetric_placement(
         q.tolist() if exact else tuple(q),
         prime,
     )
-    fw.__dict__["_arrays"] = (p, q)  # what Framework._arrays would build
+    fw.__dict__["_arrays"] = (p, q)  # kept for build_rigidity_matrix
     return fw
 
 
