@@ -329,11 +329,11 @@ def sample_symmetric_placement(
         return _reduce((line[0] * t, line[1] * t), prime)
 
     # Every orbit is drawn, mapped and checked at once.  The first orbit
-    # with a point on an earlier one (within eps for floats) is drawn
-    # again, from the state of the generator where its last draw began,
-    # and so is every orbit after it: the draws are those of placing the
-    # orbits one by one, each redrawn until it is apart from the ones
-    # before.
+    # with a point on one of its own or of an earlier orbit (within eps for
+    # floats) is drawn again, and so is every orbit after it; the generator
+    # is seeded again and run through the draws made before, so each orbit
+    # gets the draws it would get placed one at a time, redrawn until it
+    # is apart from the orbits before it.
     eps = 0.0 if dtype is not np.float64 else 1e-7 * max(1.0, float(scale))
     cand = [draw(line) for line in vlines]
     rejected = [0] * len(cand)
@@ -522,11 +522,13 @@ def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     vals = np.concatenate([d, -d], axis=1)
     if prime is not None:
         vals %= prime
-    for k in np.flatnonzero((vals[:, :2] == 0).all(axis=1))[:1].tolist():
-        u, v = graph.edges[k]
+    coincident = np.flatnonzero((vals[:, :2] == 0).all(axis=1))
+    if coincident.size:
+        u, v = graph.edges[coincident[0]]
         raise DegenerateInputError(f"edge ({u}, {v}) has coincident endpoints")
-    for k in np.flatnonzero((q == 0).all(axis=1))[:1].tolist():
-        raise DegenerateInputError(f"loop {graph.loops[k].id} has zero normal")
+    zero = np.flatnonzero((q == 0).all(axis=1))
+    if zero.size:
+        raise DegenerateInputError(f"loop {graph.loops[zero[0]].id} has zero normal")
     m, nl = len(ends), len(q)
     at = np.array(graph.loop_vertices, dtype=np.int64)
     rows = np.concatenate([np.repeat(np.arange(m), 4), np.repeat(np.arange(m, m + nl), 2)])
