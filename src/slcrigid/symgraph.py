@@ -413,7 +413,7 @@ class SymmetricGraph:
         return element_tables(self)
 
     @cached_property
-    def validation(self) -> "ValidationReport":
+    def validation(self) -> ValidationReport:
         """``validate_action(self)``, worked out on first use and kept."""
         return validate_action(self)
 
