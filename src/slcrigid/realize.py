@@ -134,30 +134,21 @@ class Framework:
         )
 
 
-def _tau_rows(group: GroupSpec, exact: bool, prime: int | None = None):
-    """Symmetry matrix per element, as row tuples of plain numbers: residues
-    modulo ``prime`` when it is set, else integers or floats."""
-    mats = {}
-    for elem in group.elements():
-        if prime is not None:
-            mats[elem] = group.tau_mod(elem)
-        elif exact:
-            mats[elem] = group.tau_exact(elem)
-        else:
-            m = group.tau(elem)
-            mats[elem] = ((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1]))
-    return mats
+def _taus(group: GroupSpec, prime: int | None, exact: bool) -> np.ndarray:
+    """The symmetry matrices as one array, one per element in canonical
+    order: int64 residues modulo ``prime`` when it is set, else the
+    integer matrices (object) when ``exact``, else floats."""
+    elements = group.elements()
+    if prime is not None:
+        return np.array([group.tau_mod(e) for e in elements], dtype=np.int64)
+    if exact:
+        return np.array([group.tau_exact(e) for e in elements], dtype=object)
+    return np.array([group.tau(e) for e in elements])
 
 
 def _reduce(vec: Pair, prime: int | None) -> Pair:
     """The vector's residues modulo ``prime``, or the vector when it is None."""
     return vec if prime is None else (vec[0] % prime, vec[1] % prime)
-
-
-def _apply(mat, vec: Pair, prime: int | None = None) -> Pair:
-    (a, b), (c, d) = mat
-    x, y = vec
-    return _reduce((a * x + b * y, c * x + d * y), prime)
 
 
 class _Cells:
@@ -198,6 +189,17 @@ def _table(perms, width: int) -> np.ndarray:
     """Equal-length tuples as the rows of an int64 array."""
     flat = np.fromiter(chain.from_iterable(perms), np.int64, len(perms) * width)
     return flat.reshape(len(perms), width)
+
+
+def _action_tables(graph: SymmetricGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``graph.action`` as int64 tables, one row per element: each vertex's
+    image, and the index of each loop's image in ``graph.loops``."""
+    vimages = _table([vp for vp, _ in graph.action], graph.num_vertices)
+    limages = np.searchsorted(
+        np.array(graph.loop_ids, dtype=np.int64),
+        _table([lp for _, lp in graph.action], len(graph.loops)),
+    )
+    return vimages, limages
 
 
 def _orbits(images: np.ndarray, ref: np.ndarray):
@@ -278,22 +280,18 @@ def sample_symmetric_placement(
     elements = group.elements()
     prime = group.prime_field.prime if modular else None
     if modular:
-        mats, direction = map(group.tau_mod, elements), group.mirror_direction_mod
-        dtype = np.int64
+        direction = group.mirror_direction_mod
     elif group.exact_supported:
-        mats, direction = map(group.tau_exact, elements), group.mirror_direction_exact
-        # coordinates stay within [-scale, scale], so the differences of
-        # the matrix rows fit in an int64 too
-        dtype = np.int64 if scale < 2**62 else object
+        direction = group.mirror_direction_exact
     else:
-        mats, direction = map(group.tau, elements), group.mirror_direction
-        dtype = np.float64
-    taus = np.array(list(mats), dtype=dtype)
+        direction = group.mirror_direction
+    taus = _taus(group, prime, group.exact_supported)
+    dtype = taus.dtype
+    exact = dtype != np.float64
     ref = np.array([e.ref for e in elements])
     lines = [direction(e) if e.ref else None for e in elements]
 
-    n = graph.num_vertices
-    vimages = _table([vp for vp, _ in graph.action], n)
+    vimages, limages = _action_tables(graph)
     orbit, first, reps, mirror, rotated = _orbits(vimages, ref)
     # the images of a rotation-fixed vertex are rotation-fixed too
     rot_fixed = np.flatnonzero(rotated[orbit])
@@ -334,7 +332,7 @@ def sample_symmetric_placement(
     # is seeded again and run through the draws made before, so each orbit
     # gets the draws it would get placed one at a time, redrawn until it
     # is apart from the orbits before it.
-    eps = 0.0 if dtype is not np.float64 else 1e-7 * max(1.0, float(scale))
+    eps = 0.0 if exact else 1e-7 * max(1.0, float(scale))
     cand = [draw(line) for line in vlines]
     rejected = [0] * len(cand)
     while True:
@@ -355,13 +353,10 @@ def sample_symmetric_placement(
         cand[j:] = [draw(line) for line in vlines[j:]]
 
     loops = graph.loops
-    limages = np.searchsorted(
-        np.array(graph.loop_ids, dtype=np.int64),
-        _table([lp for _, lp in graph.action], len(loops)),
-    )
     lorbit, lfirst, lreps, lmirror, _ = _orbits(limages, ref)
-    # a mirror-fixed loop's normal lies along the mirror line for "+",
-    # across it for "-"
+    # a mirror-fixed loop's normal lies along the first fixing mirror's
+    # line for "+", across it for "-" (as in ``symgraph.mirror_sign``;
+    # ``check_framework`` checks it under every fixing mirror)
     llines = [
         None
         if g < 0
@@ -373,7 +368,6 @@ def sample_symmetric_placement(
     lcand = np.array([draw(line) for line in llines], dtype=dtype).reshape(-1, 2)
     q = _mapped(taus, lfirst, lcand[lorbit], prime)
 
-    exact = dtype is not np.float64
     fw = Framework(
         graph,
         p.tolist() if exact else tuple(p),
@@ -390,7 +384,8 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     Checks injectivity, nonzero loop normals, equivariance of the points,
     equivariance of the normals up to sign, and the pinned sign of every
     mirror-fixed loop.  Exact frameworks are compared exactly, residues
-    modulo their prime.
+    modulo their prime; exact coordinates for a group whose matrices are
+    not integral are mapped in floats, so only the origin is equivariant.
     """
     graph, group = fw.graph, fw.graph.group
     exact, prime = fw.exact, fw.prime
@@ -398,47 +393,53 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
         [1.0] + [abs(float(c)) for pt in fw.p + fw.q for c in pt]
     )
     eps = 0.0 if exact else tol * span
-    taus = _tau_rows(group, exact, prime)
-    q_by_id = dict(zip(graph.loop_ids, fw.q))
+    taus = _taus(group, prime, exact and group.exact_supported)
+    p, q = fw._arrays
     bad: list[str] = []
 
-    def near(a: Pair, b: Pair) -> bool:
-        return max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= eps
+    def near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per row, whether the two points are within eps (max norm)."""
+        return np.abs(a - b).max(axis=1) <= eps
+
+    def mapped(g: int, pts: np.ndarray) -> np.ndarray:
+        return _mapped(taus, np.full(len(pts), g), pts, prime)
+
+    def neg(pts: np.ndarray) -> np.ndarray:
+        return -pts if prime is None else -pts % prime
 
     cells = _Cells(eps)
     coincide = []
     for v, pt in enumerate(fw.p):
-        coincide += [(u, v) for u in cells.around(pt) if near(fw.p[u], pt)]
+        coincide += [
+            (u, v)
+            for u in cells.around(pt)
+            if max(abs(fw.p[u][0] - pt[0]), abs(fw.p[u][1] - pt[1])) <= eps
+        ]
         cells.add(pt, v)
     for u, v in sorted(coincide):
         bad.append(f"vertices {u} and {v} coincide")
-    for loop, vec in zip(graph.loops, fw.q):
-        if max(abs(vec[0]), abs(vec[1])) <= eps:
-            bad.append(f"loop {loop.id} has zero normal")
+    for k in np.flatnonzero(np.abs(q).max(axis=1) <= eps).tolist():
+        bad.append(f"loop {graph.loops[k].id} has zero normal")
 
-    for elem, (vp, lp) in list(zip(group.elements(), graph.action))[1:]:
-        for v in range(graph.num_vertices):
-            if not near(_apply(taus[elem], fw.p[v], prime), fw.p[vp[v]]):
-                bad.append(
-                    f"{group.element_label(elem)} moves vertex {v} off its image"
-                )
-        for loop, vec, img_id in zip(graph.loops, fw.q, lp):
-            img = _apply(taus[elem], vec, prime)
-            target = q_by_id[img_id]
-            neg = _reduce((-target[0], -target[1]), prime)
-            if not (near(img, target) or near(img, neg)):
-                bad.append(
-                    f"{group.element_label(elem)} moves loop {loop.id} normal"
-                    " off its image line"
-                )
+    vimages, limages = _action_tables(graph)
+    qimages = [mapped(g, q) for g in range(len(taus))]
+    for g, elem in enumerate(group.elements()[1:], 1):
+        label = group.element_label(elem)
+        for v in np.flatnonzero(~near(mapped(g, p), p[vimages[g]])).tolist():
+            bad.append(f"{label} moves vertex {v} off its image")
+        target = q[limages[g]]
+        off = ~(near(qimages[g], target) | near(qimages[g], neg(target)))
+        for k in np.flatnonzero(off).tolist():
+            bad.append(f"{label} moves loop {graph.loops[k].id} normal off its image line")
 
+    # every fixing mirror's sign, from ``mirror_sign``: the sampler pins
+    # a loop's normal at the first fixing mirror only
     lstab = stabilizers(graph, "loop")
-    for loop, vec, stab in zip(graph.loops, fw.q, lstab):
+    for k, (loop, stab) in enumerate(zip(graph.loops, lstab)):
         for elem in (e for e in stab if e.ref):
             sign = mirror_sign(group, loop, stab, elem)
-            img = _apply(taus[elem], vec, prime)
-            want = _reduce((sign * vec[0], sign * vec[1]), prime)
-            if not near(img, want):
+            want = q[k : k + 1] if sign > 0 else neg(q[k : k + 1])
+            if not near(qimages[group.index(elem)][k : k + 1], want)[0]:
                 bad.append(
                     f"loop {loop.id} normal is not in the"
                     f" {'+' if sign > 0 else '-'}1 eigenspace of"

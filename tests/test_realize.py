@@ -281,6 +281,17 @@ def test_check_framework_scales_and_still_flags_coincidence():
     for graph in (d2_loop_fixed_by_both_mirrors(), d3_flower()):
         assert check_framework(sample_symmetric_placement(graph, seed=0)) == ()
 
+    # integers under c3's irrational matrices: only the origin maps exactly
+    c3 = SymmetricGraph(GroupSpec("cyclic", 3), 4, rotation_vertex_perm=(1, 2, 0, 3))
+    assert check_framework(Framework(c3, ((1, 0), (0, 1), (-1, -1), (0, 0)), ())) == (
+        "c3 moves vertex 0 off its image",
+        "c3 moves vertex 1 off its image",
+        "c3 moves vertex 2 off its image",
+        "c3^2 moves vertex 0 off its image",
+        "c3^2 moves vertex 1 off its image",
+        "c3^2 moves vertex 2 off its image",
+    )
+
 
 def _count_table_builds(monkeypatch) -> list:
     """The graphs ``element_tables`` is called on from now on, in order."""
@@ -823,6 +834,29 @@ def test_integer_samples_are_unchanged():
     ):
         fw = sample_symmetric_placement(graph, seed=2)
         assert hashlib.sha256(repr((fw.p, fw.q)).encode()).hexdigest()[:16] == digest
+
+
+def test_sampled_arrays_are_those_of_the_same_framework_given():
+    # int64 residues, Python ints (object) and floats, whichever way the
+    # framework was made; integers past 2**63 stay exact
+    c4 = generate_random("c4", steps=8, seed=0).graph
+    big = sample_symmetric_placement(c4, seed=1, scale=2**70)
+    assert max(abs(c) for pt in big.p for c in pt) > 2**63
+    assert check_framework(big) == ()
+    assert rank(build_rigidity_matrix(big), backend="exact").rank == classify(c4).rank
+    for fw, dtype in (
+        (sample_symmetric_placement(c4, seed=1, modular=True), np.int64),
+        (sample_symmetric_placement(c4, seed=1), object),
+        (big, object),
+        (sample_symmetric_placement(generate_random("c3", steps=8, seed=0).graph), np.float64),
+    ):
+        given = Framework(fw.graph, fw.p, fw.q, fw.prime)
+        for got, want in zip(fw._arrays, given._arrays):
+            assert got.dtype == want.dtype == dtype
+            assert got.tolist() == want.tolist()
+        coo = build_rigidity_matrix(fw).coo
+        for got, want in zip(coo, build_rigidity_matrix(given).coo):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def _placement_digest(graph, **kwargs) -> str:
