@@ -209,6 +209,37 @@ def test_pebble_reports_are_unchanged():
     assert h.hexdigest() == "360058dd0ddcc2deed5b1499b22fba2b9ec2fa43ccb4c24051d5693d1e351863"
 
 
+# the graphs of the verdict-large benchmark, whose sizes the cases above
+# (steps <= 8) do not reach
+BENCH_SIZE_GRAPHS = (("c2", 250, 2), ("c2", 150, 2), ("c3", 150, 0), ("c4", 100, 0), ("c5", 120, 0))
+
+
+def test_pebble_reports_at_bench_size_are_unchanged():
+    # sha256 of the reports' reprs for each graph as it is, with one extra
+    # edge, with one extra loop, and with the missing edges of a K4 (which
+    # the edge pass refuses; no single edge closes a tight edge set here),
+    # taken before edges at a vertex with at most one edge skipped the
+    # pebble search
+    rng = random.Random(19)
+    h = hashlib.sha256()
+    for group, steps, seed in BENCH_SIZE_GRAPHS:
+        g = generate_random(group, steps=steps, seed=seed).graph
+        n, loops, edge_set = g.num_vertices, list(g.loop_vertices), set(g.edges)
+        while True:
+            extra = tuple(sorted(rng.sample(range(n), 2)))
+            if extra not in edge_set:
+                break
+        k4 = tuple(e for e in itertools.combinations(sorted(rng.sample(range(n), 4)), 2) if e not in edge_set)
+        for edges, rows in (
+            (g.edges, loops),
+            (g.edges + (extra,), loops),
+            (g.edges, loops + [rng.randrange(n)]),
+            (g.edges + k4, loops),
+        ):
+            h.update(repr(pebble_check(n, edges, rows)).encode())
+    assert h.hexdigest() == "c30f2aec38848e9e297eaf87a8ea6043a37b4b25fcb23d150e70a5e06f62861b"
+
+
 def _first_dependent_row(n, edges, loops):
     """Brute force over all vertex subsets: the first row, in the order
     ``pebble_check`` inserts them (edges, then loops, each sorted), that
