@@ -26,6 +26,7 @@ indentation, trailing newline, so equal inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .errors import SchemaError
@@ -95,6 +96,16 @@ def _check_keys(d: dict, allowed: set[str], what: str, *at) -> None:
         raise SchemaError(
             f"{what.format(*at)} has unknown keys: {', '.join(sorted(unknown))}"
         )
+
+
+def _all_int_pairs(lst: list) -> bool:
+    """Whether every entry is a list of two ints (``bool`` is not one),
+    checked over the whole list at once."""
+    return (
+        set(map(type, lst)) <= {list}
+        and set(map(len, lst)) <= {2}
+        and set(map(type, chain.from_iterable(lst))) <= {int}
+    )
 
 
 def _pair(x, what: str, *at) -> tuple:
@@ -205,12 +216,16 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
     group = group_from_dict(doc["group"])
     n = _expect_int(doc["num_vertices"], "num_vertices")
 
-    edges = []
-    for i, e in enumerate(_expect_list(doc.get("edges", []), "edges")):
-        pair = _expect_list(e, "edges[{}]", i)
-        if len(pair) != 2:
-            raise SchemaError(f"edges[{i}] must be a pair of vertices")
-        edges.append((_expect_int(pair[0], "edges[{}][0]", i), _expect_int(pair[1], "edges[{}][1]", i)))
+    raw_edges = _expect_list(doc.get("edges", []), "edges")
+    if _all_int_pairs(raw_edges):
+        edges = [(u, v) for u, v in raw_edges]
+    else:  # the first bad entry gets its message
+        edges = []
+        for i, e in enumerate(raw_edges):
+            pair = _expect_list(e, "edges[{}]", i)
+            if len(pair) != 2:
+                raise SchemaError(f"edges[{i}] must be a pair of vertices")
+            edges.append((_expect_int(pair[0], "edges[{}][0]", i), _expect_int(pair[1], "edges[{}][1]", i)))
 
     loops = []
     for i, raw in enumerate(_expect_list(doc.get("loops", []), "loops")):
@@ -245,6 +260,8 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
         if key not in action:
             return None
         lst = _expect_list(action[key], key)
+        if set(map(type, lst)) <= {int}:
+            return tuple(lst)
         return tuple(_expect_int(x, "{}[{}]", key, i) for i, x in enumerate(lst))
 
     def lperm(key: str):

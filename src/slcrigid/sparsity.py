@@ -12,7 +12,14 @@ bitmask and is the authoritative oracle (exponential, bounded vertex count).
 vertex, every simple edge needs four pebbles on its ends, every loop needs
 one on its vertex, edges inserted before loops.  The edge pass is the plain
 (2,3) game on the simple subgraph; the loop pass rejects a loop exactly when
-its reachable set already spans twice its size.  A rejected row's
+its reachable set already spans twice its size.  One rule skips the search:
+an edge u-v whose end v has at most one edge so far (a 0-extension edge)
+closes no tight set, since without v a vertex set holding u and v loses at
+most two edges and two from its bound 2|X| - 3.  v has out-degree at most
+one, so it spends its own pebble and the edge is oriented v -> u.  Any
+orientation of sparse rows in which each vertex holds 2 minus its
+out-degree pebbles is a state the game can go on from (Lee and Streinu,
+*Pebble game algorithms and sparse graphs*, 2008).  A rejected row's
 reachable set is the least tight set the row closes, whatever the
 orientation, and is the witness.  Equivalence of the two deciders is
 asserted empirically by the test suite rather than assumed.
@@ -304,17 +311,28 @@ def pebble_check(
 ) -> SparsityReport:
     """Polynomial sparsity decision; witness from the final reachable set.
 
-    A sparse graph's report keeps the finished game (``game``).
+    An edge with an end that has at most one edge so far is inserted from
+    that end's pebble (the later end's, when both have), with no search: it
+    closes no tight set (see the module docstring).  Every other edge
+    gathers four pebbles.  A sparse graph's report keeps the finished game
+    (``game``).
     """
     edges, loops = _normalize(num_vertices, edges, loops)
     n = num_vertices
     game = _PebbleGame(n)
+    degree = [0] * n  # edges inserted so far at each vertex
     for (u, v) in edges:
-        if not game.insert_edge(u, v):
+        if degree[u] < 2 or degree[v] < 2:
+            tail, head = (v, u) if degree[v] < 2 else (u, v)
+            game.pebbles[tail] -= 1
+            game.out[tail].add(head)
+        elif not game.insert_edge(u, v):
             verts = game.reach((u, v))
             ie, il = _induced_counts(edges, loops, verts)
             witness = Witness(tuple(sorted(verts)), ie + il, ie, "edges")
             return SparsityReport("not-sparse", "pebble", n, len(edges), len(loops), witness)
+        degree[u] += 1
+        degree[v] += 1
     for v in loops:
         if not game.insert_loop(v):
             verts = game.reach((v,))

@@ -133,6 +133,35 @@ def test_parse_errors_name_the_bad_value():
     assert str(err.value) == "move.v1 must be an integer"
 
 
+def test_whole_list_checks_fall_back_to_the_first_bad_value():
+    # edge lists and vertex perms are checked whole; one bad value anywhere
+    # in a long list still gets the message that names it
+    graph = generate_random("c3", steps=30, seed=0).graph
+
+    def edited(edit):
+        d = document.graph_to_dict(graph)
+        edit(d)
+        return d
+
+    for edit, message in (
+        (lambda d: d["edges"][-3].__setitem__(0, 4.0), f"edges[{len(graph.edges) - 3}][0] must be an integer"),
+        (lambda d: d["edges"][40].__setitem__(1, False), "edges[40][1] must be an integer"),
+        (lambda d: d["edges"][7].append(3), "edges[7] must be a pair of vertices"),
+        (
+            lambda d: d["action"]["rotation_vertex_perm"].__setitem__(50, "1"),
+            "rotation_vertex_perm[50] must be an integer",
+        ),
+        (
+            lambda d: d["action"]["rotation_vertex_perm"].__setitem__(-1, True),
+            f"rotation_vertex_perm[{graph.num_vertices - 1}] must be an integer",
+        ),
+    ):
+        with pytest.raises(SchemaError) as err:
+            document.graph_from_dict(edited(edit))
+        assert str(err.value) == message
+    assert document.graph_from_dict(edited(lambda d: None))[0] == graph
+
+
 def test_parse_validates_the_action():
     d = document.graph_to_dict(base_graph("lc3"))
     d["action"]["rotation_vertex_perm"] = [0, 1, 2]

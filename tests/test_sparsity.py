@@ -16,6 +16,7 @@ from slcrigid import (
     pebble_check,
     subset_audit,
 )
+from slcrigid import sparsity
 from slcrigid.sparsity import pebble_games
 
 
@@ -372,3 +373,37 @@ def test_pebble_games_refuse_a_graph_that_is_not_sparse():
         pebble_games(4, K4_EDGES, [])
     with pytest.raises(RangeError):
         pebble_games(1, [], [0, 0, 0])
+
+
+def test_zero_extension_edges_run_no_pebble_search(monkeypatch):
+    # vertex 0 has two loops, vertex 1 one edge to 0 and one loop, and each
+    # later vertex joins two earlier ones: every edge, numbered in growth
+    # order, has an end with at most one edge so far
+    rng = random.Random(7)
+    n = 60
+    edges = [(0, 1)]
+    for k in range(2, n):
+        edges += [(a, k) for a in rng.sample(range(k), 2)]
+    searches = []
+    find_pebble = sparsity._PebbleGame._find_pebble
+
+    def counted(self, root, forbidden):
+        searches.append(root)
+        return find_pebble(self, root, forbidden)
+
+    monkeypatch.setattr(sparsity._PebbleGame, "_find_pebble", counted)
+    r = pebble_check(n, edges, [0, 0, 1])
+    assert r.tight
+    assert searches == []
+
+
+def test_finished_games_orient_every_edge_once_and_keep_the_pebble_balance():
+    for group in ("c1", "c2", "c3", "c4", "c5"):
+        for steps, seed in ((3, 0), (12, 1), (40, 2)):
+            g = generate_random(group, steps=steps, seed=seed).graph
+            game = pebble_check(g.num_vertices, g.edges, g.loop_vertices).game
+            arcs = [(u, w) for u, heads in enumerate(game.out) for w in heads]
+            assert sorted(tuple(sorted(a)) for a in arcs) == sorted(g.edges)
+            for v in range(g.num_vertices):
+                loops = g.loop_vertices.count(v)
+                assert game.pebbles[v] == 2 - len(game.out[v]) - loops >= 0
