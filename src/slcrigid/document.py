@@ -26,7 +26,7 @@ indentation, trailing newline, so equal inputs produce identical bytes.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any
 
 from .errors import SchemaError
@@ -108,6 +108,21 @@ def _all_int_pairs(lst: list) -> bool:
     )
 
 
+_LOOP_KEYS = {"id", "vertex", "sigma_label"}
+
+
+def _loop_entries(lst: list) -> list[Loop] | None:
+    """The loops, when every entry is an object with int ``id`` and
+    ``vertex`` and a string or null ``sigma_label`` if any, checked over
+    the whole list at once; else None."""
+    if not (set(map(type, lst)) <= {dict} and set(chain.from_iterable(lst)) <= _LOOP_KEYS):
+        return None
+    ids, vertices, labels = (list(map(dict.get, lst, repeat(k))) for k in ("id", "vertex", "sigma_label"))
+    if set(map(type, ids + vertices)) <= {int} and set(map(type, labels)) <= {str, type(None)}:
+        return list(map(Loop, ids, vertices, labels))
+    return None
+
+
 def _pair(x, what: str, *at) -> tuple:
     lst = _expect_list(x, what, *at)
     if len(lst) != 2:
@@ -117,7 +132,12 @@ def _pair(x, what: str, *at) -> tuple:
 
 def _int_key_map(x, what: str) -> dict[int, int]:
     d = _expect_obj(x, what)
-    out = {}
+    if set(map(type, d.values())) <= {int}:  # checked whole
+        try:
+            return dict(zip(map(int, d), d.values()))
+        except ValueError:
+            pass
+    out = {}  # the first bad entry gets its message
     for k, v in d.items():
         try:
             ik = int(k)
@@ -227,22 +247,25 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
                 raise SchemaError(f"edges[{i}] must be a pair of vertices")
             edges.append((_expect_int(pair[0], "edges[{}][0]", i), _expect_int(pair[1], "edges[{}][1]", i)))
 
-    loops = []
-    for i, raw in enumerate(_expect_list(doc.get("loops", []), "loops")):
-        obj = _expect_obj(raw, "loops[{}]", i)
-        _check_keys(obj, {"id", "vertex", "sigma_label"}, "loops[{}]", i)
-        if "id" not in obj or "vertex" not in obj:
-            raise SchemaError(f"loops[{i}] needs 'id' and 'vertex'")
-        label = obj.get("sigma_label")
-        if label is not None:
-            label = _expect_str(label, "loops[{}].sigma_label", i)
-        loops.append(
-            Loop(
-                _expect_int(obj["id"], "loops[{}].id", i),
-                _expect_int(obj["vertex"], "loops[{}].vertex", i),
-                label,
+    raw_loops = _expect_list(doc.get("loops", []), "loops")
+    loops = _loop_entries(raw_loops)
+    if loops is None:  # the first bad entry gets its message
+        loops = []
+        for i, raw in enumerate(raw_loops):
+            obj = _expect_obj(raw, "loops[{}]", i)
+            _check_keys(obj, _LOOP_KEYS, "loops[{}]", i)
+            if "id" not in obj or "vertex" not in obj:
+                raise SchemaError(f"loops[{i}] needs 'id' and 'vertex'")
+            label = obj.get("sigma_label")
+            if label is not None:
+                label = _expect_str(label, "loops[{}].sigma_label", i)
+            loops.append(
+                Loop(
+                    _expect_int(obj["id"], "loops[{}].id", i),
+                    _expect_int(obj["vertex"], "loops[{}].vertex", i),
+                    label,
+                )
             )
-        )
 
     action = _expect_obj(doc.get("action", {}), "action")
     _check_keys(

@@ -61,7 +61,6 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -75,7 +74,7 @@ DEFAULT_TRIALS = 3
 _MAX_RESAMPLES = 200
 # share of nonzeros in the live rows x columns at which _rank_mod finishes
 # with dense elimination
-_DENSE_SHARE = 0.1
+_DENSE_SHARE = 0.2
 
 Pair = tuple  # (x, y) of int | Fraction | float
 
@@ -101,20 +100,27 @@ class Framework:
             raise RangeError("placement has wrong number of loop normals")
         object.__setattr__(self, "p", tuple(map(tuple, self.p)))
         object.__setattr__(self, "q", tuple(map(tuple, self.q)))
-        for pt in self.p + self.q:
-            if len(pt) != 2:
-                raise RangeError("points and normals must be coordinate pairs")
+        if not set(map(len, self.p + self.q)) <= {2}:
+            raise RangeError("points and normals must be coordinate pairs")
         if self.prime is not None:
             if self.prime != self.graph.group.prime_field.prime:
                 raise RangeError(
                     f"{self.graph.group.name} coordinates are residues modulo"
                     f" {self.graph.group.prime_field.prime}, not {self.prime}"
                 )
-            if not all(
-                isinstance(c, int) and 0 <= c < self.prime
-                for pt in self.p + self.q
-                for c in pt
-            ):
+            arrays = self.__dict__.get("_arrays")  # the sampler's, if it made them
+            if arrays is not None:
+                residues = all(
+                    a.dtype == np.int64 and ((a >= 0) & (a < self.prime)).all()
+                    for a in arrays
+                )
+            else:
+                residues = all(
+                    isinstance(c, int) and 0 <= c < self.prime
+                    for pt in self.p + self.q
+                    for c in pt
+                )
+            if not residues:
                 raise RangeError(f"coordinates must be residues modulo {self.prime}")
 
     @property
@@ -185,23 +191,6 @@ class _Cells:
         self.cells.setdefault(self._key(pt), []).append(item)
 
 
-def _table(perms, width: int) -> np.ndarray:
-    """Equal-length tuples as the rows of an int64 array."""
-    flat = np.fromiter(chain.from_iterable(perms), np.int64, len(perms) * width)
-    return flat.reshape(len(perms), width)
-
-
-def _action_tables(graph: SymmetricGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``graph.action`` as int64 tables, one row per element: each vertex's
-    image, and the index of each loop's image in ``graph.loops``."""
-    vimages = _table([vp for vp, _ in graph.action], graph.num_vertices)
-    limages = np.searchsorted(
-        np.array(graph.loop_ids, dtype=np.int64),
-        _table([lp for _, lp in graph.action], len(graph.loops)),
-    )
-    return vimages, limages
-
-
 def _orbits(images: np.ndarray, ref: np.ndarray):
     """Orbit data of the items an action table moves, one row of images
     per group element (identity first), ``ref`` flagging the reflections.
@@ -256,6 +245,16 @@ def _first_collision(pts: np.ndarray, orbit: np.ndarray, eps: float):
     return None
 
 
+def _draw_residue(rng: random.Random, prime: int) -> int:
+    """``rng.randrange(1, prime)``: the same number from the same state,
+    drawn as randrange draws it, bits below prime - 1, without its checks."""
+    bits = (prime - 1).bit_length()
+    while True:
+        r = rng.getrandbits(bits)
+        if r < prime - 1:
+            return r + 1
+
+
 def sample_symmetric_placement(
     graph: SymmetricGraph,
     seed: int = 0,
@@ -291,7 +290,7 @@ def sample_symmetric_placement(
     ref = np.array([e.ref for e in elements])
     lines = [direction(e) if e.ref else None for e in elements]
 
-    vimages, limages = _action_tables(graph)
+    vimages, limages = graph.action_tables
     orbit, first, reps, mirror, rotated = _orbits(vimages, ref)
     # the images of a rotation-fixed vertex are rotation-fixed too
     rot_fixed = np.flatnonzero(rotated[orbit])
@@ -312,7 +311,7 @@ def sample_symmetric_placement(
 
     def draw_nonzero() -> int:
         if modular:
-            return rng.randrange(1, prime)
+            return _draw_residue(rng, prime)
         while True:
             t = rng.randint(-scale, scale)
             if t != 0:
@@ -368,13 +367,16 @@ def sample_symmetric_placement(
     lcand = np.array([draw(line) for line in llines], dtype=dtype).reshape(-1, 2)
     q = _mapped(taus, lfirst, lcand[lorbit], prime)
 
-    fw = Framework(
+    # the arrays are kept as the framework's own, for build_rigidity_matrix,
+    # and its residue check runs on them
+    fw = object.__new__(Framework)
+    fw.__dict__["_arrays"] = (p, q)
+    fw.__init__(
         graph,
         p.tolist() if exact else tuple(p),
         q.tolist() if exact else tuple(q),
         prime,
     )
-    fw.__dict__["_arrays"] = (p, q)  # kept for build_rigidity_matrix
     return fw
 
 
@@ -421,7 +423,7 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     for k in np.flatnonzero(np.abs(q).max(axis=1) <= eps).tolist():
         bad.append(f"loop {graph.loops[k].id} has zero normal")
 
-    vimages, limages = _action_tables(graph)
+    vimages, limages = graph.action_tables
     qimages = [mapped(g, q) for g in range(len(taus))]
     for g, elem in enumerate(group.elements()[1:], 1):
         label = group.element_label(elem)
@@ -518,7 +520,7 @@ def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     with a zero normal."""
     graph, prime = fw.graph, fw.prime
     p, q = fw._arrays
-    ends = _table(graph.edges, 2)
+    ends = graph.edge_ends
     d = p[ends[:, 0]] - p[ends[:, 1]]
     vals = np.concatenate([d, -d], axis=1)
     if prime is not None:

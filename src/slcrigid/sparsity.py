@@ -30,11 +30,17 @@ state, and ``_PebbleGame.delete`` deletes one row in place, both without a
 search.
 
 Graphs are passed structurally: a vertex count, edge pairs, and a sequence
-of loop vertices (one entry per loop).
+of loop vertices (one entry per loop).  Vertex ids are integers, Python or
+NumPy, and are kept as Python ints; a bool or a value that is not an
+integer raises ``RangeError``, as an id out of range does.  Rows are
+normalised once: the edges ``_normalize`` returns, which a
+``SymmetricGraph`` keeps, are taken again as they are, so ``check_tight``
+does not check its graph's rows a second time.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -46,28 +52,64 @@ SUBSET_AUDIT_MAX_VERTICES = 24
 _BLOCK = 1 << 20
 
 
+class _Edges(tuple):
+    """Edge pairs as ``_normalize`` returns them: Python ints u < v, all
+    below ``num_vertices``, sorted, none twice.  ``_normalize`` hands them
+    back as they are for a vertex count of at least ``num_vertices``, so
+    the rows a ``SymmetricGraph`` keeps are checked once."""
+
+    num_vertices: int
+
+
+def _vertex_id(x, what: str, *at) -> int:
+    """x as a Python int; a bool or a value that is not an integer raises,
+    naming it by ``what.format(*at)``, formatted only for the error."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise RangeError(f"{what.format(*at)} {x!r} is not an integer")
+
+
 def _normalize(num_vertices: int, edges, loops):
+    """The edges as sorted pairs u < v (an ``_Edges``) and the loop
+    vertices sorted, every id a Python int.
+
+    Ids may be any integers (``int``, NumPy integers); a bool or a
+    non-integer id raises ``RangeError``, as do an id out of range, a
+    self-edge and an edge given twice."""
     if not isinstance(num_vertices, int) or num_vertices < 0:
         raise RangeError("num_vertices must be a nonnegative integer")
-    out_edges = []
-    seen = set()
-    for e in edges:
-        u, v = e
-        if u == v:
-            raise RangeError("self-edge must be a loop entry")
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise RangeError(f"edge {e} out of range")
-        uv = (u, v) if u < v else (v, u)
-        if uv in seen:
-            raise RangeError(f"duplicate edge {uv}")
-        seen.add(uv)
-        out_edges.append(uv)
+    # an _Edges that a copier made by calling the class holds no count
+    if type(edges) is _Edges and getattr(edges, "num_vertices", num_vertices + 1) <= num_vertices:
+        out = edges
+    else:
+        out_edges = []
+        seen = set()
+        for e in edges:
+            u, v = e
+            if type(u) is not int or type(v) is not int:
+                u, v = _vertex_id(u, "edge {} vertex", e), _vertex_id(v, "edge {} vertex", e)
+            if u == v:
+                raise RangeError("self-edge must be a loop entry")
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise RangeError(f"edge {e} out of range")
+            uv = (u, v) if u < v else (v, u)
+            if uv in seen:
+                raise RangeError(f"duplicate edge {uv}")
+            seen.add(uv)
+            out_edges.append(uv)
+        out = _Edges(sorted(out_edges))
+        out.num_vertices = num_vertices
     out_loops = []
     for v in loops:
+        if type(v) is not int:
+            v = _vertex_id(v, "loop vertex")
         if not 0 <= v < num_vertices:
             raise RangeError(f"loop vertex {v} out of range")
         out_loops.append(v)
-    return sorted(out_edges), sorted(out_loops)
+    return out, sorted(out_loops)
 
 
 @dataclass(frozen=True)

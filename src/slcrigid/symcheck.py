@@ -257,7 +257,8 @@ def check_tight(graph: SymmetricGraph, method: str = "pebble") -> TightReport:
     counts are computed once and serve both of the latter.
     """
     require_valid_action(graph)
-    loops = [lp.vertex for lp in graph.loops]
+    # the graph's edges are normalised already, and are not checked again
+    loops = graph.loop_vertices
     if method == "pebble":
         sp = pebble_check(graph.num_vertices, graph.edges, loops)
     elif method == "subset":

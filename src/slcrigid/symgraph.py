@@ -21,11 +21,23 @@ A graph's action on its vertices and loops is built once, on first use, by
 group element in canonical order, the vertex permutation and the loop
 permutation, both tuples, the loop one aligned with ``loops`` like the
 stored generators.  Every helper here, and the modules above, read that
-one value.  Its ``validate_action`` report is kept the same way, as
+one value.  Its int64 copy is kept beside it, built from it once:
+``SymmetricGraph.action_tables`` holds per element the image of each
+vertex and the index in ``loops`` of each loop's image, and
+``SymmetricGraph.edge_ends`` holds the edges as an (edges, 2) array.
+Fixed counts, stabilizers and ``validate_action`` here, and the sampler,
+``check_framework`` and the rigidity matrix in ``realize``, read those.
+The ``validate_action`` report is kept the same way, as
 ``SymmetricGraph.validation``, so a graph is validated once however many
-stages require a valid action.  Neither is a field, so ``==``, ``hash``,
-``repr`` and ``dataclasses.replace`` ignore them, and a replaced graph
-builds its own.
+stages require a valid action.  None of these is a field, so ``==``,
+``hash``, ``repr`` and ``dataclasses.replace`` ignore them, and a
+replaced graph builds its own.
+
+A graph's rows are normalised once, when it is built, by
+``sparsity._normalize``: each edge a sorted pair u < v of Python ints.  Any
+integer vertex ids are accepted, NumPy integers included; a bool or a
+value that is not an integer raises ``RangeError``.  ``pebble_check`` and
+``subset_audit`` take the kept edges as they are.
 
 All types are immutable; functions return new values.
 """
@@ -183,7 +195,10 @@ class GroupSpec:
         """True when every symmetry matrix has integer entries."""
         return self.rotation_order in (1, 2, 4)
 
+    @cache
     def elements(self) -> tuple[GroupElement, ...]:
+        """The elements in canonical order: rotations c^0..c^(n-1), then
+        c^r * s.  Worked out once per group."""
         n = self.rotation_order
         out = [GroupElement(r, False) for r in range(n)]
         if self.has_reflection:
@@ -330,7 +345,7 @@ class SymmetricGraph:
     def __post_init__(self) -> None:
         n = self.num_vertices
         edges, _ = _normalize(n, self.edges, ())
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "edges", edges)
 
         loops = tuple(sorted((_as_loop(l) for l in self.loops), key=lambda l: l.id))
         ids = [l.id for l in loops]
@@ -413,6 +428,27 @@ class SymmetricGraph:
         return element_tables(self)
 
     @cached_property
+    def action_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``action`` as read-only int64 tables, one row per element in
+        canonical order: each vertex's image, and the index in ``loops``
+        of each loop's image.  Built from ``action`` on first use and kept."""
+        action = self.action
+        vimages = _table([vp for vp, _ in action], self.num_vertices)
+        limages = np.searchsorted(
+            np.array(self.loop_ids, dtype=np.int64),
+            _table([lp for _, lp in action], len(self.loops)),
+        ).astype(np.int64, copy=False)
+        vimages.flags.writeable = limages.flags.writeable = False
+        return vimages, limages
+
+    @cached_property
+    def edge_ends(self) -> np.ndarray:
+        """``edges`` as a read-only int64 array of shape (edges, 2), kept."""
+        ends = _table(self.edges, 2)
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
     def validation(self) -> ValidationReport:
         """``validate_action(self)``, worked out on first use and kept."""
         return validate_action(self)
@@ -426,6 +462,12 @@ class ElementAction:
     vertex: tuple[int, ...]
     loop: dict[int, int] = field(compare=False)
     edge: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
+
+
+def _table(rows, width: int) -> np.ndarray:
+    """Equal-length tuples as the rows of an int64 array."""
+    flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
+    return flat.reshape(len(rows), width)
 
 
 def _compose(f, g, loop_index: dict[int, int]):
@@ -483,65 +525,76 @@ def validate_action(graph: SymmetricGraph) -> ValidationReport:
     set, loop incidence equivariance, the rule that a loop may only be fixed
     by order-2 elements whose vertex is fixed, and that sigma labels appear
     exactly on mirror-fixed loops.  Violations come back as data; nothing is
-    raised here.
+    raised here.  Every check runs on ``graph.action_tables`` and
+    ``graph.edge_ends``; only the items it flags are formatted.
     """
     group = graph.group
     n_rot = group.rotation_order
-    action = graph.action
-    loop_index = {l.id: k for k, l in enumerate(graph.loops)}
+    n = graph.num_vertices
+    vimages, limages = graph.action_tables
     bad: list[str] = []
 
-    def is_identity(f, g) -> bool:
-        return _compose(f, g, loop_index) == action[0]
+    def is_identity(f: int, g: int) -> bool:
+        """Whether element f after element g fixes every vertex and loop
+        (row 0 is the identity's)."""
+        return bool(
+            (vimages[f][vimages[g]] == vimages[0]).all()
+            and (limages[f][limages[g]] == limages[0]).all()
+        )
 
     # c^n = c after c^(n-1); s s = 1; s c s = c^-1 iff (c s)(c s) = 1
-    if n_rot > 1 and not is_identity(action[1], action[n_rot - 1]):
+    if n_rot > 1 and not is_identity(1, n_rot - 1):
         bad.append("rotation generator order does not divide the group order")
     if group.has_reflection:
-        if not is_identity(action[n_rot], action[n_rot]):
+        if not is_identity(n_rot, n_rot):
             bad.append("reflection generator is not an involution")
-        if n_rot > 1 and not is_identity(action[n_rot + 1], action[n_rot + 1]):
+        if n_rot > 1 and not is_identity(n_rot + 1, n_rot + 1):
             bad.append("generators do not satisfy the dihedral relation")
 
-    edge_set = set(graph.edges)
-    gens = [(action[1], "rotation")] if n_rot > 1 else []
+    # per generator, each edge's image as a key u * n + v with u < v, and
+    # each loop's vertex against its image loop's vertex
+    gens = [(1, "rotation")] if n_rot > 1 else []
     if group.has_reflection:
-        gens.append((action[n_rot], "reflection"))
-    for (gv, gl), name in gens:
-        for (u, v) in graph.edges:
-            a, b = gv[u], gv[v]
-            if ((a, b) if a < b else (b, a)) not in edge_set:
+        gens.append((n_rot, "reflection"))
+    ends = graph.edge_ends
+    keys = ends[:, 0] * n + ends[:, 1]  # ascending: the edges are sorted
+    at = np.array(graph.loop_vertices, dtype=np.int64)
+    for g, name in gens:
+        a, b = vimages[g][ends[:, 0]], vimages[g][ends[:, 1]]
+        image_keys = np.minimum(a, b) * n + np.maximum(a, b)
+        # g permutes the vertices, so it preserves the edge set when the
+        # image keys, sorted, are the keys
+        if not (np.sort(image_keys) == keys).all():
+            for i in (~np.isin(image_keys, keys)).nonzero()[0].tolist():
+                u, v = graph.edges[i]
                 bad.append(f"{name} does not preserve edge ({u}, {v})")
-        for l, img_id in zip(graph.loops, gl):
-            img = graph.loops[loop_index[img_id]]
-            if img.vertex != gv[l.vertex]:
-                bad.append(
-                    f"{name} sends loop {l.id} at {l.vertex} to loop {img.id}"
-                    f" at {img.vertex}, expected vertex {gv[l.vertex]}"
-                )
+        expected = vimages[g][at]
+        for k in (at[limages[g]] != expected).nonzero()[0].tolist():
+            l, img = graph.loops[k], graph.loops[limages[g, k]]
+            bad.append(
+                f"{name} sends loop {l.id} at {l.vertex} to loop {img.id}"
+                f" at {img.vertex}, expected vertex {expected[k]}"
+            )
 
     if bad:
         return ValidationReport(False, tuple(bad))
 
-    mirror_fixed: set[int] = set()
-    for elem, (evp, elp) in list(zip(group.elements(), action))[1:]:
+    elements = group.elements()[1:]
+    fixed = _fixed(graph, "loop")
+    # (element, loop) pairs in element order, then loop order
+    for g, k in zip(*(x.tolist() for x in fixed.nonzero())):
+        elem, l = elements[g], graph.loops[k]
         order = group.element_order(elem)
-        for l, img_id in zip(graph.loops, elp):
-            if img_id != l.id:
-                continue
-            if order != 2:
-                bad.append(
-                    f"loop {l.id} fixed by {group.element_label(elem)}"
-                    f" of order {order}"
-                )
-            if evp[l.vertex] != l.vertex:
-                bad.append(f"loop {l.id} fixed but its vertex {l.vertex} is not")
-            if elem.ref:
-                mirror_fixed.add(l.id)
-    for l in graph.loops:
-        if l.id in mirror_fixed and l.sigma_label is None:
+        if order != 2:
+            bad.append(f"loop {l.id} fixed by {group.element_label(elem)} of order {order}")
+        if vimages[g + 1, l.vertex] != l.vertex:
+            bad.append(f"loop {l.id} fixed but its vertex {l.vertex} is not")
+    # the reflections are the elements from n_rot on
+    mirror_fixed = fixed[n_rot - 1 :].any(axis=0).tolist()
+    for l, mirrored in zip(graph.loops, mirror_fixed):
+        if mirrored and l.sigma_label is None:
             bad.append(f"loop {l.id} is mirror-fixed but has no sigma_label")
-        if l.id not in mirror_fixed and l.sigma_label is not None:
+        if not mirrored and l.sigma_label is not None:
             bad.append(f"loop {l.id} has a sigma_label but no mirror fixes it")
 
     return ValidationReport(not bad, tuple(bad))
@@ -601,35 +654,22 @@ def vertex_orbit(graph: SymmetricGraph, v: int) -> tuple[int, ...]:
     return tuple(sorted({vp[v] for vp, _ in graph.action}))
 
 
-def _fixed(graph: SymmetricGraph, kind: str):
-    """The number of vertices, edges or loops, and per nonidentity element in
-    canonical order the element and the indices of those it fixes.
+def _fixed(graph: SymmetricGraph, kind: str) -> np.ndarray:
+    """Whether each nonidentity element, in canonical order, fixes each
+    vertex, edge or loop: a bool array with one row per element and one
+    column per item, read off ``graph.action_tables``.
 
     An edge is fixed when its ends are fixed or swapped.
     """
-    nonid = list(zip(graph.group.elements(), graph.action))[1:]
+    vimages, limages = graph.action_tables
     if kind == "vertex":
-        count = graph.num_vertices
-        return count, [
-            (e, [v for v in range(count) if vp[v] == v]) for e, (vp, _) in nonid
-        ]
+        return vimages[1:] == np.arange(graph.num_vertices)
     if kind == "edge":
-        return len(graph.edges), [
-            (
-                e,
-                [
-                    i
-                    for i, (u, v) in enumerate(graph.edges)
-                    if (vp[u], vp[v]) in ((u, v), (v, u))
-                ],
-            )
-            for e, (vp, _) in nonid
-        ]
+        u, v = graph.edge_ends.T
+        a, b = vimages[1:, u], vimages[1:, v]
+        return ((a == u) & (b == v)) | ((a == v) & (b == u))
     if kind == "loop":
-        return len(graph.loops), [
-            (e, [k for k, l in enumerate(graph.loops) if lp[k] == l.id])
-            for e, (_, lp) in nonid
-        ]
+        return limages[1:] == np.arange(len(graph.loops))
     raise RangeError(f"unknown stabilizer kind {kind!r}")
 
 
@@ -640,11 +680,11 @@ def stabilizers(graph: SymmetricGraph, kind: str) -> tuple[tuple[GroupElement, .
     (aligned with ``graph.edges``) or ``"loop"`` (aligned with
     ``graph.loops``).
     """
-    count, fixed = _fixed(graph, kind)
-    out: list[list[GroupElement]] = [[] for _ in range(count)]
-    for elem, items in fixed:
-        for i in items:
-            out[i].append(elem)
+    fixed = _fixed(graph, kind)
+    elements = graph.group.elements()[1:]
+    out: list[list[GroupElement]] = [[] for _ in range(fixed.shape[1])]
+    for g, i in zip(*(x.tolist() for x in np.nonzero(fixed))):
+        out[i].append(elements[g])
     return tuple(map(tuple, out))
 
 
@@ -730,22 +770,28 @@ def fixed_counts(graph: SymmetricGraph) -> FixedCounts:
     valid action (mirror-fixed loops must carry labels).
     """
     group = graph.group
-    (nv, vfix), (ne, efix), (nl, lfix) = (
-        _fixed(graph, kind) for kind in ("vertex", "edge", "loop")
-    )
+    vfix, efix, lfix = (_fixed(graph, kind) for kind in ("vertex", "edge", "loop"))
     lstab = stabilizers(graph, "loop") if group.has_reflection else ()
     identity = group.identity()
-    out = [ElementCounts(identity, group.element_label(identity), nv, ne, nl)]
-    for (elem, vs), (_, es), (_, ls) in zip(vfix, efix, lfix):
+    out = [
+        ElementCounts(
+            identity,
+            group.element_label(identity),
+            graph.num_vertices,
+            len(graph.edges),
+            len(graph.loops),
+        )
+    ]
+    counts = zip(*(m.sum(axis=1).tolist() for m in (vfix, efix, lfix)))
+    for elem, fixed_loops, (nv, ne, nl) in zip(group.elements()[1:], lfix, counts):
         plus = minus = None
         if elem.ref:
-            signs = [mirror_sign(group, graph.loops[k], lstab[k], elem) for k in ls]
+            signs = [
+                mirror_sign(group, graph.loops[k], lstab[k], elem)
+                for k in np.flatnonzero(fixed_loops).tolist()
+            ]
             plus, minus = signs.count(1), signs.count(-1)
-        out.append(
-            ElementCounts(
-                elem, group.element_label(elem), len(vs), len(es), len(ls), plus, minus
-            )
-        )
+        out.append(ElementCounts(elem, group.element_label(elem), nv, ne, nl, plus, minus))
     return FixedCounts(tuple(out))
 
 

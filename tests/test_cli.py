@@ -69,7 +69,7 @@ def test_check_failing_graph_exits_one(loose_file):
 
 
 def test_check_reads_stdin(lc3_file):
-    text = open(lc3_file).read()
+    text = Path(lc3_file).read_text()
     r = run_cli(["check", "-"], inp=text)
     assert r.returncode == 0
 

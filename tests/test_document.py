@@ -134,8 +134,9 @@ def test_parse_errors_name_the_bad_value():
 
 
 def test_whole_list_checks_fall_back_to_the_first_bad_value():
-    # edge lists and vertex perms are checked whole; one bad value anywhere
-    # in a long list still gets the message that names it
+    # edge lists, loop entries, vertex perms and loop perms are checked
+    # whole; one bad value anywhere in a long list still gets the message
+    # that names it
     graph = generate_random("c3", steps=30, seed=0).graph
 
     def edited(edit):
@@ -154,6 +155,19 @@ def test_whole_list_checks_fall_back_to_the_first_bad_value():
         (
             lambda d: d["action"]["rotation_vertex_perm"].__setitem__(-1, True),
             f"rotation_vertex_perm[{graph.num_vertices - 1}] must be an integer",
+        ),
+        (lambda d: d["loops"][5].__setitem__("vertex", 2.0), "loops[5].vertex must be an integer"),
+        (lambda d: d["loops"][-1].__setitem__("id", True), f"loops[{len(graph.loops) - 1}].id must be an integer"),
+        (lambda d: d["loops"][3].pop("vertex"), "loops[3] needs 'id' and 'vertex'"),
+        (lambda d: d["loops"][4].__setitem__("sign", "+"), "loops[4] has unknown keys: sign"),
+        (lambda d: d["loops"].__setitem__(2, [0, 1]), "loops[2] must be an object"),
+        (
+            lambda d: d["action"]["rotation_loop_perm"].__setitem__("4", None),
+            "rotation_loop_perm[4] must be an integer",
+        ),
+        (
+            lambda d: d["action"]["rotation_loop_perm"].__setitem__("four", 4),
+            "rotation_loop_perm keys must be integer loop ids",
         ),
     ):
         with pytest.raises(SchemaError) as err:
@@ -227,3 +241,19 @@ def test_rank_report_dict_contents():
     assert d["classification"] == "isostatic"
     assert d["rank"] == d["num_rows"] == d["num_cols"] == 6
     assert d["trials"] == 2
+
+
+def test_graph_from_numpy_arrays_serializes():
+    import numpy as np
+
+    g = base_graph("lc3")
+    h = type(g)(
+        g.group,
+        g.num_vertices,
+        np.array(g.edges, dtype=np.int64),
+        g.loops,
+        g.rotation_vertex_perm,
+        g.rotation_loop_perm,
+    )
+    # the ids were np.int64 and json refused them
+    assert document.dumps(document.graph_to_dict(h)) == document.dumps(document.graph_to_dict(g))

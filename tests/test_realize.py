@@ -912,3 +912,47 @@ def test_classify_is_isostatic_in_one_trial_where_the_float_cut_failed(group, st
     r = classify(graph)
     assert r.classification == "isostatic"
     assert r.trial_ranks == (2 * graph.num_vertices,)
+
+
+def test_residue_draws_are_those_of_randrange():
+    # a small prime rejects about half its bit draws; the group primes
+    # sit just below 2**31 and rarely reject
+    primes = [5, 7, 17] + [GroupSpec("cyclic", n).prime_field.prime for n in (1, 3, 5)]
+    for prime in primes:
+        for seed in range(20):
+            a, b = random.Random(seed), random.Random(seed)
+            got = [realize._draw_residue(a, prime) for _ in range(200)]
+            assert got == [b.randrange(1, prime) for _ in range(200)], (prime, seed)
+
+
+def test_check_tight_and_classify_build_the_int64_tables_once(monkeypatch):
+    # a fresh object, with nothing kept on it yet; not of full rank, so
+    # classify runs every trial
+    graph = replace(c2_fixed_edge())
+    widths = []
+    original = symgraph._table
+
+    def counted(rows, width):
+        widths.append(width)
+        return original(rows, width)
+
+    monkeypatch.setattr(symgraph, "_table", counted)
+    check_tight(graph)
+    report = classify(graph, trials=3)
+    assert len(report.trial_ranks) == 3
+    # the vertex images and the loop images, once, and the edge ends once
+    assert sorted(widths) == sorted([graph.num_vertices, len(graph.loops), 2])
+
+
+def test_sampled_residue_framework_is_checked_on_its_arrays():
+    graph = base_graph("lc3")
+    fw = sample_symmetric_placement(graph, seed=0, modular=True)
+    p, q = fw._arrays
+    assert p.dtype == q.dtype == np.int64
+    assert fw.p == tuple(map(tuple, p.tolist())) and fw.q == tuple(map(tuple, q.tolist()))
+    # arrays out of range are refused as the same tuples would be
+    for arrays in ((p + fw.prime, q), (p, -q)):
+        bad = object.__new__(Framework)
+        bad.__dict__["_arrays"] = arrays
+        with pytest.raises(RangeError):
+            bad.__init__(graph, fw.p, fw.q, fw.prime)

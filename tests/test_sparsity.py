@@ -1,5 +1,6 @@
 """Counting oracle, pebble game, and the helper counts they share."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -9,7 +10,9 @@ import pytest
 
 from conftest import random_rows_graph
 from slcrigid import (
+    GroupSpec,
     RangeError,
+    SymmetricGraph,
     criticality,
     cross_edge_count,
     generate_random,
@@ -407,3 +410,49 @@ def test_finished_games_orient_every_edge_once_and_keep_the_pebble_balance():
             for v in range(g.num_vertices):
                 loops = g.loop_vertices.count(v)
                 assert game.pebbles[v] == 2 - len(game.out[v]) - loops >= 0
+
+
+def test_vertex_ids_must_be_integers_and_are_kept_as_python_ints():
+    # a float or bool id was stored as given, and True counted as vertex 1
+    for edges, loops in (
+        ([(0, 2.0), (1, 2)], []),
+        ([(0, True), (1, 2)], []),
+        ([(0, 1), (1, 2)], [2.0]),
+        ([(0, 1), (1, 2)], [False]),
+        ([(0, np.float64(1)), (1, 2)], []),
+    ):
+        if not loops:  # a graph's loops are Loop rows, not vertex ids
+            with pytest.raises(RangeError, match="is not an integer"):
+                SymmetricGraph(GroupSpec("cyclic", 1), 3, edges)
+        for check in (pebble_check, subset_audit):
+            with pytest.raises(RangeError, match="is not an integer"):
+                check(3, edges, loops)
+        with pytest.raises(RangeError, match="is not an integer"):
+            criticality(3, edges, loops, [0, 1])
+    # NumPy integers are ids, stored as Python ints
+    g = SymmetricGraph(GroupSpec("cyclic", 1), 3, np.array([[1, 0], [1, 2]]))
+    assert g.edges == ((0, 1), (1, 2))
+    assert {type(x) for e in g.edges for x in e} == {int}
+    assert pebble_check(3, np.array([[0, 1], [1, 2]]), np.array([0, 2])).num_loops == 2
+
+
+def test_a_float_id_in_the_pebble_game_is_a_range_error():
+    # it reached the game and raised a TypeError there
+    with pytest.raises(RangeError):
+        pebble_check(3, [(0, 1.0), (1, 2), (0, 2)], [0, 1, 2])
+
+
+def test_a_graphs_edges_are_not_normalised_again():
+    g = generate_random("c3", steps=10, seed=0).graph
+    n = g.num_vertices
+    edges, loops = sparsity._normalize(n, g.edges, g.loop_vertices)
+    assert edges is g.edges and loops == sorted(g.loop_vertices)
+    assert pebble_check(n, g.edges, g.loop_vertices) == pebble_check(n, list(g.edges), g.loop_vertices)
+    # below the vertex count they were checked for, they are checked again
+    top = max(v for e in g.edges for v in e)
+    with pytest.raises(RangeError, match="out of range"):
+        pebble_check(top, g.edges, [])
+    # and so is a copy made by calling their type, as dataclasses.asdict does
+    copied = dataclasses.asdict(g)["edges"]
+    assert type(copied) is type(g.edges)
+    assert pebble_check(n, copied, g.loop_vertices) == pebble_check(n, g.edges, g.loop_vertices)

@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -30,6 +31,7 @@ from slcrigid import (
     SymmetricGraph,
     base_graph,
     element_action,
+    generate_random,
     element_tables,
     fixed_counts,
     induced_subgraph,
@@ -488,3 +490,191 @@ def test_returned_action_values_do_not_alias_the_kept_one():
     with pytest.raises(TypeError):
         tables[1][1][0] = 1
     assert fixed_counts(g) == before
+
+
+# -- the int64 tables against the action tuples ------------------------------
+#
+# The reference versions below walk ``graph.action`` one item at a time, as
+# ``_fixed``, ``stabilizers``, ``fixed_counts`` and ``validate_action`` did
+# before they read ``graph.action_tables``; results and messages must agree.
+
+
+def _reference_fixed(graph, kind):
+    nonid = list(zip(graph.group.elements(), graph.action))[1:]
+    if kind == "vertex":
+        return graph.num_vertices, [
+            (e, [v for v in range(graph.num_vertices) if vp[v] == v]) for e, (vp, _) in nonid
+        ]
+    if kind == "edge":
+        return len(graph.edges), [
+            (e, [i for i, (u, v) in enumerate(graph.edges) if (vp[u], vp[v]) in ((u, v), (v, u))])
+            for e, (vp, _) in nonid
+        ]
+    return len(graph.loops), [
+        (e, [k for k, l in enumerate(graph.loops) if lp[k] == l.id]) for e, (_, lp) in nonid
+    ]
+
+
+def _reference_stabilizers(graph, kind):
+    count, fixed = _reference_fixed(graph, kind)
+    out = [[] for _ in range(count)]
+    for elem, items in fixed:
+        for i in items:
+            out[i].append(elem)
+    return tuple(map(tuple, out))
+
+
+def _reference_fixed_counts(graph):
+    from slcrigid.symgraph import ElementCounts, FixedCounts
+
+    group = graph.group
+    (nv, vfix), (ne, efix), (nl, lfix) = (
+        _reference_fixed(graph, kind) for kind in ("vertex", "edge", "loop")
+    )
+    lstab = _reference_stabilizers(graph, "loop")
+    identity = group.identity()
+    out = [ElementCounts(identity, group.element_label(identity), nv, ne, nl)]
+    for (elem, vs), (_, es), (_, ls) in zip(vfix, efix, lfix):
+        plus = minus = None
+        if elem.ref:
+            signs = [mirror_sign(group, graph.loops[k], lstab[k], elem) for k in ls]
+            plus, minus = signs.count(1), signs.count(-1)
+        out.append(
+            ElementCounts(elem, group.element_label(elem), len(vs), len(es), len(ls), plus, minus)
+        )
+    return FixedCounts(tuple(out))
+
+
+def _reference_violations(graph):
+    group, action = graph.group, graph.action
+    n_rot = group.rotation_order
+    loop_index = {l.id: k for k, l in enumerate(graph.loops)}
+    bad = []
+
+    def is_identity(f, g):
+        (fv, fl), (gv, gl) = f, g
+        composed = tuple(fv[x] for x in gv), tuple(fl[loop_index[i]] for i in gl)
+        return composed == action[0]
+
+    if n_rot > 1 and not is_identity(action[1], action[n_rot - 1]):
+        bad.append("rotation generator order does not divide the group order")
+    if group.has_reflection:
+        if not is_identity(action[n_rot], action[n_rot]):
+            bad.append("reflection generator is not an involution")
+        if n_rot > 1 and not is_identity(action[n_rot + 1], action[n_rot + 1]):
+            bad.append("generators do not satisfy the dihedral relation")
+    edge_set = set(graph.edges)
+    gens = [(action[1], "rotation")] if n_rot > 1 else []
+    if group.has_reflection:
+        gens.append((action[n_rot], "reflection"))
+    for (gv, gl), name in gens:
+        for (u, v) in graph.edges:
+            if tuple(sorted((gv[u], gv[v]))) not in edge_set:
+                bad.append(f"{name} does not preserve edge ({u}, {v})")
+        for l, img_id in zip(graph.loops, gl):
+            img = graph.loops[loop_index[img_id]]
+            if img.vertex != gv[l.vertex]:
+                bad.append(
+                    f"{name} sends loop {l.id} at {l.vertex} to loop {img.id}"
+                    f" at {img.vertex}, expected vertex {gv[l.vertex]}"
+                )
+    if bad:
+        return tuple(bad)
+    mirror_fixed = set()
+    for elem, (evp, elp) in list(zip(group.elements(), action))[1:]:
+        order = group.element_order(elem)
+        for l, img_id in zip(graph.loops, elp):
+            if img_id != l.id:
+                continue
+            if order != 2:
+                bad.append(f"loop {l.id} fixed by {group.element_label(elem)} of order {order}")
+            if evp[l.vertex] != l.vertex:
+                bad.append(f"loop {l.id} fixed but its vertex {l.vertex} is not")
+            if elem.ref:
+                mirror_fixed.add(l.id)
+    for l in graph.loops:
+        if l.id in mirror_fixed and l.sigma_label is None:
+            bad.append(f"loop {l.id} is mirror-fixed but has no sigma_label")
+        if l.id not in mirror_fixed and l.sigma_label is not None:
+            bad.append(f"loop {l.id} has a sigma_label but no mirror fixes it")
+    return tuple(bad)
+
+
+def _outcome(fn, graph):
+    """fn(graph), or the type and message of what it raised."""
+    try:
+        return fn(graph)
+    except ActionError as err:
+        return type(err), str(err)
+
+
+def _broken_variants(graph, rng):
+    """The graph with its stored action wrong in one place, one way each."""
+    n = graph.num_vertices
+    for gen in ("rotation", "reflection"):
+        vp = getattr(graph, f"{gen}_vertex_perm")
+        if vp is None:
+            continue
+        if n > 1:
+            swapped = list(vp)
+            i, j = rng.sample(range(n), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            yield replace(graph, **{f"{gen}_vertex_perm": tuple(swapped)})
+        lp = getattr(graph, f"{gen}_loop_perm")
+        if len(lp) > 1:
+            yield replace(graph, **{f"{gen}_loop_perm": lp[1:] + lp[:1]})
+        if lp:
+            yield replace(graph, **{f"{gen}_loop_perm": graph.loop_ids})
+    if graph.loops:
+        yield replace(graph, loops=tuple(Loop(l.id, l.vertex, "+") for l in graph.loops))
+        yield replace(graph, loops=tuple(Loop(l.id, l.vertex) for l in graph.loops))
+
+
+def _table_graphs():
+    for order in range(1, 8):
+        for seed in (0, 1):
+            yield generate_random(f"c{order}", steps=4 + 2 * seed, seed=seed).graph
+    yield from (
+        mirror_pair(),
+        mirror_fixed_vertex(),
+        d2_loop_fixed_by_both_mirrors(),
+        d3_flower(),
+        c2_fixed_edge(),
+        c3_wheel(),
+        ring_with_spokes(5),
+    )
+
+
+def test_table_readers_match_the_action_tuples_on_valid_and_broken_actions():
+    rng = random.Random(0)
+    seen = {"valid": 0, "broken": 0, "raised": 0}
+    for graph in _table_graphs():
+        for g in [graph, *_broken_variants(graph, rng)]:
+            violations = _reference_violations(g)
+            assert validate_action(g).violations == violations
+            assert validate_action(g).ok == (not violations)
+            for kind in ("vertex", "edge", "loop"):
+                assert stabilizers(g, kind) == _reference_stabilizers(g, kind)
+            counts = _outcome(fixed_counts, g)
+            assert counts == _outcome(_reference_fixed_counts, g)
+            seen["broken" if violations else "valid"] += 1
+            seen["raised"] += isinstance(counts, tuple)
+    # every path was taken: valid and broken actions, and a mirror-fixed
+    # loop with no label, on which fixed_counts raises
+    assert min(seen.values()) > 0, seen
+
+
+def test_table_copies_are_kept_and_read_only():
+    g = d3_flower()
+    vimages, limages = g.action_tables
+    assert g.action_tables[0] is vimages and g.edge_ends is g.edge_ends
+    assert vimages.tolist() == [list(vp) for vp, _ in g.action]
+    assert [[g.loops[k].id for k in row] for row in limages.tolist()] == [
+        list(lp) for _, lp in g.action
+    ]
+    assert g.edge_ends.tolist() == [list(e) for e in g.edges]
+    for table in (vimages, limages, g.edge_ends):
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    assert g == d3_flower() and repr(g) == repr(d3_flower())
