@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import document
-from .errors import InputError, ReductionDeadEnd, SchemaError, SlcrigidError
+from .errors import InputError, ReductionDeadEnd, SchemaError, SlcrigidError, UnsupportedBackendError
 from .henneberg import apply_extension, certified_group, decompose, generate_random
 from .realize import (
     DEFAULT_SCALE,
@@ -76,15 +76,10 @@ def cmd_rank(args) -> int:
         report = rank(
             build_rigidity_matrix(framework), backend=backend or "float", tol=args.tol
         )
+    elif backend == "float":
+        raise UnsupportedBackendError("a float rank needs a placement given in the document")
     else:
-        report = classify(
-            graph,
-            trials=args.trials,
-            seed=_seed(args),
-            backend=backend or "exact",
-            tol=args.tol,
-            scale=args.scale,
-        )
+        report = classify(graph, trials=args.trials, seed=_seed(args))
     out = {"group": graph.group.name, "placement": "given" if framework else "sampled"}
     out.update(document.rank_report_to_dict(report))
     _emit(out)
@@ -94,9 +89,7 @@ def cmd_rank(args) -> int:
 def cmd_verdict(args) -> int:
     graph, _ = document.parse_graph(_read_text(args.file))
     tight = check_tight(graph, method=args.method)
-    rank_report = classify(
-        graph, trials=args.trials, seed=_seed(args), backend=args.backend, tol=args.tol
-    )
+    rank_report = classify(graph, trials=args.trials, seed=_seed(args))
     certified = certified_group(graph.group)
     if not tight.tight:
         overall = "necessary-conditions-fail"
@@ -213,23 +206,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("float", "exact"),
         default=None,
-        help="default: exact for a sampled placement, float for a given one",
+        help="default: float for a given placement; a sampled one is always ranked exactly",
     )
     backends.add_argument(
         "--exact", action="store_true", help="shorthand for --backend exact"
     )
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     _add_seed(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("verdict", help="combinatorial + numeric verdict")
     p.add_argument("file")
     p.add_argument("--method", choices=("pebble", "subset"), default="pebble")
-    p.add_argument("--backend", choices=("float", "exact"), default="exact")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--trace", action="store_true", help="attach a construction trace")
     _add_seed(p)
     p.set_defaults(func=cmd_verdict)

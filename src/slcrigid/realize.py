@@ -32,14 +32,15 @@ rotations and the mirror directions have images in F_p
 (``GroupSpec.prime_field``).  A residue sample is then the image of a
 generic symmetric placement under a ring map, and its rank modulo p is at
 most the generic rank: a full rank proves generic full rank, and a deficit
-is a lower bound.  ``classify`` therefore ranks residue samples by default
-(backend ``"exact"``), and any sampled rank bounds the generic rank from
-below, so it keeps the best trial and stops at the first that reaches
-min(rows, 2|V|).
+is a lower bound.  ``classify`` therefore ranks residue samples, exactly;
+each bounds the generic rank from below, so it keeps the best trial and
+stops at the first that reaches min(rows, 2|V|).  No verdict reads a
+tolerance.
 
-The float rank of real entries is one dense SVD of the matrix: the
-singular values above ``tol * s_max * max(rows, 2|V|)`` are counted.  The
-cut is a heuristic, and it loses rank at a few hundred vertices.
+The float rank of real entries, of a given placement and in ``motions``,
+is one dense SVD of the matrix: the singular values above ``tol * s_max *
+max(rows, 2|V|)`` are counted.  The cut is a heuristic, and it loses rank
+at a few hundred vertices.
 
 The exact rank of residues eliminates the whole sparse matrix modulo p:
 rounds of Markowitz-cheap pivots, at most one per row and column, each
@@ -891,31 +892,23 @@ def rank(
 
 
 def classify(
-    graph: SymmetricGraph,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    backend: str = "exact",
-    tol: float = DEFAULT_TOL,
-    scale: int = DEFAULT_SCALE,
+    graph: SymmetricGraph, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> RankReport:
-    """Best rank over up to ``trials`` sampled placements.
+    """Best exact rank over up to ``trials`` residue placements, sampled
+    over the group's prime field (see the module docstring).
 
     Every sampled rank bounds the generic rank from below, so the maximum
     over trials is reported and drives the classification.  A trial whose
     rank reaches min(rows, 2|V|) ends the search, as no rank is higher.
-    ``"exact"`` samples over the group's prime field (see the module
-    docstring); ``"float"`` samples integer or float coordinates in
-    [-scale, scale].  ``trial_ranks`` lists the trials that were run.
+    ``trial_ranks`` lists the trials that were run.
     """
     if trials < 1:
         raise RangeError("trials must be positive")
     best: RankReport | None = None
     trial_ranks = []
     for t in range(trials):
-        fw = sample_symmetric_placement(
-            graph, seed=seed + t, scale=scale, modular=backend == "exact"
-        )
-        rep = rank(build_rigidity_matrix(fw), backend=backend, tol=tol)
+        fw = sample_symmetric_placement(graph, seed=seed + t, modular=True)
+        rep = rank(build_rigidity_matrix(fw), backend="exact")
         trial_ranks.append(rep.rank)
         if best is None or rep.rank > best.rank:
             best = rep

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -55,7 +55,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ActionError, RangeError, SchemaError
-from .sparsity import _normalize
+from .sparsity import _normalize, _vertex_id
 
 GROUP_KINDS = ("cyclic", "reflection", "dihedral")
 
@@ -310,13 +310,24 @@ class Loop:
 
 
 def _as_loop(entry) -> Loop:
-    if isinstance(entry, Loop):
-        return entry
-    return Loop(*entry)
+    """The entry as a Loop whose id and vertex are Python ints."""
+    loop = entry if isinstance(entry, Loop) else Loop(*entry)
+    if type(loop.id) is int and type(loop.vertex) is int:
+        return loop
+    lid = _vertex_id(loop.id, "loop id")
+    return replace(loop, id=lid, vertex=_vertex_id(loop.vertex, "loop {} vertex", lid))
+
+
+def _int_ids(ids: Iterable, what: str) -> tuple[int, ...]:
+    """The ids as a tuple of Python ints; a bool or a non-integer raises."""
+    t = tuple(ids)
+    if set(map(type, t)) <= {int}:
+        return t
+    return tuple(_vertex_id(x, "{} entry", what) for x in t)
 
 
 def _check_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    p = tuple(perm)
+    p = _int_ids(perm, what)
     if len(p) != n or sorted(p) != list(range(n)):
         raise RangeError(f"{what} is not a permutation of 0..{n - 1}")
     return p
@@ -393,7 +404,8 @@ class SymmetricGraph:
                 if len(lp) != len(loops):
                     raise RangeError(f"{lp_name} has extra loop ids")
             else:
-                aligned = tuple(lp)
+                aligned = lp
+            aligned = _int_ids(aligned, lp_name)
             if sorted(aligned) != ids:
                 raise RangeError(f"{lp_name} is not a permutation of the loop ids")
             object.__setattr__(self, lp_name, aligned)

@@ -1,5 +1,6 @@
 """End-to-end command line runs via subprocess."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from conftest import c2_fixed_edge
-from slcrigid import base_graph, document, sample_symmetric_placement
+from slcrigid import (
+    base_graph,
+    check_framework,
+    classify,
+    document,
+    generate_random,
+    sample_symmetric_placement,
+)
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -144,14 +152,42 @@ def test_sampled_placements_are_ranked_exactly_by_default(tmp_path):
     r = run_cli(["verdict", str(path)])
     assert r.returncode == 0
     assert json.loads(r.stdout)["rank"]["backend"] == "exact"
+    # the float cut drives no verdict: the option is gone
     r = run_cli(["verdict", str(path), "--backend", "float"])
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["rank"]["backend"] == "float"
+    assert r.returncode == 2
+    assert r.stdout == ""
 
     # a given placement keeps the float rank unless asked
     gen = run_cli(["generate", "--group", "c3", "--steps", "4", "--seed", "7", "--placement"])
     path.write_text(gen.stdout)
     assert json.loads(run_cli(["rank", str(path)]).stdout)["backend"] == "float"
+
+
+def test_tight_c2_graph_at_301_vertices_gets_an_exact_verdict(tmp_path):
+    # the float cut called this isostatic graph dependent-flexible (trial
+    # ranks 600, 600, 601 of 602); no verdict path offers it any more
+    graph = generate_random("c2", steps=150, seed=2).graph
+    assert graph.num_vertices == 301
+    path = tmp_path / "g.json"
+    path.write_text(document.serialize_graph(graph))
+    r = run_cli(["verdict", str(path)])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["overall"] == "isostatic-certified"
+    assert out["rank"]["backend"] == "exact"
+    assert out["rank"]["rank"] == 602
+    for flag in ("--backend=float", "--tol=1e-9"):
+        r = run_cli(["verdict", str(path), flag])
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "unrecognized arguments" in r.stderr
+    r = run_cli(["rank", str(path), "--backend", "float"])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error[backend]" in r.stderr
+    with pytest.raises(TypeError):
+        classify(graph, backend="float")
+    assert list(inspect.signature(classify).parameters) == ["graph", "trials", "seed"]
 
 
 def test_rank_of_a_given_placement_off_symmetry(tmp_path):
@@ -324,17 +360,18 @@ def test_nonpositive_scale_is_refused_where_it_is_used(tmp_path, lc3_file):
     for scale in ("0", "-3"):
         for args in (
             ["generate", "--group", "c2", "--steps", "2", "--placement"],
-            ["rank", lc3_file, "--backend", "float"],
             ["svg", lc3_file, "--auto", "-o", pic],
         ):
             _exits_with_index_error(run_cli(args + ["--scale", scale]))
     # --size 0 or below wrote an SVG with an empty or negative viewBox
     for size in ("0", "-5"):
         _exits_with_index_error(run_cli(["svg", lc3_file, "--auto", "-o", pic, "--size", size]))
-    # residue samples draw no coordinate from the scale
-    r = run_cli(["rank", lc3_file, "--scale", "0"])
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["classification"] == "isostatic"
+    # residue samples draw no coordinate from the scale, and rank takes none
+    fw = sample_symmetric_placement(base_graph("lc3"), scale=0, modular=True)
+    assert check_framework(fw) == ()
+    r = run_cli(["rank", lc3_file, "--scale", "1"])
+    assert r.returncode == 2
+    assert "unrecognized arguments: --scale" in r.stderr
 
     # the float cut: a negative tolerance used to die in a TypeError, NaN
     # printed "tolerance": NaN with rank 0, and infinity rank 0
@@ -342,12 +379,7 @@ def test_nonpositive_scale_is_refused_where_it_is_used(tmp_path, lc3_file):
     placed = tmp_path / "placed.json"
     placed.write_text(document.serialize_graph(fw.graph, framework=fw))
     for tol in ("-1", "nan", "inf"):
-        for args in (
-            ["rank", lc3_file, "--backend", "float"],
-            ["rank", str(placed)],
-            ["verdict", lc3_file, "--backend", "float"],
-        ):
-            _exits_with_index_error(run_cli(args + [f"--tol={tol}"]))
+        _exits_with_index_error(run_cli(["rank", str(placed), f"--tol={tol}"]))
     # the exact backend reads no tolerance
     r = run_cli(["rank", lc3_file, "--tol=-1"])
     assert r.returncode == 0

@@ -8,8 +8,10 @@ from conftest import c2_fixed_edge, c3_wheel, mirror_fixed_vertex
 from slcrigid import (
     ActionError,
     CycleEdge,
+    Loop,
     OneEdgeSplit,
     OneLoopSplit,
+    RangeError,
     SchemaError,
     Zero2Edges,
     ZeroEdgeLoop,
@@ -257,3 +259,32 @@ def test_graph_from_numpy_arrays_serializes():
     )
     # the ids were np.int64 and json refused them
     assert document.dumps(document.graph_to_dict(h)) == document.dumps(document.graph_to_dict(g))
+    # loop ids, loop vertices and perms were kept as np.int64 too
+    i64 = np.int64
+    h = type(g)(
+        g.group,
+        g.num_vertices,
+        g.edges,
+        tuple(Loop(i64(l.id), i64(l.vertex)) for l in g.loops),
+        np.array(g.rotation_vertex_perm),
+        np.array(g.rotation_loop_perm),
+    )
+    assert document.dumps(document.graph_to_dict(h)) == document.dumps(document.graph_to_dict(g))
+
+
+def test_graph_refuses_float_or_bool_loop_ids_and_perm_entries():
+    # 0.0 and True compare equal to ints and used to be kept as given
+    from dataclasses import replace
+
+    g = base_graph("lc3")
+    rest = g.loops[1:]
+    for bad in (0.0, False):
+        for kw in (
+            {"loops": (Loop(0, bad),) + rest},
+            {"loops": (Loop(bad, 0),) + rest},
+            {"rotation_vertex_perm": (1, 2, bad)},
+            {"rotation_loop_perm": (1, 2, bad)},
+            {"rotation_loop_perm": {0: 1, 1: 2, 2: bad}},
+        ):
+            with pytest.raises(RangeError, match="is not an integer"):
+                replace(g, **kw)
