@@ -80,18 +80,13 @@ from .symgraph import (
     GroupSpec,
     Loop,
     SymmetricGraph,
-    element_action,
     element_tables,
     fixed_counts,
     induced_subgraph,
-    loop_mirror_sign,
-    loop_stabilizer,
     orbits,
     relabel,
     symmetric_components,
     validate_action,
-    vertex_orbit,
-    vertex_stabilizer,
 )
 
 __version__ = "0.1.0"
@@ -115,13 +110,8 @@ __all__ = [
     "Loop",
     "SymmetricGraph",
     "element_tables",
-    "element_action",
     "validate_action",
     "orbits",
-    "vertex_orbit",
-    "vertex_stabilizer",
-    "loop_stabilizer",
-    "loop_mirror_sign",
     "fixed_counts",
     "symmetric_components",
     "relabel",

@@ -71,16 +71,21 @@ def cmd_check(args) -> int:
 
 def cmd_rank(args) -> int:
     graph, framework = document.parse_graph(_read_text(args.file))
-    backend = "exact" if args.exact else args.backend
-    if framework is not None:
-        report = rank(
-            build_rigidity_matrix(framework), backend=backend or "float", tol=args.tol
-        )
-    elif backend == "float":
+    if framework is None and args.backend == "float":
         raise UnsupportedBackendError("a float rank needs a placement given in the document")
+    # a given placement is ranked once, a sampled one exactly: each reads
+    # only its own options
+    placement = "sampled" if framework is None else "given"
+    for name in ("tol",) if framework is None else ("trials", "seed"):
+        if getattr(args, name) is not None:
+            raise InputError(f"--{name} is not read when ranking a {placement} placement")
+    if framework is not None:
+        tol = DEFAULT_TOL if args.tol is None else args.tol
+        report = rank(build_rigidity_matrix(framework), backend=args.backend or "float", tol=tol)
     else:
-        report = classify(graph, trials=args.trials, seed=_seed(args))
-    out = {"group": graph.group.name, "placement": "given" if framework else "sampled"}
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        report = classify(graph, trials=trials, seed=_seed(args))
+    out = {"group": graph.group.name, "placement": placement}
     out.update(document.rank_report_to_dict(report))
     _emit(out)
     return 0 if report.classification == "isostatic" else 1
@@ -201,18 +206,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rigidity matrix rank of a placement")
     p.add_argument("file")
-    backends = p.add_mutually_exclusive_group()
-    backends.add_argument(
+    p.add_argument(
         "--backend",
         choices=("float", "exact"),
         default=None,
         help="default: float for a given placement; a sampled one is always ranked exactly",
     )
-    backends.add_argument(
-        "--exact", action="store_true", help="shorthand for --backend exact"
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=None,
+        help=f"sampled placements to rank (default {DEFAULT_TRIALS}); not with a given one",
     )
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help=f"float cut (default {DEFAULT_TOL}); only with a given placement",
+    )
     _add_seed(p)
     p.set_defaults(func=cmd_rank)
 

@@ -202,8 +202,10 @@ class _Growth:
         # each generator as its field-name stem and its element index
         self.gens = [(name, shift[0]) for name, shift in _generators(group)]
         self.n = graph.num_vertices
-        self.vertex = [list(vp) for vp, _ in graph.action]
-        self.loop = [dict(zip(graph.loop_ids, lp)) for _, lp in graph.action]
+        vimages, limages = graph.action
+        ids = graph.loop_ids
+        self.vertex = vimages.tolist()
+        self.loop = [{i: ids[k] for i, k in zip(ids, row)} for row in limages.tolist()]
         self.loops = {l.id: l for l in graph.loops}
         self.edges = set(graph.edges)
         self.next_loop = max(self.loops, default=-1) + 1
@@ -505,20 +507,24 @@ def _reduce(
     largest kept id, element k's loop first, as in ``apply_extension``.
     """
     group = graph.group
-    action = graph.action
-    orbit_vertices = tuple(vp[v] for vp, _ in action)
-    orbit_loops = () if loop is None else tuple(lp[graph.loop_index(loop)] for _, lp in action)
+    vimages, limages = graph.action
+    orbit_vertices = tuple(vimages[:, v].tolist())
+    orbit_loops = ()
+    if loop is not None:
+        ids = graph.loop_ids
+        orbit_loops = tuple(ids[k] for k in limages[:, graph.loop_index(loop)].tolist())
     deleted = set(orbit_vertices)
     fields, vmap = restricted_fields(
         graph, (u for u in range(graph.num_vertices) if u not in deleted)
     )
     new_id = max((l.id for l in fields["loops"]), default=-1) + 1
     if kind is OneEdgeSplit:
-        images = ((vmap[vp[ends[0]]], vmap[vp[ends[1]]]) for vp, _ in action)
+        images = zip(vimages[:, ends[0]].tolist(), vimages[:, ends[1]].tolist())
+        images = ((vmap[a], vmap[b]) for a, b in images)
         fields["edges"] += tuple({(x, y) if x < y else (y, x) for x, y in images})
     elif kind is OneLoopSplit:
         fields["loops"] += tuple(
-            Loop(new_id + k, vmap[vp[ends[0]]]) for k, (vp, _) in enumerate(action)
+            Loop(new_id + k, vmap[a]) for k, a in enumerate(vimages[:, ends[0]].tolist())
         )
         for name, shift in _generators(group):
             lmap = fields[f"{name}_loop_perm"]
@@ -630,7 +636,7 @@ class _State:
         n, group = start.num_vertices, start.group
         self.start = start
         self.t = group.size
-        self.orbit = list(zip(*(vp for vp, _ in start.action)))
+        self.orbit = list(zip(*start.action[0].tolist()))
         self.rep = rep = [min(o) for o in self.orbit]
         self.size = Counter(rep)
         self.alive = [True] * n

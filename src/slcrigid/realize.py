@@ -291,7 +291,7 @@ def sample_symmetric_placement(
     ref = np.array([e.ref for e in elements])
     lines = [direction(e) if e.ref else None for e in elements]
 
-    vimages, limages = graph.action_tables
+    vimages, limages = graph.action
     orbit, first, reps, mirror, rotated = _orbits(vimages, ref)
     # the images of a rotation-fixed vertex are rotation-fixed too
     rot_fixed = np.flatnonzero(rotated[orbit])
@@ -424,7 +424,7 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     for k in np.flatnonzero(np.abs(q).max(axis=1) <= eps).tolist():
         bad.append(f"loop {graph.loops[k].id} has zero normal")
 
-    vimages, limages = graph.action_tables
+    vimages, limages = graph.action
     qimages = [mapped(g, q) for g in range(len(taus))]
     for g, elem in enumerate(group.elements()[1:], 1):
         label = group.element_label(elem)
@@ -458,11 +458,9 @@ class RigidityMatrix:
     ``coo`` holds the entries as (row, column, value) arrays, row by row:
     p_u - p_v at columns 2u, 2u + 1 and p_v - p_u at 2v, 2v + 1 for edge
     u-v, q at 2v, 2v + 1 for a loop at v.  Values are int64 residues,
-    floats, or (object) exact numbers; a value may be zero.  ``rows``, each
-    row as its (vertex, 2-vector) pairs, and ``row_labels`` are built from
-    it when first read.  ``framework`` is the framework the rows were
-    built from; the exact rank reads its prime, or its group's prime for
-    integer or rational entries.
+    floats, or (object) exact numbers; a value may be zero.  ``framework``
+    is the framework the rows were built from; the exact rank reads its
+    prime, or its group's prime for integer or rational entries.
     """
 
     framework: Framework
@@ -479,34 +477,6 @@ class RigidityMatrix:
     @property
     def exact(self) -> bool:
         return self.framework.exact
-
-    @cached_property
-    def rows(self) -> tuple[tuple[tuple[int, Pair], ...], ...]:
-        _, cols, vals = self.coo
-        x = vals.tolist()
-        pairs = list(zip((cols[::2] // 2).tolist(), zip(x[::2], x[1::2])))
-        m = 2 * len(self.framework.graph.edges)
-        return tuple(zip(pairs[:m:2], pairs[1:m:2])) + tuple(
-            (pair,) for pair in pairs[m:]
-        )
-
-    @cached_property
-    def row_labels(self) -> tuple[str, ...]:
-        graph = self.framework.graph
-        return tuple(f"edge {u}-{v}" for u, v in graph.edges) + tuple(
-            f"loop {l.id}" for l in graph.loops
-        )
-
-    @property
-    def entries(self) -> tuple[tuple, ...]:
-        """The rows as dense tuples."""
-        out = []
-        for row in self.rows:
-            dense = [0] * self.num_cols
-            for v, (x, y) in row:
-                dense[2 * v], dense[2 * v + 1] = x, y
-            out.append(tuple(dense))
-        return tuple(out)
 
     def to_array(self) -> np.ndarray:
         rows, cols, vals = self.coo
@@ -780,11 +750,15 @@ def _rank_mod(rows, cols, vals, shape: tuple[int, int], prime: int) -> int:
 def _integer_rows(matrix: RigidityMatrix) -> list[dict[int, int]]:
     """Rows of integer or rational entries as {column: integer}, each row
     scaled by the lcm of its own denominators, zeros dropped."""
+    rows, cols, vals = matrix.coo
+    items: list[list[tuple[int, int]]] = [[] for _ in range(matrix.num_rows)]
+    for i, c, x in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        if x:
+            items[i].append((c, x))
     out = []
-    for row in matrix.rows:
-        items = [(2 * v + i, x) for v, pair in row for i, x in enumerate(pair) if x]
-        den = math.lcm(*(x.denominator for _, x in items))
-        out.append({c: x.numerator * (den // x.denominator) for c, x in items})
+    for row in items:
+        den = math.lcm(*(x.denominator for _, x in row))
+        out.append({c: x.numerator * (den // x.denominator) for c, x in row})
     return out
 
 

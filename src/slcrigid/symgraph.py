@@ -17,17 +17,13 @@ that fixes the loop; a second mirror fixing the same loop differs by the
 half-turn and flips the sign.
 
 A graph's action on its vertices and loops is built once, on first use, by
-``element_tables`` and kept on the graph as ``SymmetricGraph.action``: per
-group element in canonical order, the vertex permutation and the loop
-permutation, both tuples, the loop one aligned with ``loops`` like the
-stored generators.  Every helper here, and the modules above, read that
-one value.  Its int64 copy is kept beside it, built from it once:
-``SymmetricGraph.action_tables`` holds per element the image of each
-vertex and the index in ``loops`` of each loop's image, and
+``element_tables`` and kept on the graph as ``SymmetricGraph.action``: two
+read-only int64 tables with one row per group element in canonical order,
+the image of each vertex and the index in ``loops`` of each loop's image.
 ``SymmetricGraph.edge_ends`` holds the edges as an (edges, 2) array.
-Fixed counts, stabilizers and ``validate_action`` here, and the sampler,
-``check_framework`` and the rigidity matrix in ``realize``, read those.
-The ``validate_action`` report is kept the same way, as
+Fixed counts, stabilizers, orbits and ``validate_action`` here, and the
+sampler, ``check_framework`` and the rigidity matrix in ``realize``, read
+those.  The ``validate_action`` report is kept the same way, as
 ``SymmetricGraph.validation``, so a graph is validated once however many
 stages require a valid action.  None of these is a field, so ``==``,
 ``hash``, ``repr`` and ``dataclasses.replace`` ignore them, and a
@@ -47,7 +43,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -431,27 +427,10 @@ class SymmetricGraph:
             raise RangeError(f"no loop with id {loop_id}")
         return k
 
-    def loop_by_id(self, loop_id: int) -> Loop:
-        return self.loops[self.loop_index(loop_id)]
-
     @cached_property
-    def action(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
         """``element_tables(self)``, built on first use and kept."""
         return element_tables(self)
-
-    @cached_property
-    def action_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``action`` as read-only int64 tables, one row per element in
-        canonical order: each vertex's image, and the index in ``loops``
-        of each loop's image.  Built from ``action`` on first use and kept."""
-        action = self.action
-        vimages = _table([vp for vp, _ in action], self.num_vertices)
-        limages = np.searchsorted(
-            np.array(self.loop_ids, dtype=np.int64),
-            _table([lp for _, lp in action], len(self.loops)),
-        ).astype(np.int64, copy=False)
-        vimages.flags.writeable = limages.flags.writeable = False
-        return vimages, limages
 
     @cached_property
     def edge_ends(self) -> np.ndarray:
@@ -466,62 +445,46 @@ class SymmetricGraph:
         return validate_action(self)
 
 
-@dataclass(frozen=True)
-class ElementAction:
-    """The permutations one group element induces on the graph."""
-
-    element: GroupElement
-    vertex: tuple[int, ...]
-    loop: dict[int, int] = field(compare=False)
-    edge: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
-
-
 def _table(rows, width: int) -> np.ndarray:
     """Equal-length tuples as the rows of an int64 array."""
     flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
     return flat.reshape(len(rows), width)
 
 
-def _compose(f, g, loop_index: dict[int, int]):
-    """The action pair f after g; loop perms hold image ids."""
-    (fv, fl), (gv, gl) = f, g
-    return tuple(fv[x] for x in gv), tuple(fl[loop_index[i]] for i in gl)
+def element_tables(graph: SymmetricGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex and loop images of every group element, in canonical order.
 
-
-def element_tables(graph: SymmetricGraph):
-    """Vertex and loop permutation of every group element, in canonical order.
-
-    Returns one ``(vertex_perm, loop_perm)`` pair per element of
-    ``graph.group.elements()``; entry k of a loop perm is the image id of
-    ``graph.loops[k]``.  This is what ``graph.action`` holds: read that, it
-    is built once per graph.  With an invalid action the composites are
-    still well defined but may not respect the graph.
+    Returns read-only int64 tables ``(vimages, limages)`` with one row per
+    element of ``graph.group.elements()``: ``vimages[g, v]`` is the image
+    of vertex v, ``limages[g, k]`` the index in ``graph.loops`` of the
+    image of ``loops[k]``.  Row c^r is the rotation after row c^(r-1), and
+    row c^r s is row c^r after the reflection.  This is what
+    ``graph.action`` holds: read that, it is built once per graph.  With
+    an invalid action the rows are still well defined but may not respect
+    the graph.
     """
     group = graph.group
-    loop_index = {l.id: k for k, l in enumerate(graph.loops)}
-    identity = (tuple(range(graph.num_vertices)), graph.loop_ids)
-    rotation = (graph.rotation_vertex_perm, graph.rotation_loop_perm)
-    powers = [identity]
-    for _ in range(group.rotation_order - 1):
-        powers.append(_compose(rotation, powers[-1], loop_index))
-    if not group.has_reflection:
-        return tuple(powers)
-    reflection = (graph.reflection_vertex_perm, graph.reflection_loop_perm)
-    return tuple(powers) + tuple(_compose(p, reflection, loop_index) for p in powers)
+    n_rot, ids = group.rotation_order, np.array(graph.loop_ids, dtype=np.int64)
+    vimages = np.empty((group.size, graph.num_vertices), dtype=np.int64)
+    limages = np.empty((group.size, len(ids)), dtype=np.int64)
+    vimages[0], limages[0] = np.arange(graph.num_vertices), np.arange(len(ids))
 
+    def generator(name: str) -> tuple[np.ndarray, np.ndarray]:
+        loop_perm = np.array(getattr(graph, f"{name}_loop_perm"), dtype=np.int64)
+        return (
+            np.array(getattr(graph, f"{name}_vertex_perm"), dtype=np.int64),
+            np.searchsorted(ids, loop_perm),
+        )
 
-def element_action(graph: SymmetricGraph, element: GroupElement) -> ElementAction:
-    """Vertex, loop, and induced edge permutation of one element."""
-    vp, lp = graph.action[graph.group.index(element)]
-    edge_map: dict[tuple[int, int], tuple[int, int]] = {}
-    edge_set = set(graph.edges)
-    for (u, v) in graph.edges:
-        a, b = vp[u], vp[v]
-        img = (a, b) if a < b else (b, a)
-        if img not in edge_set:
-            raise ActionError(f"edge {(u, v)} maps outside the edge set")
-        edge_map[(u, v)] = img
-    return ElementAction(element, vp, dict(zip(graph.loop_ids, lp)), edge_map)
+    if n_rot > 1:
+        rv, rl = generator("rotation")
+        for r in range(1, n_rot):
+            vimages[r], limages[r] = rv[vimages[r - 1]], rl[limages[r - 1]]
+    if group.has_reflection:
+        sv, sl = generator("reflection")
+        vimages[n_rot:], limages[n_rot:] = vimages[:n_rot, sv], limages[:n_rot, sl]
+    vimages.flags.writeable = limages.flags.writeable = False
+    return vimages, limages
 
 
 @dataclass(frozen=True)
@@ -537,13 +500,13 @@ def validate_action(graph: SymmetricGraph) -> ValidationReport:
     set, loop incidence equivariance, the rule that a loop may only be fixed
     by order-2 elements whose vertex is fixed, and that sigma labels appear
     exactly on mirror-fixed loops.  Violations come back as data; nothing is
-    raised here.  Every check runs on ``graph.action_tables`` and
+    raised here.  Every check runs on ``graph.action`` and
     ``graph.edge_ends``; only the items it flags are formatted.
     """
     group = graph.group
     n_rot = group.rotation_order
     n = graph.num_vertices
-    vimages, limages = graph.action_tables
+    vimages, limages = graph.action
     bad: list[str] = []
 
     def is_identity(f: int, g: int) -> bool:
@@ -624,14 +587,15 @@ class Orbits:
 
 def orbits(graph: SymmetricGraph) -> Orbits:
     """Vertex, edge, and loop orbits, each sorted and ordered by minimum."""
-    action = graph.action
+    vimages, limages = graph.action
+    vcols = vimages.T.tolist()  # each vertex's images
 
     vseen: set[int] = set()
     vorbs = []
     for v in range(graph.num_vertices):
         if v in vseen:
             continue
-        orb = sorted({vp[v] for vp, _ in action})
+        orb = sorted(set(vcols[v]))
         vseen.update(orb)
         vorbs.append(tuple(orb))
 
@@ -640,40 +604,31 @@ def orbits(graph: SymmetricGraph) -> Orbits:
     for e in graph.edges:
         if e in eseen:
             continue
-        orb = set()
-        for vp, _ in action:
-            a, b = vp[e[0]], vp[e[1]]
-            orb.add((a, b) if a < b else (b, a))
-        orb = sorted(orb)
+        orb = sorted({(a, b) if a < b else (b, a) for a, b in zip(vcols[e[0]], vcols[e[1]])})
         eseen.update(orb)
         eorbs.append(tuple(orb))
 
+    ids = graph.loop_ids
     lseen: set[int] = set()
     lorbs = []
-    for k, l in enumerate(graph.loops):
-        if l.id in lseen:
+    for k, images in enumerate(limages.T.tolist()):
+        if ids[k] in lseen:
             continue
-        orb = sorted({lp[k] for _, lp in action})
+        orb = sorted({ids[i] for i in images})
         lseen.update(orb)
         lorbs.append(tuple(orb))
 
     return Orbits(tuple(vorbs), tuple(eorbs), tuple(lorbs))
 
 
-def vertex_orbit(graph: SymmetricGraph, v: int) -> tuple[int, ...]:
-    if not 0 <= v < graph.num_vertices:
-        raise RangeError(f"vertex {v} out of range")
-    return tuple(sorted({vp[v] for vp, _ in graph.action}))
-
-
 def _fixed(graph: SymmetricGraph, kind: str) -> np.ndarray:
     """Whether each nonidentity element, in canonical order, fixes each
     vertex, edge or loop: a bool array with one row per element and one
-    column per item, read off ``graph.action_tables``.
+    column per item, read off ``graph.action``.
 
     An edge is fixed when its ends are fixed or swapped.
     """
-    vimages, limages = graph.action_tables
+    vimages, limages = graph.action
     if kind == "vertex":
         return vimages[1:] == np.arange(graph.num_vertices)
     if kind == "edge":
@@ -698,25 +653,6 @@ def stabilizers(graph: SymmetricGraph, kind: str) -> tuple[tuple[GroupElement, .
     for g, i in zip(*(x.tolist() for x in np.nonzero(fixed))):
         out[i].append(elements[g])
     return tuple(map(tuple, out))
-
-
-def vertex_stabilizer(graph: SymmetricGraph, v: int) -> tuple[GroupElement, ...]:
-    """Nonidentity elements fixing the vertex, in canonical order.
-
-    One entry of ``stabilizers(graph, "vertex")``, read off the action of
-    each element alone.
-    """
-    if not 0 <= v < graph.num_vertices:
-        raise RangeError(f"vertex {v} out of range")
-    nonid = zip(graph.group.elements()[1:], graph.action[1:])
-    return tuple(e for e, (vp, _) in nonid if vp[v] == v)
-
-
-def loop_stabilizer(graph: SymmetricGraph, loop_id: int) -> tuple[GroupElement, ...]:
-    """Nonidentity elements fixing the loop, in canonical order."""
-    k = graph.loop_index(loop_id)
-    nonid = zip(graph.group.elements()[1:], graph.action[1:])
-    return tuple(e for e, (_, lp) in nonid if lp[k] == loop_id)
 
 
 # -- fixed counts ----------------------------------------------------------
@@ -766,12 +702,6 @@ def mirror_sign(
         raise ActionError(f"{group.element_label(mirror)} does not fix loop {loop.id}")
     sign = 1 if loop.sigma_label == "+" else -1
     return sign if mirror == fixing[0] else -sign
-
-
-def loop_mirror_sign(graph: SymmetricGraph, loop_id: int, mirror: GroupElement) -> int:
-    """``mirror_sign`` of the loop with this id."""
-    loop = graph.loop_by_id(loop_id)
-    return mirror_sign(graph.group, loop, loop_stabilizer(graph, loop_id), mirror)
 
 
 def fixed_counts(graph: SymmetricGraph) -> FixedCounts:
@@ -956,21 +886,15 @@ __all__ = [
     "GroupSpec",
     "Loop",
     "SymmetricGraph",
-    "ElementAction",
     "ValidationReport",
     "Orbits",
     "ElementCounts",
     "FixedCounts",
     "element_tables",
-    "element_action",
     "validate_action",
     "orbits",
-    "vertex_orbit",
     "stabilizers",
-    "vertex_stabilizer",
-    "loop_stabilizer",
     "mirror_sign",
-    "loop_mirror_sign",
     "fixed_counts",
     "symmetric_components",
     "relabel",

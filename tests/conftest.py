@@ -10,6 +10,30 @@ import random
 from slcrigid import GroupSpec, Loop, SymmetricGraph, validate_action
 
 
+def action_tuples(graph: SymmetricGraph) -> tuple:
+    """Per group element in canonical order, its vertex permutation and its
+    loop permutation (entry k the image id of ``graph.loops[k]``), composed
+    from the generators one item at a time: the reference for
+    ``element_tables``.  Rotation powers are the rotation after the power
+    before; reflections are each rotation power after the reflection.
+    """
+    group = graph.group
+    loop_index = {l.id: k for k, l in enumerate(graph.loops)}
+
+    def compose(f, g):
+        (fv, fl), (gv, gl) = f, g
+        return tuple(fv[x] for x in gv), tuple(fl[loop_index[i]] for i in gl)
+
+    powers = [(tuple(range(graph.num_vertices)), graph.loop_ids)]
+    rotation = (graph.rotation_vertex_perm, graph.rotation_loop_perm)
+    for _ in range(group.rotation_order - 1):
+        powers.append(compose(rotation, powers[-1]))
+    if not group.has_reflection:
+        return tuple(powers)
+    reflection = (graph.reflection_vertex_perm, graph.reflection_loop_perm)
+    return tuple(powers) + tuple(compose(p, reflection) for p in powers)
+
+
 def c3_wheel() -> SymmetricGraph:
     """Fixed hub carrying a 3-loop orbit, three spokes, one rim loop each.
 

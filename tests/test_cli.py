@@ -121,28 +121,33 @@ def test_rank_seed_from_environment(lc3_file):
 def test_rank_exact_flag(tmp_path):
     path = tmp_path / "p1.json"
     path.write_text(document.serialize_graph(base_graph("p1_fixed")))
-    r = run_cli(["rank", str(path), "--exact"])
+    r = run_cli(["rank", str(path), "--backend", "exact"])
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["backend"] == "exact"
     assert out["classification"] == "isostatic"
+    # the --exact alias is gone: --backend exact is the one spelling
+    r = run_cli(["rank", str(path), "--exact"])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments: --exact" in r.stderr
 
 
 def test_rank_rejects_exact_with_a_backend(lc3_file):
-    # --exact used to win silently over --backend float
+    # --exact used to win silently over --backend float; it is now unknown
     for backend in ("float", "exact"):
         r = run_cli(["rank", lc3_file, "--exact", "--backend", backend])
         assert r.returncode == 2
         assert r.stdout == ""
-        assert "not allowed with argument" in r.stderr
+        assert "unrecognized arguments: --exact" in r.stderr
 
 
 def test_sampled_placements_are_ranked_exactly_by_default(tmp_path):
-    # the README's c3 document; --exact used to refuse non-integral groups
+    # the README's c3 document; --backend exact used to refuse non-integral groups
     gen = run_cli(["generate", "--group", "c3", "--base", "lc", "--steps", "4", "--seed", "7"])
     path = tmp_path / "g.json"
     path.write_text(gen.stdout)
-    for args in (["rank", str(path)], ["rank", str(path), "--exact"]):
+    for args in (["rank", str(path)], ["rank", str(path), "--backend", "exact"]):
         r = run_cli(args)
         assert r.returncode == 0, r.stderr
         out = json.loads(r.stdout)
@@ -188,6 +193,39 @@ def test_tight_c2_graph_at_301_vertices_gets_an_exact_verdict(tmp_path):
     with pytest.raises(TypeError):
         classify(graph, backend="float")
     assert list(inspect.signature(classify).parameters) == ["graph", "trials", "seed"]
+    # a given integer placement, as `generate --placement` writes it, is
+    # ranked exactly when asked; the float cut says 601 of 602 there
+    fw = sample_symmetric_placement(graph, seed=2)
+    path.write_text(document.serialize_graph(graph, framework=fw))
+    r = run_cli(["rank", str(path), "--backend", "exact"])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert (out["placement"], out["backend"], out["rank"]) == ("given", "exact", 602)
+    assert out["classification"] == "isostatic"
+
+
+def test_rank_refuses_the_options_its_placement_does_not_read(tmp_path, lc3_file):
+    # a given placement is ranked once, as it stands: --trials 0 --seed 5
+    # used to exit 0 with a float rank
+    fw = sample_symmetric_placement(base_graph("lc3"), seed=0)
+    placed = tmp_path / "placed.json"
+    placed.write_text(document.serialize_graph(fw.graph, framework=fw))
+    for args, option in (
+        ([str(placed), "--trials", "0", "--seed", "5"], "--trials"),
+        ([str(placed), "--trials", "3"], "--trials"),
+        ([str(placed), "--seed", "5", "--backend", "exact"], "--seed"),
+        ([lc3_file, "--tol", "1e-6"], "--tol"),
+        ([lc3_file, "--tol", "1e-9", "--backend", "exact"], "--tol"),
+    ):
+        r = run_cli(["rank", *args])
+        assert r.returncode == 2, args
+        assert r.stdout == ""
+        assert f"error[input]: {option} is not read" in r.stderr, args
+    # what each placement reads still works, and SLCRIGID_SEED stays a default
+    for args in ([str(placed), "--tol", "1e-6"], [lc3_file, "--trials", "2", "--seed", "1"]):
+        r = run_cli(["rank", *args], env_extra={"SLCRIGID_SEED": "9"})
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["classification"] == "isostatic"
 
 
 def test_rank_of_a_given_placement_off_symmetry(tmp_path):
@@ -380,10 +418,12 @@ def test_nonpositive_scale_is_refused_where_it_is_used(tmp_path, lc3_file):
     placed.write_text(document.serialize_graph(fw.graph, framework=fw))
     for tol in ("-1", "nan", "inf"):
         _exits_with_index_error(run_cli(["rank", str(placed), f"--tol={tol}"]))
-    # the exact backend reads no tolerance
+    # a sampled placement is ranked exactly, which reads no tolerance: the
+    # flag, once ignored, is refused
     r = run_cli(["rank", lc3_file, "--tol=-1"])
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["classification"] == "isostatic"
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error[input]: --tol" in r.stderr
 
 
 def test_selftest_refuses_bad_sizes(tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import c2_fixed_edge, c3_wheel, mirror_fixed_vertex, ring_with_spokes
+from conftest import action_tuples, c2_fixed_edge, c3_wheel, mirror_fixed_vertex, ring_with_spokes
 from slcrigid import (
     ComponentTrace,
     CycleEdge,
@@ -634,7 +634,7 @@ def test_search_rejects_what_try_and_check_rejects(case, move, why):
         assert report.sparsity.verdict == "sparse-not-tight"
         assert not report.fixed_count.passed
         v1, v2 = cand[3][:2]
-        assert {tuple(sorted((vp[v1], vp[v2]))) for vp, _ in g.action} == {(v1, v2)}
+        assert {tuple(sorted((vp[v1], vp[v2]))) for vp, _ in action_tuples(g)} == {(v1, v2)}
     else:
         assert report.sparsity.witness.rule == why
     state = henneberg._State(g)
@@ -1405,8 +1405,9 @@ def test_a_long_backtracking_search_decides_no_more_candidates(monkeypatch):
 def _two_build_reduce(g, v, loop, kind, ends):
     """``henneberg._reduce`` as it was: ``induced_subgraph``, then a second
     build that adds a split's edge or loop orbit (cyclic groups only)."""
-    orbit_vertices = tuple(vp[v] for vp, _ in g.action)
-    orbit_loops = () if loop is None else tuple(lp[g.loop_index(loop)] for _, lp in g.action)
+    action = action_tuples(g)
+    orbit_vertices = tuple(vp[v] for vp, _ in action)
+    orbit_loops = () if loop is None else tuple(lp[g.loop_index(loop)] for _, lp in action)
     keep = [u for u in range(g.num_vertices) if u not in orbit_vertices]
     red, vmap = induced_subgraph(g, keep)
     a = [vmap[u] for u in ends]
@@ -1415,12 +1416,13 @@ def _two_build_reduce(g, v, loop, kind, ends):
     elif kind is ZeroEdgeLoop:
         move = ZeroEdgeLoop(a[0])
     elif kind is OneEdgeSplit:
-        added = {tuple(sorted((vp[a[0]], vp[a[1]]))) for vp, _ in red.action}
+        added = {tuple(sorted((vp[a[0]], vp[a[1]]))) for vp, _ in action_tuples(red)}
         red = dataclasses.replace(red, edges=red.edges + tuple(added))
         move = OneEdgeSplit(*a)
     else:
-        base, t = max(red.loop_ids, default=-1) + 1, len(red.action)
-        loops = red.loops + tuple(Loop(base + k, vp[a[0]]) for k, (vp, _) in enumerate(red.action))
+        red_action = action_tuples(red)
+        base, t = max(red.loop_ids, default=-1) + 1, len(red_action)
+        loops = red.loops + tuple(Loop(base + k, vp[a[0]]) for k, (vp, _) in enumerate(red_action))
         turn = None
         if red.rotation_loop_perm is not None:
             turn = dict(zip(red.loop_ids, red.rotation_loop_perm))

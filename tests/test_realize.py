@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    action_tuples,
     c2_fixed_edge,
     c3_wheel,
     d2_loop_fixed_by_both_mirrors,
@@ -33,20 +34,17 @@ from slcrigid import (
     classify,
     decompose,
     default_bases,
-    element_action,
     fixed_counts,
     generate_random,
-    loop_mirror_sign,
-    loop_stabilizer,
     motions,
     orbits,
     rank,
     sample_symmetric_placement,
     symgraph,
-    vertex_stabilizer,
 )
 from slcrigid import document, realize
 from slcrigid.realize import _echelon, _rank_mod
+from slcrigid.symgraph import mirror_sign, stabilizers
 from slcrigid.selftest import negative_control
 
 
@@ -71,14 +69,13 @@ def test_sampled_placement_is_symmetric():
         fw = sample_symmetric_placement(g, seed=1)
         assert check_framework(fw) == ()
         group = g.group
-        for e in group.elements():
-            act = element_action(g, e)
+        for e, (vp, _) in zip(group.elements(), action_tuples(g)):
             tau = group.tau(e)
             for v in range(g.num_vertices):
                 x, y = fw.p[v]
                 gx = tau[0][0] * x + tau[0][1] * y
                 gy = tau[1][0] * x + tau[1][1] * y
-                ix, iy = fw.p[act.vertex[v]]
+                ix, iy = fw.p[vp[v]]
                 assert math.hypot(gx - ix, gy - iy) < 1e-6 * 10**6
 
 
@@ -108,28 +105,32 @@ def test_framework_shape_validation():
         Framework(g, ((0, 0),), ())
 
 
+def _dense(m):
+    """The matrix as dense row tuples, built from ``m.coo``; exact values
+    stay Python ints or Fractions (an object array), zeros are int 0."""
+    rows, cols, vals = m.coo
+    a = np.zeros((m.num_rows, m.num_cols), dtype=object)
+    a[rows, cols] = vals.tolist()
+    return tuple(map(tuple, a.tolist()))
+
+
 def test_matrix_rows_follow_edges_then_loops():
     g = c2_fixed_edge()
     fw = sample_symmetric_placement(g, seed=0)
     m = build_rigidity_matrix(fw)
     assert m.num_rows == 6
     assert m.num_cols == 6
-    assert m.row_labels == (
-        "edge 0-1",
-        "edge 0-2",
-        "edge 1-2",
-        "loop 0",
-        "loop 1",
-        "loop 2",
-    )
+    # rows: edges 0-1, 0-2, 1-2, then loops 0, 1, 2
+    assert g.edges == ((0, 1), (0, 2), (1, 2)) and g.loop_ids == (0, 1, 2)
+    entries = _dense(m)
     # edge rows: difference vector at one end, negated at the other
-    row = m.entries[0]
+    row = entries[0]
     du = (fw.p[0][0] - fw.p[1][0], fw.p[0][1] - fw.p[1][1])
     assert (row[0], row[1]) == du
     assert (row[2], row[3]) == (-du[0], -du[1])
     assert (row[4], row[5]) == (0, 0)
     # loop rows: the normal in that vertex block only
-    lrow = m.entries[3]
+    lrow = entries[3]
     assert (lrow[0], lrow[1]) == fw.q[0]
     assert lrow[2:] == (0, 0, 0, 0)
 
@@ -210,7 +211,7 @@ def test_motion_space_of_flexible_framework():
     # the motion must be orthogonal to every constraint row
     m = build_rigidity_matrix(fw)
     vel = rep.basis[0]
-    for row in m.entries:
+    for row in _dense(m):
         dot = sum(
             row[2 * v] * vel[v][0] + row[2 * v + 1] * vel[v][1]
             for v in range(g.num_vertices)
@@ -312,8 +313,7 @@ def test_sampling_builds_the_action_table_once(monkeypatch):
     classify(graph, trials=3)
     orbits(graph)
     fixed_counts(graph)
-    for v in range(graph.num_vertices):
-        vertex_stabilizer(graph, v)
+    stabilizers(graph, "vertex")
     assert len(calls) == 1
 
 
@@ -366,7 +366,7 @@ def test_exact_rank_mod_p_matches_dense_rank_mod_p():
         for seed in range(3):
             fw = sample_symmetric_placement(graph, seed=seed, modular=True)
             m = build_rigidity_matrix(fw)
-            want = _dense_rank_mod(m.entries, fw.prime)
+            want = _dense_rank_mod(_dense(m), fw.prime)
             assert rank(m, backend="exact").rank == want, (label, seed)
 
 
@@ -387,7 +387,7 @@ def _checked_rank(fw, label):
     the whole matrix."""
     m = build_rigidity_matrix(fw)
     got = rank(m, backend="exact").rank
-    assert got == _dense_rank_mod(m.entries, fw.prime), label
+    assert got == _dense_rank_mod(_dense(m), fw.prime), label
     return got
 
 
@@ -426,7 +426,7 @@ def test_exact_rank_of_a_placement_off_symmetry_is_the_dense_rank():
             moves.append(("q", i, _residues(graph, fw.p, q)))
         for kind, i, moved in moves:
             m = build_rigidity_matrix(moved)
-            want = _dense_rank_mod(m.entries, moved.prime)
+            want = _dense_rank_mod(_dense(m), moved.prime)
             assert rank(m, backend="exact").rank == want, (label, kind, i)
 
 
@@ -600,7 +600,7 @@ def test_classify_is_isostatic_in_one_trial_at_c3_n_303(seed):
     assert r.trial_ranks == (606,)
     if seed == 0:
         fw = sample_symmetric_placement(graph, seed=0, modular=True)
-        assert _dense_rank_mod(build_rigidity_matrix(fw).entries, fw.prime) == 606
+        assert _dense_rank_mod(_dense(build_rigidity_matrix(fw)), fw.prime) == 606
 
 
 def _mirror_doubled(graph):
@@ -658,7 +658,7 @@ def test_exact_rank_of_a_given_placement_tries_modulo_p_first(monkeypatch):
         line = Framework(graph, [(v + 1, 3 * v + 3) for v in range(graph.num_vertices)], fw.q)
         for placed in (fw, frac, line):
             m = build_rigidity_matrix(placed)
-            want = _rational_rank(m.entries)
+            want = _rational_rank(_dense(m))
             full = want == min(m.num_rows, m.num_cols)
             bareiss.clear()
             assert rank(m, backend="exact").rank == want, label
@@ -680,12 +680,12 @@ def test_exact_motions_are_the_nullspace_basis_reduced_on_the_free_columns():
         m = build_rigidity_matrix(placed)
         rep = motions(placed, backend="exact")
         vecs = [[x for pair in motion for x in pair] for motion in rep.basis]
-        for row in m.entries:
+        for row in _dense(m):
             nz = [(c, a) for c, a in enumerate(row) if a]
             assert all(sum(a * vec[c] for c, a in nz) == 0 for vec in vecs), label
         # rank modulo p bounds the rank over Q from below, so these many
         # independent null vectors span the nullspace
-        rank_p = _dense_rank_mod(m.entries, PRIME)
+        rank_p = _dense_rank_mod(_dense(m), PRIME)
         assert rep.dimension == len(vecs) == m.num_cols - rank_p, label
         # each vector's last nonzero column is free (spanned by the columns
         # before it); the vectors are the identity there
@@ -712,17 +712,16 @@ def test_modular_sample_is_equivariant():
             assert len(set(fw.p)) == graph.num_vertices, (label, "coincident points")
             assert all(0 < max(vec) for vec in fw.q), (label, "zero normal")
             q_by_id = dict(zip(graph.loop_ids, fw.q))
-            for elem in group.elements():
+            for elem, (vp, lp) in zip(group.elements(), action_tuples(graph)):
                 tau = group.tau_mod(elem)
-                act = element_action(graph, elem)
                 for v in range(graph.num_vertices):
-                    assert _mod_apply(tau, fw.p[v], p) == fw.p[act.vertex[v]], label
-                for loop, vec in zip(graph.loops, fw.q):
-                    img, target = _mod_apply(tau, vec, p), q_by_id[act.loop[loop.id]]
+                    assert _mod_apply(tau, fw.p[v], p) == fw.p[vp[v]], label
+                for vec, image_id in zip(fw.q, lp):
+                    img, target = _mod_apply(tau, vec, p), q_by_id[image_id]
                     assert img in (target, (-target[0] % p, -target[1] % p)), label
-            for loop, vec in zip(graph.loops, fw.q):
-                for mirror in (e for e in loop_stabilizer(graph, loop.id) if e.ref):
-                    sign = loop_mirror_sign(graph, loop.id, mirror)
+            for loop, vec, stab in zip(graph.loops, fw.q, stabilizers(graph, "loop")):
+                for mirror in (e for e in stab if e.ref):
+                    sign = mirror_sign(group, loop, stab, mirror)
                     want = (sign * vec[0] % p, sign * vec[1] % p)
                     assert _mod_apply(group.tau_mod(mirror), vec, p) == want, label
             assert check_framework(fw) == (), label
@@ -740,7 +739,7 @@ def test_modular_framework_states_its_prime():
     # a residue framework moved off symmetry is ranked as it stands
     moved = Framework(graph, ((fw.p[0][0] + 1, fw.p[0][1]),) + fw.p[1:], fw.q, fw.prime)
     m = build_rigidity_matrix(moved)
-    assert rank(m, backend="exact").rank == _dense_rank_mod(m.entries, fw.prime)
+    assert rank(m, backend="exact").rank == _dense_rank_mod(_dense(m), fw.prime)
 
 
 def _reference_rows(fw):
@@ -776,14 +775,10 @@ def test_matrix_arrays_hold_the_rows():
     ):
         m = build_rigidity_matrix(framework)
         want = _reference_rows(framework)
-        assert m.rows == want
         flat = [(i, 2 * v + k, c) for i, row in enumerate(want) for v, pair in row for k, c in enumerate(pair)]
         rows, cols, vals = m.coo
         assert (rows.tolist(), cols.tolist(), vals.tolist()) == tuple(map(list, zip(*flat)))
-        assert m.row_labels == tuple(f"edge {u}-{v}" for u, v in framework.graph.edges) + tuple(
-            f"loop {l.id}" for l in framework.graph.loops
-        )
-        assert np.array_equal(m.to_array(), np.array(m.entries, dtype=float))
+        assert np.array_equal(m.to_array(), np.array(_dense(m), dtype=float))
 
 
 def test_degenerate_rows_are_named_in_row_order():
@@ -925,6 +920,7 @@ def test_check_tight_and_classify_build_the_int64_tables_once(monkeypatch):
     # a fresh object, with nothing kept on it yet; not of full rank, so
     # classify runs every trial
     graph = replace(c2_fixed_edge())
+    calls = _count_table_builds(monkeypatch)
     widths = []
     original = symgraph._table
 
@@ -936,8 +932,9 @@ def test_check_tight_and_classify_build_the_int64_tables_once(monkeypatch):
     check_tight(graph)
     report = classify(graph, trials=3)
     assert len(report.trial_ranks) == 3
-    # the vertex images and the loop images, once, and the edge ends once
-    assert sorted(widths) == sorted([graph.num_vertices, len(graph.loops), 2])
+    # the action tables once, and the edge ends once
+    assert calls == [graph]
+    assert widths == [2]
 
 
 def test_sampled_residue_framework_is_checked_on_its_arrays():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    action_tuples,
     c2_fixed_edge,
     c3_wheel,
     d2_loop_fixed_by_both_mirrors,
@@ -30,19 +31,14 @@ from slcrigid import (
     SchemaError,
     SymmetricGraph,
     base_graph,
-    element_action,
     generate_random,
     element_tables,
     fixed_counts,
     induced_subgraph,
-    loop_mirror_sign,
-    loop_stabilizer,
     orbits,
     relabel,
     symmetric_components,
     validate_action,
-    vertex_orbit,
-    vertex_stabilizer,
 )
 from slcrigid.symgraph import mirror_sign, stabilizers
 
@@ -287,14 +283,14 @@ def test_sigma_label_forbidden_without_a_fixing_mirror():
 
 def test_element_action_tables_consistent():
     g = base_graph("lc5")
-    group = g.group
-    for e in group.elements():
-        act = element_action(g, e)
-        assert sorted(act.vertex) == list(range(5))
-        for (u, v), img in act.edge.items():
-            assert img == tuple(sorted((act.vertex[u], act.vertex[v])))
-        for l in g.loops:
-            assert g.loop_by_id(act.loop[l.id]).vertex == act.vertex[l.vertex]
+    vimages, limages = g.action
+    assert len(vimages) == len(limages) == g.group.size
+    for vp, lp in zip(vimages.tolist(), limages.tolist()):
+        assert sorted(vp) == list(range(5))
+        for u, v in g.edges:
+            assert tuple(sorted((vp[u], vp[v]))) in g.edges
+        for k, l in enumerate(g.loops):
+            assert g.loops[lp[k]].vertex == vp[l.vertex]
 
 
 def test_orbits_of_looped_cycle():
@@ -303,28 +299,22 @@ def test_orbits_of_looped_cycle():
     assert orb.vertices == ((0, 1, 2, 3, 4),)
     assert len(orb.edges) == 1 and len(orb.edges[0]) == 5
     assert len(orb.loops) == 1 and len(orb.loops[0]) == 5
-    assert vertex_orbit(g, 3) == (0, 1, 2, 3, 4)
-
-
-def test_vertex_orbit_rejects_a_vertex_out_of_range():
-    g = c3_wheel()
-    for v in (-1, g.num_vertices):
-        with pytest.raises(RangeError):
-            vertex_orbit(g, v)
+    assert [o for o in orb.vertices if 3 in o] == [(0, 1, 2, 3, 4)]
 
 
 def test_stabilizer_of_fixed_vertex():
     # nonidentity stabilizer of the half-turn-fixed vertex is the half-turn
     g = base_graph("p1_fixed")
-    stab = vertex_stabilizer(g, 0)
+    stab = stabilizers(g, "vertex")[0]
     assert stab == (GroupElement(1, False),)
     free = base_graph("lc3")
-    assert vertex_stabilizer(free, 0) == ()
+    assert stabilizers(free, "vertex")[0] == ()
 
 
 def test_one_item_stabilizers_match_the_table_of_all():
-    # vertex_stabilizer and loop_stabilizer read one item off the action;
-    # stabilizers() reads every item at once, and mirror signs follow it
+    # each item's stabilizer read one at a time off the composed action;
+    # stabilizers() reads every item at once, and mirror signs follow it:
+    # the label's sign under the first fixing mirror, negated under a second
     for g in (
         c3_wheel(),
         c2_fixed_edge(),
@@ -336,19 +326,20 @@ def test_one_item_stabilizers_match_the_table_of_all():
         base_graph("p1_fixed"),
         base_graph("p1_swap"),
     ):
+        nonid = list(zip(g.group.elements(), action_tuples(g)))[1:]
         vstab = stabilizers(g, "vertex")
-        assert [vertex_stabilizer(g, v) for v in range(g.num_vertices)] == list(vstab)
+        assert [
+            tuple(e for e, (vp, _) in nonid if vp[v] == v) for v in range(g.num_vertices)
+        ] == list(vstab)
         lstab = stabilizers(g, "loop")
-        assert [loop_stabilizer(g, l.id) for l in g.loops] == list(lstab)
+        assert [
+            tuple(e for e, (_, lp) in nonid if lp[k] == l.id) for k, l in enumerate(g.loops)
+        ] == list(lstab)
         for l, stab in zip(g.loops, lstab):
-            for mirror in (e for e in stab if e.ref):
-                assert loop_mirror_sign(g, l.id, mirror) == mirror_sign(
-                    g.group, l, stab, mirror
-                )
-        with pytest.raises(RangeError):
-            loop_stabilizer(g, max(g.loop_ids, default=0) + 1)
-        with pytest.raises(RangeError):
-            vertex_stabilizer(g, g.num_vertices)
+            mirrors = [e for e in stab if e.ref]
+            sign = 1 if l.sigma_label == "+" else -1
+            signs = [mirror_sign(g.group, l, stab, mirror) for mirror in mirrors]
+            assert signs == [sign, -sign][: len(mirrors)]
 
 
 def test_fixed_counts_of_fixed_edge_triangle():
@@ -368,8 +359,10 @@ def test_fixed_counts_mirror_signs():
     assert per["s"].loops_plus == 1
     assert per["s"].loops_minus == 1
     mirror = GroupElement(0, True)
-    assert loop_mirror_sign(g, 0, mirror) == 1
-    assert loop_mirror_sign(g, 1, mirror) == -1
+    lstab = stabilizers(g, "loop")
+    for loop_id, sign in ((0, 1), (1, -1)):
+        k = g.loop_index(loop_id)
+        assert mirror_sign(g.group, g.loops[k], lstab[k], mirror) == sign
 
 
 def test_mirror_pair_fixed_edge_counts():
@@ -457,7 +450,7 @@ def test_action_error_message_collects_all_violations():
 def test_kept_action_is_invisible_to_equality_hash_and_repr():
     g = d3_flower()
     fixed_counts(g)
-    assert g.action == element_tables(g)
+    assert all(np.array_equal(a, b) for a, b in zip(g.action, element_tables(g)))
     fresh = d3_flower()
     assert g == fresh
     assert hash(g) == hash(fresh)
@@ -466,7 +459,7 @@ def test_kept_action_is_invisible_to_equality_hash_and_repr():
 
 def test_replaced_graph_builds_its_own_action():
     g = base_graph("lc5")
-    assert g.action[1][0] == (1, 2, 3, 4, 0)
+    assert g.action[0][1].tolist() == [1, 2, 3, 4, 0]
     # the pentagon's edges are also closed under the rotation by two
     h = replace(
         g,
@@ -475,32 +468,42 @@ def test_replaced_graph_builds_its_own_action():
     )
     assert validate_action(h).ok
     assert h != g
-    assert h.action[1] == ((2, 3, 4, 0, 1), (2, 3, 4, 0, 1))
-    assert g.action[1][0] == (1, 2, 3, 4, 0)
+    # the loop ids are 0..4, so loop indices are ids
+    assert [t[1].tolist() for t in h.action] == [[2, 3, 4, 0, 1]] * 2
+    assert g.action[0][1].tolist() == [1, 2, 3, 4, 0]
 
 
 def test_returned_action_values_do_not_alias_the_kept_one():
     g = mirror_fixed_vertex()
     before = fixed_counts(g)
-    act = element_action(g, GroupElement(0, True))
-    act.loop[0] = 1
-    act.edge[(0, 1)] = (0, 1)
     tables = element_tables(g)
-    assert tables is not g.action
-    with pytest.raises(TypeError):
-        tables[1][1][0] = 1
+    assert all(t is not kept for t, kept in zip(tables, g.action))
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[1, 0] = 1
     assert fixed_counts(g) == before
 
 
 # -- the int64 tables against the action tuples ------------------------------
 #
-# The reference versions below walk ``graph.action`` one item at a time, as
-# ``_fixed``, ``stabilizers``, ``fixed_counts`` and ``validate_action`` did
-# before they read ``graph.action_tables``; results and messages must agree.
+# The reference versions below walk the action composed in tuples by
+# ``action_tuples`` one item at a time, as ``_fixed``, ``stabilizers``,
+# ``fixed_counts`` and ``validate_action`` did before they read the int64
+# tables of ``graph.action``; results and messages must agree.
+
+
+def _tables_as_tuples(graph, tables):
+    """``element_tables``' arrays as ``action_tuples`` gives the action."""
+    ids = graph.loop_ids
+    vimages, limages = tables
+    return tuple(
+        (tuple(vp), tuple(ids[k] for k in lp))
+        for vp, lp in zip(vimages.tolist(), limages.tolist())
+    )
 
 
 def _reference_fixed(graph, kind):
-    nonid = list(zip(graph.group.elements(), graph.action))[1:]
+    nonid = list(zip(graph.group.elements(), action_tuples(graph)))[1:]
     if kind == "vertex":
         return graph.num_vertices, [
             (e, [v for v in range(graph.num_vertices) if vp[v] == v]) for e, (vp, _) in nonid
@@ -546,7 +549,7 @@ def _reference_fixed_counts(graph):
 
 
 def _reference_violations(graph):
-    group, action = graph.group, graph.action
+    group, action = graph.group, action_tuples(graph)
     n_rot = group.rotation_order
     loop_index = {l.id: k for k, l in enumerate(graph.loops)}
     bad = []
@@ -650,6 +653,8 @@ def test_table_readers_match_the_action_tuples_on_valid_and_broken_actions():
     seen = {"valid": 0, "broken": 0, "raised": 0}
     for graph in _table_graphs():
         for g in [graph, *_broken_variants(graph, rng)]:
+            for tables in (g.action, element_tables(g)):
+                assert _tables_as_tuples(g, tables) == action_tuples(g)
             violations = _reference_violations(g)
             assert validate_action(g).violations == violations
             assert validate_action(g).ok == (not violations)
@@ -666,12 +671,9 @@ def test_table_readers_match_the_action_tuples_on_valid_and_broken_actions():
 
 def test_table_copies_are_kept_and_read_only():
     g = d3_flower()
-    vimages, limages = g.action_tables
-    assert g.action_tables[0] is vimages and g.edge_ends is g.edge_ends
-    assert vimages.tolist() == [list(vp) for vp, _ in g.action]
-    assert [[g.loops[k].id for k in row] for row in limages.tolist()] == [
-        list(lp) for _, lp in g.action
-    ]
+    vimages, limages = g.action
+    assert g.action[0] is vimages and g.edge_ends is g.edge_ends
+    assert _tables_as_tuples(g, g.action) == action_tuples(g)
     assert g.edge_ends.tolist() == [list(e) for e in g.edges]
     for table in (vimages, limages, g.edge_ends):
         assert table.dtype == np.int64
