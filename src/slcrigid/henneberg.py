@@ -24,8 +24,9 @@ generates tight graphs.
 ``decompose`` runs the moves backwards, greedily: at each graph it takes
 the first tight reduction that keeps a single core (below), strips its
 free orbit, and never goes back, until only a disjoint union of
-recognized base graphs remains; then it replays the moves forward to
-certify the trace by exact relabeling.  Candidate reductions are ranked
+recognized base graphs remains; then it replays the moves forward and
+builds the result once, in the component's labels, to certify the trace by
+exact comparison with the component.  Candidate reductions are ranked
 before any is decided, by a key of the reduced graph: its symmetric
 components, fewest first, then whether it makes an orbit *dense* (two
 loops per vertex, or an edge inside the orbit) that was not, a tie-break
@@ -95,7 +96,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     InvalidMoveError,
@@ -112,10 +113,10 @@ from .symgraph import (
     GroupSpec,
     Loop,
     SymmetricGraph,
+    _conjugated,
     _union_find,
     induced_subgraph,
     orbits,
-    relabel,
     restricted_fields,
     symmetric_components,
 )
@@ -301,8 +302,21 @@ class _Growth:
             self.next_loop = base + t
         self.n = n + t
 
-    def build(self) -> SymmetricGraph:
-        """The grown graph, checked as every ``SymmetricGraph`` is."""
+    def build(
+        self,
+        vertex_map: Sequence[int] | None = None,
+        loop_id_map: Mapping[int, int] | None = None,
+    ) -> SymmetricGraph:
+        """The grown graph, built once and checked as every
+        ``SymmetricGraph`` is.  With ``vertex_map`` and ``loop_id_map`` it
+        is built in those labels: grown vertex v is ``vertex_map[v]`` and
+        loop id i is ``loop_id_map[i]``, the action conjugated as
+        ``relabel`` conjugates it, by the same routine."""
+        if vertex_map is not None:
+            gens = [(name, self.vertex[j], self.loop[j].items()) for name, j in self.gens]
+            return _conjugated(
+                self.group, self.n, self.edges, self.loops.values(), gens, vertex_map, loop_id_map
+            )
         fields = {}
         for name, j in self.gens:
             fields[f"{name}_vertex_perm"] = tuple(self.vertex[j])
@@ -311,12 +325,18 @@ class _Growth:
         return SymmetricGraph(self.group, self.n, tuple(self.edges), loops, **fields)
 
 
-def _grown(graph: SymmetricGraph, moves: Iterable[Move]) -> SymmetricGraph:
-    """``graph`` after the moves, built once."""
+def _grown(
+    graph: SymmetricGraph,
+    moves: Iterable[Move],
+    vertex_map: Sequence[int] | None = None,
+    loop_id_map: Mapping[int, int] | None = None,
+) -> SymmetricGraph:
+    """``graph`` after the moves, built once, in the labels that
+    ``_Growth.build`` takes when they are given."""
     growth = _Growth(graph)
     for move in moves:
         growth.apply(move)
-    return growth.build()
+    return growth.build(vertex_map, loop_id_map)
 
 
 def apply_extension(graph: SymmetricGraph, move: Move) -> SymmetricGraph:
@@ -641,10 +661,18 @@ class _State:
         self.size = Counter(rep)
         self.alive = [True] * n
         self.num_alive = n
-        self.nbrs: list[set[int]] = [set() for _ in range(n)]
-        self.quotient: dict[int, Counter[int]] = {r: Counter() for r in self.size}
+        # filled in bulk, members and keys in the order one _join per edge gives
+        adjacent: list[list[int]] = [[] for _ in range(n)]
         for a, b in start.edges:
-            self._join(a, b, 1)
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        self.nbrs: list[set[int]] = [set(heads) for heads in adjacent]
+        self.quotient: dict[int, Counter[int]] = {r: Counter() for r in self.size}
+        pairs = ((rep[a], rep[b]) for a, b in start.edges)
+        links = Counter((ra, rb) if ra < rb else (rb, ra) for ra, rb in pairs)
+        for (ra, rb), count in links.items():
+            if ra != rb:
+                self.quotient[ra][rb] = self.quotient[rb][ra] = count
         self.gens = [
             (name, getattr(start, f"{name}_vertex_perm"), shift)
             for name, shift in _generators(group)
@@ -1069,16 +1097,30 @@ class ComponentTrace:
     loop_embedding: tuple[tuple[int, int], ...]
 
 
+def _component_graph(
+    graph: SymmetricGraph, comps: Collection[tuple[int, ...]], comp: Iterable[int]
+) -> tuple[SymmetricGraph, dict[int, int]]:
+    """The graph of ``comp``, one of the symmetric components ``comps`` of
+    ``graph``, and the map from ``graph``'s vertices to its own, as
+    ``induced_subgraph`` gives them.  A graph of one component is its own,
+    with the identity map: it keeps the action, validation and edge table
+    it has cached, and nothing is copied."""
+    if len(comps) == 1:
+        return graph, {u: u for u in range(graph.num_vertices)}
+    return induced_subgraph(graph, comp)
+
+
 def base_union_labels(graph: SymmetricGraph) -> tuple[str, ...] | None:
     """Labels when every symmetric component is a base graph, else None.
 
     A base graph has 1 or ``group.order`` vertices, so a component larger
-    than the group rules the graph out before any subgraph is built.
+    than the group rules the graph out before any subgraph is built, and a
+    graph of one component is read as itself.
     """
     comps = symmetric_components(graph)
     if any(len(comp) > graph.group.size for comp in comps):
         return None
-    labels = tuple(is_base_graph(induced_subgraph(graph, comp)[0]) for comp in comps)
+    labels = tuple(is_base_graph(_component_graph(graph, comps, comp)[0]) for comp in comps)
     return None if None in labels else labels
 
 
@@ -1119,22 +1161,23 @@ Path = tuple[tuple[_Step, ...], tuple[str, ...], SymmetricGraph]
 def _walk(
     start: SymmetricGraph, games: tuple[_PebbleGame, _PebbleGame] | None = None
 ) -> Path:
-    """Greedy reduction path from ``start``, one symmetric component of a
-    tight graph, down to a union of base graphs; ``games`` are its pebble
+    """Greedy reduction path from ``start``, a tight graph of one symmetric
+    component, down to a union of base graphs; ``games`` are its pebble
     games when the caller has them.
 
-    At each graph it takes the first tight reduction in key order that
-    keeps a single core, decided by ``_State.push``, and never undoes one;
-    when none keeps it, the walk gives the condition up and takes the first
-    tight one.  The candidates come in key order from ``_in_key_order``.
-    A graph is built only for ``base_union_labels``, on at most
-    ``components * |group|`` vertices, and for a dead end: a graph that is
-    not a union of bases and has no tight reduction raises
-    ``ReductionDeadEnd`` carrying it.
+    The walk counts components from that one on: each taken reduction's
+    key holds the count of the graph it leaves.  At each graph it takes the
+    first tight reduction in key order that keeps a single core, decided by
+    ``_State.push``, and never undoes one; when none keeps it, the walk
+    gives the condition up and takes the first tight one.  The candidates
+    come in key order from ``_in_key_order``.  A graph is built only for
+    ``base_union_labels``, on at most ``components * |group|`` vertices,
+    and for a dead end: a graph that is not a union of bases and has no
+    tight reduction raises ``ReductionDeadEnd`` carrying it.
     """
     t = start.group.size
     state = _State(start, games)
-    comps = len(symmetric_components(start))
+    comps = 1
     while True:
         # a union of bases has at most |group| vertices per piece
         if state.num_alive <= comps * t:
@@ -1166,11 +1209,13 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     The input is checked once, by ``check_tight`` with the given sparsity
     ``method``, and its pebble game is played once: each component's walk
     (``_walk``) starts from the games ``pebble_check`` finished with,
-    restricted to the component, and decides each reduction in them.  Each
-    trace is replayed forward, in place, and built
-    once: the base and the result pass ``validate_action``, and the
-    result, relabeled through the embedding, must reproduce the component
-    exactly.  Raises NotTightError on non-tight input and
+    restricted to the component, and decides each reduction in them.  An
+    input of one component is walked as itself; only an input of several
+    is split into component graphs, and each of those passes
+    ``validate_action``.  Each trace's base passes ``validate_action``, and
+    the trace is replayed forward, in place, and built once, straight in
+    the component's vertex and loop ids: it must equal the component,
+    field by field.  Raises NotTightError on non-tight input and
     ReductionDeadEnd, carrying the graph the walk stopped at, when it
     reaches a graph that is not a union of base graphs and has no
     tightness-preserving reduction.
@@ -1182,7 +1227,8 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     if game is None:  # the subset audit plays none
         game = pebble_check(graph.num_vertices, graph.edges, graph.loop_vertices).game
     comps = symmetric_components(graph)
-    subs = [induced_subgraph(graph, comp) for comp in comps]  # vertex i of sub is comp[i]
+    # vertex i of sub is comp[i]
+    subs = [_component_graph(graph, comps, comp) for comp in comps]
     games = [game.games([vmap.get(u) for u in range(graph.num_vertices)]) for _, vmap in subs]
     del report, game  # each walk goes on from, and frees, its component's copy
     traces = []
@@ -1211,11 +1257,12 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
                 sigma.append(u)
             ids.update((i, fresh + k) for k, i in enumerate(step.orbit_loops))
             moves.append(move)
-        x = growth.build()
-        require_valid_action(x)
 
+        # equal field by field to sub, whose action is valid (the input's
+        # kept report, when sub is the input), so its own action is valid
+        require_valid_action(sub)
         lam = {r: i for i, r in ids.items()}
-        if relabel(x, sigma, lam) != sub:
+        if growth.build(sigma, lam) != sub:
             raise RuntimeError("internal error: the trace does not replay the component")
         embedding = tuple(comp[s] for s in sigma)
         loop_embedding = tuple(sorted(lam.items()))
@@ -1228,8 +1275,9 @@ def verify_decomposition(graph: SymmetricGraph, dec: Decomposition) -> bool:
 
     Each ``base_graph`` must be the union of bases its ``base_label``
     names, and every move must apply.  Exact comparison: the replayed
-    graph, relabeled through the stored embedding, must equal the induced
-    component graph field by field.
+    graph, built once in the component's vertex and loop ids through the
+    stored embedding, must equal the component's graph field by field;
+    the graph of one component is the input itself.
     """
     comps = symmetric_components(graph)
     if sorted(tuple(sorted(t.embedding)) for t in dec.components) != sorted(comps):
@@ -1238,12 +1286,10 @@ def verify_decomposition(graph: SymmetricGraph, dec: Decomposition) -> bool:
         labels = base_union_labels(trace.base_graph)
         if labels is None or "+".join(labels) != trace.base_label:
             return False
-        sub, vmap = induced_subgraph(graph, trace.embedding)
+        sub, vmap = _component_graph(graph, comps, trace.embedding)
         sigma = [vmap[orig] for orig in trace.embedding]
-        lam = dict(trace.loop_embedding)
         try:
-            x = replay(trace)
-            if x.num_vertices != len(trace.embedding) or relabel(x, sigma, lam) != sub:
+            if _grown(trace.base_graph, trace.moves, sigma, dict(trace.loop_embedding)) != sub:
                 return False
         except (InvalidMoveError, RangeError, SchemaError):
             return False

@@ -46,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -784,40 +784,60 @@ def symmetric_components(graph: SymmetricGraph) -> tuple[tuple[int, ...], ...]:
 # -- relabeling and restriction ---------------------------------------------
 
 
+def _conjugated(
+    group: GroupSpec,
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    loops: Collection[Loop],
+    gens: Iterable[tuple[str, Sequence[int], Iterable[tuple[int, int]]]],
+    vertex_map: Sequence[int],
+    loop_id_map: Mapping[int, int],
+) -> SymmetricGraph:
+    """The graph on n vertices with these rows and generators, built once
+    with vertex v renamed ``vertex_map[v]`` and loop id i renamed
+    ``loop_id_map[i]``, the action conjugated to match.
+
+    ``gens`` gives each generator as its field-name stem, its vertex perm
+    and its loop perm as (id, image id) pairs.  ``relabel`` and
+    ``henneberg``'s replay both build through here.  Raises ``RangeError``
+    unless ``vertex_map`` is a permutation of 0..n-1 and ``loop_id_map`` a
+    bijection on the loop ids.
+    """
+    vm = _check_perm(vertex_map, n, "vertex_map")
+    lm = loop_id_map
+    if sorted(lm) != sorted(l.id for l in loops) or len(set(lm.values())) != len(lm):
+        raise RangeError("loop_id_map must be a bijection on the loop ids")
+    fields = {}
+    for name, perm, lperm in gens:
+        out = [0] * n
+        for v, image in zip(vm, perm):
+            out[v] = vm[image]
+        fields[f"{name}_vertex_perm"] = tuple(out)
+        fields[f"{name}_loop_perm"] = {lm[i]: lm[image] for i, image in lperm}
+    return SymmetricGraph(
+        group,
+        n,
+        tuple((vm[u], vm[v]) for u, v in edges),
+        tuple(Loop(lm[l.id], vm[l.vertex], l.sigma_label) for l in loops),
+        **fields,
+    )
+
+
 def relabel(
     graph: SymmetricGraph,
     vertex_map: Sequence[int],
     loop_id_map: Mapping[int, int] | None = None,
 ) -> SymmetricGraph:
     """Rename vertices (and optionally loop ids), conjugating the action."""
-    n = graph.num_vertices
-    vm = _check_perm(vertex_map, n, "vertex_map")
-    lm = dict(loop_id_map) if loop_id_map is not None else {l.id: l.id for l in graph.loops}
-    if sorted(lm) != sorted(graph.loop_ids) or len(set(lm.values())) != len(lm):
-        raise RangeError("loop_id_map must be a bijection on the loop ids")
-
-    def conj_v(perm: tuple[int, ...] | None) -> tuple[int, ...] | None:
-        if perm is None:
-            return None
-        out = [0] * n
-        for i in range(n):
-            out[vm[i]] = vm[perm[i]]
-        return tuple(out)
-
-    def conj_l(lperm: tuple[int, ...] | None) -> dict[int, int] | None:
-        if lperm is None:
-            return None
-        return {lm[l.id]: lm[img] for l, img in zip(graph.loops, lperm)}
-
-    return SymmetricGraph(
-        group=graph.group,
-        num_vertices=n,
-        edges=tuple((vm[u], vm[v]) for (u, v) in graph.edges),
-        loops=tuple(Loop(lm[l.id], vm[l.vertex], l.sigma_label) for l in graph.loops),
-        rotation_vertex_perm=conj_v(graph.rotation_vertex_perm),
-        rotation_loop_perm=conj_l(graph.rotation_loop_perm),
-        reflection_vertex_perm=conj_v(graph.reflection_vertex_perm),
-        reflection_loop_perm=conj_l(graph.reflection_loop_perm),
+    ids = graph.loop_ids
+    gens = [
+        (name, perm, zip(ids, getattr(graph, f"{name}_loop_perm")))
+        for name in ("rotation", "reflection")
+        if (perm := getattr(graph, f"{name}_vertex_perm")) is not None
+    ]
+    lm = dict(loop_id_map) if loop_id_map is not None else {i: i for i in ids}
+    return _conjugated(
+        graph.group, graph.num_vertices, graph.edges, graph.loops, gens, vertex_map, lm
     )
 
 

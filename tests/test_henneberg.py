@@ -363,6 +363,35 @@ def test_verify_decomposition_is_false_when_a_move_does_not_apply():
     assert not verify_decomposition(gen.graph, dataclasses.replace(dec, components=(bad,)))
 
 
+def test_verify_decomposition_is_false_on_each_tampered_field():
+    # every tampering below gives False and raises nothing, also where the
+    # replay is built straight in the component's labels
+    gen = generate_random("c2", 6, 0)
+    dec = decompose(gen.graph)
+    [trace] = dec.components
+    emb, loops = trace.embedding, trace.loop_embedding
+    assert verify_decomposition(gen.graph, dec) and loops
+    tampered = [
+        dict(embedding=(emb[0], *emb[:-1])),  # a repeated entry
+        dict(embedding=(emb[1], emb[0], *emb[2:])),  # two entries swapped
+        dict(loop_embedding=tuple((i + 1, j) for i, j in loops)),  # replayed ids shifted
+        dict(loop_embedding=tuple((i, j + 1) for i, j in loops)),  # component ids shifted
+        dict(loop_embedding=tuple((i, loops[0][1]) for i, _ in loops)),  # not a bijection
+        dict(loop_embedding=loops[1:]),  # not a bijection on the replayed ids
+        dict(moves=trace.moves[:-1]),  # the last move dropped
+        dict(base_label="p1_fixed"),
+        dict(base_label=f"{trace.base_label}+{trace.base_label}"),
+    ]
+    for k, move in enumerate(trace.moves):
+        for field in dataclasses.fields(move):
+            for bad in (10**6, True, "a"):
+                moved = dataclasses.replace(move, **{field.name: bad})
+                tampered.append(dict(moves=(*trace.moves[:k], moved, *trace.moves[k + 1 :])))
+    for change in tampered:
+        bad = dataclasses.replace(dec, components=(dataclasses.replace(trace, **change),))
+        assert verify_decomposition(gen.graph, bad) is False, change
+
+
 def test_zero_step_generation_is_the_base():
     gen = generate_random("c3", steps=0, seed=0)
     assert is_base_graph(gen.graph) == gen.base_label
@@ -890,6 +919,28 @@ def test_decompose_plays_the_input_pebble_game_once(monkeypatch):
     assert len(decompose(_two_bases_grown()).components) == 2
 
 
+def test_a_fresh_state_fills_its_neighbours_and_quotient_as_one_join_per_edge():
+    # the walk iterates the neighbour sets and the quotient's counters, so
+    # their bulk fill keeps the order that joining one edge at a time gives
+    graphs = [generate_random(*case).graph for case in DECOMPOSE_MID]
+    graphs += [_two_bases_grown(), _splits(), _ring_with_extensions()]
+    graphs.append(generate_random("c2", 500, 0).graph)  # sets whose ids collide
+    for g in graphs:
+        state = henneberg._State(g)
+        nbrs = [set() for _ in range(g.num_vertices)]
+        quotient = {r: Counter() for r in state.size}
+        for a, b in g.edges:
+            for x, y in ((a, b), (b, a)):
+                nbrs[x].add(y)
+                if state.rep[x] != state.rep[y]:
+                    quotient[state.rep[x]][state.rep[y]] += 1
+        assert [list(heads) for heads in state.nbrs] == [list(heads) for heads in nbrs]
+        assert list(state.quotient) == list(quotient)
+        assert [list(c.items()) for c in state.quotient.values()] == [
+            list(c.items()) for c in quotient.values()
+        ]
+
+
 def _fresh_candidates(state):
     """``_reduction_candidates`` of a fresh state on the graph that
     ``state`` holds, in ``state``'s vertex ids."""
@@ -1051,7 +1102,7 @@ def test_generation_and_replay_build_the_graph_once(monkeypatch):
     assert builds <= 2
 
 
-def test_decompose_replays_a_trace_building_two_graphs(monkeypatch):
+def test_decompose_replays_a_trace_building_one_graph(monkeypatch):
     builds = None
     post_init, walk = SymmetricGraph.__post_init__, henneberg._walk
 
@@ -1070,9 +1121,53 @@ def test_decompose_replays_a_trace_building_two_graphs(monkeypatch):
     monkeypatch.setattr(SymmetricGraph, "__post_init__", counting)
     monkeypatch.setattr(henneberg, "_walk", walking)
     dec = decompose(g)
-    # the grown graph and its relabeling, not one graph per move
+    # the grown graph, built in the component's labels, not one graph per
+    # move nor a relabeled copy
     assert dec.total_moves == 500
-    assert builds <= 2, builds
+    assert builds == 1, builds
+
+
+def _walk_starts(monkeypatch):
+    """The list each ``_walk`` call appends its start graph to."""
+    starts, walk = [], henneberg._walk
+
+    def walking(start, games):
+        starts.append(start)
+        return walk(start, games)
+
+    monkeypatch.setattr(henneberg, "_walk", walking)
+    return starts
+
+
+def test_a_one_component_input_is_walked_as_itself(monkeypatch):
+    # the walk starts from the input object, which keeps the action and
+    # validation check_tight cached on it, and no component graph or
+    # relabeled copy is built, in decompose or in verify_decomposition
+    starts, cut = _walk_starts(monkeypatch), []
+    monkeypatch.setattr(henneberg, "induced_subgraph", _recording(cut, induced_subgraph))
+    monkeypatch.setattr(symgraph, "relabel", _recording(cut, relabel))
+    for case in DECOMPOSE_MID:
+        g = generate_random(*case).graph
+        starts.clear()
+        dec = decompose(g)
+        assert len(starts) == 1 and starts[0] is g, case
+        assert verify_decomposition(g, dec), case
+        assert cut == [], case
+
+
+def test_an_input_of_two_components_is_walked_as_two_component_graphs(monkeypatch):
+    # each component of _two_bases_grown() is built as its own graph, which
+    # its walk starts from and its replay must equal
+    starts, cut = _walk_starts(monkeypatch), []
+    g = _two_bases_grown()
+    monkeypatch.setattr(henneberg, "induced_subgraph", _recording(cut, induced_subgraph))
+    dec = decompose(g)
+    comps = symmetric_components(g)
+    assert len(comps) == len(dec.components) == 2
+    built = [sub for (_, comp), (sub, _) in cut[:2]]
+    assert [comp for (_, comp), _ in cut[:2]] == list(comps)
+    assert len(starts) == 2 and all(s is sub for s, sub in zip(starts, built))
+    assert verify_decomposition(g, dec)
 
 
 def _recording(log, fn):
@@ -1117,10 +1212,10 @@ def test_decompose_outputs_are_unchanged_and_checked_once(monkeypatch):
             h.update(document.dumps(document.decomposition_to_dict(dec)).encode())
             assert [args[0] for args, _ in checks] == [g], case
             # each graph is validated once, its report kept on it: the
-            # input when generate_random checks it, then each trace's base
-            # and its result
-            ends = [x for trace in dec.components for x in (trace.base_graph, replay(trace))]
-            assert [args[0] for args, _ in validated] == [g, *ends], case
+            # input when generate_random checks it, then each trace's base;
+            # the result is checked by equality with the validated input
+            bases = [trace.base_graph for trace in dec.components]
+            assert [args[0] for args, _ in validated] == [g, *bases], case
             # the walk builds no graph per step, nor does the replay
             assert builds <= 6 * len(dec.components), (case, builds)
             # the in-place replay gives what applying the moves one by one does
