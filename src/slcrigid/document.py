@@ -26,6 +26,7 @@ indentation, trailing newline, so equal inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain, repeat
 from typing import Any
 
@@ -79,8 +80,12 @@ def _expect_int(x, what: str, *at) -> int:
 
 
 def _expect_num(x, what: str, *at):
+    """x when it is an int or a finite float: ``json.loads`` reads NaN,
+    Infinity and an overflowing 1e400 as floats that are not finite."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(f"{what.format(*at)} must be a number")
+    if not math.isfinite(x):
+        raise SchemaError(f"{what.format(*at)} must be a finite number")
     return x
 
 
@@ -131,19 +136,18 @@ def _pair(x, what: str, *at) -> tuple:
 
 
 def _int_key_map(x, what: str) -> dict[int, int]:
+    """The map with its keys read as loop ids by ``int()``; two keys that
+    name one id (``"0"`` and ``"00"``) raise ``SchemaError``."""
     d = _expect_obj(x, what)
-    if set(map(type, d.values())) <= {int}:  # checked whole
-        try:
-            return dict(zip(map(int, d), d.values()))
-        except ValueError:
-            pass
-    out = {}  # the first bad entry gets its message
-    for k, v in d.items():
-        try:
-            ik = int(k)
-        except ValueError:
-            raise SchemaError(f"{what} keys must be integer loop ids") from None
-        out[ik] = _expect_int(v, "{}[{}]", what, k)
+    try:
+        out = dict(zip(map(int, d), d.values()))
+    except ValueError:
+        raise SchemaError(f"{what} keys must be integer loop ids") from None
+    if not set(map(type, d.values())) <= {int}:  # checked whole
+        for k, v in d.items():  # the first bad entry gets its message
+            _expect_int(v, "{}[{}]", what, k)
+    if len(out) < len(d):
+        raise SchemaError(f"{what} names a loop id by two keys")
     return out
 
 
@@ -322,6 +326,8 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
             except ValueError:
                 raise SchemaError("placement.q keys must be integer loop ids") from None
             qmap[ik] = _pair(v, "placement.q[{}]", k)
+        if len(qmap) < len(qmap_raw):
+            raise SchemaError("placement.q names a loop id by two keys")
         missing = [l.id for l in graph.loops if l.id not in qmap]
         extra = sorted(set(qmap) - {l.id for l in graph.loops})
         if missing:

@@ -16,7 +16,10 @@ its reachable set already spans twice its size.  One rule skips the search:
 an edge u-v whose end v has at most one edge so far (a 0-extension edge)
 closes no tight set, since without v a vertex set holding u and v loses at
 most two edges and two from its bound 2|X| - 3.  v has out-degree at most
-one, so it spends its own pebble and the edge is oriented v -> u.  Any
+one, so it spends its own pebble and the edge is oriented v -> u.  A
+search is breadth-first: it pulls the nearest free pebble back to its root
+along a shortest path, reversing the fewest arcs, and never starts at an
+end that holds both its pebbles, which has no arc to follow.  Any
 orientation of sparse rows in which each vertex holds 2 minus its
 out-degree pebbles is a state the game can go on from (Lee and Streinu,
 *Pebble game algorithms and sparse graphs*, 2008).  A rejected row's
@@ -280,31 +283,32 @@ class _PebbleGame:
         self.pebbles[u] += 1
 
     def _find_pebble(self, root: int, forbidden: set[int]) -> bool:
-        # DFS along arcs; pull the first free pebble back to the root by
-        # reversing the path to it.
+        # Breadth-first along arcs: pull the nearest free pebble back to the
+        # root by reversing a shortest path to it.  Callers never start at
+        # a vertex holding both its pebbles, which has no arc to follow.
+        out, pebbles = self.out, self.pebbles
         prev: dict[int, int | None] = {root: None}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in self.out[x]:
+        queue = [root]
+        for x in queue:  # grows while it is read
+            for y in out[x]:
                 if y in prev:
                     continue
                 prev[y] = x
-                if self.pebbles[y] > 0 and y not in forbidden:
+                if pebbles[y] and y not in forbidden:
                     into = self.into
                     cur = y
-                    while prev[cur] is not None:
+                    while cur != root:
                         p = prev[cur]
-                        self.out[p].remove(cur)
-                        self.out[cur].add(p)
+                        out[p].remove(cur)
+                        out[cur].add(p)
                         if into is not None:
                             into[cur].remove(p)
                             into[p].add(cur)
                         cur = p
-                    self.pebbles[y] -= 1
-                    self.pebbles[root] += 1
+                    pebbles[y] -= 1
+                    pebbles[root] += 1
                     return True
-                stack.append(y)
+                queue.append(y)
         return False
 
     def reach(self, roots: Iterable[int]) -> set[int]:
@@ -321,22 +325,28 @@ class _PebbleGame:
     def insert_edge(self, u: int, v: int, need: int = 4) -> bool:
         """Insert u-v when ``need`` pebbles gather on its ends: 4 in the
         (2,3) game on simple edges, 1 in the (2,0) game on all rows."""
+        pebbles = self.pebbles
         ends = {u, v}
-        while self.pebbles[u] + self.pebbles[v] < need:
-            if not (self._find_pebble(u, ends) or self._find_pebble(v, ends)):
+        while pebbles[u] + pebbles[v] < need:
+            # an end holding both its pebbles has no arc to search along
+            if not (
+                (pebbles[u] < 2 and self._find_pebble(u, ends))
+                or (pebbles[v] < 2 and self._find_pebble(v, ends))
+            ):
                 return False
-        tail, head = (u, v) if self.pebbles[u] > 0 else (v, u)
-        self.pebbles[tail] -= 1
+        tail, head = (u, v) if pebbles[u] > 0 else (v, u)
+        pebbles[tail] -= 1
         self.out[tail].add(head)
         if self.into is not None:
             self.into[head].add(tail)
         return True
 
     def insert_loop(self, v: int) -> bool:
-        while self.pebbles[v] < 1:
+        pebbles = self.pebbles
+        while pebbles[v] < 1:
             if not self._find_pebble(v, {v}):
                 return False
-        self.pebbles[v] -= 1
+        pebbles[v] -= 1
         return True
 
 
@@ -362,12 +372,13 @@ def pebble_check(
     edges, loops = _normalize(num_vertices, edges, loops)
     n = num_vertices
     game = _PebbleGame(n)
+    pebbles, out = game.pebbles, game.out
     degree = [0] * n  # edges inserted so far at each vertex
     for (u, v) in edges:
         if degree[u] < 2 or degree[v] < 2:
             tail, head = (v, u) if degree[v] < 2 else (u, v)
-            game.pebbles[tail] -= 1
-            game.out[tail].add(head)
+            pebbles[tail] -= 1
+            out[tail].add(head)
         elif not game.insert_edge(u, v):
             verts = game.reach((u, v))
             ie, il = _induced_counts(edges, loops, verts)

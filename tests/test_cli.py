@@ -368,6 +368,42 @@ def test_svg_renders_stored_placement_without_auto(tmp_path):
     assert 'width="240"' in r.stdout
 
 
+def _c2_placement_with(tmp_path, number: str) -> str:
+    """A c2 3/0 placement document whose first coordinate is written as
+    ``number``, a JSON token that ``json.loads`` reads as a float."""
+    g = generate_random("c2", steps=3, seed=0).graph
+    d = document.graph_to_dict(g, sample_symmetric_placement(g, seed=0))
+    d["placement"]["p"][0][0] = "NUMBER"
+    path = tmp_path / "placed.json"
+    path.write_text(document.dumps(d).replace('"NUMBER"', number))
+    return str(path)
+
+
+def test_rank_refuses_a_nan_placement(tmp_path):
+    # the SVD raised an uncaught LinAlgError, exit 1 ("not isostatic")
+    r = run_cli(["rank", _c2_placement_with(tmp_path, "NaN")])
+    assert r.returncode == 2
+    assert r.stderr == "error[schema]: placement.p[0] must be a finite number\n"
+
+
+def test_rank_refuses_an_infinite_placement(tmp_path):
+    # it reported rank 0, dependent-flexible; 1e400 reads as infinity
+    for number in ("Infinity", "-Infinity", "1e400"):
+        r = run_cli(["rank", _c2_placement_with(tmp_path, number)])
+        assert r.returncode == 2, number
+        assert r.stdout == ""
+        assert r.stderr == "error[schema]: placement.p[0] must be a finite number\n"
+
+
+def test_svg_refuses_a_non_finite_placement(tmp_path):
+    # the picture held x1="nan"
+    for number in ("NaN", "Infinity"):
+        r = run_cli(["svg", _c2_placement_with(tmp_path, number)])
+        assert r.returncode == 2, number
+        assert r.stdout == ""
+        assert r.stderr.startswith("error[schema]: ")
+
+
 def test_generate_accepts_bare_base_labels():
     r = run_cli(["generate", "--group", "c3", "--base", "lc", "--steps", "4", "--seed", "7"])
     assert r.returncode == 0

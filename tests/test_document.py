@@ -178,6 +178,24 @@ def test_whole_list_checks_fall_back_to_the_first_bad_value():
     assert document.graph_from_dict(edited(lambda d: None))[0] == graph
 
 
+def test_two_keys_naming_one_loop_id_are_refused():
+    # int() reads "0", "00", " 0" and "+0" as loop 0; two of them in one
+    # map used to collapse, the later value winning
+    graph = generate_random("c2", steps=3, seed=0).graph
+    fw = sample_symmetric_placement(graph, seed=0)
+    for key in ("00", " 0", "+0"):
+        for part, name, what in (
+            ("action", "rotation_loop_perm", "rotation_loop_perm"),
+            ("placement", "q", "placement.q"),
+        ):
+            d = document.graph_to_dict(graph, fw)
+            d[part][name][key] = d[part][name]["0"]
+            with pytest.raises(SchemaError) as err:
+                document.parse_graph(document.dumps(d))
+            assert str(err.value) == f"{what} names a loop id by two keys"
+    assert document.parse_graph(document.serialize_graph(graph, fw)) == (graph, fw)
+
+
 def test_parse_validates_the_action():
     d = document.graph_to_dict(base_graph("lc3"))
     d["action"]["rotation_vertex_perm"] = [0, 1, 2]

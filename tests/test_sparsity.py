@@ -15,6 +15,7 @@ from slcrigid import (
     SymmetricGraph,
     criticality,
     cross_edge_count,
+    decompose,
     generate_random,
     pebble_check,
     subset_audit,
@@ -398,6 +399,41 @@ def test_zero_extension_edges_run_no_pebble_search(monkeypatch):
     r = pebble_check(n, edges, [0, 0, 1])
     assert r.tight
     assert searches == []
+
+
+def test_a_search_pulls_the_nearest_free_pebble_along_a_shortest_path():
+    # root 0 has arcs to 1 and 3; 2 (behind 1) and 6 (behind 3, 4, 5) hold a
+    # free pebble, every other vertex has spent its second pebble on a loop.
+    # A depth-first search goes down the branch of 3 first and reverses
+    # four arcs to reach 6; the pebble of 2 is two arcs away.
+    game = sparsity._PebbleGame(7)
+    game.out = [{1, 3}, {2}, set(), {4}, {5}, {6}, set()]
+    game.pebbles = [0, 0, 1, 0, 0, 0, 1]
+    game.keep_in_arcs()
+    assert game._find_pebble(0, {0})
+    assert game.pebbles == [1, 0, 0, 0, 0, 0, 1]
+    assert game.out == [{3}, {0}, {1}, {4}, {5}, {6}, set()]
+    assert game.into == [{1}, {2}, set(), {0}, {3}, {4}, {5}]
+
+
+def test_no_search_starts_at_an_end_holding_both_its_pebbles(monkeypatch):
+    # such an end has no arc, so its search would fail at once; the edge
+    # pass, the (2,0) game of the loop pass and the walk's games all skip it
+    roots = []
+    find_pebble = sparsity._PebbleGame._find_pebble
+
+    def counted(self, root, forbidden):
+        roots.append(self.pebbles[root])
+        return find_pebble(self, root, forbidden)
+
+    monkeypatch.setattr(sparsity._PebbleGame, "_find_pebble", counted)
+    for group in ("c2", "c3", "c4", "c5"):
+        for steps, seed in ((12, 1), (60, 0)):
+            g = generate_random(group, steps=steps, seed=seed).graph
+            assert pebble_check(g.num_vertices, g.edges, g.loop_vertices).tight
+            if steps < 20:
+                decompose(g)
+    assert roots and max(roots) < 2
 
 
 def test_finished_games_orient_every_edge_once_and_keep_the_pebble_balance():
