@@ -115,7 +115,7 @@ def cmd_verdict(args) -> int:
         out["trace"] = None
         if tight.tight:
             try:
-                out["trace"] = document.decomposition_to_dict(decompose(graph, args.method))
+                out["trace"] = document.decomposition_to_dict(decompose(graph))
             except ReductionDeadEnd as err:
                 out["trace_error"] = str(err)
     _emit(out)
@@ -143,7 +143,7 @@ def cmd_extend(args) -> int:
 
 def cmd_reduce(args) -> int:
     graph, _ = document.parse_graph(_read_text(args.file))
-    dec = decompose(graph, method=args.method)
+    dec = decompose(graph)
     text = document.dumps(document.decomposition_to_dict(dec))
     if args.trace is not None:
         Path(args.trace).write_text(text)
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="decompose a tight graph to base graphs")
     p.add_argument("file")
-    p.add_argument("--method", choices=("pebble", "subset"), default="pebble")
     p.add_argument("--trace", default=None, help="also write the trace JSON to this file")
     p.set_defaults(func=cmd_reduce)
 

@@ -135,19 +135,27 @@ def _pair(x, what: str, *at) -> tuple:
     return (_expect_num(lst[0], what, *at), _expect_num(lst[1], what, *at))
 
 
-def _int_key_map(x, what: str) -> dict[int, int]:
-    """The map with its keys read as loop ids by ``int()``; two keys that
-    name one id (``"0"`` and ``"00"``) raise ``SchemaError``."""
-    d = _expect_obj(x, what)
+def _loop_ids(d: dict, what: str) -> list[int]:
+    """The keys of the map ``what`` read as loop ids.  A key must be the
+    one spelling ``str`` gives its id (not ``"00"``, ``"+0"``, ``" 0"``,
+    ``"0_5"`` or ``"٧"``), so no two keys name one id."""
     try:
-        out = dict(zip(map(int, d), d.values()))
+        ids = list(map(int, d))
     except ValueError:
-        raise SchemaError(f"{what} keys must be integer loop ids") from None
+        ids = None
+    if ids is None or list(map(str, ids)) != list(d):
+        raise SchemaError(f"{what} keys must be integer loop ids")
+    return ids
+
+
+def _int_key_map(x, what: str) -> dict[int, int]:
+    """The map with its keys read as loop ids (``_loop_ids``) and its
+    values as integers."""
+    d = _expect_obj(x, what)
+    out = dict(zip(_loop_ids(d, what), d.values()))
     if not set(map(type, d.values())) <= {int}:  # checked whole
         for k, v in d.items():  # the first bad entry gets its message
             _expect_int(v, "{}[{}]", what, k)
-    if len(out) < len(d):
-        raise SchemaError(f"{what} names a loop id by two keys")
     return out
 
 
@@ -319,15 +327,10 @@ def graph_from_dict(d) -> tuple[SymmetricGraph, Framework | None]:
             for i, pt in enumerate(_expect_list(pl["p"], "placement.p"))
         )
         qmap_raw = _expect_obj(pl.get("q", {}), "placement.q")
-        qmap = {}
-        for k, v in qmap_raw.items():
-            try:
-                ik = int(k)
-            except ValueError:
-                raise SchemaError("placement.q keys must be integer loop ids") from None
-            qmap[ik] = _pair(v, "placement.q[{}]", k)
-        if len(qmap) < len(qmap_raw):
-            raise SchemaError("placement.q names a loop id by two keys")
+        qmap = {
+            i: _pair(v, "placement.q[{}]", k)
+            for i, (k, v) in zip(_loop_ids(qmap_raw, "placement.q"), qmap_raw.items())
+        }
         missing = [l.id for l in graph.loops if l.id not in qmap]
         extra = sorted(set(qmap) - {l.id for l in graph.loops})
         if missing:

@@ -47,9 +47,10 @@ it finished with (``_PebbleGame.games``).  The state keeps each free
 orbit's candidates and derives them again only for the orbits a
 reduction touches.  Keys are worked out lazily (``_in_key_order``): none
 is below (the graph's components, not dense), and those with that key,
-in scan order, nearly always hold the one taken, so the components of
-every candidate are counted (``_cut_pieces``) and sorted only when none
-of them is.  Apart from its pebble searches and the single-core check,
+in scan order, nearly always hold the one taken, so the keys of the
+rest are counted and sorted only when none of them is.  Every count
+comes from one lockstep search around the candidate's orbit
+(``_apart``).  Apart from its pebble searches and the single-core check,
 a level so costs what its reduction touches.  Graphs are built only near
 the bottom and for the replay; ``enumerate_reductions`` stays as the
 try-and-check reference.  The base graphs:
@@ -91,12 +92,12 @@ carrying that graph.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     InvalidMoveError,
@@ -106,7 +107,7 @@ from .errors import (
     SchemaError,
     UnsupportedBackendError,
 )
-from .sparsity import _PebbleGame, pebble_check, pebble_games
+from .sparsity import _PebbleGame, pebble_games
 from .symcheck import check_tight, require_valid_action
 from .symgraph import (
     GroupElement,
@@ -556,66 +557,9 @@ def _reduce(
     return Reduction(move, red, orbit_vertices, orbit_loops, vertex_map)
 
 
-def _cut_pieces(
-    adj: dict[int, Collection[int]],
-) -> tuple[int, Callable[[int], int], Callable[[int, int], int]]:
-    """Connectivity of a simple graph after deleting any one node.
-
-    One iterative low-point DFS (Hopcroft-Tarjan) over the adjacency sets.
-    Returns the number of connected components, ``pieces(r)``, the number
-    of components that r's own component falls into without r, and
-    ``piece(r, w)``, a label of the piece a neighbour w of r lies in: the
-    DFS child of r whose subtree holds w and is cut off by r, or -1 for
-    the piece that keeps r's parent.
-    """
-    # low[x] also counts x's tree edge to its parent; r still cuts off its
-    # child c exactly when low[c] >= disc[r]
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    fin: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
-    roots: set[int] = set()
-    for root in adj:
-        if root in disc:
-            continue
-        roots.add(root)
-        disc[root] = low[root] = len(disc)
-        children[root] = []
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            x, it = stack[-1]
-            for y in it:
-                if y not in disc:
-                    children[x].append(y)
-                    children[y] = []
-                    disc[y] = low[y] = len(disc)
-                    stack.append((y, iter(adj[y])))
-                    break
-                if disc[y] < low[x]:
-                    low[x] = disc[y]
-            else:
-                stack.pop()
-                fin[x] = len(disc)
-                if stack and low[x] < low[stack[-1][0]]:
-                    low[stack[-1][0]] = low[x]
-
-    def pieces(r: int) -> int:
-        cut_off = sum(1 for c in children[r] if low[c] >= disc[r])
-        return cut_off + (r not in roots)
-
-    def piece(r: int, w: int) -> int:
-        if not disc[r] < disc[w] < fin[r]:
-            return -1  # not below r: on the parent's side
-        kids = children[r]
-        c = kids[bisect_right(kids, disc[w], key=disc.__getitem__) - 1]
-        return c if low[c] >= disc[r] else -1
-
-    return len(roots), pieces, piece
-
-
 Candidate = tuple[int, int | None, type, tuple[int, ...]]
 # (symmetric components of the reduced graph, whether it makes an orbit
-# dense); see ``_reduction_candidates``
+# dense); see ``_in_key_order``
 Key = tuple[int, bool]
 
 
@@ -644,10 +588,10 @@ class _State:
 
     ``kept[r]`` holds the candidate reductions of the free orbit r, as
     ``_orbit_candidates`` gives them, for every orbit that has one;
-    ``order`` and ``cycle_order`` list, in increasing order, the orbits
-    with a candidate of another kind and with a cycle candidate.  A push
-    derives them again only for the orbits whose neighbours, loops or
-    dense flag it changes, or whose neighbours' it changes.
+    ``order`` lists those orbits as ``(cycle, r)``, in increasing order, so
+    the orbits with a cycle candidate come last.  A push derives them again
+    only for the orbits whose neighbours, loops or dense flag it changes, or
+    whose neighbours' it changes.
     """
 
     def __init__(
@@ -686,9 +630,8 @@ class _State:
         self.dense = {rep[v] for v in range(n) if len(self.loops_at[v]) >= 2}
         self.dense |= {rep[a] for a, b in start.edges if rep[a] == rep[b]}
         self.steps: list[_Step] = []
-        self.kept: dict[int, tuple[list[tuple[bool, Candidate]], list[Candidate]]] = {}
-        self.order: list[int] = []
-        self.cycle_order: list[int] = []
+        self.kept: dict[int, list[tuple[bool, Candidate]]] = {}
+        self.order: list[tuple[bool, int]] = []
         self._refresh(self.size)
         self.anchor: int | None = None  # a vertex of the core, once one is found
         if games is not None:
@@ -706,20 +649,15 @@ class _State:
         """Derive the candidates of these orbits again (none for an orbit
         that is deleted or not free)."""
         for r in orbits:
-            regular, cycles = self.kept.pop(r, ((), ()))
-            if regular:
-                del self.order[bisect_left(self.order, r)]
-            if cycles:
-                del self.cycle_order[bisect_left(self.cycle_order, r)]
+            cands = self.kept.pop(r, None)
+            if cands:
+                del self.order[bisect_left(self.order, (cands[0][1][2] is CycleEdge, r))]
             if not self.alive[r] or self.size[r] != self.t:
                 continue
-            regular, cycles = _orbit_candidates(self, r)
-            if regular:
-                insort(self.order, r)
-            if cycles:
-                insort(self.cycle_order, r)
-            if regular or cycles:
-                self.kept[r] = regular, cycles
+            cands = _orbit_candidates(self, r)
+            if cands:
+                insort(self.order, (cands[0][1][2] is CycleEdge, r))
+                self.kept[r] = cands
 
     @cached_property
     def single_core(self) -> bool:
@@ -894,21 +832,19 @@ class _State:
         return True
 
 
-def _orbit_candidates(
-    state: _State, v: int
-) -> tuple[list[tuple[bool, Candidate]], list[Candidate]]:
+def _orbit_candidates(state: _State, v: int) -> list[tuple[bool, Candidate]]:
     """The structurally valid deletions of the free orbit of v, unbuilt and
     in the start graph's vertex ids, in a fixed order.
 
-    An orbit whose neighbours all lie outside gives its candidates as
-    ``(dense, (v, loop, kind, ends))``: the arguments of ``_State.push`` and
-    ``_reduce`` (``loop`` is a loop id), and whether A makes an orbit dense
-    that was not: a (2,1) split whose loops give a vertex its second loop,
-    or a (3,0) split whose edge orbit lies inside one orbit.  A loopless
-    orbit whose vertices have three neighbours, two inside the orbit,
-    gives its ``CycleEdge`` candidate apart, as it comes after all the
-    others: its ends are v's neighbour outside the orbit and the index of
-    the smaller element that sends v to a neighbour inside.  Those are
+    Each comes as ``(dense, (v, loop, kind, ends))``: the arguments of
+    ``_State.push`` and ``_reduce`` (``loop`` is a loop id), and whether A
+    makes an orbit dense that was not: a (2,1) split whose loops give a
+    vertex its second loop, or a (3,0) split whose edge orbit lies inside
+    one orbit.  An orbit whose neighbours all lie outside gives those of
+    the other kinds.  A loopless orbit whose vertices have three
+    neighbours, two inside the orbit, gives one ``CycleEdge`` candidate,
+    not dense: its ends are v's neighbour outside the orbit and the index
+    of the smaller element that sends v to a neighbour inside.  Those are
     exactly the orbits an extension can have created.
     """
     t, rep, nbrs, loops_at = state.t, state.rep, state.nbrs, state.loops_at
@@ -921,13 +857,13 @@ def _orbit_candidates(
             steps = [state.orbit[v].index(u) for u in inside]
             if state.orbit[inside[1]][steps[0]] == v:
                 (x,) = set(out) - set(inside)
-                return [], [(v, None, CycleEdge, (x, min(steps)))]
-        return [], []
+                return [(False, (v, None, CycleEdge, (x, min(steps))))]
+        return []
     profile = (len(out), len(loops_at[v]))
     if profile == (2, 0):
-        return [(False, (v, None, Zero2Edges, tuple(out)))], []
+        return [(False, (v, None, Zero2Edges, tuple(out)))]
     if profile == (1, 1):
-        return [(False, (v, loops_at[v][0], ZeroEdgeLoop, tuple(out)))], []
+        return [(False, (v, loops_at[v][0], ZeroEdgeLoop, tuple(out)))]
     found = []
     if profile == (3, 0):
         for i in range(3):
@@ -943,43 +879,29 @@ def _orbit_candidates(
             # the t new loops spread evenly over x's orbit
             looped = len(loops_at[x]) + t // state.size[rep[x]] >= 2
             found.append((looped and rep[x] not in state.dense, (v, loop, OneLoopSplit, (x, y))))
-    return found, []
+    return found
 
 
-def _components(
-    total: int, pieces: int, piece: Callable[[int], int], cand: Candidate, rep: list[int]
-) -> int:
+def _components(comps: int, label: dict[int, int], cand: Candidate, rep: list[int]) -> int:
     """The symmetric components of G - O + A, for a candidate that deletes
-    O, from the ``total`` of G and the ``pieces`` that O's component falls
-    into without O, ``piece(r)`` labelling the one that O's neighbour orbit
-    r lies in: an edge orbit x1-x2 joins two of them exactly when x1 and
-    x2 lie apart, and a loop orbit joins none."""
+    O, from the ``comps`` of G and ``label``, the piece of G - O that each
+    of O's neighbour orbits lies in (``_apart``): O's component falls into
+    as many pieces as there are labels, an edge orbit x1-x2 joins two of
+    them exactly when x1 and x2 lie apart, and a loop orbit joins none."""
     _, _, kind, ends = cand
-    comps = total - 1 + pieces
+    count = comps - 1 + len(set(label.values()))
     if kind is OneEdgeSplit:
-        comps -= piece(rep[ends[0]]) != piece(rep[ends[1]])
-    return comps
+        count -= label[rep[ends[0]]] != label[rep[ends[1]]]
+    return count
 
 
-def _reduction_candidates(state: _State) -> Iterator[tuple[Key, Candidate]]:
-    """Every candidate of the state's graph with its key, in scan order: the
-    kept candidates (``_orbit_candidates``) of the orbits in increasing
-    order, then the cycle candidates likewise.
-
-    Each comes as ``((components, dense), candidate)``; ``components``
-    counts the symmetric components of G - O + A, that is of the
-    orbit-quotient graph: one DFS over it (``_cut_pieces``) counts them in
-    G - O for every O.  On a fresh ``_State`` this is the full scan from
-    scratch.
-    """
-    total, pieces, piece = _cut_pieces(state.quotient)
-    for v in state.order:
-        count, label = pieces(v), lambda r, v=v: piece(v, r)
-        for new, cand in state.kept[v][0]:
-            yield (_components(total, count, label, cand, state.rep), new), cand
-    for v in state.cycle_order:
-        for cand in state.kept[v][1]:
-            yield (total - 1 + pieces(v), False), cand
+def _scan(state: _State) -> Iterator[tuple[bool, Candidate]]:
+    """Every candidate of the state's graph, as ``(dense, candidate)``, in
+    scan order: the kept candidates (``_orbit_candidates``) of the orbits
+    in ``order``.  On a fresh ``_State`` this is the full scan from
+    scratch."""
+    for _, v in state.order:
+        yield from state.kept[v]
 
 
 def _apart(quotient: dict[int, Collection[int]], v: int) -> dict[int, int]:
@@ -1021,42 +943,38 @@ def _apart(quotient: dict[int, Collection[int]], v: int) -> dict[int, int]:
 
 
 def _in_key_order(state: _State, comps: int) -> Iterator[tuple[Key, Candidate]]:
-    """The state's candidates in the order ``sorted`` gives
-    ``_reduction_candidates``, by key and then scan order, with keys worked
-    out only as far as needed; ``comps`` counts the graph's symmetric
-    components.
+    """The state's candidates with their keys, sorted stably by key from
+    scan order (``_scan``), with keys worked out only as far as needed;
+    ``comps`` counts the graph's symmetric components.
 
-    No key is less than ``(comps, False)``: every candidate's orbit has a
-    neighbour outside it, so deleting the orbit leaves its component in one
-    piece or more, and an edge orbit joins two only where it left two or
-    more.  The
-    candidates with that key come first, in scan order: a candidate has it
-    when it makes no orbit dense and leaves ``comps`` components, counted
-    from the pieces ``_apart`` finds around its orbit.  Only when the walk
-    takes none of them are all the keys counted, and the rest sorted.
+    A key is ``(components, dense)``: the symmetric components of
+    G - O + A, that is of the orbit-quotient graph, counted from the
+    pieces ``_apart`` finds around O once per orbit, and the candidate's
+    dense flag.  No key is less than ``(comps, False)``: every candidate's
+    orbit has a neighbour outside it, so deleting the orbit leaves its
+    component in one piece or more, and an edge orbit joins two only where
+    it left two or more.  One pass over the scan yields the candidates
+    with that key as it meets them; they nearly always hold the one taken.
+    Only when the walk takes none of them are the keys of the rest counted
+    and sorted.
     """
     least = (comps, False)
-    rep = state.rep
+    labels: dict[int, dict[int, int]] = {}
 
-    def minimal(v: int, cands: Iterable[tuple[bool, Candidate]]) -> Iterator[Candidate]:
-        label = None
-        for new, cand in cands:
-            if new:
-                continue
-            if label is None:
-                label = _apart(state.quotient, v)
-            if _components(comps, len(set(label.values())), label.__getitem__, cand, rep) == comps:
-                yield cand
+    def components(cand: Candidate) -> int:
+        v = cand[0]
+        if v not in labels:
+            labels[v] = _apart(state.quotient, v)
+        return _components(comps, labels[v], cand, state.rep)
 
-    # a taken push edits the orders, but the walk then asks for no more
-    for v in state.order:
-        for cand in minimal(v, state.kept[v][0]):
+    rest = []
+    # a taken push edits the scan, but the walk then asks for no more
+    for dense, cand in _scan(state):
+        if not dense and components(cand) == comps:
             yield least, cand
-    for v in state.cycle_order:
-        for cand in minimal(v, ((False, c) for c in state.kept[v][1])):
-            yield least, cand
-    rest = [item for item in _reduction_candidates(state) if item[0] != least]
-    yield from sorted(rest, key=itemgetter(0))
+        else:
+            rest.append((dense, cand))
+    yield from sorted((((components(cand), dense), cand) for dense, cand in rest), key=itemgetter(0))
 
 
 def enumerate_reductions(
@@ -1070,8 +988,7 @@ def enumerate_reductions(
     """
     if not check_tight(graph, method).tight:
         raise NotTightError("reductions are only defined on tight graphs")
-    cands = _reduction_candidates(_State(graph))
-    reds = (_reduce(graph, *cand) for _, cand in cands)
+    reds = (_reduce(graph, *cand) for _, cand in _scan(_State(graph)))
     return tuple(r for r in reds if check_tight(r.graph, method).tight)
 
 
@@ -1203,16 +1120,15 @@ def _walk(
             )
 
 
-def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
+def decompose(graph: SymmetricGraph) -> Decomposition:
     """Reduce every symmetric component to a base graph and certify replay.
 
-    The input is checked once, by ``check_tight`` with the given sparsity
-    ``method``, and its pebble game is played once: each component's walk
-    (``_walk``) starts from the games ``pebble_check`` finished with,
-    restricted to the component, and decides each reduction in them.  An
-    input of one component is walked as itself; only an input of several
-    is split into component graphs, and each of those passes
-    ``validate_action``.  Each trace's base passes ``validate_action``, and
+    The input is checked once, by ``check_tight``, and its pebble game is
+    played once: each component's walk (``_walk``) starts from the games
+    ``pebble_check`` finished with, restricted to the component, and
+    decides each reduction in them.  An input of one component is walked
+    as itself; only an input of several is split into component graphs,
+    and each of those passes ``validate_action``.  Each trace's base passes ``validate_action``, and
     the trace is replayed forward, in place, and built once, straight in
     the component's vertex and loop ids: it must equal the component,
     field by field.  Raises NotTightError on non-tight input and
@@ -1220,12 +1136,10 @@ def decompose(graph: SymmetricGraph, method: str = "pebble") -> Decomposition:
     reaches a graph that is not a union of base graphs and has no
     tightness-preserving reduction.
     """
-    report = check_tight(graph, method)
+    report = check_tight(graph)
     if not report.tight:
         raise NotTightError("decompose needs a tight graph")
     game = report.sparsity.game
-    if game is None:  # the subset audit plays none
-        game = pebble_check(graph.num_vertices, graph.edges, graph.loop_vertices).game
     comps = symmetric_components(graph)
     # vertex i of sub is comp[i]
     subs = [_component_graph(graph, comps, comp) for comp in comps]

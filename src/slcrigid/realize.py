@@ -487,15 +487,18 @@ class RigidityMatrix:
 
 def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     """The rigidity matrix of the framework.  Raises DegenerateInputError
-    for the first edge with coincident endpoints, else the first loop
-    with a zero normal."""
+    for a float entry that is not finite, else for the first edge with
+    coincident endpoints, else the first loop with a zero normal."""
     graph, prime = fw.graph, fw.prime
     p, q = fw._arrays
     ends = graph.edge_ends
-    d = p[ends[:, 0]] - p[ends[:, 1]]
+    with np.errstate(over="ignore"):  # refused below
+        d = p[ends[:, 0]] - p[ends[:, 1]]
     vals = np.concatenate([d, -d], axis=1)
     if prime is not None:
         vals %= prime
+    elif vals.dtype == np.float64 and not (np.isfinite(vals).all() and np.isfinite(q).all()):
+        raise DegenerateInputError("a rigidity-matrix entry is not finite: the placement overflows")
     coincident = np.flatnonzero((vals[:, :2] == 0).all(axis=1))
     if coincident.size:
         u, v = graph.edges[coincident[0]]
@@ -558,13 +561,16 @@ def _float_rank(
     values: those above ``tol * s_max * max(shape)`` are accepted.
 
     Returns (rank, smallest accepted value, largest rejected value).  Raises
-    RangeError for a ``tol`` that is negative or not finite.
+    RangeError for a ``tol`` that is negative or not finite, and
+    DegenerateInputError when the largest value overflows.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise RangeError(f"tolerance must be finite and not negative, not {tol}")
     if svals.size == 0:
         return 0, None, None
     smax = float(svals[0])
+    if not math.isfinite(smax):
+        raise DegenerateInputError("the largest singular value is not finite: the placement overflows")
     if smax == 0.0:
         return 0, None, float(smax)
     cut = tol * smax * max(shape)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import RangeError
+from .errors import DegenerateInputError, RangeError
 from .realize import Framework
 from .symgraph import stabilizers
 
@@ -31,7 +31,8 @@ def _fmt(v: float) -> str:
 
 def render_svg(fw: Framework, size: int = 480) -> str:
     """Render the framework as a standalone SVG 1.1 document ``size``
-    pixels square; raises RangeError for a size below 1."""
+    pixels square; raises RangeError for a size below 1 and
+    DegenerateInputError for a placement whose span is not finite."""
     if size < 1:
         raise RangeError(f"size must be positive, not {size}")
     graph, group = fw.graph, fw.graph.group
@@ -41,6 +42,8 @@ def render_svg(fw: Framework, size: int = 480) -> str:
     ys = [p[1] for p in pts] + [0.0]
     cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    if not math.isfinite(span):
+        raise DegenerateInputError("the placement's span is not finite")
     margin = 0.1 * size
     scale = (size - 2 * margin) / span
 

@@ -404,6 +404,36 @@ def test_svg_refuses_a_non_finite_placement(tmp_path):
         assert r.stderr.startswith("error[schema]: ")
 
 
+def _c2_placement_far_out(tmp_path, signs) -> str:
+    """A c2 3/0 placement document whose vertex i lies at signs[i] *
+    (1e308, 1e308): finite coordinates whose float arithmetic overflows."""
+    g = generate_random("c2", steps=3, seed=0).graph
+    d = document.graph_to_dict(g, sample_symmetric_placement(g, seed=0))
+    for i, sign in enumerate(signs):
+        d["placement"]["p"][i] = [sign * 1e308] * 2
+    path = tmp_path / "far.json"
+    path.write_text(document.dumps(d))
+    return str(path)
+
+
+def test_rank_refuses_a_placement_that_overflows(tmp_path):
+    # it printed "largest_rejected": Infinity, not JSON, with exit 1; the
+    # matrix entries overflow too when an edge's ends lie 2e308 apart
+    for signs, what in [((1, -1), "the largest singular value"), ((1, -1, -1, 1), "a rigidity-matrix entry")]:
+        r = run_cli(["rank", _c2_placement_far_out(tmp_path, signs)])
+        assert r.returncode == 2, signs
+        assert r.stdout == ""
+        assert r.stderr == f"error: {what} is not finite: the placement overflows\n"
+
+
+def test_svg_refuses_a_placement_that_overflows(tmp_path):
+    # it wrote nan 10 times, with exit 0
+    r = run_cli(["svg", _c2_placement_far_out(tmp_path, (1, -1))])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: the placement's span is not finite\n"
+
+
 def test_generate_accepts_bare_base_labels():
     r = run_cli(["generate", "--group", "c3", "--base", "lc", "--steps", "4", "--seed", "7"])
     assert r.returncode == 0

@@ -179,11 +179,12 @@ def test_whole_list_checks_fall_back_to_the_first_bad_value():
 
 
 def test_two_keys_naming_one_loop_id_are_refused():
-    # int() reads "0", "00", " 0" and "+0" as loop 0; two of them in one
-    # map used to collapse, the later value winning
+    # int() reads "0", "00", " 0", "+0", "0_5" (as 5) and "٧" (as 7) as loop
+    # ids; two keys naming one id in one map used to collapse, the later
+    # value winning, so only the spelling str() gives is a key
     graph = generate_random("c2", steps=3, seed=0).graph
     fw = sample_symmetric_placement(graph, seed=0)
-    for key in ("00", " 0", "+0"):
+    for key in ("00", " 0", "+0", "0_5", "٧"):
         for part, name, what in (
             ("action", "rotation_loop_perm", "rotation_loop_perm"),
             ("placement", "q", "placement.q"),
@@ -192,7 +193,7 @@ def test_two_keys_naming_one_loop_id_are_refused():
             d[part][name][key] = d[part][name]["0"]
             with pytest.raises(SchemaError) as err:
                 document.parse_graph(document.dumps(d))
-            assert str(err.value) == f"{what} names a loop id by two keys"
+            assert str(err.value) == f"{what} keys must be integer loop ids"
     assert document.parse_graph(document.serialize_graph(graph, fw)) == (graph, fw)
 
 

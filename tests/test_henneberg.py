@@ -453,8 +453,8 @@ def _least_tight_sets(g):
 
 
 def _candidates(g):
-    """``henneberg._reduction_candidates`` of a walk state on g."""
-    return list(henneberg._reduction_candidates(henneberg._State(g)))
+    """``henneberg._in_key_order`` of a walk state on g."""
+    return list(henneberg._in_key_order(henneberg._State(g), len(symmetric_components(g))))
 
 
 def test_candidate_component_counts_match_the_built_graphs():
@@ -605,7 +605,7 @@ def _search_list(g, state=None):
     everyone = range(g.num_vertices)
     games = [game.restrict(everyone) for game in state.games]  # before any push
     found = []
-    for _, cand in sorted(henneberg._reduction_candidates(state), key=itemgetter(0)):
+    for _, cand in list(henneberg._in_key_order(state, len(symmetric_components(g)))):
         if not state.push(cand):
             assert (state.graph(), state.steps) == (g, []), cand
             continue
@@ -681,7 +681,6 @@ def test_search_agrees_with_the_subset_audit():
             assert g.num_vertices <= 24
             found = [r.move for r in _search_list(g)]
             assert found == [r.move for r in _reference_list(g, "subset")], (name, seed)
-            assert decompose(g, method="subset") == decompose(g)
 
 
 def test_the_single_core_is_the_least_symmetric_tight_set():
@@ -735,7 +734,7 @@ def test_push_refuses_a_split_that_splits_the_core():
 def _walk_once(g):
     """The graph after the walk's first reduction of g."""
     state = henneberg._State(g)
-    for _, cand in sorted(henneberg._reduction_candidates(state), key=itemgetter(0)):
+    for _, cand in list(henneberg._in_key_order(state, len(symmetric_components(g)))):
         if state.push(cand):
             return state.graph()
     return g
@@ -771,7 +770,6 @@ def test_reduce_equals_push_on_cycle_edge_candidates():
         assert found == _reference_list(g)
         cycles += sum(isinstance(r.move, CycleEdge) for r in found)
     assert cycles > 14, cycles
-
 
 
 def _grown_with_cycle_moves(name, steps, seed):
@@ -864,17 +862,15 @@ def test_cut_pieces_match_deleting_each_node():
             if a != b:
                 adj[a].add(b)
                 adj[b].add(a)
-        total, pieces, piece = henneberg._cut_pieces(adj)
-        assert total == _components_without(adj, None)[0]
+        total = _components_without(adj, None)[0]
         for r in nodes:
             comps, root_of = _components_without(adj, r)
-            assert total - 1 + pieces(r) == comps, (adj, r)
             # the lockstep searches from r's neighbours label them alike
             label = henneberg._apart(adj, r)
             assert set(label) == adj[r]
+            assert total - 1 + len(set(label.values())) == comps, (adj, r)
             for a in adj[r]:
                 for b in adj[r]:
-                    assert (piece(r, a) == piece(r, b)) == (root_of[a] == root_of[b])
                     assert (label[a] == label[b]) == (root_of[a] == root_of[b]), (adj, r)
 
 
@@ -890,8 +886,7 @@ def _two_bases_grown():
 
 def test_decompose_plays_the_input_pebble_game_once(monkeypatch):
     # check_tight's pebble_check is the one game played: each component's
-    # walk starts from that finished game, restricted to the component;
-    # the subset audit plays none, so the walk's game is played once then
+    # walk starts from that finished game, restricted to the component
     calls = Counter()
 
     def counting(name, fn):
@@ -908,14 +903,11 @@ def test_decompose_plays_the_input_pebble_game_once(monkeypatch):
     graphs = [generate_random(*case).graph for case in DECOMPOSE_MID]
     graphs += [_two_bases_grown(), _splits()]
     for g in graphs:
-        for method in ("pebble", "subset"):
-            if method == "subset" and g.num_vertices > 24:
-                continue
-            calls.clear()
-            dec = decompose(g, method)
-            played = calls["pebble_check"], calls["pebble_games"], calls["subset_audit"]
-            assert played == (1, 0, int(method == "subset")), (method, calls)
-            assert verify_decomposition(g, dec)
+        calls.clear()
+        dec = decompose(g)
+        played = calls["pebble_check"], calls["pebble_games"], calls["subset_audit"]
+        assert played == (1, 0, 0), calls
+        assert verify_decomposition(g, dec)
     assert len(decompose(_two_bases_grown()).components) == 2
 
 
@@ -942,15 +934,17 @@ def test_a_fresh_state_fills_its_neighbours_and_quotient_as_one_join_per_edge():
 
 
 def _fresh_candidates(state):
-    """``_reduction_candidates`` of a fresh state on the graph that
-    ``state`` holds, in ``state``'s vertex ids."""
-    kept = _kept(state)
+    """The scan of a fresh state on the graph that ``state`` holds, in
+    ``state``'s vertex ids, each item with the key of its candidate
+    counted from scratch, on the reduced graph built."""
+    g, kept = state.graph(), _kept(state)
+    dense = _dense_count(g)
     found = []
-    for key, (v, loop, kind, ends) in henneberg._reduction_candidates(
-        henneberg._State(state.graph())
-    ):
+    for new, cand in henneberg._scan(henneberg._State(g)):
+        key = _key(dense, henneberg._reduce(g, *cand))
+        v, loop, kind, ends = cand
         ends = (kept[ends[0]], ends[1]) if kind is CycleEdge else tuple(kept[u] for u in ends)
-        found.append((key, (kept[v], loop, kind, ends)))
+        found.append((key, (new, (kept[v], loop, kind, ends))))
     return found
 
 
@@ -963,10 +957,13 @@ def test_each_level_is_decided_as_the_full_scan_and_sort_decide(monkeypatch):
     levels = Counter()
 
     def checked(state, comps):
-        scan = list(henneberg._reduction_candidates(state))
-        assert scan == _fresh_candidates(state), state.steps
+        scan = list(henneberg._scan(state))
+        # orbits in increasing order, those with a cycle move last
+        assert scan == sorted(scan, key=lambda item: (item[1][2] is CycleEdge, item[1][0]))
+        fresh = _fresh_candidates(state)
+        assert scan == [item for _, item in fresh], state.steps
         assert comps == len(symmetric_components(state.graph()))
-        expected = sorted(scan, key=itemgetter(0))
+        expected = sorted(((key, cand) for key, (_, cand) in fresh), key=itemgetter(0))
         levels["all"] += 1
         read, past = 0, False
         for item in lazy(state, comps):
@@ -986,6 +983,8 @@ def test_each_level_is_decided_as_the_full_scan_and_sort_decide(monkeypatch):
         for seed in range(4)
     ]
     graphs += [_splits(), _stuck(), _ring_with_extensions(), ring_with_spokes(5)]
+    # a cycle orbit, then an orbit with larger ids that must come before it
+    graphs += [apply_extension(g, ZeroEdgeLoop(move.v1)) for _, move, g in _cycle_grown()]
     for g in graphs:
         decompose(g)
     assert levels["all"] > 500 and levels["past the least key"] > 10, levels
