@@ -73,15 +73,18 @@ def cmd_rank(args) -> int:
     graph, framework = document.parse_graph(_read_text(args.file))
     if framework is None and args.backend == "float":
         raise UnsupportedBackendError("a float rank needs a placement given in the document")
-    # a given placement is ranked once, a sampled one exactly: each reads
-    # only its own options
+    # a given placement is ranked once, exactly unless its coordinates are
+    # floats or the float cut is asked for, a sampled one exactly: each
+    # reads only its own options, and only the float cut reads --tol
     placement = "sampled" if framework is None else "given"
     for name in ("tol",) if framework is None else ("trials", "seed"):
         if getattr(args, name) is not None:
             raise InputError(f"--{name} is not read when ranking a {placement} placement")
     if framework is not None:
         tol = DEFAULT_TOL if args.tol is None else args.tol
-        report = rank(build_rigidity_matrix(framework), backend=args.backend or "float", tol=tol)
+        report = rank(build_rigidity_matrix(framework), backend=args.backend, tol=tol)
+        if args.tol is not None and report.backend == "exact":
+            raise InputError("--tol is not read by an exact rank")
     else:
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
         report = classify(graph, trials=trials, seed=_seed(args))
@@ -210,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("float", "exact"),
         default=None,
-        help="default: float for a given placement; a sampled one is always ranked exactly",
+        help="default: exact, or float for a given placement of floats; a sampled one is always exact",
     )
     p.add_argument(
         "--trials",
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help=f"float cut (default {DEFAULT_TOL}); only with a given placement",
+        help=f"float cut (default {DEFAULT_TOL}); only when a given placement is ranked in floats",
     )
     _add_seed(p)
     p.set_defaults(func=cmd_rank)

@@ -37,22 +37,25 @@ each bounds the generic rank from below, so it keeps the best trial and
 stops at the first that reaches min(rows, 2|V|).  No verdict reads a
 tolerance.
 
-The float rank of real entries, of a given placement and in ``motions``,
-is one dense SVD of the matrix: the singular values above ``tol * s_max *
-max(rows, 2|V|)`` are counted.  The cut is a heuristic, and it loses rank
-at a few hundred vertices.
+The float rank of real entries, of a given float placement by default and
+in float ``motions``, is one dense SVD of the matrix: the singular values
+above ``tol * s_max * max(rows, 2|V|)`` are counted.  The cut is a
+heuristic, and it loses rank at a few hundred vertices.
 
 The exact rank of residues eliminates the whole sparse matrix modulo p:
 rounds of Markowitz-cheap pivots, at most one per row and column, each
 round's Schur complement formed at once, and a dense finish once the rest
 has filled in.  The elimination reads only the entries, so a placement off
 symmetry or a graph with an invalid stored action is ranked like any
-other.  The exact rank of a given integer or rational placement first
-ranks the integer rows modulo the group's prime by the same elimination;
-full rank there is full rank over the rationals, and only a deficit is
-eliminated again over the rationals, by a fraction-free (Bareiss) echelon
-of the sparse integer rows.  Exact motions ask the same question first,
-and solve that echelon for a deficit.
+other.  The exact rank of a given integer or rational placement, the
+default for one, first ranks the integer rows modulo the group's prime by
+the same elimination; full rank there is full rank over the rationals.
+Only a deficit is lifted: modulo a few other primes the dense finish
+brings the rows to reduced echelon form, and the kernel basis that is the
+identity on the free columns, read off there, is combined by CRT and
+rational reconstruction (Wang, 1981) and checked exactly against the
+integer rows, with twice the primes until every vector checks.  The
+checked vectors prove the rank, and exact motions return them.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, RangeError, UnsupportedBackendError
 from .symcheck import require_valid_action
-from .symgraph import GroupSpec, SymmetricGraph, mirror_sign, stabilizers
+from .symgraph import GroupSpec, SymmetricGraph, _is_prime, mirror_sign, stabilizers
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SCALE = 10 ** 6
@@ -123,6 +126,8 @@ class Framework:
                 )
             if not residues:
                 raise RangeError(f"coordinates must be residues modulo {self.prime}")
+        elif any(a.dtype == np.float64 and not np.isfinite(a).all() for a in self._arrays):
+            raise RangeError("float coordinates must be finite")
 
     @property
     def exact(self) -> bool:
@@ -474,10 +479,6 @@ class RigidityMatrix:
     def num_cols(self) -> int:
         return 2 * self.framework.graph.num_vertices
 
-    @property
-    def exact(self) -> bool:
-        return self.framework.exact
-
     def to_array(self) -> np.ndarray:
         rows, cols, vals = self.coo
         a = np.zeros((self.num_rows, self.num_cols))
@@ -497,7 +498,7 @@ def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     vals = np.concatenate([d, -d], axis=1)
     if prime is not None:
         vals %= prime
-    elif vals.dtype == np.float64 and not (np.isfinite(vals).all() and np.isfinite(q).all()):
+    elif vals.dtype == np.float64 and not np.isfinite(vals).all():
         raise DegenerateInputError("a rigidity-matrix entry is not finite: the placement overflows")
     coincident = np.flatnonzero((vals[:, :2] == 0).all(axis=1))
     if coincident.size:
@@ -583,17 +584,21 @@ def _float_rank(
     )
 
 
-def _rank_mod_dense(a: np.ndarray, prime: int) -> int:
-    """Rank of a dense int64 matrix of residues modulo a prime below 2**31.
+def _rank_mod_dense(a: np.ndarray, prime: int, reduced: bool = False) -> list[int]:
+    """Pivot columns, ascending, of a dense int64 matrix of residues modulo
+    a prime below 2**31; their number is its rank.
 
-    Gaussian elimination by rank-1 updates: each pivot row updates only the
-    rows below it that are nonzero in its column, and only on its own
-    nonzero columns.  A product of two residues stays below 2**62.  ``a`` is
-    overwritten.
+    Gaussian elimination by rank-1 updates, column by column: each pivot
+    row updates only the rows below it that are nonzero in its column, and
+    only on its own nonzero columns.  With ``reduced``, each pivot row is
+    scaled to 1 at its pivot and clears its column above it too, so that
+    ``a`` ends in reduced echelon form.  A product of two residues stays
+    below 2**62.  ``a`` is overwritten.
     """
     nrows, ncols = a.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         nz = a[r:, c].nonzero()[0]
@@ -601,13 +606,16 @@ def _rank_mod_dense(a: np.ndarray, prime: int) -> int:
             continue
         if nz[0]:
             a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        below = (r + nz[1:])[:, None]
-        if below.size:
+        others = (r + nz[1:])[:, None]
+        if reduced:
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, prime) % prime
+            others = np.append(np.flatnonzero(a[:r, c]), others)[:, None]
+        if others.size:
             cols = c + a[r, c:].nonzero()[0]
-            factor = a[below, c] * pow(int(a[r, c]), -1, prime) % prime
-            a[below, cols] = (a[below, cols] - factor * a[r, cols]) % prime
-        r += 1
-    return r
+            factor = a[others, c] * pow(int(a[r, c]), -1, prime) % prime
+            a[others, cols] = (a[others, cols] - factor * a[r, cols]) % prime
+        pivots.append(c)
+    return pivots
 
 
 def _prefix_products(x: np.ndarray, prime: int) -> np.ndarray:
@@ -705,7 +713,7 @@ def _rank_mod(rows, cols, vals, shape: tuple[int, int], prime: int) -> int:
             core = np.zeros((starts.size, live_cols), dtype=np.int64)
             col_at = np.cumsum(col_count > 0) - 1
             core[np.repeat(np.arange(starts.size), row_count), col_at[cols]] = vals
-            return rank + _rank_mod_dense(core, prime)
+            return rank + len(_rank_mod_dense(core, prime))
 
         # cost, made unique by the position: (score, position) in one int
         score = np.repeat(row_count - 1, row_count) * (col_count[cols] - 1)
@@ -753,122 +761,129 @@ def _rank_mod(rows, cols, vals, shape: tuple[int, int], prime: int) -> int:
     return rank
 
 
-def _integer_rows(matrix: RigidityMatrix) -> list[dict[int, int]]:
-    """Rows of integer or rational entries as {column: integer}, each row
-    scaled by the lcm of its own denominators, zeros dropped."""
-    rows, cols, vals = matrix.coo
-    items: list[list[tuple[int, int]]] = [[] for _ in range(matrix.num_rows)]
-    for i, c, x in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        if x:
-            items[i].append((c, x))
+def _lift(primes: list[int], residues: np.ndarray) -> list[Fraction] | None:
+    """Per column of ``residues`` (one row per prime), the fraction n / e
+    congruent to it modulo every prime with |n| and e at most sqrt(M / 2),
+    M the product of the primes: CRT, then rational reconstruction by the
+    extended Euclidean algorithm.  None when a column has no such fraction.
+    """
+    m, x = primes[0], residues[0].astype(object)
+    for p, y in zip(primes[1:], residues[1:]):
+        x = x + m * ((y - x % p) * pow(m, -1, p) % p)
+        m *= p
+    bound = math.isqrt(m // 2)
     out = []
-    for row in items:
-        den = math.lcm(*(x.denominator for _, x in row))
-        out.append({c: x.numerator * (den // x.denominator) for c, x in row})
+    for a in x.tolist():
+        r0, r1, s0, s1 = m, a, 0, 1  # r_k = s_k * a modulo m
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if not 0 < abs(s1) <= bound:
+            return None
+        out.append(Fraction(r1, s1))
     return out
 
 
-def _residue_rank(matrix: RigidityMatrix, ints: list[dict[int, int]]) -> int:
-    """Rank of the integer rows modulo the group's prime; a full rank there
-    is full rank over the rationals."""
-    prime = matrix.framework.graph.group.prime_field.prime
-    triples = [(i, c, x % prime) for i, row in enumerate(ints) for c, x in row.items()]
-    rows, cols, vals = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    return _rank_mod(rows, cols, vals, (matrix.num_rows, matrix.num_cols), prime)
+def _kernel(rows, cols, ints, shape: tuple[int, int]) -> list[dict[int, Fraction]]:
+    """The nullspace over the rationals of the integer matrix with entries
+    ``ints`` (Python ints) at (rows, cols): per free column f, the vector
+    {column: value} that is 1 at f, 0 at the other free columns, and
+    nonzero only at pivot columns before f (see the module docstring).
 
-
-def _echelon(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
-    """Echelon form over the rationals of integer rows {column: integer} by
-    fraction-free (Bareiss) elimination: the nonzero echelon rows and their
-    pivot columns, ascending.  Column c is a pivot exactly when it is not
-    spanned by the columns before it, and the rank is the number of pivots.
+    A prime with fewer pivots than another, or later ones, is dropped.  The
+    checked vectors prove that the pivots modulo p are those over the
+    rationals: each spans its free column by the columns before it, and no
+    prime's rank exceeds the rank over the rationals.
     """
-    live = [row for row in rows if row]
-    echelon, pivots = [], []
-    prev = 1
-    for c in range(ncols):
-        at = next((i for i, row in enumerate(live) if c in row), None)
-        if at is None:
-            continue
-        top = live.pop(at)
-        a = top[c]
-        for i, row in enumerate(live):
-            new = {j: a * x for j, x in row.items()}
-            f = row.get(c)
-            if f:
-                for j, x in top.items():
-                    new[j] = new.get(j, 0) - f * x
-            live[i] = {j: x // prev for j, x in new.items() if x}
-        live = [row for row in live if row]
-        echelon.append(top)
-        pivots.append(c)
-        prev = a
-    return echelon, pivots
+    primes = (p for p in range(2**31 - 1, 2, -2) if _is_prime(p))
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for i, c, a in zip(rows.tolist(), cols.tolist(), ints.tolist()):
+        by_col.setdefault(c, []).append((i, a))
+    best, kernels, want = None, [], 2
+    while True:
+        while len(kernels) < want:
+            p = next(primes)
+            a = np.zeros(shape, dtype=np.int64)
+            a[rows, cols] = ints % p
+            pivots = _rank_mod_dense(a, p, reduced=True)
+            if best is None or (-len(pivots), pivots) < (-len(best), best):
+                best, kernels = pivots, []
+                free = sorted(set(range(shape[1])) - set(best))
+            if pivots == best:
+                kernels.append((p, -a[: len(best)][:, free] % p))
+        stack = np.array([k for _, k in kernels])
+        at, j = np.nonzero(stack.any(axis=0))
+        values = _lift([p for p, _ in kernels], stack[:, at, j])
+        if values is not None:
+            vectors = [{f: Fraction(1)} for f in free]
+            for i, k, x in zip(at.tolist(), j.tolist(), values):
+                vectors[k][best[i]] = x
+            if not any(any(_times(by_col, vec).values()) for vec in vectors):
+                return vectors
+        want *= 2
 
 
-def _given_rank(matrix: RigidityMatrix) -> int:
-    """Rank over the rationals of integer or rational entries: modulo the
-    group's prime first, and only a deficit there by fraction-free
-    elimination."""
-    ints = _integer_rows(matrix)
-    full = min(matrix.num_rows, matrix.num_cols)
-    if _residue_rank(matrix, ints) == full:
-        return full
-    return len(_echelon(ints, matrix.num_cols)[1])
+def _times(by_col: dict, vec: dict) -> dict:
+    """The rows {row: value} of a sparse matrix, given as {column: [(row,
+    entry)]}, times a sparse vector {column: value}, exactly."""
+    out: dict = {}
+    for c, x in vec.items():
+        for i, a in by_col.get(c, ()):
+            out[i] = out.get(i, 0) + a * x
+    return out
+
+
+def _given(matrix: RigidityMatrix, full: int) -> tuple[int, list[dict[int, Fraction]]]:
+    """Rank over the rationals of integer or rational entries, and their
+    kernel (``_kernel``).  The entries, scaled to integers by the lcm of
+    their denominators, are ranked modulo the group's prime first; a rank
+    of ``full`` there is the rank, with no kernel taken."""
+    if not matrix.framework.exact:
+        raise UnsupportedBackendError(
+            "the exact backend needs integer, rational or residue entries, not floats"
+        )
+    rows, cols, vals = matrix.coo
+    den = math.lcm(*(x.denominator for x in vals.tolist()))
+    ints = np.array([x.numerator * (den // x.denominator) for x in vals.tolist()], dtype=object)
+    prime = matrix.framework.graph.group.prime_field.prime
+    shape = (matrix.num_rows, matrix.num_cols)
+    r = _rank_mod(rows, cols, ints % prime, shape, prime)
+    if r == full:
+        return r, []
+    kernel = _kernel(rows, cols, ints, shape)
+    return shape[1] - len(kernel), kernel
 
 
 def rank(
-    matrix: RigidityMatrix, backend: str = "float", tol: float = DEFAULT_TOL
+    matrix: RigidityMatrix, backend: str | None = None, tol: float = DEFAULT_TOL
 ) -> RankReport:
-    """Rank of one rigidity matrix with the requested backend.
+    """Rank of one rigidity matrix with the requested backend, by default
+    ``"float"`` for float entries and ``"exact"`` for the others.
 
     ``"float"`` cuts the singular values of one dense SVD of real entries.
-    ``"exact"`` eliminates residues modulo their prime in one sparse pass,
-    and integer or rational entries modulo the group's prime, then, unless
-    that rank is full, over the rationals.  Raises RangeError for a
-    float ``tol`` that is negative or not finite.
+    ``"exact"`` eliminates residues modulo their prime, and integer or
+    rational entries as the module docstring says.  Raises RangeError for
+    a float ``tol`` that is negative or not finite.
     """
     prime = matrix.framework.prime
+    shape = (matrix.num_rows, matrix.num_cols)
+    backend = backend or ("exact" if matrix.framework.exact else "float")
+    cut = {}
     if backend == "float":
         if prime is not None:
             raise UnsupportedBackendError(
                 f"float rank needs real entries, not residues modulo {prime}"
             )
-        r, small, large = _float_rank(
-            np.linalg.svd(matrix.to_array(), compute_uv=False),
-            tol,
-            (matrix.num_rows, matrix.num_cols),
-        )
-        return RankReport(
-            r,
-            matrix.num_rows,
-            matrix.num_cols,
-            "float",
-            _classification(r, matrix.num_rows, matrix.num_cols),
-            tolerance=tol,
-            smallest_accepted=small,
-            largest_rejected=large,
-            trial_ranks=(r,),
-        )
-    if backend == "exact":
-        if prime is not None:
-            shape = (matrix.num_rows, matrix.num_cols)
-            r = _rank_mod(*matrix.coo, shape, prime)
-        elif matrix.exact:
-            r = _given_rank(matrix)
-        else:
-            raise UnsupportedBackendError(
-                "exact rank needs integer, rational or residue entries, not floats"
-            )
-        return RankReport(
-            r,
-            matrix.num_rows,
-            matrix.num_cols,
-            "exact",
-            _classification(r, matrix.num_rows, matrix.num_cols),
-            trial_ranks=(r,),
-        )
-    raise UnsupportedBackendError(f"unknown backend {backend!r}")
+        svals = np.linalg.svd(matrix.to_array(), compute_uv=False)
+        r, small, large = _float_rank(svals, tol, shape)
+        cut = {"tolerance": tol, "smallest_accepted": small, "largest_rejected": large}
+    elif backend != "exact":
+        raise UnsupportedBackendError(f"unknown backend {backend!r}")
+    elif prime is not None:
+        r = _rank_mod(*matrix.coo, shape, prime)
+    else:
+        r = _given(matrix, min(shape))[0]
+    return RankReport(r, *shape, backend, _classification(r, *shape), trial_ranks=(r,), **cut)
 
 
 def classify(
@@ -907,28 +922,14 @@ class MotionReport:
     residual: float
 
 
-def _nullspace(echelon: list[dict], pivots: list[int], ncols: int) -> list[list]:
-    """Per free column f, the null vector with x_f = 1 and 0 at the other
-    free columns, solved from the echelon rows upwards in Fractions."""
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for row, c in zip(reversed(echelon), reversed(pivots)):
-            # a Fraction start: an empty int sum would make -0 / a a float
-            total = sum((v * x[j] for j, v in row.items() if x[j]), Fraction(0))
-            x[c] = -total / row[c]
-        basis.append(x)
-    return basis
-
-
 def motions(
     fw: Framework, backend: str = "float", tol: float = DEFAULT_TOL
 ) -> MotionReport:
     """Nullspace of the rigidity matrix as per-vertex velocities.
 
     ``"float"`` takes the right singular vectors past the float rank's cut
-    (see ``rank``); ``"exact"`` solves over the rationals.
+    (see ``rank``); ``"exact"`` gives the rational basis that is the
+    identity on the free columns, lifted from residues (see ``_kernel``).
     """
     if fw.prime is not None:
         raise UnsupportedBackendError(
@@ -937,16 +938,10 @@ def motions(
     matrix = build_rigidity_matrix(fw)
     n = fw.graph.num_vertices
     if backend == "exact":
-        if not matrix.exact:
-            raise UnsupportedBackendError(
-                "exact motions need integer or rational entries"
-            )
-        ints = _integer_rows(matrix)
-        vecs = []
-        if _residue_rank(matrix, ints) < matrix.num_cols:
-            vecs = _nullspace(*_echelon(ints, matrix.num_cols), matrix.num_cols)
+        zero = Fraction(0)
         basis = tuple(
-            tuple((v[2 * i], v[2 * i + 1]) for i in range(n)) for v in vecs
+            tuple((vec.get(2 * i, zero), vec.get(2 * i + 1, zero)) for i in range(n))
+            for vec in _given(matrix, matrix.num_cols)[1]
         )
         return MotionReport(len(basis), basis, "exact", 0.0)
     if backend != "float":

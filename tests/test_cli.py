@@ -162,7 +162,7 @@ def test_sampled_placements_are_ranked_exactly_by_default(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
 
-    # a given placement keeps the float rank unless asked
+    # a given float placement keeps the float rank
     gen = run_cli(["generate", "--group", "c3", "--steps", "4", "--seed", "7", "--placement"])
     path.write_text(gen.stdout)
     assert json.loads(run_cli(["rank", str(path)]).stdout)["backend"] == "float"
@@ -202,6 +202,26 @@ def test_tight_c2_graph_at_301_vertices_gets_an_exact_verdict(tmp_path):
     out = json.loads(r.stdout)
     assert (out["placement"], out["backend"], out["rank"]) == ("given", "exact", 602)
     assert out["classification"] == "isostatic"
+
+
+def test_given_integer_placement_at_301_vertices_is_ranked_exactly_by_default(tmp_path):
+    # `generate --group c2 --steps 150 --seed 2 --placement | rank -` printed
+    # float rank 601 of 602, dependent-flexible, with exit 1
+    gen = run_cli(["generate", "--group", "c2", "--steps", "150", "--seed", "2", "--placement"])
+    assert gen.returncode == 0
+    r = run_cli(["rank", "-"], inp=gen.stdout)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert (out["placement"], out["backend"], out["rank"]) == ("given", "exact", 602)
+    assert out["classification"] == "isostatic"
+    # the float cut is still there when asked, and only it reads --tol
+    r = run_cli(["rank", "-", "--backend", "float", "--tol", "1e-9"], inp=gen.stdout)
+    assert json.loads(r.stdout)["backend"] == "float"
+    for args in (["--tol", "1e-9"], ["--tol", "1e-9", "--backend", "exact"]):
+        r = run_cli(["rank", "-", *args], inp=gen.stdout)
+        assert r.returncode == 2, args
+        assert r.stdout == ""
+        assert r.stderr == "error[input]: --tol is not read by an exact rank\n"
 
 
 def test_rank_refuses_the_options_its_placement_does_not_read(tmp_path, lc3_file):

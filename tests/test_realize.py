@@ -27,6 +27,7 @@ from slcrigid import (
     GroupSpec,
     Loop,
     SymmetricGraph,
+    UnsupportedBackendError,
     base_graph,
     build_rigidity_matrix,
     check_framework,
@@ -43,7 +44,7 @@ from slcrigid import (
     symgraph,
 )
 from slcrigid import document, realize
-from slcrigid.realize import _echelon, _rank_mod
+from slcrigid.realize import _kernel, _rank_mod
 from slcrigid.symgraph import mirror_sign, stabilizers
 from slcrigid.selftest import negative_control
 
@@ -159,8 +160,10 @@ def test_float_and_exact_ranks_agree_on_integral_groups():
 def test_exact_backend_requires_exact_entries():
     fw = sample_symmetric_placement(base_graph("lc3"), seed=0)
     m = build_rigidity_matrix(fw)
-    with pytest.raises(Exception):
+    with pytest.raises(UnsupportedBackendError):
         rank(m, backend="exact")
+    with pytest.raises(UnsupportedBackendError):
+        motions(fw, backend="exact")
 
 
 def test_classify_base_graphs_isostatic():
@@ -638,10 +641,8 @@ def _rational_rank(entries):
 
 
 def test_exact_rank_of_a_given_placement_tries_modulo_p_first(monkeypatch):
-    bareiss = []
-    monkeypatch.setattr(
-        realize, "_echelon", lambda rows, ncols: bareiss.append(1) or _echelon(rows, ncols)
-    )
+    lifts = []
+    monkeypatch.setattr(realize, "_kernel", lambda *args: lifts.append(1) or _kernel(*args))
     graphs = [
         generate_random("c1", steps=10, seed=1).graph,
         generate_random("c2", steps=10, seed=1).graph,
@@ -660,9 +661,9 @@ def test_exact_rank_of_a_given_placement_tries_modulo_p_first(monkeypatch):
             m = build_rigidity_matrix(placed)
             want = _rational_rank(_dense(m))
             full = want == min(m.num_rows, m.num_cols)
-            bareiss.clear()
+            lifts.clear()
             assert rank(m, backend="exact").rank == want, label
-            assert bareiss == ([] if full else [1]), label
+            assert lifts == ([] if full else [1]), label
             deficient += not full
     assert deficient >= 4
 
@@ -695,6 +696,142 @@ def test_exact_motions_are_the_nullspace_basis_reduced_on_the_free_columns():
         text = document.dumps(document.motion_report_to_dict(rep))
         assert hashlib.sha256(text.encode()).hexdigest() == digests[label], label
     assert rep.dimension == 76
+
+
+def _collinear(steps):
+    """c2 steps/0 at the collinear points (v + 1, 3v + 3), with the loop
+    normals of its seed-0 sample."""
+    graph = generate_random("c2", steps=steps, seed=0).graph
+    fw = sample_symmetric_placement(graph, seed=0)
+    return Framework(graph, [(v + 1, 3 * v + 3) for v in range(graph.num_vertices)], fw.q)
+
+
+def _trimmed(steps):
+    """The seed-0 sample of c2 steps/0 with its last edge orbit removed: a
+    generic placement with a deficit, whose motions have large entries."""
+    graph = generate_random("c2", steps=steps, seed=0).graph
+    gone = set(orbits(graph).edges[-1])
+    graph = replace(graph, edges=tuple(e for e in graph.edges if e not in gone))
+    return sample_symmetric_placement(graph, seed=0)
+
+
+def test_exact_answers_on_deficient_placements_are_the_bareiss_ones(monkeypatch):
+    # rank, motion dimension and sha256 of the motion document, as the
+    # fraction-free (Bareiss) echelon and its Fraction back-substitution
+    # gave them
+    pinned = {
+        ("collinear", 60): (159, 85, "10a031141aa3b7d5ff8301add9493dc4daabafcf670c407e08dc8fc0b9546a2f"),
+        ("collinear", 150): (379, 225, "f0a793a0ec209e1f876a36f36e760e5a136def368d5548145a6958afafd693fe"),
+        ("trimmed", 15): (62, 2, "f5396f228cf9bd9119ac18bd27a34fda1244086a2f5eedd7718d337f1b7959be"),
+        ("trimmed", 30): (122, 2, "0a4440088b35433e9205f375362eb4a963a1adb26ff3cf13c68601ec46c405bb"),
+    }
+    primes = []
+    dense = realize._rank_mod_dense
+    monkeypatch.setattr(
+        realize, "_rank_mod_dense", lambda a, p, reduced=False: primes.append(reduced) or dense(a, p, reduced)
+    )
+    for (kind, steps), (want_rank, dim, digest) in pinned.items():
+        fw = (_collinear if kind == "collinear" else _trimmed)(steps)
+        assert rank(build_rigidity_matrix(fw)).rank == want_rank, (kind, steps)
+        primes.clear()
+        rep = motions(fw, backend="exact")
+        text = document.dumps(document.motion_report_to_dict(rep))
+        assert rep.dimension == dim, (kind, steps)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, steps)
+        if (kind, steps) == ("trimmed", 15):
+            # entries of up to 322 bits over 322 bits: more than 16 primes
+            assert primes.count(True) > 16
+
+
+def _kernel_of(dense):
+    """The lifted kernel of a small integer matrix given by its rows."""
+    a = np.array(dense, dtype=object)
+    rows, cols = np.nonzero(a)
+    return _kernel(rows, cols, a[rows, cols], a.shape)
+
+
+def test_lifted_kernel_drops_primes_with_fewer_or_later_pivots(monkeypatch):
+    # the first and the second prime tried each divide an entry: modulo it
+    # the first matrix loses its second pivot, and the second's row reads
+    # (0, 1, 0), its pivot one column late.  Kept, that prime's residues
+    # would be wrong, and more primes would be needed to outvote them
+    primes = []
+    dense = realize._rank_mod_dense
+    monkeypatch.setattr(
+        realize, "_rank_mod_dense", lambda a, p, reduced=False: primes.append(p) or dense(a, p, reduced)
+    )
+    for big in (2**31 - 1, 2_147_483_629):
+        primes.clear()
+        assert _kernel_of([[1, 0, 0], [0, big, 0]]) == [{2: 1}]
+        # one prime dropped, two kept
+        assert len(primes) == 3 and big in primes
+        primes.clear()
+        # 1 / big needs four primes: two make sqrt(M / 2) about 2**30.5
+        assert _kernel_of([[big, 1, 0]]) == [{1: 1, 0: Fraction(-1, big)}, {2: 1}]
+        assert len(primes) == 5 and big in primes
+
+
+def test_lifted_kernel_is_checked_before_it_is_returned():
+    # modulo the first two primes 2**40 + 1 reconstructs as
+    # 536868475 / 536870907, which the exact check refuses
+    assert _kernel_of([[1, -(2**40 + 1)]]) == [{1: 1, 0: 2**40 + 1}]
+
+
+def test_exact_rank_and_motions_of_random_deficient_placements():
+    # integer points on two lines and normals drawn from a few values, so
+    # that minors vanish by accident; the rank is the one of Gaussian
+    # elimination in Fractions, and the motions span the rest
+    rng = random.Random(11)
+    deficient = 0
+    for steps in (3, 6, 10, 15, 30):
+        graph = generate_random("c2", steps=steps, seed=steps).graph
+        for _ in range(3):
+            xs = [rng.randint(-30, 30) for _ in range(graph.num_vertices)]
+            p = [(x, rng.choice((2 * x + 1, 3 - x))) for x in xs]
+            q = [(rng.randint(-1, 1), rng.randint(1, 2)) for _ in graph.loops]
+            fw = Framework(graph, p, q)
+            try:
+                m = build_rigidity_matrix(fw)
+            except DegenerateInputError:  # an edge with coincident ends
+                continue
+            dense = _dense(m)
+            want = _rational_rank(dense)
+            assert rank(m).rank == want, steps
+            rep = motions(fw, backend="exact")
+            assert rep.dimension == m.num_cols - want, steps
+            vecs = [[x for pair in motion for x in pair] for motion in rep.basis]
+            for row in dense:
+                nz = [(c, a) for c, a in enumerate(row) if a]
+                assert all(sum(a * vec[c] for c, a in nz) == 0 for vec in vecs), steps
+            deficient += want < min(m.num_rows, m.num_cols)
+    assert deficient >= 5
+
+
+def test_framework_refuses_non_finite_float_coordinates():
+    # render_svg wrote nan 8 times for p[2] = (NaN, 1.0)
+    graph = generate_random("c2", steps=3, seed=0).graph
+    fw = sample_symmetric_placement(graph, seed=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        p = list(fw.p)
+        p[2] = (bad, 1.0)
+        with pytest.raises(RangeError):
+            Framework(graph, p, fw.q)
+        with pytest.raises(RangeError):
+            Framework(graph, fw.p, ((1.0, bad),) + fw.q[1:])
+    # floats that are finite are fine, and integers past any float too
+    Framework(graph, [(x + 0.5, y) for x, y in fw.p], fw.q)
+    Framework(graph, [(x * 10**400, y) for x, y in fw.p], fw.q)
+
+
+def test_rank_is_exact_by_default_unless_the_coordinates_are_floats():
+    graph = generate_random("c2", steps=150, seed=2).graph
+    m = build_rigidity_matrix(sample_symmetric_placement(graph, seed=2))
+    # the float cut says 601 of 602 here
+    assert (rank(m).backend, rank(m).rank) == ("exact", 602)
+    c3 = sample_symmetric_placement(generate_random("c3", steps=4, seed=7).graph)
+    assert rank(build_rigidity_matrix(c3)).backend == "float"
+    residues = sample_symmetric_placement(graph, seed=2, modular=True)
+    assert rank(build_rigidity_matrix(residues)).backend == "exact"
 
 
 def _mod_apply(mat, vec, prime):
