@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import document
-from .errors import InputError, ReductionDeadEnd, SchemaError, SlcrigidError, UnsupportedBackendError
+from .errors import InputError, ReductionDeadEnd, SchemaError, SlcrigidError
 from .henneberg import apply_extension, certified_group, decompose, generate_random
 from .realize import (
     DEFAULT_SCALE,
@@ -58,7 +58,7 @@ def _emit(doc: dict) -> None:
 
 def cmd_check(args) -> int:
     graph, _ = document.parse_graph(_read_text(args.file))
-    report = check_tight(graph, method=args.method)
+    report = check_tight(graph)
     out = {
         "group": graph.group.name,
         "num_vertices": graph.num_vertices,
@@ -71,20 +71,18 @@ def cmd_check(args) -> int:
 
 def cmd_rank(args) -> int:
     graph, framework = document.parse_graph(_read_text(args.file))
-    if framework is None and args.backend == "float":
-        raise UnsupportedBackendError("a float rank needs a placement given in the document")
     # a given placement is ranked once, exactly unless its coordinates are
-    # floats or the float cut is asked for, a sampled one exactly: each
-    # reads only its own options, and only the float cut reads --tol
+    # floats, a sampled one exactly: each reads only its own options, and
+    # only the float cut reads --tol
     placement = "sampled" if framework is None else "given"
     for name in ("tol",) if framework is None else ("trials", "seed"):
         if getattr(args, name) is not None:
             raise InputError(f"--{name} is not read when ranking a {placement} placement")
     if framework is not None:
-        tol = DEFAULT_TOL if args.tol is None else args.tol
-        report = rank(build_rigidity_matrix(framework), backend=args.backend, tol=tol)
-        if args.tol is not None and report.backend == "exact":
+        if args.tol is not None and framework.exact:
             raise InputError("--tol is not read by an exact rank")
+        tol = DEFAULT_TOL if args.tol is None else args.tol
+        report = rank(build_rigidity_matrix(framework), tol=tol)
     else:
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
         report = classify(graph, trials=trials, seed=_seed(args))
@@ -96,7 +94,7 @@ def cmd_rank(args) -> int:
 
 def cmd_verdict(args) -> int:
     graph, _ = document.parse_graph(_read_text(args.file))
-    tight = check_tight(graph, method=args.method)
+    tight = check_tight(graph)
     rank_report = classify(graph, trials=args.trials, seed=_seed(args))
     certified = certified_group(graph.group)
     if not tight.tight:
@@ -146,11 +144,7 @@ def cmd_extend(args) -> int:
 
 def cmd_reduce(args) -> int:
     graph, _ = document.parse_graph(_read_text(args.file))
-    dec = decompose(graph)
-    text = document.dumps(document.decomposition_to_dict(dec))
-    if args.trace is not None:
-        Path(args.trace).write_text(text)
-    sys.stdout.write(text)
+    _emit(document.decomposition_to_dict(decompose(graph)))
     return 0
 
 
@@ -204,17 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="sparsity counts, fixed counts, characters")
     p.add_argument("file", help="graph document (JSON), or - for stdin")
-    p.add_argument("--method", choices=("pebble", "subset"), default="pebble")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("rank", help="rigidity matrix rank of a placement")
     p.add_argument("file")
-    p.add_argument(
-        "--backend",
-        choices=("float", "exact"),
-        default=None,
-        help="default: exact, or float for a given placement of floats; a sampled one is always exact",
-    )
     p.add_argument(
         "--trials",
         type=int,
@@ -225,14 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help=f"float cut (default {DEFAULT_TOL}); only when a given placement is ranked in floats",
+        help=f"float cut (default {DEFAULT_TOL}); only for a given placement of float coordinates",
     )
     _add_seed(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("verdict", help="combinatorial + numeric verdict")
     p.add_argument("file")
-    p.add_argument("--method", choices=("pebble", "subset"), default="pebble")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--trace", action="store_true", help="attach a construction trace")
     _add_seed(p)
@@ -254,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="decompose a tight graph to base graphs")
     p.add_argument("file")
-    p.add_argument("--trace", default=None, help="also write the trace JSON to this file")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("svg", help="render a framework picture")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from itertools import chain, repeat
 from typing import Any
 
@@ -81,10 +82,11 @@ def _expect_int(x, what: str, *at) -> int:
 
 def _expect_num(x, what: str, *at):
     """x when it is an int or a finite float: ``json.loads`` reads NaN,
-    Infinity and an overflowing 1e400 as floats that are not finite."""
+    Infinity and an overflowing 1e400 as floats that are not finite.  An
+    int of any size is exact, and is not read as a float here."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(f"{what.format(*at)} must be a number")
-    if not math.isfinite(x):
+    if isinstance(x, float) and not math.isfinite(x):
         raise SchemaError(f"{what.format(*at)} must be a finite number")
     return x
 
@@ -362,6 +364,7 @@ _MOVE_TYPES = {
     OneEdgeSplit: "one_edge_split",
     OneLoopSplit: "one_loop_split",
 }
+_MOVE_CLASSES = {name: cls for cls, name in _MOVE_TYPES.items()}
 
 
 def move_to_dict(move: Move) -> dict:
@@ -378,16 +381,10 @@ def move_from_dict(d) -> Move:
     if "type" not in obj:
         raise SchemaError("move needs a 'type'")
     name = _expect_str(obj["type"], "move.type")
-    fields = {
-        "zero_two_edges": (Zero2Edges, ("v1", "v2")),
-        "zero_edge_loop": (ZeroEdgeLoop, ("v1",)),
-        "cycle_edge": (CycleEdge, ("v1", "step")),
-        "one_edge_split": (OneEdgeSplit, ("x0", "y0", "z0")),
-        "one_loop_split": (OneLoopSplit, ("loop_id", "y0")),
-    }
-    if name not in fields:
+    cls = _MOVE_CLASSES.get(name)
+    if cls is None:
         raise SchemaError(f"unknown move type {name!r}")
-    cls, keys = fields[name]
+    keys = [f.name for f in fields(cls)]
     _check_keys(obj, {"type", *keys}, "move")
     missing = [k for k in keys if k not in obj]
     if missing:

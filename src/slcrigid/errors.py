@@ -34,7 +34,8 @@ class ActionError(InputError):
 
 
 class UnsupportedBackendError(InputError):
-    """Backend cannot handle this group (irrational symmetry matrices)."""
+    """No engine for this input: a backend that does not fit the
+    coordinates, or a group with no construction bases."""
 
     code = "backend"
 

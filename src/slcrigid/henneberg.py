@@ -977,19 +977,17 @@ def _in_key_order(state: _State, comps: int) -> Iterator[tuple[Key, Candidate]]:
     yield from sorted((((components(cand), dense), cand) for dense, cand in rest), key=itemgetter(0))
 
 
-def enumerate_reductions(
-    graph: SymmetricGraph, method: str = "pebble"
-) -> tuple[Reduction, ...]:
+def enumerate_reductions(graph: SymmetricGraph) -> tuple[Reduction, ...]:
     """All reductions whose result is still tight (try-and-check).
 
     Every candidate is built by ``_reduce`` and checked by ``check_tight``
     from scratch; this is the reference that ``decompose``'s incremental
     walk is tested against.
     """
-    if not check_tight(graph, method).tight:
+    if not check_tight(graph).tight:
         raise NotTightError("reductions are only defined on tight graphs")
     reds = (_reduce(graph, *cand) for _, cand in _scan(_State(graph)))
-    return tuple(r for r in reds if check_tight(r.graph, method).tight)
+    return tuple(r for r in reds if check_tight(r.graph).tight)
 
 
 # -- decomposition -----------------------------------------------------------

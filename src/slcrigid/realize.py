@@ -37,9 +37,10 @@ each bounds the generic rank from below, so it keeps the best trial and
 stops at the first that reaches min(rows, 2|V|).  No verdict reads a
 tolerance.
 
-The float rank of real entries, of a given float placement by default and
-in float ``motions``, is one dense SVD of the matrix: the singular values
-above ``tol * s_max * max(rows, 2|V|)`` are counted.  The cut is a
+The coordinates pick the backend, for ``rank`` and ``motions`` alike: float
+coordinates get the float rank, the others the exact one.  The float rank
+of real entries is one dense SVD of the matrix: the singular values above
+``tol * s_max * max(rows, 2|V|)`` are counted.  The cut is a
 heuristic, and it loses rank at a few hundred vertices.
 
 The exact rank of residues eliminates the whole sparse matrix modulo p:
@@ -126,12 +127,20 @@ class Framework:
                 )
             if not residues:
                 raise RangeError(f"coordinates must be residues modulo {self.prime}")
-        elif any(a.dtype == np.float64 and not np.isfinite(a).all() for a in self._arrays):
-            raise RangeError("float coordinates must be finite")
+        else:
+            try:  # an int past the float range among float coordinates
+                finite = all(a.dtype != np.float64 or np.isfinite(a).all() for a in self._arrays)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise RangeError("float coordinates must be finite")
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for pt in self.p + self.q for c in pt)
+        # residues are ints, as __post_init__ checked
+        return self.prime is not None or all(
+            isinstance(c, (int, Fraction)) for pt in self.p + self.q for c in pt
+        )
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -397,10 +406,8 @@ def check_framework(fw: Framework, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     """
     graph, group = fw.graph, fw.graph.group
     exact, prime = fw.exact, fw.prime
-    span = max(
-        [1.0] + [abs(float(c)) for pt in fw.p + fw.q for c in pt]
-    )
-    eps = 0.0 if exact else tol * span
+    # the span is read in floats, so only for float coordinates
+    eps = 0.0 if exact else tol * max([1.0] + [abs(float(c)) for pt in fw.p + fw.q for c in pt])
     taus = _taus(group, prime, exact and group.exact_supported)
     p, q = fw._arrays
     bad: list[str] = []
@@ -838,10 +845,6 @@ def _given(matrix: RigidityMatrix, full: int) -> tuple[int, list[dict[int, Fract
     kernel (``_kernel``).  The entries, scaled to integers by the lcm of
     their denominators, are ranked modulo the group's prime first; a rank
     of ``full`` there is the rank, with no kernel taken."""
-    if not matrix.framework.exact:
-        raise UnsupportedBackendError(
-            "the exact backend needs integer, rational or residue entries, not floats"
-        )
     rows, cols, vals = matrix.coo
     den = math.lcm(*(x.denominator for x in vals.tolist()))
     ints = np.array([x.numerator * (den // x.denominator) for x in vals.tolist()], dtype=object)
@@ -854,11 +857,29 @@ def _given(matrix: RigidityMatrix, full: int) -> tuple[int, list[dict[int, Fract
     return shape[1] - len(kernel), kernel
 
 
+def _engine(fw: Framework, backend: str | None) -> str:
+    """The backend that ranks the framework's entries: ``backend``, by
+    default ``"exact"`` for integer, rational or residue coordinates and
+    ``"float"`` for floats.  Raises UnsupportedBackendError for another
+    name, for ``"float"`` on residues and for ``"exact"`` on floats."""
+    if backend is None:
+        return "exact" if fw.exact else "float"
+    if backend not in ("exact", "float"):
+        raise UnsupportedBackendError(f"unknown backend {backend!r}")
+    if backend == "float" and fw.prime is not None:
+        raise UnsupportedBackendError(f"float rank needs real entries, not residues modulo {fw.prime}")
+    if backend == "exact" and not fw.exact:
+        raise UnsupportedBackendError(
+            "the exact backend needs integer, rational or residue entries, not floats"
+        )
+    return backend
+
+
 def rank(
     matrix: RigidityMatrix, backend: str | None = None, tol: float = DEFAULT_TOL
 ) -> RankReport:
-    """Rank of one rigidity matrix with the requested backend, by default
-    ``"float"`` for float entries and ``"exact"`` for the others.
+    """Rank of one rigidity matrix, by default ``"exact"`` unless the
+    coordinates are floats (``_engine`` picks and checks the backend).
 
     ``"float"`` cuts the singular values of one dense SVD of real entries.
     ``"exact"`` eliminates residues modulo their prime, and integer or
@@ -867,18 +888,12 @@ def rank(
     """
     prime = matrix.framework.prime
     shape = (matrix.num_rows, matrix.num_cols)
-    backend = backend or ("exact" if matrix.framework.exact else "float")
+    backend = _engine(matrix.framework, backend)
     cut = {}
     if backend == "float":
-        if prime is not None:
-            raise UnsupportedBackendError(
-                f"float rank needs real entries, not residues modulo {prime}"
-            )
         svals = np.linalg.svd(matrix.to_array(), compute_uv=False)
         r, small, large = _float_rank(svals, tol, shape)
         cut = {"tolerance": tol, "smallest_accepted": small, "largest_rejected": large}
-    elif backend != "exact":
-        raise UnsupportedBackendError(f"unknown backend {backend!r}")
     elif prime is not None:
         r = _rank_mod(*matrix.coo, shape, prime)
     else:
@@ -903,7 +918,7 @@ def classify(
     trial_ranks = []
     for t in range(trials):
         fw = sample_symmetric_placement(graph, seed=seed + t, modular=True)
-        rep = rank(build_rigidity_matrix(fw), backend="exact")
+        rep = rank(build_rigidity_matrix(fw))
         trial_ranks.append(rep.rank)
         if best is None or rep.rank > best.rank:
             best = rep
@@ -923,9 +938,10 @@ class MotionReport:
 
 
 def motions(
-    fw: Framework, backend: str = "float", tol: float = DEFAULT_TOL
+    fw: Framework, backend: str | None = None, tol: float = DEFAULT_TOL
 ) -> MotionReport:
-    """Nullspace of the rigidity matrix as per-vertex velocities.
+    """Nullspace of the rigidity matrix as per-vertex velocities, with the
+    backend that ``rank`` would use (``_engine``).
 
     ``"float"`` takes the right singular vectors past the float rank's cut
     (see ``rank``); ``"exact"`` gives the rational basis that is the
@@ -935,6 +951,7 @@ def motions(
         raise UnsupportedBackendError(
             f"motions need real coordinates, not residues modulo {fw.prime}"
         )
+    backend = _engine(fw, backend)
     matrix = build_rigidity_matrix(fw)
     n = fw.graph.num_vertices
     if backend == "exact":
@@ -944,8 +961,6 @@ def motions(
             for vec in _given(matrix, matrix.num_cols)[1]
         )
         return MotionReport(len(basis), basis, "exact", 0.0)
-    if backend != "float":
-        raise UnsupportedBackendError(f"unknown backend {backend!r}")
     a = matrix.to_array()
     _, svals, vh = np.linalg.svd(a)
     vecs = vh[_float_rank(svals, tol, a.shape)[0] :]

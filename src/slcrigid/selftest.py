@@ -68,7 +68,7 @@ def _check_sample(graph, sample_seed: int, certified: bool) -> list[str]:
     bad: list[str] = []
     loops = [l.vertex for l in graph.loops]
 
-    tight = check_tight(graph, method="pebble")
+    tight = check_tight(graph)
     if not tight.tight:
         bad.append("generated graph is not tight under the pebble decider")
     if graph.num_vertices <= _ORACLE_MAX_VERTICES:

@@ -156,20 +156,19 @@ def subset_audit(
     num_vertices: int,
     edges: Iterable[Sequence[int]],
     loops: Iterable[int],
-    max_vertices: int = SUBSET_AUDIT_MAX_VERTICES,
 ) -> SparsityReport:
     """Exhaustive sparsity decision over all vertex subsets.
 
     Induced subgraphs suffice: the counts are monotone under adding rows.
     Among violating subsets the reported witness has minimal cardinality,
     ties broken by the numerically smallest vertex bitmask.  Refuses graphs
-    above ``max_vertices``; use the pebble fast path for those.
+    above ``SUBSET_AUDIT_MAX_VERTICES``; use the pebble fast path for those.
     """
     edges, loops = _normalize(num_vertices, edges, loops)
     n = num_vertices
-    if n > max_vertices:
+    if n > SUBSET_AUDIT_MAX_VERTICES:
         raise RangeError(
-            f"subset_audit is exponential and capped at {max_vertices} vertices;"
+            f"subset_audit is exponential and capped at {SUBSET_AUDIT_MAX_VERTICES} vertices;"
             " use the pebble fast path"
         )
     loop_count: dict[int, int] = {}

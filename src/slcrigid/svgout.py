@@ -36,8 +36,11 @@ def render_svg(fw: Framework, size: int = 480) -> str:
     if size < 1:
         raise RangeError(f"size must be positive, not {size}")
     graph, group = fw.graph, fw.graph.group
-    pts = [(float(x), float(y)) for (x, y) in fw.p]
-    qs = [(float(x), float(y)) for (x, y) in fw.q]
+    try:
+        pts = [(float(x), float(y)) for (x, y) in fw.p]
+        qs = [(float(x), float(y)) for (x, y) in fw.q]
+    except OverflowError:  # an exact coordinate past the float range
+        raise DegenerateInputError("the placement's span is not finite") from None
     xs = [p[0] for p in pts] + [0.0]
     ys = [p[1] for p in pts] + [0.0]
     cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2

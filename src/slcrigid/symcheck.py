@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ActionError
-from .sparsity import SparsityReport, pebble_check, subset_audit
+from .sparsity import SparsityReport, pebble_check
 from .symgraph import (
     FixedCounts,
     GroupElement,
@@ -248,31 +248,25 @@ def require_valid_action(graph: SymmetricGraph) -> None:
         raise ActionError("; ".join(report.violations))
 
 
-def check_tight(graph: SymmetricGraph, method: str = "pebble") -> TightReport:
+def check_tight(graph: SymmetricGraph) -> TightReport:
     """Full symmetry-compatible tightness check.
 
-    Validates the group action, runs the requested sparsity decider, the
+    Validates the group action, plays the pebble game, and runs the
     fixed-count conditions and the character comparison.  The overall
     verdict is sparsity tight plus all fixed-count conditions.  The fixed
     counts are computed once and serve both of the latter.
     """
     require_valid_action(graph)
     # the graph's edges are normalised already, and are not checked again
-    loops = graph.loop_vertices
-    if method == "pebble":
-        sp = pebble_check(graph.num_vertices, graph.edges, loops)
-    elif method == "subset":
-        sp = subset_audit(graph.num_vertices, graph.edges, loops)
-    else:
-        raise ActionError(f"unknown sparsity method {method!r}")
+    sp = pebble_check(graph.num_vertices, graph.edges, graph.loop_vertices)
     counts = fixed_counts(graph)
     return TightReport(
         sp, fixed_count_check(graph, counts), character_vectors(graph, counts)
     )
 
 
-def is_tight(graph: SymmetricGraph, method: str = "pebble") -> bool:
-    return check_tight(graph, method).tight
+def is_tight(graph: SymmetricGraph) -> bool:
+    return check_tight(graph).tight
 
 
 # tightness here is always relative to the acting group

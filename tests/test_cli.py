@@ -1,5 +1,6 @@
 """End-to-end command line runs via subprocess."""
 
+import argparse
 import inspect
 import json
 import os
@@ -13,11 +14,16 @@ from conftest import c2_fixed_edge
 from slcrigid import (
     base_graph,
     check_framework,
+    check_tight,
     classify,
     document,
+    enumerate_reductions,
     generate_random,
+    is_tight,
     sample_symmetric_placement,
+    subset_audit,
 )
+from slcrigid.cli import build_parser
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -119,27 +125,28 @@ def test_rank_seed_from_environment(lc3_file):
 
 
 def test_rank_exact_flag(tmp_path):
+    # the coordinates pick the backend: no flag spells it
     path = tmp_path / "p1.json"
     path.write_text(document.serialize_graph(base_graph("p1_fixed")))
-    r = run_cli(["rank", str(path), "--backend", "exact"])
+    r = run_cli(["rank", str(path)])
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["backend"] == "exact"
     assert out["classification"] == "isostatic"
-    # the --exact alias is gone: --backend exact is the one spelling
-    r = run_cli(["rank", str(path), "--exact"])
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert "unrecognized arguments: --exact" in r.stderr
+    for flag in (["--exact"], ["--backend", "exact"]):
+        r = run_cli(["rank", str(path), *flag])
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in r.stderr
 
 
 def test_rank_rejects_exact_with_a_backend(lc3_file):
-    # --exact used to win silently over --backend float; it is now unknown
+    # --exact used to win silently over --backend float; both are unknown
     for backend in ("float", "exact"):
         r = run_cli(["rank", lc3_file, "--exact", "--backend", backend])
         assert r.returncode == 2
         assert r.stdout == ""
-        assert "unrecognized arguments: --exact" in r.stderr
+        assert f"unrecognized arguments: --exact --backend {backend}" in r.stderr
 
 
 def test_sampled_placements_are_ranked_exactly_by_default(tmp_path):
@@ -147,13 +154,12 @@ def test_sampled_placements_are_ranked_exactly_by_default(tmp_path):
     gen = run_cli(["generate", "--group", "c3", "--base", "lc", "--steps", "4", "--seed", "7"])
     path = tmp_path / "g.json"
     path.write_text(gen.stdout)
-    for args in (["rank", str(path)], ["rank", str(path), "--backend", "exact"]):
-        r = run_cli(args)
-        assert r.returncode == 0, r.stderr
-        out = json.loads(r.stdout)
-        assert out["backend"] == "exact"
-        assert out["classification"] == "isostatic"
-        assert out["trial_ranks"] == [30]
+    r = run_cli(["rank", str(path)])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["backend"] == "exact"
+    assert out["classification"] == "isostatic"
+    assert out["trial_ranks"] == [30]
     r = run_cli(["verdict", str(path)])
     assert r.returncode == 0
     assert json.loads(r.stdout)["rank"]["backend"] == "exact"
@@ -181,23 +187,19 @@ def test_tight_c2_graph_at_301_vertices_gets_an_exact_verdict(tmp_path):
     assert out["overall"] == "isostatic-certified"
     assert out["rank"]["backend"] == "exact"
     assert out["rank"]["rank"] == 602
-    for flag in ("--backend=float", "--tol=1e-9"):
-        r = run_cli(["verdict", str(path), flag])
+    for command, flag in (("verdict", "--backend=float"), ("verdict", "--tol=1e-9"), ("rank", "--backend=float")):
+        r = run_cli([command, str(path), flag])
         assert r.returncode == 2
         assert r.stdout == ""
-        assert "unrecognized arguments" in r.stderr
-    r = run_cli(["rank", str(path), "--backend", "float"])
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert "error[backend]" in r.stderr
+        assert f"unrecognized arguments: {flag}" in r.stderr
     with pytest.raises(TypeError):
         classify(graph, backend="float")
     assert list(inspect.signature(classify).parameters) == ["graph", "trials", "seed"]
     # a given integer placement, as `generate --placement` writes it, is
-    # ranked exactly when asked; the float cut says 601 of 602 there
+    # ranked exactly; the float cut says 601 of 602 there
     fw = sample_symmetric_placement(graph, seed=2)
     path.write_text(document.serialize_graph(graph, framework=fw))
-    r = run_cli(["rank", str(path), "--backend", "exact"])
+    r = run_cli(["rank", str(path)])
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout)
     assert (out["placement"], out["backend"], out["rank"]) == ("given", "exact", 602)
@@ -214,14 +216,16 @@ def test_given_integer_placement_at_301_vertices_is_ranked_exactly_by_default(tm
     out = json.loads(r.stdout)
     assert (out["placement"], out["backend"], out["rank"]) == ("given", "exact", 602)
     assert out["classification"] == "isostatic"
-    # the float cut is still there when asked, and only it reads --tol
-    r = run_cli(["rank", "-", "--backend", "float", "--tol", "1e-9"], inp=gen.stdout)
+    # the float cut ranks the same points written as floats, and only it
+    # reads --tol
+    d = json.loads(gen.stdout)
+    d["placement"]["p"] = [[float(x), float(y)] for x, y in d["placement"]["p"]]
+    r = run_cli(["rank", "-", "--tol", "1e-9"], inp=json.dumps(d))
     assert json.loads(r.stdout)["backend"] == "float"
-    for args in (["--tol", "1e-9"], ["--tol", "1e-9", "--backend", "exact"]):
-        r = run_cli(["rank", "-", *args], inp=gen.stdout)
-        assert r.returncode == 2, args
-        assert r.stdout == ""
-        assert r.stderr == "error[input]: --tol is not read by an exact rank\n"
+    r = run_cli(["rank", "-", "--tol", "1e-9"], inp=gen.stdout)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error[input]: --tol is not read by an exact rank\n"
 
 
 def test_rank_refuses_the_options_its_placement_does_not_read(tmp_path, lc3_file):
@@ -233,9 +237,8 @@ def test_rank_refuses_the_options_its_placement_does_not_read(tmp_path, lc3_file
     for args, option in (
         ([str(placed), "--trials", "0", "--seed", "5"], "--trials"),
         ([str(placed), "--trials", "3"], "--trials"),
-        ([str(placed), "--seed", "5", "--backend", "exact"], "--seed"),
+        ([str(placed), "--seed", "5"], "--seed"),
         ([lc3_file, "--tol", "1e-6"], "--tol"),
-        ([lc3_file, "--tol", "1e-9", "--backend", "exact"], "--tol"),
     ):
         r = run_cli(["rank", *args])
         assert r.returncode == 2, args
@@ -293,13 +296,11 @@ def test_generate_then_reduce_round_trip(tmp_path):
     graph, _ = document.parse_graph(r.stdout)
     assert graph.num_vertices >= 2
 
-    trace_path = tmp_path / "trace.json"
-    r2 = run_cli(["reduce", str(gen_path), "--trace", str(trace_path)])
+    r2 = run_cli(["reduce", str(gen_path)])
     assert r2.returncode == 0
     out = json.loads(r2.stdout)
     assert out["total_moves"] == 3
     assert out["certified"] is True
-    assert json.loads(trace_path.read_text()) == out
 
 
 def test_generate_is_deterministic():
@@ -454,6 +455,40 @@ def test_svg_refuses_a_placement_that_overflows(tmp_path):
     assert r.stderr == "error: the placement's span is not finite\n"
 
 
+def _c2_placement_past_floats(tmp_path, mixed: bool) -> str:
+    """A c2 3/0 placement document with p[1][0] = 10**400, an integer past
+    the float range, and with p[0][0] = 0.5 when ``mixed``."""
+    g = generate_random("c2", steps=3, seed=0).graph
+    d = document.graph_to_dict(g, sample_symmetric_placement(g, seed=0))
+    d["placement"]["p"][1][0] = 10**400
+    if mixed:
+        d["placement"]["p"][0][0] = 0.5
+    path = tmp_path / "huge.json"
+    path.write_text(document.dumps(d))
+    return str(path)
+
+
+def test_an_integer_past_the_float_range_is_exact(tmp_path):
+    # rank and svg printed an OverflowError traceback with exit 1: the
+    # document reader asked math.isfinite of the int
+    path = _c2_placement_past_floats(tmp_path, mixed=False)
+    r = run_cli(["rank", path])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert (out["backend"], out["rank"], out["classification"]) == ("exact", 16, "isostatic")
+    r = run_cli(["svg", path])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: the placement's span is not finite\n"
+    # beside a float coordinate it is a float, and not a finite one
+    path = _c2_placement_past_floats(tmp_path, mixed=True)
+    for command in ("rank", "svg"):
+        r = run_cli([command, path])
+        assert r.returncode == 2, command
+        assert r.stdout == ""
+        assert r.stderr == "error[index]: float coordinates must be finite\n"
+
+
 def test_generate_accepts_bare_base_labels():
     r = run_cli(["generate", "--group", "c3", "--base", "lc", "--steps", "4", "--seed", "7"])
     assert r.returncode == 0
@@ -516,3 +551,27 @@ def test_selftest_refuses_bad_sizes(tmp_path):
     for args in (["--max-steps", "0"], ["--samples", "-1"]):
         r = run_cli(["selftest", "--groups", "c2", "--dump-dir", str(tmp_path)] + args)
         _exits_with_index_error(r)
+
+
+def test_the_options_each_subcommand_takes():
+    # the input picks the sparsity decider and the rank engine, so no option
+    # selects either, and reduce writes its trace to stdout alone
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [a.option_strings[-1] for a in p._actions if a.option_strings and a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "check": [],
+        "rank": ["--trials", "--tol", "--seed"],
+        "verdict": ["--trials", "--trace", "--seed"],
+        "generate": ["--group", "--steps", "--base", "--placement", "--scale", "--seed"],
+        "extend": ["--move"],
+        "reduce": [],
+        "svg": ["--output", "--size", "--scale", "--auto", "--seed"],
+        "selftest": ["--groups", "--samples", "--max-steps", "--dump-dir", "--seed"],
+    }
+    assert sum(map(len, options.values())) == 23
+    for f in (check_tight, is_tight, enumerate_reductions):
+        assert list(inspect.signature(f).parameters) == ["graph"], f.__name__
+    assert list(inspect.signature(subset_audit).parameters) == ["num_vertices", "edges", "loops"]

@@ -36,10 +36,12 @@ from slcrigid import (
     decompose,
     default_bases,
     enumerate_reductions,
+    fixed_count_check,
     generate_random,
     is_base_graph,
     is_tight,
     replay,
+    subset_audit,
     symmetric_components,
     verify_decomposition,
 )
@@ -501,11 +503,12 @@ def _as_path(start, reductions, labels):
     return tuple(steps), labels, base
 
 
-def _reference_list(g, method="pebble"):
-    """Every candidate built and checked from scratch, stable-sorted by its
-    key, counted from scratch, as the walk orders them."""
+def _reference_list(g, reds=None):
+    """Every candidate built and checked from scratch (``reds``, by default
+    the tight reductions), stable-sorted by its key, counted from scratch,
+    as the walk orders them."""
     dense = _dense_count(g)
-    return sorted(enumerate_reductions(g, method), key=lambda r: _key(dense, r))
+    return sorted(enumerate_reductions(g) if reds is None else reds, key=lambda r: _key(dense, r))
 
 
 def _eager_walk(start, games=None):
@@ -674,13 +677,21 @@ def test_search_rejects_what_try_and_check_rejects(case, move, why):
     assert move not in [r.move for r in enumerate_reductions(g)]
 
 
+def _audited_tight(g):
+    """Tightness decided by the subset audit and the fixed counts."""
+    audit = subset_audit(g.num_vertices, g.edges, g.loop_vertices)
+    return audit.tight and fixed_count_check(g).passed
+
+
 def test_search_agrees_with_the_subset_audit():
     for name in ["c1", "c2", "c3"]:
         for seed in range(4):
             g = generate_random(name, {"c1": 16, "c2": 7, "c3": 5}[name], seed).graph
             assert g.num_vertices <= 24
             found = [r.move for r in _search_list(g)]
-            assert found == [r.move for r in _reference_list(g, "subset")], (name, seed)
+            reds = (henneberg._reduce(g, *cand) for _, cand in henneberg._scan(henneberg._State(g)))
+            tight = [r for r in reds if _audited_tight(r.graph)]
+            assert found == [r.move for r in _reference_list(g, tight)], (name, seed)
 
 
 def test_the_single_core_is_the_least_symmetric_tight_set():

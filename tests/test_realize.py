@@ -47,6 +47,7 @@ from slcrigid import document, realize
 from slcrigid.realize import _kernel, _rank_mod
 from slcrigid.symgraph import mirror_sign, stabilizers
 from slcrigid.selftest import negative_control
+from slcrigid.svgout import render_svg
 
 
 @lru_cache(maxsize=None)
@@ -832,6 +833,39 @@ def test_rank_is_exact_by_default_unless_the_coordinates_are_floats():
     assert rank(build_rigidity_matrix(c3)).backend == "float"
     residues = sample_symmetric_placement(graph, seed=2, modular=True)
     assert rank(build_rigidity_matrix(residues)).backend == "exact"
+
+
+def test_motions_follow_the_default_of_rank():
+    # motions(fw) took the float cut here, one motion, where rank says 602
+    # of 602
+    graph = generate_random("c2", steps=150, seed=2).graph
+    fw = sample_symmetric_placement(graph, seed=2)
+    rep = motions(fw)
+    assert (rep.dimension, rep.backend) == (0, "exact")
+    c3 = sample_symmetric_placement(generate_random("c3", steps=4, seed=7).graph)
+    assert motions(c3).backend == "float"
+    for call in (lambda: rank(build_rigidity_matrix(fw), backend="gaussian"), lambda: motions(fw, backend="gaussian")):
+        with pytest.raises(UnsupportedBackendError, match="unknown backend 'gaussian'"):
+            call()
+
+
+def test_an_integer_past_the_float_range_stays_exact():
+    # the reader's finiteness check, the float span of check_framework and
+    # render_svg's floats raised OverflowError on it
+    graph = generate_random("c2", steps=3, seed=0).graph
+    fw = sample_symmetric_placement(graph, seed=0)
+    p = [list(pt) for pt in fw.p]
+    p[1][0] = 10**400
+    big = Framework(graph, p, fw.q)
+    assert rank(build_rigidity_matrix(big)).rank == 16
+    assert motions(big).dimension == 0
+    assert check_framework(big) == ("c2 moves vertex 0 off its image", "c2 moves vertex 1 off its image")
+    with pytest.raises(DegenerateInputError, match="span is not finite"):
+        render_svg(big)
+    # beside a float coordinate it is a float, and not a finite one
+    p[0][0] = 0.5
+    with pytest.raises(RangeError, match="float coordinates must be finite"):
+        Framework(graph, p, fw.q)
 
 
 def _mod_apply(mat, vec, prime):

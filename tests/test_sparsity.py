@@ -21,7 +21,7 @@ from slcrigid import (
     subset_audit,
 )
 from slcrigid import sparsity
-from slcrigid.sparsity import pebble_games
+from slcrigid.sparsity import SUBSET_AUDIT_MAX_VERTICES, pebble_games
 
 
 def _induced_rows(edges, loop_vertices, subset):
@@ -82,7 +82,7 @@ def test_single_vertex_two_loops_is_tight_both_methods():
 
 def test_subset_audit_rejects_oversized_input():
     with pytest.raises(RangeError):
-        subset_audit(30, [], [], max_vertices=24)
+        subset_audit(SUBSET_AUDIT_MAX_VERTICES + 1, [], [])
 
 
 def test_methods_agree_on_random_graphs():

@@ -25,6 +25,7 @@ from slcrigid import (
     generate_random,
     is_gamma_tight,
     is_tight,
+    subset_audit,
 )
 from slcrigid import document, symcheck, symgraph
 from slcrigid.selftest import negative_control
@@ -156,15 +157,10 @@ def test_check_tight_counts_fixed_elements_once(monkeypatch):
 
 
 def test_check_tight_subset_method_agrees():
+    # the pebble game decides sparsity; the subset audit is the reference
     for g in [c2_fixed_edge(), mirror_fixed_vertex(), base_graph("lc3")]:
-        assert check_tight(g, method="pebble").tight == check_tight(
-            g, method="subset"
-        ).tight
-
-
-def test_check_tight_rejects_unknown_method():
-    with pytest.raises(ActionError):
-        check_tight(base_graph("lc3"), method="gaussian")
+        audit = subset_audit(g.num_vertices, g.edges, g.loop_vertices)
+        assert check_tight(g).tight == (audit.tight and fixed_count_check(g).passed)
 
 
 def test_check_tight_rejects_invalid_action():
