@@ -2,7 +2,8 @@
 
 Subcommands read a graph document from a file (or ``-`` for stdin) and
 write one JSON document to stdout.  Exit codes: 0 for an affirmative
-verdict, 1 for a negative verdict, 2 for input errors.  The ``--seed``
+verdict, 1 for a negative verdict, 2 for input errors, input that cannot
+be read or decoded, and output that cannot be written.  The ``--seed``
 flags default to the SLCRIGID_SEED environment variable, then 0; given the
 same inputs and seed the output bytes are identical.
 """
@@ -32,12 +33,12 @@ from .svgout import render_svg
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as err:
         raise SchemaError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"cannot decode {path}: {err.reason}") from None
 
 
 def _seed(args) -> int:
@@ -160,7 +161,10 @@ def cmd_svg(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as err:
+            raise SchemaError(f"cannot write {args.output}: {err.strerror or err}") from None
     return 0
 
 
@@ -269,7 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: stdout goes to devnull, so that the flush at exit
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     except ReductionDeadEnd as err:
         print(f"verdict: {err}", file=sys.stderr)
         return 1

@@ -45,7 +45,7 @@ from .henneberg import (
 )
 from .realize import Framework, MotionReport, RankReport
 from .symcheck import CharacterReport, FixedCountReport, TightReport, require_valid_action
-from .symgraph import GroupSpec, Loop, SymmetricGraph
+from .symgraph import GroupSpec, Loop, SymmetricGraph, _graph_generators
 from .sparsity import SparsityReport
 
 VERSION = 1
@@ -207,20 +207,10 @@ def graph_to_dict(graph: SymmetricGraph, framework: Framework | None = None) -> 
         "loops": loops,
     }
     action: dict[str, Any] = {}
-    if graph.rotation_vertex_perm is not None:
-        action["rotation_vertex_perm"] = list(graph.rotation_vertex_perm)
+    for name, perm, pairs in _graph_generators(graph):
+        action[f"{name}_vertex_perm"] = list(perm)
         if graph.loops:
-            action["rotation_loop_perm"] = {
-                str(l.id): img
-                for l, img in zip(graph.loops, graph.rotation_loop_perm)
-            }
-    if graph.reflection_vertex_perm is not None:
-        action["reflection_vertex_perm"] = list(graph.reflection_vertex_perm)
-        if graph.loops:
-            action["reflection_loop_perm"] = {
-                str(l.id): img
-                for l, img in zip(graph.loops, graph.reflection_loop_perm)
-            }
+            action[f"{name}_loop_perm"] = {str(i): image for i, image in pairs}
     if action:
         doc["action"] = action
     if framework is not None:

@@ -15,7 +15,8 @@ group element in canonical order, each carrying two new rows.
 
 Moves are applied in place, to one growing state (``_Growth``) that
 appends each new orbit through the group's multiplication table, and the
-graph is built once, at the end: ``generate_random``, ``replay`` and
+graph is built once, at the end, by ``symgraph._assembled`` as every
+derived graph is: ``generate_random``, ``replay`` and
 ``decompose``'s replay are linear in the number of moves, and
 ``apply_extension`` is the one-move case.  Moves preserve
 symmetry-compatible tightness, so iterating them from a tight base graph
@@ -114,11 +115,12 @@ from .symgraph import (
     GroupSpec,
     Loop,
     SymmetricGraph,
-    _conjugated,
+    _assembled,
+    _graph_generators,
+    _renaming,
     _union_find,
     induced_subgraph,
     orbits,
-    restricted_fields,
     symmetric_components,
 )
 
@@ -308,22 +310,17 @@ class _Growth:
         vertex_map: Sequence[int] | None = None,
         loop_id_map: Mapping[int, int] | None = None,
     ) -> SymmetricGraph:
-        """The grown graph, built once and checked as every
-        ``SymmetricGraph`` is.  With ``vertex_map`` and ``loop_id_map`` it
-        is built in those labels: grown vertex v is ``vertex_map[v]`` and
-        loop id i is ``loop_id_map[i]``, the action conjugated as
-        ``relabel`` conjugates it, by the same routine."""
-        if vertex_map is not None:
-            gens = [(name, self.vertex[j], self.loop[j].items()) for name, j in self.gens]
-            return _conjugated(
-                self.group, self.n, self.edges, self.loops.values(), gens, vertex_map, loop_id_map
-            )
-        fields = {}
-        for name, j in self.gens:
-            fields[f"{name}_vertex_perm"] = tuple(self.vertex[j])
-            fields[f"{name}_loop_perm"] = self.loop[j]
-        loops = tuple(self.loops.values())
-        return SymmetricGraph(self.group, self.n, tuple(self.edges), loops, **fields)
+        """The grown graph, built once by ``symgraph._assembled`` and
+        checked as every ``SymmetricGraph`` is.  With ``vertex_map`` and
+        ``loop_id_map`` it is built in those labels: grown vertex v is
+        ``vertex_map[v]`` and loop id i is ``loop_id_map[i]``, the maps
+        checked as ``relabel`` checks them."""
+        if vertex_map is None:
+            vm = {v: v for v in range(self.n)}
+        else:
+            vm = _renaming(self.n, self.loops, vertex_map, loop_id_map)
+        gens = [(name, self.vertex[j], self.loop[j].items()) for name, j in self.gens]
+        return _assembled(self.group, self.edges, self.loops.values(), gens, vm, loop_id_map)
 
 
 def _grown(
@@ -523,9 +520,11 @@ def _reduce(
     neighbours in ``graph`` labels (a ``CycleEdge``'s step last, as it
     is): the reference for ``_State.push``.
 
-    The reduced graph is built once: kept vertices are renumbered in order
-    and keep their loop ids; a split's new loop orbit continues from the
-    largest kept id, element k's loop first, as in ``apply_extension``.
+    The reduced graph is built once, by ``symgraph._assembled``, from
+    ``graph``'s rows and A's, in ``graph`` labels: kept vertices are
+    renumbered in order and keep their loop ids; a split's new loop orbit
+    continues from the largest kept id, element k's loop first, as in
+    ``apply_extension``.
     """
     group = graph.group
     vimages, limages = graph.action
@@ -535,22 +534,24 @@ def _reduce(
         ids = graph.loop_ids
         orbit_loops = tuple(ids[k] for k in limages[:, graph.loop_index(loop)].tolist())
     deleted = set(orbit_vertices)
-    fields, vmap = restricted_fields(
-        graph, (u for u in range(graph.num_vertices) if u not in deleted)
-    )
-    new_id = max((l.id for l in fields["loops"]), default=-1) + 1
+    vmap = {u: i for i, u in enumerate(u for u in range(graph.num_vertices) if u not in deleted)}
+    loops = [l for l in graph.loops if l.vertex in vmap]
+    kept_ids = {l.id for l in loops}
+    new_id = max(kept_ids, default=-1) + 1
+    # the deleted loops leave the perms before A's go in: a new id can be a deleted one
+    gens = [
+        (name, perm, [(i, image) for i, image in pairs if i in kept_ids])
+        for name, perm, pairs in _graph_generators(graph)
+    ]
+    edges = list(graph.edges)
     if kind is OneEdgeSplit:
         images = zip(vimages[:, ends[0]].tolist(), vimages[:, ends[1]].tolist())
-        images = ((vmap[a], vmap[b]) for a, b in images)
-        fields["edges"] += tuple({(x, y) if x < y else (y, x) for x, y in images})
+        edges += {(a, b) if a < b else (b, a) for a, b in images}
     elif kind is OneLoopSplit:
-        fields["loops"] += tuple(
-            Loop(new_id + k, vmap[a]) for k, a in enumerate(vimages[:, ends[0]].tolist())
-        )
-        for name, shift in _generators(group):
-            lmap = fields[f"{name}_loop_perm"]
-            lmap.update((new_id + k, new_id + s) for k, s in enumerate(shift))
-    red = SymmetricGraph(group, **fields)
+        loops += (Loop(new_id + k, a) for k, a in enumerate(vimages[:, ends[0]].tolist()))
+        for (_, _, pairs), (_, shift) in zip(gens, _generators(group)):
+            pairs += ((new_id + k, new_id + s) for k, s in enumerate(shift))
+    red = _assembled(group, edges, loops, gens, vmap)
     kept = [vmap[ends[0]], ends[1]] if kind is CycleEdge else [vmap[u] for u in ends]
     move = _move(kind, kept, new_id)
     vertex_map = tuple(vmap.get(u) for u in range(graph.num_vertices))
@@ -617,16 +618,16 @@ class _State:
         for (ra, rb), count in links.items():
             if ra != rb:
                 self.quotient[ra][rb] = self.quotient[rb][ra] = count
+        gens = _graph_generators(start)
         self.gens = [
-            (name, getattr(start, f"{name}_vertex_perm"), shift)
-            for name, shift in _generators(group)
+            (name, perm, shift) for (name, perm, _), (_, shift) in zip(gens, _generators(group))
         ]
         self.loops_at: list[list[int]] = [[] for _ in range(n)]
         self.loops: dict[int, tuple[Loop, tuple[int, ...]]] = {}
-        perms = [getattr(start, f"{name}_loop_perm") for name, _, _ in self.gens]
-        for k, l in enumerate(start.loops):
+        perms = [dict(pairs) for _, _, pairs in gens]
+        for l in start.loops:
             self.loops_at[l.vertex].append(l.id)
-            self.loops[l.id] = (l, tuple(perm[k] for perm in perms))
+            self.loops[l.id] = (l, tuple(perm[l.id] for perm in perms))
         self.dense = {rep[v] for v in range(n) if len(self.loops_at[v]) >= 2}
         self.dense |= {rep[a] for a, b in start.edges if rep[a] == rep[b]}
         self.steps: list[_Step] = []
@@ -716,16 +717,17 @@ class _State:
         return True
 
     def graph(self) -> SymmetricGraph:
-        """The graph reached: kept vertices in order, loop ids kept."""
+        """The graph reached, built by ``symgraph._assembled``: kept
+        vertices in order, loop ids kept."""
         keep = [u for u, kept in enumerate(self.alive) if kept]
-        new = {u: i for i, u in enumerate(keep)}
-        edges = tuple((new[u], new[w]) for u in keep for w in self.nbrs[u] if u < w)
-        loops = tuple(Loop(l.id, new[l.vertex], l.sigma_label) for l, _ in self.loops.values())
-        fields = {}
-        for g, (name, perm, _) in enumerate(self.gens):
-            fields[f"{name}_vertex_perm"] = tuple(new[perm[u]] for u in keep)
-            fields[f"{name}_loop_perm"] = {i: im[g] for i, (_, im) in self.loops.items()}
-        return SymmetricGraph(self.start.group, len(keep), edges, loops, **fields)
+        edges = ((u, w) for u in keep for w in self.nbrs[u] if u < w)
+        loops = [l for l, _ in self.loops.values()]
+        gens = [
+            (name, perm, [(i, im[g]) for i, (_, im) in self.loops.items()])
+            for g, (name, perm, _) in enumerate(self.gens)
+        ]
+        vm = {u: i for i, u in enumerate(keep)}
+        return _assembled(self.start.group, edges, loops, gens, vm)
 
     def _join(self, a: int, b: int, step: int) -> None:
         """Add (``step`` 1) or remove (-1) the edge a-b in the neighbour

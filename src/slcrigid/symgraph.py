@@ -35,6 +35,11 @@ integer vertex ids are accepted, NumPy integers included; a bool or a
 value that is not an integer raises ``RangeError``.  ``pebble_check`` and
 ``subset_audit`` take the kept edges as they are.
 
+Every graph derived from another is built by one routine, ``_assembled``:
+a relabelled copy, an induced subgraph, and in ``henneberg`` a grown, a
+reduced and a replayed graph.  It carries each generator across a vertex
+and loop-id map and drops the vertices the map leaves out, with their rows.
+
 All types are immutable; functions return new values.
 """
 
@@ -46,7 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import chain
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -767,11 +772,7 @@ def symmetric_components(graph: SymmetricGraph) -> tuple[tuple[int, ...], ...]:
     n = graph.num_vertices
     # every element's permutation is a product of the generators', so
     # joining each vertex to its generator images joins its whole orbit
-    gens = [
-        p
-        for p in (graph.rotation_vertex_perm, graph.reflection_vertex_perm)
-        if p is not None
-    ]
+    gens = [perm for _, perm, _ in _graph_generators(graph)]
     roots = _union_find(
         n, chain(graph.edges, ((v, p[v]) for p in gens for v in range(n)))
     )
@@ -781,46 +782,74 @@ def symmetric_components(graph: SymmetricGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in sorted(groups.values()))
 
 
-# -- relabeling and restriction ---------------------------------------------
+# -- derived graphs ----------------------------------------------------------
 
 
-def _conjugated(
+def _graph_generators(
+    graph: SymmetricGraph,
+) -> list[tuple[str, tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """The graph's generators, rotation first, each as its field-name
+    stem, its vertex perm and its loop perm as (id, image id) pairs: what
+    ``_assembled`` takes."""
+    return [
+        (name, perm, tuple(zip(graph.loop_ids, getattr(graph, f"{name}_loop_perm"))))
+        for name in ("rotation", "reflection")
+        if (perm := getattr(graph, f"{name}_vertex_perm")) is not None
+    ]
+
+
+def _assembled(
     group: GroupSpec,
-    n: int,
     edges: Iterable[tuple[int, int]],
-    loops: Collection[Loop],
+    loops: Iterable[Loop],
     gens: Iterable[tuple[str, Sequence[int], Iterable[tuple[int, int]]]],
-    vertex_map: Sequence[int],
-    loop_id_map: Mapping[int, int],
+    vertex_map: Mapping[int, int],
+    loop_id_map: Mapping[int, int] | None = None,
 ) -> SymmetricGraph:
-    """The graph on n vertices with these rows and generators, built once
-    with vertex v renamed ``vertex_map[v]`` and loop id i renamed
-    ``loop_id_map[i]``, the action conjugated to match.
+    """The graph of these rows and generators, built once with vertex v
+    renamed ``vertex_map[v]`` and loop id i renamed ``loop_id_map[i]``
+    (kept when None), the action conjugated to match: the one builder of
+    every graph derived from another.
 
-    ``gens`` gives each generator as its field-name stem, its vertex perm
-    and its loop perm as (id, image id) pairs.  ``relabel`` and
-    ``henneberg``'s replay both build through here.  Raises ``RangeError``
-    unless ``vertex_map`` is a permutation of 0..n-1 and ``loop_id_map`` a
-    bijection on the loop ids.
+    ``gens`` gives each generator as in ``_graph_generators``.  A vertex
+    that ``vertex_map`` leaves out is dropped with its rows, so the map
+    must send the kept vertices onto 0..len(vertex_map)-1; a kept vertex
+    that a generator sends to a dropped one raises ``ActionError``.
     """
-    vm = _check_perm(vertex_map, n, "vertex_map")
-    lm = loop_id_map
-    if sorted(lm) != sorted(l.id for l in loops) or len(set(lm.values())) != len(lm):
-        raise RangeError("loop_id_map must be a bijection on the loop ids")
+    vm, lm = vertex_map, loop_id_map
+    kept = [l for l in loops if l.vertex in vm]
+    ids = {l.id for l in kept}
     fields = {}
     for name, perm, lperm in gens:
-        out = [0] * n
-        for v, image in zip(vm, perm):
-            out[v] = vm[image]
+        out = [0] * len(vm)
+        for v, new in vm.items():
+            if perm[v] not in vm:
+                raise ActionError("vertex set is not closed under the action")
+            out[new] = vm[perm[v]]
         fields[f"{name}_vertex_perm"] = tuple(out)
-        fields[f"{name}_loop_perm"] = {lm[i]: lm[image] for i, image in lperm}
+        pairs = ((i, image) for i, image in lperm if i in ids)
+        fields[f"{name}_loop_perm"] = (
+            dict(pairs) if lm is None else {lm[i]: lm[image] for i, image in pairs}
+        )
     return SymmetricGraph(
         group,
-        n,
-        tuple((vm[u], vm[v]) for u, v in edges),
-        tuple(Loop(lm[l.id], vm[l.vertex], l.sigma_label) for l in loops),
+        len(vm),
+        tuple((vm[u], vm[v]) for u, v in edges if u in vm and v in vm),
+        tuple(Loop(l.id if lm is None else lm[l.id], vm[l.vertex], l.sigma_label) for l in kept),
         **fields,
     )
+
+
+def _renaming(
+    n: int, ids: Iterable[int], vertex_map: Sequence[int], loop_id_map: Mapping[int, int]
+) -> dict[int, int]:
+    """``vertex_map`` as ``_assembled`` takes it.  Raises ``RangeError``
+    unless it is a permutation of 0..n-1 and ``loop_id_map`` a bijection
+    on the loop ids ``ids``."""
+    lm = loop_id_map
+    if sorted(lm) != sorted(ids) or len(set(lm.values())) != len(lm):
+        raise RangeError("loop_id_map must be a bijection on the loop ids")
+    return dict(enumerate(_check_perm(vertex_map, n, "vertex_map")))
 
 
 def relabel(
@@ -828,64 +857,12 @@ def relabel(
     vertex_map: Sequence[int],
     loop_id_map: Mapping[int, int] | None = None,
 ) -> SymmetricGraph:
-    """Rename vertices (and optionally loop ids), conjugating the action."""
+    """Rename vertices (and optionally loop ids), conjugating the action;
+    built by ``_assembled``."""
     ids = graph.loop_ids
-    gens = [
-        (name, perm, zip(ids, getattr(graph, f"{name}_loop_perm")))
-        for name in ("rotation", "reflection")
-        if (perm := getattr(graph, f"{name}_vertex_perm")) is not None
-    ]
     lm = dict(loop_id_map) if loop_id_map is not None else {i: i for i in ids}
-    return _conjugated(
-        graph.group, graph.num_vertices, graph.edges, graph.loops, gens, vertex_map, lm
-    )
-
-
-def restricted_fields(
-    graph: SymmetricGraph, vertices: Iterable[int]
-) -> tuple[dict, dict[int, int]]:
-    """The fields of the subgraph on an action-closed vertex set, unbuilt.
-
-    Returns keyword arguments for ``SymmetricGraph`` (every field but the
-    group; edges and loops as tuples, loop permutations as dicts keyed by
-    loop id) and the map old index -> new index.  Vertices are renumbered
-    monotonically and loops keep their ids, so a caller can add edges or
-    loops before the one build.
-    """
-    keep = sorted(set(vertices))
-    vmap = {v: i for i, v in enumerate(keep)}
-    keep_set = set(keep)
-
-    def restrict_v(perm: tuple[int, ...] | None) -> tuple[int, ...] | None:
-        if perm is None:
-            return None
-        for v in keep:
-            if perm[v] not in keep_set:
-                raise ActionError("vertex set is not closed under the action")
-        return tuple(vmap[perm[v]] for v in keep)
-
-    loops = tuple(
-        Loop(l.id, vmap[l.vertex], l.sigma_label) for l in graph.loops if l.vertex in keep_set
-    )
-    kept_ids = {l.id for l in loops}
-
-    def restrict_l(lperm: tuple[int, ...] | None) -> dict[int, int] | None:
-        if lperm is None:
-            return None
-        return {l.id: img for l, img in zip(graph.loops, lperm) if l.id in kept_ids}
-
-    fields = dict(
-        num_vertices=len(keep),
-        edges=tuple(
-            (vmap[u], vmap[v]) for (u, v) in graph.edges if u in keep_set and v in keep_set
-        ),
-        loops=loops,
-        rotation_vertex_perm=restrict_v(graph.rotation_vertex_perm),
-        rotation_loop_perm=restrict_l(graph.rotation_loop_perm),
-        reflection_vertex_perm=restrict_v(graph.reflection_vertex_perm),
-        reflection_loop_perm=restrict_l(graph.reflection_loop_perm),
-    )
-    return fields, vmap
+    vm = _renaming(graph.num_vertices, ids, vertex_map, lm)
+    return _assembled(graph.group, graph.edges, graph.loops, _graph_generators(graph), vm, lm)
 
 
 def induced_subgraph(
@@ -893,11 +870,17 @@ def induced_subgraph(
 ) -> tuple[SymmetricGraph, dict[int, int]]:
     """Restrict to an action-closed vertex set; loop ids are kept.
 
-    Returns the subgraph (vertices renumbered monotonically) and the map
-    old index -> new index; see ``restricted_fields``.
+    Returns the subgraph, built by ``_assembled`` with the vertices
+    renumbered monotonically, and the map old index -> new index.  A
+    vertex outside 0..n-1 raises ``RangeError``; a set the action does
+    not keep, ``ActionError``.
     """
-    fields, vmap = restricted_fields(graph, vertices)
-    return SymmetricGraph(group=graph.group, **fields), vmap
+    keep = sorted(set(_int_ids(vertices, "vertices")))
+    if keep and not (0 <= keep[0] and keep[-1] < graph.num_vertices):
+        raise RangeError(f"vertices must lie in 0..{graph.num_vertices - 1}")
+    vmap = {v: i for i, v in enumerate(keep)}
+    gens = _graph_generators(graph)
+    return _assembled(graph.group, graph.edges, graph.loops, gens, vmap), vmap
 
 
 __all__ = [
@@ -919,5 +902,4 @@ __all__ = [
     "symmetric_components",
     "relabel",
     "induced_subgraph",
-    "restricted_fields",
 ]

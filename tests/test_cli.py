@@ -29,11 +29,12 @@ from slcrigid.cli import build_parser
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(args, inp=None, env_extra=None):
+def run_cli(args, inp=None, env_extra=None, stdout=subprocess.PIPE):
     """Run ``python -m slcrigid`` on the source tree in a child process.
 
     The child imports the package from this checkout's ``src`` and sees
-    SLCRIGID_SEED only when ``env_extra`` sets it.
+    SLCRIGID_SEED only when ``env_extra`` sets it; its stdout is captured
+    unless ``stdout`` names another file descriptor.
     """
     env = dict(os.environ)
     env.pop("SLCRIGID_SEED", None)
@@ -43,7 +44,8 @@ def run_cli(args, inp=None, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "slcrigid", *args],
         input=inp,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=120,
@@ -98,6 +100,31 @@ def test_check_malformed_json_exits_two():
     r = run_cli(["check", "-"], inp="{oops")
     assert r.returncode == 2
     assert "error[schema]" in r.stderr
+
+
+def test_check_of_a_file_that_does_not_decode_exits_two(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    r = run_cli(["check", str(path)])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error[schema]")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("steps", [3, 500])
+def test_generate_into_a_closed_pipe_exits_two(steps):
+    # a pipe whose reader has gone, small output failing at the last flush
+    # and large output at a write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = run_cli(["generate", "--group", "c2", "--steps", str(steps)], stdout=write)
+    finally:
+        os.close(write)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert len(r.stderr.splitlines()) == 1
+    assert "Traceback" not in r.stderr
 
 
 def test_check_output_is_byte_deterministic(lc3_file):
@@ -365,6 +392,13 @@ def test_svg_requires_auto_without_a_placement(lc3_file):
     r = run_cli(["svg", lc3_file])
     assert r.returncode == 2
     assert "placement" in r.stderr
+
+
+def test_svg_to_a_path_that_cannot_be_written_exits_two(tmp_path, lc3_file):
+    r = run_cli(["svg", lc3_file, "--auto", "-o", str(tmp_path / "missing" / "x.svg")])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error[schema]: cannot write")
+    assert "Traceback" not in r.stderr
 
 
 def test_svg_writes_a_picture(tmp_path, lc3_file):

@@ -433,6 +433,47 @@ def test_induced_subgraph_keeps_incident_rows_only():
     assert len(sub.loops) == 2
 
 
+@pytest.mark.parametrize(
+    "build", [mirror_pair, mirror_fixed_vertex, d2_loop_fixed_by_both_mirrors, d3_flower]
+)
+def test_relabel_round_trip_with_mirrors(build):
+    g = build()
+    rng = random.Random(3)
+    perm = list(range(g.num_vertices))
+    rng.shuffle(perm)
+    new_ids = [i + 20 for i in range(len(g.loops))]
+    rng.shuffle(new_ids)
+    lmap = dict(zip(g.loop_ids, new_ids))
+    h = relabel(g, perm, lmap)
+    assert validate_action(h).ok, validate_action(h).violations
+    labels = {lmap[l.id]: l.sigma_label for l in g.loops}
+    assert {l.id: l.sigma_label for l in h.loops} == labels
+    back = relabel(h, [perm.index(i) for i in range(len(perm))], {v: k for k, v in lmap.items()})
+    assert back == g
+
+
+def test_induced_subgraph_of_a_mirror_graph_keeps_the_labels():
+    g = d3_flower()
+    sub, vmap = induced_subgraph(g, (6, 7, 8))  # the mirror orbit
+    assert vmap == {6: 0, 7: 1, 8: 2}
+    assert validate_action(sub).ok, validate_action(sub).violations
+    assert sub.loops == tuple(Loop(6 + k, k, sigma_label="+") for k in range(3))
+    assert sub.reflection_vertex_perm == (0, 2, 1)
+    ring, _ = induced_subgraph(g, range(6))  # the free orbit
+    assert validate_action(ring).ok
+    assert all(l.sigma_label is None for l in ring.loops)
+    with pytest.raises(ActionError):
+        induced_subgraph(g, (0, 1, 2))  # a free orbit's rotations, not its mirror images
+
+
+@pytest.mark.parametrize("group", ["c1", "c2"])
+@pytest.mark.parametrize("vertices", [[0, 1, 99], [-1]], ids=["99", "-1"])
+def test_induced_subgraph_refuses_a_vertex_out_of_range(group, vertices):
+    g = generate_random(group, steps=3, seed=0).graph
+    with pytest.raises(RangeError):
+        induced_subgraph(g, vertices)
+
+
 def test_action_error_message_collects_all_violations():
     g = SymmetricGraph(
         GroupSpec("cyclic", 2),
