@@ -11,6 +11,7 @@ same inputs and seed the output bytes are identical.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -54,7 +55,24 @@ def _seed(args) -> int:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(document.dumps(doc))
+    _write(document.dumps(doc))
+
+
+def _write(text: str) -> None:
+    """Write the text to stdout's file descriptor until every byte is in.
+    A pipe whose reader leaves mid-write takes part of a write and raises
+    nothing, and ``sys.stdout`` does not write the rest; written again, the
+    rest raises BrokenPipeError.  A stdout with no descriptor, one
+    redirected inside the process, takes the text as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, io.UnsupportedOperation):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode())
+    while data:
+        data = data[os.write(fd, data) :]
 
 
 def cmd_check(args) -> int:
@@ -159,7 +177,7 @@ def cmd_svg(args) -> int:
         framework = sample_symmetric_placement(graph, seed=_seed(args), scale=args.scale)
     text = render_svg(framework, size=args.size)
     if args.output == "-":
-        sys.stdout.write(text)
+        _write(text)
     else:
         try:
             Path(args.output).write_text(text)

@@ -27,22 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
 from itertools import chain, repeat
-from typing import Any
+from typing import Any, get_args
 
 from .errors import SchemaError
-from .henneberg import (
-    ComponentTrace,
-    CycleEdge,
-    Decomposition,
-    GeneratedGraph,
-    Move,
-    OneEdgeSplit,
-    OneLoopSplit,
-    Zero2Edges,
-    ZeroEdgeLoop,
-)
+from .henneberg import ComponentTrace, Decomposition, GeneratedGraph, Move
 from .realize import Framework, MotionReport, RankReport
 from .symcheck import CharacterReport, FixedCountReport, TightReport, require_valid_action
 from .symgraph import GroupSpec, Loop, SymmetricGraph, _graph_generators
@@ -347,23 +336,11 @@ def parse_graph(text: str) -> tuple[SymmetricGraph, Framework | None]:
 
 # -- moves and traces --------------------------------------------------------
 
-_MOVE_TYPES = {
-    Zero2Edges: "zero_two_edges",
-    ZeroEdgeLoop: "zero_edge_loop",
-    CycleEdge: "cycle_edge",
-    OneEdgeSplit: "one_edge_split",
-    OneLoopSplit: "one_loop_split",
-}
-_MOVE_CLASSES = {name: cls for cls, name in _MOVE_TYPES.items()}
-
 
 def move_to_dict(move: Move) -> dict:
-    name = _MOVE_TYPES.get(type(move))
-    if name is None:
+    if not isinstance(move, Move):
         raise SchemaError(f"unknown move {move!r}")
-    out: dict[str, Any] = {"type": name}
-    out.update(vars(move))
-    return out
+    return {"type": move.type, **vars(move)}
 
 
 def move_from_dict(d) -> Move:
@@ -371,10 +348,10 @@ def move_from_dict(d) -> Move:
     if "type" not in obj:
         raise SchemaError("move needs a 'type'")
     name = _expect_str(obj["type"], "move.type")
-    cls = _MOVE_CLASSES.get(name)
+    cls = next((kind for kind in get_args(Move) if kind.type == name), None)
     if cls is None:
         raise SchemaError(f"unknown move type {name!r}")
-    keys = [f.name for f in fields(cls)]
+    keys = cls.__match_args__
     _check_keys(obj, {"type", *keys}, "move")
     missing = [k for k in keys if k not in obj]
     if missing:

@@ -1,17 +1,19 @@
 """Symmetry-preserving extension moves, base graphs, and decomposition.
 
 Every move appends one free vertex orbit: |group| new vertices, one per
-group element in canonical order, each carrying two new rows.
+group element in canonical order, each carrying two new rows.  Each move
+class describes what it does as class data, which ``apply_extension``,
+the inverse moves, the relabelling of traces and the documents all read:
 
-* ``Zero2Edges(v1, v2)``: new vertices join v1 and v2 (two edges each).
-* ``ZeroEdgeLoop(v1)``: new vertices join v1 and carry one loop each.
-* ``CycleEdge(v1, step)``: new vertices join v1 and are joined in cycles:
-  the vertex of element k to the vertex of g_k·g_step, for an element
-  g_step of order 3 or more that does not fix v1.
-* ``OneEdgeSplit(x0, y0, z0)``: delete the full-size orbit of edge (x0,
-  y0); new vertices join x0, y0 and z0.
-* ``OneLoopSplit(loop_id, y0)``: delete the full-size orbit of the loop;
-  new vertices join the loop's vertex and y0 and carry one loop each.
+* ``type``: its name in documents;
+* ``ends``: the fields naming the vertices the new orbit joins, in order
+  (``loop_id`` names its loop's vertex);
+* ``adds``: ``"loops"`` (one loop per new vertex), ``"cycle"`` (the new
+  vertex of element k joined to that of g_k·g_step, for an element g_step
+  of order 3 or more that does not fix v1) or None;
+* ``splits``: ``"edge"`` (the orbit of the edge joining the first two
+  ends), ``"loop"`` (the orbit of loop ``loop_id``) or None, an orbit that
+  must have |group| members and is deleted first.
 
 Moves are applied in place, to one growing state (``_Growth``) that
 appends each new orbit through the group's multiplication table, and the
@@ -97,8 +99,19 @@ from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from operator import attrgetter, itemgetter
+from typing import (
+    Callable,
+    ClassVar,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    Union,
+    get_args,
+)
 
 from .errors import (
     InvalidMoveError,
@@ -125,48 +138,98 @@ from .symgraph import (
 )
 
 
+class _Description:
+    """What a move does: the class data that the module docstring lists,
+    and ``repeated``, the refusal of a move whose ends repeat a vertex.  A
+    move's ends are its first fields."""
+
+    type: ClassVar[str]
+    ends: ClassVar[tuple[str, ...]]
+    adds: ClassVar[str | None] = None
+    splits: ClassVar[str | None] = None
+    repeated: ClassVar[str]
+
+
 @dataclass(frozen=True)
-class Zero2Edges:
+class Zero2Edges(_Description):
     v1: int
     v2: int
+    type = "zero_two_edges"
+    ends = ("v1", "v2")
+    repeated = "v1 and v2 must be distinct vertices"
 
 
 @dataclass(frozen=True)
-class ZeroEdgeLoop:
+class ZeroEdgeLoop(_Description):
     v1: int
+    type = "zero_edge_loop"
+    ends = ("v1",)
+    adds = "loops"
 
 
 @dataclass(frozen=True)
-class CycleEdge:
+class CycleEdge(_Description):
     v1: int
     step: int
+    type = "cycle_edge"
+    ends = ("v1",)
+    adds = "cycle"
 
 
 @dataclass(frozen=True)
-class OneEdgeSplit:
+class OneEdgeSplit(_Description):
     x0: int
     y0: int
     z0: int
+    type = "one_edge_split"
+    ends = ("x0", "y0", "z0")
+    splits = "edge"
+    repeated = "z0 must differ from the split edge's ends"
 
 
 @dataclass(frozen=True)
-class OneLoopSplit:
+class OneLoopSplit(_Description):
     loop_id: int
     y0: int
+    type = "one_loop_split"
+    ends = ("loop_id", "y0")
+    adds = "loops"
+    splits = "loop"
+    repeated = "y0 must differ from the loop's vertex"
 
 
 Move = Union[Zero2Edges, ZeroEdgeLoop, CycleEdge, OneEdgeSplit, OneLoopSplit]
+# every kind but the cycle move, by the profile of the orbit it adds: the
+# neighbours of one of its vertices, one per end, and the loops at it
+_BY_PROFILE = {
+    (len(k.ends), int(k.adds == "loops")): k for k in get_args(Move) if k.adds != "cycle"
+}
 
 
-def _require_int(x, what: str) -> None:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InvalidMoveError(f"{what} must be an integer, not {x!r}")
+def _split_rows(
+    kind: _Description | type[_Description], ends: Sequence[int], images: Callable[[int], Sequence[int]]
+) -> list[tuple[int, int | None]]:
+    """The rows of the orbit a ``kind`` move with these ends splits, where
+    ``images(u)`` lists u's images, element k's at k: the edge orbit of the
+    first two ends, sorted, a loop (``(u, None)``) at each image of the
+    first end, element k's at k, or none."""
+    if kind.splits == "edge":
+        pairs = zip(images(ends[0]), images(ends[1]))
+        return sorted({(a, b) if a < b else (b, a) for a, b in pairs})
+    if kind.splits == "loop":
+        return [(a, None) for a in images(ends[0])]
+    return []
 
 
-def _require_vertex(n: int, v, what: str) -> None:
-    _require_int(v, what)
-    if not 0 <= v < n:
-        raise InvalidMoveError(f"{what} {v} is not a vertex of the graph")
+def _relabel(move: Move, vertex: Sequence[int] | Mapping[int, int], loop: Mapping[int, int]) -> Move:
+    """The move in other labels: each end through ``vertex``, or ``loop``
+    for ``loop_id``, and ``step`` as it is.  A move that splits nothing
+    lists its ends in increasing order."""
+    values = list(vars(move).values())
+    ends = [loop[x] if name == "loop_id" else vertex[x] for name, x in zip(move.ends, values)]
+    if move.splits is None:
+        ends.sort()
+    return type(move)(*ends, *values[len(ends) :])
 
 
 def _generators(group: GroupSpec) -> list[tuple[str, list[int]]]:
@@ -223,56 +286,43 @@ class _Growth:
         vertex n+k for group element k, and new loop ids continue from the
         largest id the graph had before the move."""
         n, t = self.n, self.t
-        cycle = None
-        if isinstance(move, Zero2Edges):
-            _require_vertex(n, move.v1, "v1")
-            _require_vertex(n, move.v2, "v2")
-            if move.v1 == move.v2:
-                raise InvalidMoveError("v1 and v2 must be distinct vertices")
-            ends, looped = (move.v1, move.v2), False
-        elif isinstance(move, ZeroEdgeLoop):
-            _require_vertex(n, move.v1, "v1")
-            ends, looped = (move.v1,), True
-        elif isinstance(move, CycleEdge):
-            _require_vertex(n, move.v1, "v1")
-            _require_int(move.step, "step")
-            elements = self.group.elements()
-            if not 0 <= move.step < t or self.group.element_order(elements[move.step]) < 3:
-                raise InvalidMoveError(
-                    f"step {move.step} does not name a group element of order 3 or more"
-                )
-            if self.vertex[move.step][move.v1] == move.v1:  # each cycle a wheel around v1
-                raise InvalidMoveError(f"the step's element fixes v1 {move.v1}")
-            ends, looped, cycle = (move.v1,), False, move.step
-        elif isinstance(move, OneEdgeSplit):
-            for name, v in (("x0", move.x0), ("y0", move.y0), ("z0", move.z0)):
-                _require_vertex(n, v, name)
-            e0 = (min(move.x0, move.y0), max(move.x0, move.y0))
-            if move.x0 == move.y0 or e0 not in self.edges:
-                raise InvalidMoveError(f"({move.x0}, {move.y0}) is not an edge")
-            if move.z0 in (move.x0, move.y0):
-                raise InvalidMoveError("z0 must differ from the split edge's ends")
-            pairs = zip(self.images(move.x0), self.images(move.y0))
-            orbit = {(a, b) if a < b else (b, a) for a, b in pairs}
-            if len(orbit) != t:
-                raise InvalidMoveError(
-                    "the split edge's orbit must have one edge per group element"
-                )
-            self.edges -= orbit
-            ends, looped = (move.x0, move.y0, move.z0), False
-        elif isinstance(move, OneLoopSplit):
-            _require_int(move.loop_id, "loop_id")
-            if move.loop_id not in self.loops:
-                raise InvalidMoveError(f"no loop with id {move.loop_id}")
-            _require_vertex(n, move.y0, "y0")
-            x0 = self.loops[move.loop_id].vertex
-            if move.y0 == x0:
-                raise InvalidMoveError("y0 must differ from the loop's vertex")
+        if not isinstance(move, _Description):
+            raise InvalidMoveError(f"unknown move {move!r}")
+        values, splits, adds = vars(move), move.splits, move.adds
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidMoveError(f"{name} must be an integer, not {value!r}")
+            if name == "loop_id":
+                if value not in self.loops:
+                    raise InvalidMoveError(f"no loop with id {value}")
+            elif name in move.ends and not 0 <= value < n:
+                raise InvalidMoveError(f"{name} {value} is not a vertex of the graph")
+        ends = list(values.values())[: len(move.ends)]
+        if splits == "edge":
+            x, y = ends[:2]
+            if x == y or (min(x, y), max(x, y)) not in self.edges:
+                raise InvalidMoveError(f"({x}, {y}) is not an edge")
+            orbit = set(_split_rows(move, ends, self.images))
+        elif splits == "loop":  # loop_id names its loop's vertex
+            ends[0] = self.loops[move.loop_id].vertex
             orbit = {table[move.loop_id] for table in self.loop}
-            if len(orbit) != t:
+        if len(set(ends)) < len(ends):
+            raise InvalidMoveError(move.repeated)
+        if adds == "cycle":
+            step, elements = move.step, self.group.elements()
+            if not 0 <= step < t or self.group.element_order(elements[step]) < 3:
                 raise InvalidMoveError(
-                    "the split loop's orbit must have one loop per group element"
+                    f"step {step} does not name a group element of order 3 or more"
                 )
+            if self.vertex[step][ends[0]] == ends[0]:  # each cycle a wheel around v1
+                raise InvalidMoveError(f"the step's element fixes v1 {ends[0]}")
+        if splits is not None and len(orbit) != t:
+            raise InvalidMoveError(
+                f"the split {splits}'s orbit must have one {splits} per group element"
+            )
+        if splits == "edge":
+            self.edges -= orbit
+        elif splits == "loop":
             for name, j in self.gens:
                 if any(self.loop[j][i] not in orbit for i in orbit):
                     raise RangeError(f"{name}_loop_perm is not a permutation of the loop ids")
@@ -280,10 +330,6 @@ class _Growth:
                 del self.loops[i]
                 for table in self.loop:
                     del table[i]
-            ends, looped = (x0, move.y0), True
-        else:
-            raise InvalidMoveError(f"unknown move {move!r}")
-
         for table, row in zip(self.vertex, self.product):
             table.extend(n + s for s in row)
         for end in ends:
@@ -291,10 +337,10 @@ class _Growth:
                 if (a, n + k) in self.edges:
                     raise RangeError(f"duplicate edge {(a, n + k)}")
                 self.edges.add((a, n + k))
-        if cycle is not None:  # one edge orbit of t members, as the order is 3 or more
+        if adds == "cycle":  # one edge orbit of t members, as the order is 3 or more
             for k, row in enumerate(self.product):
-                self.edges.add((n + min(k, row[cycle]), n + max(k, row[cycle])))
-        if looped:
+                self.edges.add((n + min(k, row[move.step]), n + max(k, row[move.step])))
+        if adds == "loops":
             base = self.next_loop
             for k in range(t):
                 if base + k in self.loops:
@@ -499,15 +545,6 @@ class Reduction:
     vertex_map: tuple[int | None, ...]
 
 
-def _move(kind: type, ends: list[int], new_loop: int) -> Move:
-    """The ``kind`` move that restores a deleted orbit from ``ends``, its
-    neighbours outside the orbit, and a cycle's step; a loop split splits
-    the loop orbit from id ``new_loop``."""
-    if kind is OneLoopSplit:
-        return OneLoopSplit(new_loop, ends[1])
-    return Zero2Edges(*sorted(ends)) if kind is Zero2Edges else kind(*ends)
-
-
 def _reduce(
     graph: SymmetricGraph,
     v: int,
@@ -516,9 +553,9 @@ def _reduce(
     ends: tuple[int, ...],
 ) -> Reduction:
     """Delete v's orbit, and the orbit of the loop with id ``loop`` when
-    given, then state the ``kind`` move that restores it from ``ends``, v's
-    neighbours in ``graph`` labels (a ``CycleEdge``'s step last, as it
-    is): the reference for ``_State.push``.
+    given, then state the ``kind`` move that restores it from ``ends``, its
+    ends in ``graph`` labels (a split loop named by its vertex) and a
+    cycle's step last, as it is: the reference for ``_State.push``.
 
     The reduced graph is built once, by ``symgraph._assembled``, from
     ``graph``'s rows and A's, in ``graph`` labels: kept vertices are
@@ -544,16 +581,15 @@ def _reduce(
         for name, perm, pairs in _graph_generators(graph)
     ]
     edges = list(graph.edges)
-    if kind is OneEdgeSplit:
-        images = zip(vimages[:, ends[0]].tolist(), vimages[:, ends[1]].tolist())
-        edges += {(a, b) if a < b else (b, a) for a, b in images}
-    elif kind is OneLoopSplit:
-        loops += (Loop(new_id + k, a) for k, a in enumerate(vimages[:, ends[0]].tolist()))
+    added = _split_rows(kind, ends, lambda u: vimages[:, u].tolist())
+    if kind.splits == "loop":
+        loops += (Loop(new_id + k, a) for k, (a, _) in enumerate(added))
         for (_, _, pairs), (_, shift) in zip(gens, _generators(group)):
             pairs += ((new_id + k, new_id + s) for k, s in enumerate(shift))
+    else:
+        edges += added
     red = _assembled(group, edges, loops, gens, vmap)
-    kept = [vmap[ends[0]], ends[1]] if kind is CycleEdge else [vmap[u] for u in ends]
-    move = _move(kind, kept, new_id)
+    move = _relabel(kind(*ends), vmap, {ends[0]: new_id})
     vertex_map = tuple(vmap.get(u) for u in range(graph.num_vertices))
     return Reduction(move, red, orbit_vertices, orbit_loops, vertex_map)
 
@@ -652,12 +688,12 @@ class _State:
         for r in orbits:
             cands = self.kept.pop(r, None)
             if cands:
-                del self.order[bisect_left(self.order, (cands[0][1][2] is CycleEdge, r))]
+                del self.order[bisect_left(self.order, (cands[0][1][2].adds == "cycle", r))]
             if not self.alive[r] or self.size[r] != self.t:
                 continue
             cands = _orbit_candidates(self, r)
             if cands:
-                insort(self.order, (cands[0][1][2] is CycleEdge, r))
+                insort(self.order, (cands[0][1][2].adds == "cycle", r))
                 self.kept[r] = cands
 
     @cached_property
@@ -777,16 +813,11 @@ class _State:
         candidates again of O's neighbour orbits, and of A's end orbits and
         their neighbours.
         """
-        v, _, kind, (x, *rest) = cand
-        orbit, rep = self.orbit[v], self.rep
-        added: list[tuple[int, int | None]] = []
-        if kind is OneEdgeSplit:
-            pairs = zip(self.orbit[x], self.orbit[rest[0]])
-            added = sorted({(a, b) if a < b else (b, a) for a, b in pairs})
-            if len(added) < self.t:
-                return False
-        elif kind is OneLoopSplit:
-            added = [(y, None) for y in self.orbit[x]]
+        v, _, kind, args = cand
+        orbit, rep, x = self.orbit[v], self.rep, args[0]
+        added = _split_rows(kind, args, self.orbit.__getitem__)
+        if 0 < len(added) < self.t:
+            return False
         rows = [(u, w) for u in orbit for w in self.nbrs[u] if rep[w] != v or u < w]
         rows += [(u, None) for u in orbit for _ in self.loops_at[u]]
         single = bool(added) and self.single_core
@@ -823,13 +854,16 @@ class _State:
                 shifted = tuple(new_loop + shift[k] for _, _, shift in self.gens)
                 self.loops[new_loop + k] = (Loop(new_loop + k, a), shifted)
                 self.loops_at[a].append(new_loop + k)
-        if len(self.loops_at[x]) >= 2 or kind is OneEdgeSplit and rep[x] == rep[rest[0]]:
+        if len(self.loops_at[x]) >= 2 or kind.splits == "edge" and rep[x] == rep[args[1]]:
             self.dense.add(rep[x])
         if added:  # an orbit next to A's ends has candidates only if it had
-            for end in {rep[x], rep[rest[0]]} if kind is OneEdgeSplit else {rep[x]}:
+            a, b = added[0]  # every row of A joins the same orbits
+            for end in {rep[a], rep[a if b is None else b]}:
                 touched.update(r for r in self.quotient[end] if r in self.kept)
         self._refresh(touched)
-        move = _move(kind, [x, *rest], new_loop)
+        # the ends keep their ids; a split loop, named by its vertex, takes
+        # the new loop orbit's first id
+        move = _relabel(kind(*args), range(len(self.alive)), {x: new_loop})
         self.steps.append(_Step(move, orbit, loop_ids))
         return True
 
@@ -840,14 +874,17 @@ def _orbit_candidates(state: _State, v: int) -> list[tuple[bool, Candidate]]:
 
     Each comes as ``(dense, (v, loop, kind, ends))``: the arguments of
     ``_State.push`` and ``_reduce`` (``loop`` is a loop id), and whether A
-    makes an orbit dense that was not: a (2,1) split whose loops give a
-    vertex its second loop, or a (3,0) split whose edge orbit lies inside
+    makes an orbit dense that was not: a loop split whose loops give a
+    vertex its second loop, or an edge split whose edge orbit lies inside
     one orbit.  An orbit whose neighbours all lie outside gives those of
-    the other kinds.  A loopless orbit whose vertices have three
-    neighbours, two inside the orbit, gives one ``CycleEdge`` candidate,
-    not dense: its ends are v's neighbour outside the orbit and the index
-    of the smaller element that sends v to a neighbour inside.  Those are
-    exactly the orbits an extension can have created.
+    each kind whose new orbit it can be: a neighbour per end, and a loop
+    per vertex when the kind adds loops; the ends its split orbit lies on
+    come first, in every choice of them, and the rest in increasing order.
+    A loopless orbit whose vertices have three neighbours, two inside the
+    orbit, gives one ``CycleEdge`` candidate, not dense: its ends are v's
+    neighbour outside the orbit and the index of the smaller element that
+    sends v to a neighbour inside.  Those are exactly the orbits an
+    extension can have created.
     """
     t, rep, nbrs, loops_at = state.t, state.rep, state.nbrs, state.loops_at
     out = sorted(nbrs[v])
@@ -861,26 +898,23 @@ def _orbit_candidates(state: _State, v: int) -> list[tuple[bool, Candidate]]:
                 (x,) = set(out) - set(inside)
                 return [(False, (v, None, CycleEdge, (x, min(steps))))]
         return []
-    profile = (len(out), len(loops_at[v]))
-    if profile == (2, 0):
-        return [(False, (v, None, Zero2Edges, tuple(out)))]
-    if profile == (1, 1):
-        return [(False, (v, loops_at[v][0], ZeroEdgeLoop, tuple(out)))]
+    loops = loops_at[v]
+    kind = _BY_PROFILE.get((len(out), len(loops)))
+    if kind is None:
+        return []
+    loop = loops[0] if loops else None
+    if kind.splits is None:
+        return [(False, (v, loop, kind, tuple(out)))]
     found = []
-    if profile == (3, 0):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                x1, x2 = out[i], out[j]
-                if x2 in nbrs[x1]:
-                    continue
-                inner = rep[x1] == rep[x2] and rep[x1] not in state.dense
-                found.append((inner, (v, None, OneEdgeSplit, (x1, x2, out[3 - i - j]))))
-    elif profile == (2, 1):
-        loop = loops_at[v][0]
+    if kind.splits == "edge":  # the split edge's ends first, then the third
+        for ends in ((out[0], out[1], out[2]), (out[0], out[2], out[1]), (out[1], out[2], out[0])):
+            x, y = ends[:2]
+            if y not in nbrs[x]:
+                found.append((rep[x] == rep[y] and rep[x] not in state.dense, (v, loop, kind, ends)))
+    else:  # the split loop's vertex first; the t new loops spread evenly over its orbit
         for x, y in ((out[0], out[1]), (out[1], out[0])):
-            # the t new loops spread evenly over x's orbit
             looped = len(loops_at[x]) + t // state.size[rep[x]] >= 2
-            found.append((looped and rep[x] not in state.dense, (v, loop, OneLoopSplit, (x, y))))
+            found.append((looped and rep[x] not in state.dense, (v, loop, kind, (x, y))))
     return found
 
 
@@ -892,7 +926,7 @@ def _components(comps: int, label: dict[int, int], cand: Candidate, rep: list[in
     them exactly when x1 and x2 lie apart, and a loop orbit joins none."""
     _, _, kind, ends = cand
     count = comps - 1 + len(set(label.values()))
-    if kind is OneEdgeSplit:
+    if kind.splits == "edge":
         count -= label[rep[ends[0]]] != label[rep[ends[1]]]
     return count
 
@@ -1052,19 +1086,6 @@ class Decomposition:
         return sum(len(c.moves) for c in self.components)
 
 
-def _translate_move(move: Move, inv_v: dict[int, int], inv_l: dict[int, int]) -> Move:
-    if isinstance(move, Zero2Edges):
-        a, b = sorted((inv_v[move.v1], inv_v[move.v2]))
-        return Zero2Edges(a, b)
-    if isinstance(move, ZeroEdgeLoop):
-        return ZeroEdgeLoop(inv_v[move.v1])
-    if isinstance(move, CycleEdge):
-        return CycleEdge(inv_v[move.v1], move.step)
-    if isinstance(move, OneEdgeSplit):
-        return OneEdgeSplit(inv_v[move.x0], inv_v[move.y0], inv_v[move.z0])
-    return OneLoopSplit(inv_l[move.loop_id], inv_v[move.y0])
-
-
 def replay(trace: ComponentTrace) -> SymmetricGraph:
     """Apply the trace's moves to its base graph, in place, and build the
     result once."""
@@ -1160,9 +1181,9 @@ def decompose(graph: SymmetricGraph) -> Decomposition:
         growth = _Growth(base)
         moves: list[Move] = []
         for step in reversed(steps):
-            move = _translate_move(step.move, pos, ids)
+            move = _relabel(step.move, pos, ids)
             fresh = growth.next_loop
-            if isinstance(move, OneLoopSplit):  # its loop orbit goes
+            if move.splits == "loop":  # its loop orbit goes
                 for k in range(len(step.orbit_vertices)):
                     del ids[step.move.loop_id + k]
             growth.apply(move)
@@ -1228,8 +1249,9 @@ def generate_random(
 ) -> GeneratedGraph:
     """Random tight graph: a base plus ``steps`` random extension moves.
 
-    The move kind is drawn uniformly among the applicable kinds and its
-    parameters uniformly among the valid choices.  Deterministic in the
+    The move kind is drawn uniformly among the applicable kinds of four:
+    every kind but ``CycleEdge``, which is never drawn.  Its parameters are
+    drawn uniformly among the valid choices.  Deterministic in the
     seed.  The moves are applied in place and the graph is built once, so
     the cost is linear in ``steps``; the result is checked tight before it
     is returned.  ``steps`` must be a nonnegative integer, else
@@ -1264,41 +1286,39 @@ def generate_random(
     orbs = orbits(g)
     edge_orbits = [o[0] for o in orbs.edges if len(o) == t]
     loop_orbits = [o[0] for o in orbs.loops if len(o) == t]
+    split_orbits = {"edge": edge_orbits, "loop": loop_orbits}
     moves: list[Move] = []
     for _ in range(steps):
         n = growth.n
-        options = ["zero_edge_loop"]
-        if n >= 2:
-            options.append("zero_two_edges")
-        if edge_orbits and n >= 3:
-            options.append("one_edge_split")
-        if loop_orbits and n >= 2:
-            options.append("one_loop_split")
-        kind = rng.choice(sorted(options))
-        move: Move
-        # a draw among the vertices other than x0 (and y0 > x0) is the
-        # index ``rng.randrange(m)`` of the m of them, as ``rng.choice`` of
-        # their list would draw it, mapped past x0 (and y0) with no list made
-        if kind == "zero_two_edges":
-            v1, v2 = sorted(rng.sample(range(n), 2))
-            move, ends = Zero2Edges(v1, v2), (v1, v2)
-        elif kind == "zero_edge_loop":
-            move = ZeroEdgeLoop(rng.randrange(n))
-            ends = (move.v1,)
-        elif kind == "one_edge_split":
-            x0, y0 = rng.choice(edge_orbits)
-            z0 = rng.randrange(n - 2)
-            z0 += z0 >= x0
-            z0 += z0 >= y0
-            move, ends = OneEdgeSplit(x0, y0, z0), (x0, y0, z0)
-            del edge_orbits[bisect_left(edge_orbits, (x0, y0))]
-        else:
+        options = [
+            kind
+            for kind in _BY_PROFILE.values()
+            if n >= len(kind.ends) and (kind.splits is None or split_orbits[kind.splits])
+        ]
+        kind = rng.choice(sorted(options, key=attrgetter("type")))
+        # the ends on a drawn split orbit first; a draw among the other
+        # vertices is the index ``rng.randrange(m)`` of the m of them, as
+        # ``rng.choice`` of their list would draw it, mapped past them with
+        # no list made
+        head: tuple[int, ...] = ()
+        values: list[int] = []
+        if kind.splits == "edge":
+            head = rng.choice(edge_orbits)
+            values = list(head)
+            del edge_orbits[bisect_left(edge_orbits, head)]
+        elif kind.splits == "loop":
             lid = rng.choice(loop_orbits)
-            x0 = growth.loops[lid].vertex
-            y0 = rng.randrange(n - 1)
-            y0 += y0 >= x0
-            move, ends = OneLoopSplit(lid, y0), (x0, y0)
+            head, values = (growth.loops[lid].vertex,), [lid]
             del loop_orbits[bisect_left(loop_orbits, lid)]
+        if len(kind.ends) - len(head) == 2:
+            values += sorted(rng.sample(range(n), 2))
+        else:
+            u = rng.randrange(n - len(head))
+            for w in sorted(head):
+                u += u >= w
+            values.append(u)
+        move = kind(*values)
+        ends = (*head, *values[len(head) :])
         fresh = growth.next_loop
         growth.apply(move)
         # each end's new edges (images[k], n + k) are one full-size orbit

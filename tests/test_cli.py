@@ -1,7 +1,9 @@
 """End-to-end command line runs via subprocess."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -23,7 +25,7 @@ from slcrigid import (
     sample_symmetric_placement,
     subset_audit,
 )
-from slcrigid.cli import build_parser
+from slcrigid.cli import build_parser, main
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -36,20 +38,25 @@ def run_cli(args, inp=None, env_extra=None, stdout=subprocess.PIPE):
     SLCRIGID_SEED only when ``env_extra`` sets it; its stdout is captured
     unless ``stdout`` names another file descriptor.
     """
-    env = dict(os.environ)
-    env.pop("SLCRIGID_SEED", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "slcrigid", *args],
         input=inp,
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_child_env(env_extra),
         timeout=120,
     )
+
+
+def _child_env(env_extra=None):
+    """The environment ``run_cli`` gives its child."""
+    env = dict(os.environ)
+    env.pop("SLCRIGID_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if env_extra:
+        env.update(env_extra)
+    return env
 
 
 @pytest.fixture()
@@ -125,6 +132,44 @@ def test_generate_into_a_closed_pipe_exits_two(steps):
     assert r.stderr.startswith("error: ")
     assert len(r.stderr.splitlines()) == 1
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "svg"])
+def test_a_pipe_closed_after_one_byte_exits_two(command, tmp_path):
+    # the output (a document of 86,560 bytes, a picture of 376,253) does
+    # not fit in the pipe, so the reader leaves while the child is writing:
+    # a partial write must not pass for a whole one
+    args = ["generate", "--group", "c2", "--steps", "500"]
+    if command == "svg":
+        path = tmp_path / "g.json"
+        path.write_text(run_cli(args).stdout)
+        args = ["svg", str(path), "--auto"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slcrigid", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=_child_env(),
+    )
+    try:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_main_writes_to_a_stdout_redirected_in_the_process(lc3_file):
+    # a stdout with no file descriptor takes the same document
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", lc3_file]) == 0
+    assert out.getvalue() == run_cli(["check", lc3_file]).stdout
 
 
 def test_check_output_is_byte_deterministic(lc3_file):

@@ -207,6 +207,58 @@ def test_invalid_moves_are_rejected():
         apply_extension(g, OneLoopSplit(99, 0))
 
 
+def _open_loop_orbit():
+    """A c3 graph whose rotation cycles four loop ids: the orbit {0, 1, 2}
+    that the group gives loop 0 is not closed under the rotation."""
+    return SymmetricGraph(
+        GroupSpec("cyclic", 3),
+        3,
+        (),
+        tuple(Loop(i, i % 3) for i in range(4)),
+        rotation_vertex_perm=(1, 2, 0),
+        rotation_loop_perm={0: 1, 1: 2, 2: 3, 3: 0},
+    )
+
+
+@pytest.mark.parametrize(
+    "graph, move, error, message",
+    [
+        ("pinned2", Zero2Edges(0.0, 1), InvalidMoveError, "v1 must be an integer, not 0.0"),
+        ("pinned2", ZeroEdgeLoop("0"), InvalidMoveError, "v1 must be an integer, not '0'"),
+        ("pinned5", CycleEdge(0, 1.0), InvalidMoveError, "step must be an integer, not 1.0"),
+        ("lc3", OneEdgeSplit(0, 1, True), InvalidMoveError, "z0 must be an integer, not True"),
+        ("pinned2", OneLoopSplit(0, False), InvalidMoveError, "y0 must be an integer, not False"),
+        ("pinned2", OneLoopSplit(None, 1), InvalidMoveError, "loop_id must be an integer, not None"),
+        ("lc3", Zero2Edges(0, 99), InvalidMoveError, "v2 99 is not a vertex of the graph"),
+        ("lc3", ZeroEdgeLoop(-1), InvalidMoveError, "v1 -1 is not a vertex of the graph"),
+        ("lc3", CycleEdge(3, 1), InvalidMoveError, "v1 3 is not a vertex of the graph"),
+        ("lc3", OneEdgeSplit(0, 1, 3), InvalidMoveError, "z0 3 is not a vertex of the graph"),
+        ("pinned2", OneLoopSplit(0, 2), InvalidMoveError, "y0 2 is not a vertex of the graph"),
+        ("lc3", Zero2Edges(1, 1), InvalidMoveError, "v1 and v2 must be distinct vertices"),
+        ("pinned4", CycleEdge(0, 2), InvalidMoveError, "step 2 does not name a group element of order 3 or more"),
+        ("lc3", CycleEdge(0, 0), InvalidMoveError, "step 0 does not name a group element of order 3 or more"),
+        ("lc3", CycleEdge(0, 3), InvalidMoveError, "step 3 does not name a group element of order 3 or more"),
+        ("p1_swap", CycleEdge(0, 1), InvalidMoveError, "the step's element fixes v1 0"),
+        ("lc5", OneEdgeSplit(0, 2, 1), InvalidMoveError, "(0, 2) is not an edge"),
+        ("lc3", OneEdgeSplit(1, 1, 0), InvalidMoveError, "(1, 1) is not an edge"),
+        (c2_fixed_edge, OneEdgeSplit(2, 1, 0), InvalidMoveError, "the split edge's orbit must have one edge per group element"),
+        ("lc3", OneEdgeSplit(0, 1, 1), InvalidMoveError, "z0 must differ from the split edge's ends"),
+        ("lc3", OneEdgeSplit(0, 1, 0), InvalidMoveError, "z0 must differ from the split edge's ends"),
+        ("lc3", OneLoopSplit(99, 0), InvalidMoveError, "no loop with id 99"),
+        ("pinned2", OneLoopSplit(2, 1), InvalidMoveError, "y0 must differ from the loop's vertex"),
+        ("p1_fixed", OneLoopSplit(0, 0), InvalidMoveError, "y0 must differ from the loop's vertex"),
+        (c2_fixed_edge, OneLoopSplit(0, 1), InvalidMoveError, "the split loop's orbit must have one loop per group element"),
+        (_open_loop_orbit, OneLoopSplit(0, 1), RangeError, "rotation_loop_perm is not a permutation of the loop ids"),
+        ("lc3", "zero_two_edges", InvalidMoveError, "unknown move 'zero_two_edges'"),
+    ],
+)
+def test_each_refusal_of_a_move_names_its_cause(graph, move, error, message):
+    g = base_graph(graph) if isinstance(graph, str) else graph()
+    with pytest.raises(error) as info:
+        apply_extension(g, move)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_move_and_step_values_must_be_integers():
     g = base_graph("pinned2")
     for move in [
@@ -232,14 +284,7 @@ def test_a_split_loop_orbit_must_be_closed_under_the_generators():
     # the rotation cycles four loop ids, so its cube is no identity: the
     # orbit {0, 1, 2} the three elements give loop 0 is not closed, and
     # deleting it leaves the rotation's loop map no permutation
-    g = SymmetricGraph(
-        GroupSpec("cyclic", 3),
-        3,
-        (),
-        tuple(Loop(i, i % 3) for i in range(4)),
-        rotation_vertex_perm=(1, 2, 0),
-        rotation_loop_perm={0: 1, 1: 2, 2: 3, 3: 0},
-    )
+    g = _open_loop_orbit()
     with pytest.raises(RangeError, match="rotation_loop_perm is not a permutation"):
         apply_extension(g, OneLoopSplit(0, 1))
     # raised at the move, not at the build, before a later move reads the
@@ -496,7 +541,7 @@ def _as_path(start, reductions, labels):
     for red in reductions:
         kept = [u for u, new in zip(orig, red.vertex_map) if new is not None]
         loop_ids = {i: i for i in red.graph.loop_ids}
-        move = henneberg._translate_move(red.move, dict(enumerate(kept)), loop_ids)
+        move = henneberg._relabel(red.move, dict(enumerate(kept)), loop_ids)
         orbit = tuple(orig[u] for u in red.orbit_vertices)
         steps.append(henneberg._Step(move, orbit, red.orbit_loops))
         orig, base = kept, red.graph
@@ -614,7 +659,7 @@ def _search_list(g, state=None):
             continue
         move, orbit, loops = state.steps[-1]
         child = {u: i for i, u in enumerate(_kept(state))}
-        move = henneberg._translate_move(move, child, {i: i for i in state.loops})
+        move = henneberg._relabel(move, child, {i: i for i in state.loops})
         vertex_map = tuple(child.get(u) for u in range(g.num_vertices))
         found.append(henneberg.Reduction(move, state.graph(), orbit, loops, vertex_map))
         state = henneberg._State(g, tuple(game.restrict(everyone) for game in games))
